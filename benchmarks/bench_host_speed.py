@@ -14,6 +14,9 @@ sweep the suite can run.  This harness tracks that speed over time:
 * ``macro_umpu``     — the same pipeline on the UMPU machine (MMC +
                        safe-stack + tracker attached: the instrumented
                        bus path)
+* ``macro_irq``      — a stock core whose periodic timer drives a tick
+                       ISR against a sampling loop (the SOS heartbeat:
+                       interrupt delivery plus device event horizons)
 
 Protocol: build each workload once, run ``--warmup`` untimed passes,
 then ``--repeats`` timed passes and report the **median**
@@ -43,7 +46,11 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.asm import Assembler, assemble  # noqa: E402
-from repro.sim import Machine  # noqa: E402
+from repro.sim import (  # noqa: E402
+    InterruptController,
+    Machine,
+    PeriodicTimer,
+)
 from repro.umpu import UmpuSystem  # noqa: E402
 
 import bench_macro_overhead as macro  # noqa: E402
@@ -190,11 +197,65 @@ def build_macro_umpu(iterations):
     return system.machine, run_pass
 
 
+MACRO_IRQ = """
+    jmp main
+    jmp tick_isr
+main:
+    ldi r24, {lo}
+    ldi r25, {hi}
+    ldi r28, 0x00
+    ldi r29, 0x08           ; Y -> sample ring in scratch SRAM
+    sei
+sample:
+    ld r16, Y
+    add r16, r24
+    st Y+, r16
+    andi r28, 0x3F          ; 64-byte ring
+    sbiw r24, 1
+    brne sample
+    cli
+    break
+tick_isr:
+    push r16
+    in r16, 0x3f
+    push r16
+    lds r16, 0x0700
+    inc r16
+    sts 0x0700, r16         ; tick counter
+    pop r16
+    out 0x3f, r16
+    pop r16
+    reti
+"""
+
+#: timer period of ``macro_irq`` in CPU cycles
+IRQ_PERIOD = 500
+
+
+def build_macro_irq(iterations):
+    """A timer-driven stock core: every pass restarts the sampling loop
+    with a fresh controller and timer, so passes are cycle-identical."""
+    program = assemble(MACRO_IRQ.format(lo=iterations & 0xFF,
+                                        hi=(iterations >> 8) & 0xFF),
+                       "macro_irq")
+    machine = Machine(program)
+
+    def run_pass():
+        machine.reset()
+        controller = InterruptController(machine.core, nvectors=2)
+        machine.core.devices = [
+            PeriodicTimer(controller, line=1, period=IRQ_PERIOD)]
+        machine.core.run(max_cycles=100_000_000)
+
+    return machine, run_pass
+
+
 WORKLOADS = [
     ("micro_alu", build_micro_alu, 20000),
     ("micro_memory", build_micro_memory, 12000),
     ("macro_unprot", build_macro_unprot, 60),
     ("macro_umpu", build_macro_umpu, 40),
+    ("macro_irq", build_macro_irq, 5000),
 ]
 
 QUICK_SCALE = 0.2

@@ -16,9 +16,10 @@ Dispatch is threaded: ``_fetch`` resolves each instruction's executor
 once at decode time and caches ``(instr, handler, size_words,
 base_cycles)``, so the steady-state step is a dict probe plus one
 indirect call — no per-step name building.  :meth:`run` additionally
-selects a fast loop that hoists the interrupt/trace/profiler/device
-guards out of the loop entirely whenever none of those are attached;
-the fast and instrumented paths execute the identical handlers and are
+selects a fast loop that hoists the trace/profiler/debugger guards out
+of the loop entirely whenever none of those are attached, and folds
+device events and timeline keyframes into its budget comparison; the
+fast and instrumented paths execute the identical handlers and are
 cycle-for-cycle identical (asserted by the differential tests).
 """
 
@@ -55,6 +56,39 @@ _SPH_ADDR = IoReg.SPH + 0x20
 _PTR_REG = {"X": 26, "Y": 28, "Z": 30}
 
 
+def _tick(devices, elapsed):
+    """Hand *elapsed* cycles to every device.  ``step()`` never ticks
+    an empty step, so a zero sync is skipped as well."""
+    if elapsed:
+        for device in devices:
+            device.tick(elapsed)
+
+
+def _next_event(devices, synced):
+    """Absolute cycle of the soonest device event, given devices synced
+    up to cycle *synced*; None when no device has one.  An event already
+    due fires at the end of the next step, as it would from ``step()``."""
+    due = None
+    for device in devices:
+        left = device.cycles_to_event()
+        if left is not None:
+            at = synced + max(left, 1)
+            if due is None or at < due:
+                due = at
+    return due
+
+
+def _nearest(limit, watermark, due):
+    """The run loop's bound: the nearest of the budget limit, the
+    timeline watermark and the next device event."""
+    bound = limit
+    if watermark is not None and watermark < bound:
+        bound = watermark
+    if due is not None and due < bound:
+        bound = due
+    return bound
+
+
 class AvrCore:
     """Fetch/decode/execute interpreter for the AVR subset."""
 
@@ -75,7 +109,9 @@ class AvrCore:
         self.call_hooks = []
         #: optional repro.sim.interrupts.InterruptController
         self.interrupts = None
-        #: peripherals ticked with elapsed cycles after every step
+        #: peripherals ticked with elapsed cycles: after every
+        #: :meth:`step`, and at their next event (``cycles_to_event()``)
+        #: on the fast loop
         self.devices = []
         #: optional repro.trace.TraceSink; every emission site is
         #: guarded so a detached core pays nothing
@@ -294,22 +330,31 @@ class AvrCore:
         raised :class:`CycleLimitExceeded` carries how far the last
         executed step overshot the budget.
 
-        When no trace sink, profiler, debugger, metrics registry or
-        device is attached, the run executes on a fast loop with the
-        per-step guards hoisted out; it is cycle-for-cycle identical to
-        the instrumented path.  An interrupt controller alone does not
-        force the instrumented path: the fast loop polls pending lines
-        at the same instruction boundaries as :meth:`step` (but the
-        ``irq_entry_latency`` metric needs a registry, which does).
-        Attach instrumentation *before* calling ``run`` (as
+        Only a trace sink, a profiler or a debugger moves the run onto
+        the instrumented :meth:`step` path; everything else runs on a
+        fast loop with the per-step guards hoisted out, cycle-for-cycle
+        identical to the instrumented path.  The fast loop polls a
+        pending interrupt line at the same instruction boundaries as
+        :meth:`step`, ticks devices at their next event (see
+        :meth:`_run_fast`), and metrics emitters (interrupt entry, bus
+        interposers, fault counting) run unchanged on it.  Attach
+        instrumentation *before* calling ``run`` (as
         ``Machine.attach_*`` do) — the path is selected once per call.
+
+        Every device in :attr:`devices` must implement
+        ``cycles_to_event()``; a device without it raises
+        :class:`TypeError` before anything executes.
 
         Returns cycles consumed in this call.
         """
         start = self.cycles
-        if (self.trace is None
-                and self.profiler is None and self.debug is None
-                and self.metrics is None and not self.devices):
+        for device in self.devices:
+            if not callable(getattr(device, "cycles_to_event", None)):
+                raise TypeError(
+                    "device {!r} has no cycles_to_event(); every ticked "
+                    "device must report its next event".format(device))
+        if (self.trace is None and self.profiler is None
+                and self.debug is None):
             return self._run_fast(start, max_cycles, until_pc)
         while not self.halted:
             if until_pc is not None and self.pc == until_pc:
@@ -336,6 +381,18 @@ class AvrCore:
         zero comparisons to the per-step path and the hook fires at the
         exact same instruction boundaries as the instrumented loop.
 
+        Devices share the same bound: instead of a per-step ``tick``,
+        the loop asks each device how many cycles remain until its next
+        event (``cycles_to_event()``) and folds the nearest into
+        ``bound``.  At the first boundary on or past it, every device is
+        ticked once with the cycles elapsed since the last sync.  That
+        is the boundary :meth:`step` reaches just after the tick that
+        fires the device, and the tick precedes the budget check, as it
+        does there.  The remainder is synced on every exit.  A step that
+        raises ticks none of its cycles, including an interrupt entry it
+        began with, exactly as in :meth:`step`.  With no device the
+        horizon is ``None`` and the per-step path is unchanged.
+
         Interrupt polling costs one truthiness check on the pending-set
         per iteration: the set object is stable for the controller's
         lifetime, so the loop holds a direct reference and only calls
@@ -345,10 +402,16 @@ class AvrCore:
         decode = self._decode_and_cache
         limit = start + max_cycles
         watermark = self.watermark
-        bound = limit if watermark is None else min(limit, watermark)
+        devices = self.devices
+        synced = start  # cycle the devices were last ticked up to
+        due = _next_event(devices, synced) if devices else None
+        bound = _nearest(limit, watermark, due)
         interrupts = self.interrupts
         pending = interrupts.pending if interrupts is not None else None
         instret = self.instret
+        # (instret, cycles) at the last taken interrupt entry: a step
+        # that raises before retiring leaves its entry cycles unticked
+        irq_instret = irq_cycles = -1
         try:
             while not self.halted:
                 pc = self.pc
@@ -356,17 +419,21 @@ class AvrCore:
                     break
                 cycles = self.cycles
                 if cycles >= bound:
+                    # publish the loop-local counter before any callout
+                    self.instret = instret
+                    if due is not None and cycles >= due:
+                        elapsed, synced = cycles - synced, cycles
+                        _tick(devices, elapsed)
+                        due = _next_event(devices, synced)
                     if cycles >= limit:
                         raise CycleLimitExceeded(
                             max_cycles, overshoot=cycles - limit)
-                    # watermark reached: publish the loop-local counter,
-                    # fire the hook (a snapshot capture — read-only) and
-                    # re-derive the bound from the advanced watermark
-                    self.instret = instret
-                    self.watermark_hook(self)
-                    watermark = self.watermark
-                    bound = limit if watermark is None \
-                        else min(limit, watermark)
+                    if watermark is not None and cycles >= watermark:
+                        # fire the hook (a snapshot capture — read-only)
+                        # and re-derive the bound from the new watermark
+                        self.watermark_hook(self)
+                        watermark = self.watermark
+                    bound = _nearest(limit, watermark, due)
                     continue
                 if pending:
                     # same boundary step() polls at: after the budget
@@ -377,6 +444,7 @@ class AvrCore:
                     self.instret = instret
                     taken = interrupts.poll()
                     if taken:
+                        irq_instret, irq_cycles = instret, cycles
                         cycles += taken
                         self.cycles = cycles
                         pc = self.pc
@@ -387,8 +455,15 @@ class AvrCore:
                 extra = entry[1](self, entry[0])
                 self.cycles = cycles + entry[3] + (extra or 0)
                 instret += 1
+        except BaseException:
+            if devices:
+                end = irq_cycles if irq_instret == instret else self.cycles
+                _tick(devices, end - synced)
+            raise
         finally:
             self.instret = instret
+        if devices:
+            _tick(devices, self.cycles - synced)
         return self.cycles - start
 
     # ==================== ALU: add/sub family ============================

@@ -5,8 +5,14 @@ line (the heartbeat that drives SOS's timer messages), and a trivial
 output port that collects bytes the program writes (a stand-in for the
 UART/radio the examples "send" packets to).
 
-Devices are ticked with elapsed cycles by the machine's run helpers;
-they do not stall the CPU.
+A ticked device (one in ``core.devices``) implements two methods:
+``tick(cycles)`` consumes elapsed CPU cycles, and ``cycles_to_event()``
+returns how many cycles remain until its next event, or None when it
+has none.  ``AvrCore.step`` ticks after every instruction; the fast
+run loop ticks only at the boundary where the nearest event falls due
+(and on exit), so a device must produce the same result from one large
+tick as from many small ones summing to it.  Devices do not stall the
+CPU.
 """
 
 from repro.sim.events import AccessKind
@@ -15,10 +21,16 @@ from repro.sim.events import AccessKind
 class PeriodicTimer:
     """Raises IRQ *line* every *period* CPU cycles.
 
-    Attach with :meth:`install`; the machine ticks it from ``step``.
+    Attach with :meth:`install`.  The timer's state is relative (the
+    cycles accumulated since its last fire, not an absolute due cycle),
+    so a snapshot restore that rewinds ``core.cycles`` or the timeline
+    suspending devices during replay cannot leave it stale.
     """
 
     def __init__(self, interrupts, line=1, period=1000):
+        if isinstance(period, bool) or not isinstance(period, int):
+            raise TypeError("timer period must be an int number of "
+                            "cycles, not {!r}".format(period))
         if period <= 0:
             raise ValueError("timer period must be positive")
         self.interrupts = interrupts
@@ -36,6 +48,12 @@ class PeriodicTimer:
             self._accumulated -= self.period
             self.interrupts.raise_irq(self.line)
             self.fired += 1
+
+    def cycles_to_event(self):
+        """Cycles until the next fire; None while disabled."""
+        if not self.enabled:
+            return None
+        return self.period - self._accumulated
 
     def install(self, core):
         core.devices.append(self)

@@ -101,8 +101,8 @@ class Machine:
         return self.forensics
 
     def attach_metrics(self, registry=None):
-        """Attach a :class:`repro.trace.metrics.MetricsRegistry` (opts
-        the core out of the fast loop; cycle counts are unchanged)."""
+        """Attach a :class:`repro.trace.metrics.MetricsRegistry` (the
+        core keeps the fast loop; cycle counts are unchanged)."""
         from repro.trace.metrics import install_metrics
         return install_metrics(self, registry)
 

@@ -21,7 +21,8 @@ Six pieces:
   cross-domain call stack, disassembled instruction window).  Attach
   with ``Machine.attach_forensics()``.
 * :class:`MetricsRegistry` — counters/gauges/histograms with zero
-  hot-path cost when detached.  Attach with :func:`install_metrics`.
+  hot-path cost when detached; attached, the core keeps its fast loop.
+  Attach with :func:`install_metrics`.
 * :class:`Debugger` — data watchpoints and PC breakpoints; attaching
   one moves the core off the fast loop (cycle counts unchanged).
 * :class:`Timeline` / :class:`BlockHeat` — cycle-indexed record/replay:

@@ -9,9 +9,9 @@ dashboards, regression gates and the ``metrics`` CLI subcommand.
 Attachment follows the same discipline as tracing: components hold a
 ``metrics`` attribute that defaults to ``None`` and every emission site
 is a single ``is not None`` guard, so a detached machine pays nothing on
-the hot path.  Attaching a registry opts the core out of the
-threaded-dispatch fast loop (see ``docs/performance.md``) but never
-changes simulated cycle counts — metrics are purely observational.
+the hot path.  Every emitter runs on the threaded-dispatch fast loop
+(see ``docs/performance.md``), so an attached registry keeps it; metrics
+never change simulated cycle counts — they are purely observational.
 
 Histograms use fixed bucket bounds (``counts[i]`` = observations with
 ``value <= buckets[i]``; the final slot is the overflow bucket), so
@@ -236,8 +236,8 @@ def install_metrics(machine, registry=None):
 
     Sets ``core.metrics`` and ``bus.metrics`` so the core, interrupt
     controller and bus interposers (MMC, domain tracker) find the
-    registry at emission time.  Returns the registry.  Note: an
-    attached registry opts the core out of ``_run_fast``.
+    registry at emission time.  Returns the registry.  The core stays
+    on ``_run_fast``: every emitter runs there unchanged.
     """
     if registry is None:
         registry = MetricsRegistry()
@@ -247,7 +247,7 @@ def install_metrics(machine, registry=None):
 
 
 def uninstall_metrics(machine):
-    """Detach any registry from *machine* (fast loop eligible again)."""
+    """Detach any registry from *machine*."""
     machine.core.metrics = None
     machine.bus.metrics = None
 

@@ -1,14 +1,13 @@
 """Differential fuzz: the threaded-dispatch fast run loop must be
 cycle-for-cycle identical to the fully instrumented ``step()`` path.
 
-``AvrCore.run`` picks ``_run_fast`` only when nothing observes the
-core (no trace sink, profiler, debugger, metrics or devices — an
-interrupt controller alone stays on the fast loop, which polls it);
-otherwise it falls back to ``step()``.  These tests execute
-seeded-random but valid
-instruction programs on both paths and require the complete
+``AvrCore.run`` picks ``_run_fast`` unless a trace sink, profiler or
+debugger is attached; interrupt controllers, devices, metrics and a
+timeline keep the fast loop.  These tests execute seeded-random but
+valid instruction programs on both paths and require the complete
 architectural state to match: cycle count, retired-instruction count,
 PC, SREG and every byte of the data space (registers, I/O, SP, SRAM).
+Device horizons are fuzzed in ``tests/test_device_horizon.py``.
 """
 
 import random
@@ -185,9 +184,9 @@ def test_path_selection():
     m2.run()
 
 
-def test_debugger_and_metrics_force_instrumented_path():
-    """Attaching a debugger or a metrics registry must move the core off
-    the fast loop (their hooks only exist on the step() path)."""
+def test_debugger_forces_instrumented_path():
+    """Attaching a debugger must move the core off the fast loop (its
+    PC-breakpoint hook only exists on the step() path)."""
     src = generate_program(41, n_blocks=10)
 
     m = Machine(assemble(src))
@@ -196,11 +195,74 @@ def test_debugger_and_metrics_force_instrumented_path():
         "debugger-attached run must not take the fast loop")
     m.run()
 
-    m2 = Machine(assemble(src))
-    m2.attach_metrics()
-    m2.core._run_fast = lambda *a: pytest.fail(
-        "metrics-attached run must not take the fast loop")
-    m2.run()
+
+def step_driven_run(core):
+    """A drop-in for ``core.run`` that executes one :meth:`step` per
+    instruction, honouring the same stop conditions."""
+    from repro.sim import CycleLimitExceeded
+
+    def run(max_cycles=1_000_000, until_pc=None):
+        start = core.cycles
+        while not core.halted and core.pc != until_pc:
+            spent = core.cycles - start
+            if spent >= max_cycles:
+                raise CycleLimitExceeded(max_cycles,
+                                         overshoot=spent - max_cycles)
+            core.step()
+        return core.cycles - start
+    return run
+
+
+IRQ_WRAPPED = "    jmp main\n    jmp tick_isr\nmain:\n    sei\n{}" \
+    "tick_isr:\n    inc r2\n    reti\n"
+
+
+def _metrics_workloads():
+    """(build, drive) pairs whose runs emit metrics: a timer-driven
+    fuzzed program (irq_entry_latency) and a faulting UMPU call (MMC
+    checked stores, protection_faults)."""
+    from repro.core.faults import MemMapFault
+    from repro.sim import InterruptController, PeriodicTimer
+
+    def timer_machine():
+        m = Machine(assemble(IRQ_WRAPPED.format(generate_program(41))))
+        controller = InterruptController(m.core, nvectors=2)
+        PeriodicTimer(controller, line=1, period=37).install(m.core)
+        return m
+
+    def faulting_call(machine):
+        with pytest.raises(MemMapFault):
+            machine.call("entry")
+        machine.run(max_cycles=1000)
+
+    return [(timer_machine, lambda m: m.run()),
+            (lambda: _umpu_fault_machine(instrumented=False),
+             faulting_call)]
+
+
+def test_metrics_keep_fast_loop_and_match_step_path():
+    """A metrics registry no longer forces the step() path: every
+    emitter (interrupt entry, bus interposers, fault counting) runs on
+    the fast loop, which leaves the same architectural state and the
+    same registry dump as a step()-driven run."""
+    for build, drive in _metrics_workloads():
+        fast = build()
+        fast_registry = fast.attach_metrics()
+        calls = []
+        original = fast.core._run_fast
+        fast.core._run_fast = lambda *a: calls.append(a) or original(*a)
+        drive(fast)
+        assert calls, "metrics-attached run must take the fast loop"
+
+        stepped = build()
+        step_registry = stepped.attach_metrics()
+        stepped.core.run = step_driven_run(stepped.core)
+        drive(stepped)
+
+        assert_states_identical(fast, stepped)
+        assert fast_registry.to_dict()["counters"] \
+            or fast_registry.to_dict()["histograms"]
+        assert fast_registry.to_dict() == step_registry.to_dict()
 
 
 def test_debugger_and_metrics_preserve_architectural_state():
