@@ -88,10 +88,9 @@ class ImageModel:
         machine = system.machine
         layout = system.layout
         read_word = machine.memory.read_flash_word
-        is_sfi = hasattr(system, "verifier")
+        policy = system.policy
         lo, hi = system.runtime.extent()
-        symbols = system.symbol_map() if hasattr(system, "symbol_map") \
-            else dict(system.runtime.symbols)
+        symbols = system.symbol_map()
         runtime_entries = {}
         from repro.sfi.runtime_asm import RUNTIME_ENTRIES
         from repro.sfi.system import KERNEL_EXPORTS
@@ -107,9 +106,9 @@ class ImageModel:
             policy="trusted", entries=runtime_entries)
         model = cls(read_word, layout, system.jump_table, runtime,
                     symbols=symbols,
-                    allowed_io=getattr(getattr(system, "verifier", None),
-                                       "allowed_io", ()),
-                    mode="sfi" if is_sfi else "umpu")
+                    allowed_io=system.verifier.allowed_io
+                    if policy == "sfi" else (),
+                    mode=policy)
         for module in system.modules.values():
             entries = {}
             for export, entry_addr in module.exports.items():
@@ -119,7 +118,7 @@ class ImageModel:
             model.modules.append(ModuleRegion(
                 name=module.name, domain=module.domain,
                 start=module.start, end=module.end,
-                policy="sfi" if is_sfi else "umpu", entries=entries,
+                policy=policy, entries=entries,
                 data_spans=tuple(getattr(module, "data_spans", ()) or ()),
                 manifest=getattr(module, "manifest", None)))
         model.modules.extend(extra_modules)

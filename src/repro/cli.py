@@ -631,12 +631,7 @@ def cmd_lint(argv=None):
                 or tuple(sorted(labels))
             name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
             if args.unchecked:
-                base = system._next_load
-                for word_addr, value in program.words.items():
-                    system.machine.memory.write_flash_word(
-                        base // 2 + word_addr - lo, value)
-                system.machine.core.invalidate_decode_cache()
-                end = base + (hi - lo + 1) * 2
+                base, end = system.place(program)
                 entries = {e: base + labels[e] - lo * 2
                            for e in exports if e in labels}
                 extra_regions.append(ModuleRegion(
@@ -646,7 +641,6 @@ def cmd_lint(argv=None):
                     data_spans=tuple(
                         (base + lo_off, base + hi_off)
                         for lo_off, hi_off in data_spans.get(name, ()))))
-                system._next_load = (end + 0xFF) & ~0xFF
             else:
                 system.load_module(program, name, exports=exports)
     except (AsmError, OSError) as exc:
@@ -1071,13 +1065,7 @@ def cmd_certify(argv=None):
                 or tuple(sorted(labels))
             name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
             if args.unchecked:
-                base = system._next_load
-                for word_addr, value in program.words.items():
-                    system.machine.memory.write_flash_word(
-                        base // 2 + word_addr - lo, value)
-                system.machine.core.invalidate_decode_cache()
-                end = base + (hi - lo + 1) * 2
-                system._next_load = (end + 0xFF) & ~0xFF
+                base, end = system.place(program)
                 report = validate_translation(
                     program, system.machine.memory.read_flash_word,
                     base, end, system.layout, system.runtime.symbols,

@@ -1,11 +1,12 @@
 """SFI: the software-only Harbor system (binary rewriter + verifier +
-assembly runtime)."""
+assembly runtime), and the protected-system core it shares with UMPU."""
 
 from repro.sfi.layout import (
     FAULT_NAMES,
     SfiLayout,
 )
 from repro.sfi.inline import InlineRewriter, TemplateVerifier, build_core
+from repro.sfi.protected import ProtectedSystem
 from repro.sfi.rewriter import RewriteError, Rewriter, RewrittenModule
 from repro.sfi.runtime_asm import (
     RUNTIME_ENTRIES,
@@ -23,6 +24,7 @@ __all__ = [
     "InlineRewriter",
     "TemplateVerifier",
     "build_core",
+    "ProtectedSystem",
     "RewriteError",
     "Rewriter",
     "RewrittenModule",

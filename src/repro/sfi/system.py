@@ -1,51 +1,28 @@
-"""SfiSystem: a complete software-only Harbor node.
+"""SfiSystem: the software-only Harbor node.
 
-Assembles the runtime, lays out the jump tables, loads modules through
-the rewriter + verifier pipeline, and exposes a host-side API that maps
-on-node faults (fault code + ``break``) back into the typed exceptions
-of :mod:`repro.core.faults`.
+The software back-end of :class:`~repro.sfi.protected.ProtectedSystem`:
+the runtime's check stubs enforce the protection model, so admission
+rewrites each module (every store checked, every cross-domain transfer
+routed through the jump table), optionally elides proved-safe checks,
+verifies the result and installs it; the lint and certify gates can
+reject it after installation.  Protection state lives in trusted SRAM
+cells.
 
-This is the first of the paper's two systems; the second
-(:class:`repro.umpu.UmpuMachine`) runs the *same module binaries
-unrewritten* with the checks in hardware.
+The second back-end (:class:`repro.umpu.system.UmpuSystem`) runs the
+*same module binaries unrewritten* with the checks in hardware.
 """
 
 from dataclasses import dataclass
 
-from repro.core.control_flow import JumpTable
-from repro.core.encoding import TRUSTED_DOMAIN
-from repro.core.faults import (
-    JumpTableFault,
-    MemMapFault,
-    OwnershipFault,
-    ProtectionFault,
-    SafeStackOverflow,
-    StackBoundFault,
-    UntrustedAccessFault,
-)
 from repro.core.memmap import MemoryBackedStorage, MemoryMap
-from repro.sfi.layout import (
-    FAULT_JT,
-    FAULT_MEMMAP,
-    FAULT_OUTSIDE,
-    FAULT_OWNERSHIP,
-    FAULT_SS_OVERFLOW,
-    FAULT_STACK_BOUND,
-    SfiLayout,
-)
+from repro.sfi.layout import SfiLayout
+from repro.sfi.protected import KERNEL_EXPORTS, ProtectedSystem
 from repro.sfi.rewriter import Rewriter
 from repro.sfi.runtime_asm import build_runtime
 from repro.sfi.verifier import Verifier, VerifyError
 from repro.sim import Machine
-from repro.sos.linker import CrossDomainLinker
 
-#: kernel services exported through the trusted domain's jump table
-KERNEL_EXPORTS = (
-    ("malloc", "hb_malloc_svc"),
-    ("free", "hb_free_svc"),
-    ("change_own", "hb_change_own_svc"),
-    ("noop", "hb_noop"),
-)
+__all__ = ["KERNEL_EXPORTS", "LoadedModule", "SfiSystem"]
 
 
 @dataclass
@@ -67,51 +44,22 @@ class LoadedModule:
     certification: object = None
 
 
-class SfiSystem:
+class SfiSystem(ProtectedSystem):
     """A simulated node running the software-only Harbor system."""
 
+    policy = "sfi"
+    dispatch_stub = "hb_xdom_call"
+
     def __init__(self, layout=None, allowed_io=(), strict_lint=False):
-        self.layout = layout or SfiLayout()
+        layout = layout or SfiLayout()
         #: when set, every load additionally runs the whole-image static
         #: analyzer and refuses admission on any error-severity finding
         self.strict_lint = strict_lint
-        self.runtime = build_runtime(self.layout)
-        self.machine = Machine(self.runtime)
-        self.machine.attach_forensics(layout=self.layout,
-                                      memmap=lambda: self.memmap,
-                                      symbols=self.symbol_map)
-        self.jump_table = JumpTable(
-            base=self.layout.jt_base,
-            ndomains=self.layout.ndomains,
-            entries_per_domain=self.layout.jt_page_bytes // 4,
-            entry_bytes=4)
-        self.linker = CrossDomainLinker(
-            self.jump_table,
-            exception_target=self.runtime.symbol("hb_fault_r20"))
-        self.rewriter = Rewriter(self.runtime.symbols, self.layout)
-        self.verifier = Verifier(self.runtime.symbols, self.layout,
+        runtime = build_runtime(layout)
+        self.rewriter = Rewriter(runtime.symbols, layout)
+        self.verifier = Verifier(runtime.symbols, layout,
                                  allowed_io=allowed_io)
-        self.modules = {}
-        self._next_load = self.layout.jt_end
-        self._next_domain = 0
-        self._free_domains = []
-        # kernel services live in the trusted domain's jump table page
-        for name, entry in KERNEL_EXPORTS:
-            self.linker.export(TRUSTED_DOMAIN, name,
-                               self.runtime.symbol(entry))
-        self._flush_jump_table()
-        self.boot()
-
-    # ------------------------------------------------------------------
-    def boot(self):
-        """Run hb_init: protection state, memory map, heap free list."""
-        self.machine.reset()
-        self._checked_call("hb_init", max_cycles=100000)
-        return self
-
-    def _flush_jump_table(self):
-        self.linker.emit(self.machine.memory.write_flash_word)
-        self.machine.core.invalidate_decode_cache()
+        super().__init__(layout, runtime, Machine(runtime))
 
     # ------------------------------------------------------------------
     @property
@@ -126,18 +74,17 @@ class SfiSystem:
     def cur_domain(self):
         return self.machine.memory.read_data(self.layout.cur_dom)
 
+    def _reset_protection(self):
+        mem = self.machine.memory
+        mem.write_word_data(self.layout.stack_bound,
+                            self.machine.geometry.ramend)
+        mem.write_word_data(self.layout.ss_ptr,
+                            self.layout.safe_stack_base)
+
     def kernel_symbols(self):
-        """Symbols module sources assemble against: kernel jump-table
-        entries (KERNEL_MALLOC, ...) plus already-loaded module exports
-        (JT_<module>_<export>)."""
-        syms = {}
-        for name, _entry in KERNEL_EXPORTS:
-            syms["KERNEL_" + name.upper()] = self.linker.entry_for(
-                TRUSTED_DOMAIN, name)
-        for module in self.modules.values():
-            for export, addr in module.exports.items():
-                syms["JT_{}_{}".format(module.name.upper(),
-                                       export.upper())] = addr
+        """Kernel and module jump-table symbols, plus each pinned static
+        data span (SDATA_D<n> / SDATA_D<n>_END)."""
+        syms = super().kernel_symbols()
         for dom in range(self.layout.static_data_domains):
             base, end = self.layout.static_data_span(dom)
             syms["SDATA_D{}".format(dom)] = base
@@ -149,21 +96,6 @@ class SfiSystem:
         span = self.layout.static_data_span(domain)
         return span[0] if span else None
 
-    def symbol_map(self):
-        """Whole-image symbol map: runtime labels, jump-table slot
-        labels (``jt_d<n>_<export>``) and module export code addresses
-        (``<module>.<export>``) — what the disassembler, the fault
-        forensics windows and harbor-lint symbolize against."""
-        syms = dict(self.runtime.symbols)
-        syms.update(self.linker.symbols())
-        for module in self.modules.values():
-            for export in module.exports:
-                target = self.linker.export_target(module.domain, export)
-                if target is not None:
-                    syms.setdefault(
-                        "{}.{}".format(module.name, export), target)
-        return syms
-
     # ------------------------------------------------------------------
     def load_module(self, program, name, exports=(), entries=(),
                     lint=None, elide=False, certify=False):
@@ -173,7 +105,7 @@ class SfiSystem:
         Returns the :class:`LoadedModule`; raises
         :class:`~repro.sfi.verifier.VerifyError` if the rewritten binary
         does not verify (correctness depends on the verifier, not the
-        rewriter).
+        rewriter).  A rejected load gives its protection domain back.
 
         *lint* (default: the system's ``strict_lint`` flag) additionally
         runs the whole-image static analyzer after installation and
@@ -199,12 +131,7 @@ class SfiSystem:
         :class:`VerifyError` on any mismatch.  The report lands on
         ``module.certification``.
         """
-        if self._free_domains:
-            domain = self._free_domains.pop(0)
-        elif self._next_domain < self.layout.ndomains - 1:
-            domain = self._next_domain
-        else:
-            raise ValueError("no free protection domain")
+        domain = self._pick_domain()
         rewritten = self.rewriter.rewrite(program, self._next_load,
                                           exports=exports, entries=entries)
         manifest = None
@@ -213,25 +140,16 @@ class SfiSystem:
                 program, name, domain, exports, entries, rewritten)
         self.verifier.verify(rewritten.program, rewritten.start,
                              rewritten.end, manifest=manifest)
-        for word_addr, value in rewritten.program.words.items():
-            self.machine.memory.write_flash_word(word_addr, value)
-        self.machine.core.invalidate_decode_cache()
+        # the rewritten image is already linked at its load address
+        self._install(rewritten.program.words)
         if manifest is not None:
             self._check_installed_manifest(rewritten, manifest)
-        jt_exports = {}
-        for export in exports:
-            jt_exports[export] = self.linker.export(
-                domain, export, rewritten.exports[export])
-        self._flush_jump_table()
-        module = LoadedModule(
-            name=name, domain=domain, start=rewritten.start,
-            end=rewritten.end, exports=jt_exports,
-            rewrite_stats=rewritten.stats,
-            verify_report=None, manifest=manifest)
-        self.modules[name] = module
-        if domain == self._next_domain:
-            self._next_domain += 1
-        self._next_load = (rewritten.end + 0xFF) & ~0xFF
+        module = self._admit(
+            LoadedModule(name=name, domain=domain, start=rewritten.start,
+                         end=rewritten.end, exports={},
+                         rewrite_stats=rewritten.stats,
+                         verify_report=None, manifest=manifest),
+            {export: rewritten.exports[export] for export in exports})
         if lint if lint is not None else self.strict_lint:
             self._lint_gate(name)
         if certify:
@@ -343,7 +261,6 @@ class SfiSystem:
                     name, ", ".join(codes), first.message),
                 byte_addr=first.byte_addr, rule=first.rule.code)
 
-
     def _certify_gate(self, name, program, exports, entries):
         """Translation validation admission: prove the installed flash
         is a sanctioned translation of the source, publish the
@@ -377,158 +294,3 @@ class SfiSystem:
                 "{}".format(name, first.message),
                 byte_addr=first.byte_addr, rule="HL017")
         return report
-
-    def unload_module(self, name):
-        """Unload a module: free every heap segment its domain owns,
-        drop its jump-table entries (slots revert to the exception
-        routine), and release the domain id for reuse.  The module's
-        flash stays behind (as on a real node) but is no longer
-        reachable through any jump table."""
-        module = self.modules.pop(name)
-        memmap = self.memmap
-        # only dynamic heap segments are allocator blocks; pinned static
-        # data spans above heap_dynamic_end stay owned forever (hb_free
-        # would fault on them, and elision proofs depend on the pinning)
-        heap_start = self.layout.heap_start
-        heap_end = self.layout.heap_dynamic_end
-        for start, _nblocks, owner in memmap.segments():
-            if owner == module.domain and heap_start <= start < heap_end:
-                self.free(start + self.layout.heap_header)
-        self.linker.unlink_domain(module.domain)
-        self._flush_jump_table()
-        self._free_domains.append(module.domain)
-        return module
-
-    def attach_timeline(self, interval=None, keep_flash=True):
-        """Attach a :class:`~repro.trace.timeline.Timeline` recorder to
-        the node (keyframes span every subsequent ``call_export`` /
-        kernel-call run; see ``docs/observability.md``)."""
-        return self.machine.attach_timeline(interval=interval,
-                                            keep_flash=keep_flash)
-
-    # --- snapshot/restore ---------------------------------------------
-    def snapshot(self):
-        """Capture machine + loader state for :meth:`restore`.
-
-        All protection state of the software system lives in trusted
-        SRAM cells, so the machine snapshot already carries it; the
-        system layer only adds the host-side loader bookkeeping (loaded
-        modules, next load address, free domains, linker exports)."""
-        from repro.sim.snapshot import MachineSnapshot
-        return MachineSnapshot.capture_system(self)
-
-    def restore(self, snap):
-        """Restore a :meth:`snapshot`; the memmap/cur_domain views read
-        the restored SRAM directly, so no rebuild is needed."""
-        snap.apply_system(self)
-        return self
-
-    # ------------------------------------------------------------------
-    def _fault_exception(self):
-        mem = self.machine.memory
-        code = mem.read_data(self.layout.fault_code)
-        if not code:
-            return None
-        addr = mem.read_word_data(self.layout.fault_addr)
-        domain = self.cur_domain
-        if code == FAULT_MEMMAP:
-            owner = self.memmap.owner_of(addr) \
-                if self.layout.memmap_config.contains(addr) else None
-            return MemMapFault(addr, domain, owner)
-        if code == FAULT_STACK_BOUND:
-            bound = mem.read_word_data(self.layout.stack_bound)
-            return StackBoundFault(addr, domain, bound)
-        if code == FAULT_OUTSIDE:
-            return UntrustedAccessFault(addr, domain)
-        if code == FAULT_JT:
-            return JumpTableFault(addr, domain=domain)
-        if code == FAULT_SS_OVERFLOW:
-            return SafeStackOverflow(
-                mem.read_word_data(self.layout.ss_ptr),
-                self.layout.safe_stack_limit)
-        if code == FAULT_OWNERSHIP:
-            return OwnershipFault(addr, domain, None, "free/change_own")
-        return ProtectionFault("fault code {}".format(code), domain=domain)
-
-    def clear_fault(self):
-        self.machine.memory.write_data(self.layout.fault_code, 0)
-        self.machine.core.halted = False
-
-    def recover(self):
-        """Kernel-side recovery after a contained fault: restore the
-        protection state so the node keeps dispatching ("a stable kernel
-        can always ensure a clean re-start of user modules")."""
-        self.clear_fault()
-        mem = self.machine.memory
-        mem.write_data(self.layout.cur_dom, TRUSTED_DOMAIN)
-        mem.write_word_data(self.layout.stack_bound,
-                            self.machine.geometry.ramend)
-        mem.write_word_data(self.layout.ss_ptr,
-                            self.layout.safe_stack_base)
-        mem.sp = self.machine.geometry.ramend
-        return self
-
-    def _checked_call(self, target, *args, max_cycles=1_000_000):
-        cycles = self.machine.call(target, *args, max_cycles=max_cycles)
-        exc = self._fault_exception()
-        if exc is not None:
-            self.clear_fault()
-            raise self.machine.record_fault(exc)
-        return cycles
-
-    # ------------------------------------------------------------------
-    def call_export(self, module, export, *args, max_cycles=1_000_000):
-        """Host-side dispatch into a module export via a cross-domain
-        call (what the kernel scheduler does to deliver a message)."""
-        entry = self.modules[module].exports[export]
-        m = self.machine
-        m.set_args(*args)
-        m.core.set_reg_pair(30, entry // 2)  # Z = target word address
-        cycles = self._checked_call_regs("hb_xdom_call",
-                                         max_cycles=max_cycles)
-        return m.result16(), cycles
-
-    def _checked_call_regs(self, target, max_cycles=1_000_000):
-        """Like _checked_call but without touching argument registers."""
-        m = self.machine
-        m.core.push_return_address(0xFFFE)
-        m.core.pc = self.runtime.symbol(target) // 2
-        if m.timeline is not None:
-            m.timeline.begin_run()
-        start = m.core.cycles
-        try:
-            m.core.run(max_cycles=max_cycles, until_pc=0xFFFE)
-        except ProtectionFault as fault:
-            raise m.record_fault(fault)
-        exc = self._fault_exception()
-        if exc is not None:
-            self.clear_fault()
-            raise self.machine.record_fault(exc)
-        return m.core.cycles - start
-
-    # --- trusted host-side memory API -------------------------------------------
-    def malloc(self, nbytes, domain=TRUSTED_DOMAIN):
-        prev = self.cur_domain
-        self.machine.memory.write_data(self.layout.cur_dom, domain)
-        try:
-            self._checked_call("hb_malloc", nbytes)
-        finally:
-            self.machine.memory.write_data(self.layout.cur_dom, prev)
-        ptr = self.machine.result16()
-        return ptr or None
-
-    def free(self, ptr, domain=TRUSTED_DOMAIN):
-        prev = self.cur_domain
-        self.machine.memory.write_data(self.layout.cur_dom, domain)
-        try:
-            self._checked_call("hb_free", ptr)
-        finally:
-            self.machine.memory.write_data(self.layout.cur_dom, prev)
-
-    def change_own(self, ptr, new_domain, domain=TRUSTED_DOMAIN):
-        prev = self.cur_domain
-        self.machine.memory.write_data(self.layout.cur_dom, domain)
-        try:
-            self._checked_call("hb_change_own", ptr, ("u8", new_domain))
-        finally:
-            self.machine.memory.write_data(self.layout.cur_dom, prev)

@@ -131,10 +131,11 @@ class Machine:
         """Capture forensics for *fault* (idempotent) and count it.
 
         The single funnel every propagating protection fault passes
-        through: ``Machine.call``/``run`` and the system harnesses
-        (:class:`~repro.umpu.system.UmpuSystem`, software runtime) all
-        route faults here, so a fault is reported exactly once no
-        matter how many layers re-raise it.  Returns *fault*.
+        through: ``Machine.call``/``run`` and the library fault funnel
+        of the system harnesses (:class:`~repro.sfi.protected.
+        ProtectedSystem`) all route faults here, so a fault is reported
+        exactly once no matter how many layers re-raise it.  Returns
+        *fault*.
         """
         if getattr(fault, "report", None) is not None:
             return fault

@@ -7,9 +7,9 @@ with extra architectural state beyond the memory arrays (the UMPU
 register file, the domain tracker's call-depth bookkeeping, the
 safe-stack unit's counters) contribute it through the
 ``Machine._snapshot_extra()`` / ``_restore_extra()`` hooks, and the
-system harnesses (:class:`~repro.sfi.system.SfiSystem`,
-:class:`~repro.umpu.system.UmpuSystem`) layer their loader/linker state
-on top via the snapshot's ``system`` slot.
+system harnesses (:class:`~repro.sfi.protected.ProtectedSystem` and its
+back-ends) layer their loader/linker state on top via the snapshot's
+``system`` slot.
 
 Guarantees (pinned by ``tests/test_soundness.py``):
 
@@ -65,12 +65,13 @@ class MachineSnapshot:
     def capture_system(cls, system):
         """Capture a system harness (machine + loader/linker state).
 
-        Works for any harness with the shared loader shape
-        (``modules`` / ``_next_load`` / ``_next_domain`` /
-        ``_free_domains`` and a :class:`~repro.sos.linker.
-        CrossDomainLinker`): both :class:`~repro.sfi.system.SfiSystem`
-        and :class:`~repro.umpu.system.UmpuSystem`.  Module/export
-        records are treated as immutable and shared, not copied.
+        The loader state (``modules`` / ``_next_load`` /
+        ``_next_domain`` / ``_free_domains`` and the
+        :class:`~repro.sos.linker.CrossDomainLinker`) belongs to
+        :class:`~repro.sfi.protected.ProtectedSystem`, so this covers
+        both back-ends, :class:`~repro.sfi.system.SfiSystem` and
+        :class:`~repro.umpu.system.UmpuSystem`.  Module/export records
+        are treated as immutable and shared, not copied.
         """
         snap = cls.capture(system.machine)
         linker = system.linker

@@ -1,28 +1,20 @@
-"""UmpuSystem: a complete node running the hardware-accelerated system.
+"""UmpuSystem: the node running the hardware-accelerated system.
 
-The counterpart of :class:`repro.sfi.SfiSystem`: same software library
-API (retargeted for UMPU), same jump-table layout, same kernel exports —
-but modules load **unmodified** (no rewriting, no verifier): the MMC,
-safe-stack unit and domain tracker enforce the protection model in
-hardware.  The loader's only jobs are placing the code, registering the
-module's code region with the tracker and publishing its exports.
+The hardware back-end of :class:`~repro.sfi.protected.ProtectedSystem`:
+the same software library API (retargeted for UMPU), jump-table layout
+and kernel exports as :class:`repro.sfi.SfiSystem` — but modules load
+**unmodified** (no rewriting, no verifier): the MMC, safe-stack unit and
+domain tracker enforce the protection model in hardware.  The loader's
+only jobs are placing the code, registering the module's code region
+with the tracker and publishing its exports.
 """
 
 from dataclasses import dataclass
 
 from repro.core.encoding import TRUSTED_DOMAIN
-from repro.core.faults import ProtectionFault, fault_from_code
 from repro.core.memmap import MemoryBackedStorage, MemoryMap
-from repro.sfi.layout import (
-    FAULT_NAMES,
-    FAULT_OWNERSHIP,
-    FAULT_SS_OVERFLOW,
-    FAULT_STACK_BOUND,
-    SfiLayout,
-)
-from repro.sfi.system import KERNEL_EXPORTS
-from repro.sos.linker import CrossDomainLinker
-from repro.core.control_flow import JumpTable
+from repro.sfi.layout import SfiLayout
+from repro.sfi.protected import ProtectedSystem
 from repro.umpu.cpu import HarborLayout, UmpuMachine
 from repro.umpu.runtime import build_umpu_runtime
 
@@ -38,53 +30,34 @@ class UmpuModule:
     exports: dict  # name -> jump-table entry byte address
 
 
-class UmpuSystem:
+class UmpuSystem(ProtectedSystem):
     """A simulated node: UMPU hardware + the retargeted software library."""
 
+    policy = "umpu"
+    #: springboard so the hardware sees a real icall into the jump table
+    dispatch_stub = "hb_dispatch"
+
     def __init__(self, layout=None):
-        self.layout = layout or SfiLayout()
+        layout = layout or SfiLayout()
         self.hw_layout = HarborLayout(
-            memmap_table=self.layout.memmap_table,
-            prot_bottom=self.layout.prot_bottom,
-            prot_top=self.layout.prot_top,
-            safe_stack_base=self.layout.safe_stack_base,
-            jt_base=self.layout.jt_base,
-            ndomains=self.layout.ndomains)
-        self.runtime = build_umpu_runtime(self.layout)
-        self.machine = UmpuMachine(self.runtime, layout=self.hw_layout)
-        # the SfiLayout knows heap/safe-stack bounds and the trusted
-        # cells, so fault reports classify regions more precisely than
-        # the bare hardware layout would
-        self.machine.attach_forensics(layout=self.layout,
-                                      symbols=self.symbol_map)
-        self.jump_table = JumpTable(
-            base=self.layout.jt_base,
-            ndomains=self.layout.ndomains,
-            entries_per_domain=self.layout.jt_page_bytes // 4,
-            entry_bytes=4)
-        self.linker = CrossDomainLinker(
-            self.jump_table,
-            exception_target=self.runtime.symbol("hb_fault_r20"))
-        self.modules = {}
-        self._next_load = self.layout.jt_end
-        self._next_domain = 0
-        self._free_domains = []
-        for name, entry in KERNEL_EXPORTS:
-            self.linker.export(TRUSTED_DOMAIN, name,
-                               self.runtime.symbol(entry))
+            memmap_table=layout.memmap_table,
+            prot_bottom=layout.prot_bottom,
+            prot_top=layout.prot_top,
+            safe_stack_base=layout.safe_stack_base,
+            jt_base=layout.jt_base,
+            ndomains=layout.ndomains)
+        runtime = build_umpu_runtime(layout)
+        machine = UmpuMachine(runtime, layout=self.hw_layout)
         # the kernel library is the trusted domain's code region
-        self.machine.tracker.register_code_region(
-            TRUSTED_DOMAIN, 0, self.machine.geometry.flash_bytes)
-        self._flush_jump_table()
-        self.boot()
+        machine.tracker.register_code_region(
+            TRUSTED_DOMAIN, 0, machine.geometry.flash_bytes)
+        super().__init__(layout, runtime, machine)
 
     # ------------------------------------------------------------------
     def boot(self):
-        self.machine.reset()
-        self.machine.enter_trusted()
         # hardware registers were programmed at construction
         # (UmpuMachine.configure); the library builds its data structures
-        self.machine.call("hb_init", max_cycles=100000)
+        super().boot()
         # keep a fresh view (configure()'s view cleared the table before
         # hb_init rebuilt it; both agree now)
         self.machine.memmap = MemoryMap(
@@ -94,9 +67,14 @@ class UmpuSystem:
             initialize=False)
         return self
 
-    def _flush_jump_table(self):
-        self.linker.emit(self.machine.memory.write_flash_word)
-        self.machine.core.invalidate_decode_cache()
+    def _enter_trusted(self):
+        self.machine.enter_trusted()
+
+    def _reset_protection(self):
+        machine = self.machine
+        machine.enter_trusted()
+        machine.regs.safe_stack_ptr = self.hw_layout.safe_stack_base
+        machine.tracker.call_depths.clear()
 
     @property
     def memmap(self):
@@ -106,74 +84,29 @@ class UmpuSystem:
     def cur_domain(self):
         return self.machine.regs.cur_domain
 
-    def kernel_symbols(self):
-        syms = {}
-        for name, _entry in KERNEL_EXPORTS:
-            syms["KERNEL_" + name.upper()] = self.linker.entry_for(
-                TRUSTED_DOMAIN, name)
-        for module in self.modules.values():
-            for export, addr in module.exports.items():
-                syms["JT_{}_{}".format(module.name.upper(),
-                                       export.upper())] = addr
-        return syms
-
-    def symbol_map(self):
-        """Whole-image symbol map: runtime labels, jump-table slot
-        labels (``jt_d<n>_<export>``) and module export code addresses
-        (``<module>.<export>``) — what the disassembler, the fault
-        forensics windows and harbor-lint symbolize against."""
-        syms = dict(self.runtime.symbols)
-        syms.update(self.linker.symbols())
-        for module in self.modules.values():
-            for export in module.exports:
-                target = self.linker.export_target(module.domain, export)
-                if target is not None:
-                    syms.setdefault(
-                        "{}.{}".format(module.name, export), target)
-        return syms
-
     # ------------------------------------------------------------------
     def load_module(self, program, name, exports=()):
         """Install an *unmodified* module binary.
 
         No rewriting, no verification: hardware enforces the model.  The
         image is placed at the next load address, its code region is
-        registered with the domain tracker, its exports are linked.
+        registered with the domain tracker, its exports are linked.  A
+        rejected load (bad origin, unknown export) writes nothing.
         """
-        if self._free_domains:
-            domain = self._free_domains.pop(0)
-        elif self._next_domain < self.layout.ndomains - 1:
-            domain = self._next_domain
-        else:
-            raise ValueError("no free protection domain")
-        lo, hi = program.extent()
-        span_words = hi - lo + 1
-        base_word = self._next_load // 2
-        for word_addr, value in program.words.items():
-            self.machine.memory.write_flash_word(
-                base_word + (word_addr - lo), value)
-        start = self._next_load
-        end = start + span_words * 2
-        if lo != 0:
+        domain = self._pick_domain()
+        if program.extent()[0] != 0:
             raise ValueError("assemble UMPU modules at origin 0 "
                              "(they are placed by the loader)")
+        offsets = {export: program.symbol(export) for export in exports}
+        start, end = self.place(program)
         # NOTE: modules must be position-independent w.r.t. absolute
         # jumps; relative branches and jump-table calls survive the move
-        self._relocate_absolute(program, base_word)
-        self.machine.core.invalidate_decode_cache()
+        self._relocate_absolute(program, start // 2)
         self.machine.tracker.register_code_region(domain, start, end)
-        jt_exports = {}
-        for export in exports:
-            target = start + program.symbol(export)
-            jt_exports[export] = self.linker.export(domain, export, target)
-        self._flush_jump_table()
-        module = UmpuModule(name=name, domain=domain, start=start,
-                            end=end, exports=jt_exports)
-        self.modules[name] = module
-        if domain == self._next_domain:
-            self._next_domain += 1
-        self._next_load = (end + 0xFF) & ~0xFF
-        return module
+        return self._admit(
+            UmpuModule(name=name, domain=domain, start=start, end=end,
+                       exports={}),
+            {export: start + offset for export, offset in offsets.items()})
 
     def _relocate_absolute(self, program, base_word):
         """Patch module-internal jmp/call targets for the load address
@@ -205,146 +138,3 @@ class UmpuSystem:
         # decodes (write_flash_word also notifies the core per word)
         self.machine.core.invalidate_decode_cache()
         return program
-
-
-    def unload_module(self, name):
-        """Unload a module: free every heap segment its domain owns,
-        drop its jump-table entries (slots revert to the exception
-        routine), and release the domain id for reuse.  The module's
-        flash stays behind (as on a real node) but is no longer
-        reachable through any jump table."""
-        module = self.modules.pop(name)
-        memmap = self.memmap
-        heap_start, heap_end = self.layout.heap_start, self.layout.heap_end
-        for start, _nblocks, owner in memmap.segments():
-            if owner == module.domain and heap_start <= start < heap_end:
-                self.free(start + self.layout.heap_header)
-        self.linker.unlink_domain(module.domain)
-        self._flush_jump_table()
-        # the module's flash span is dead code now and its addresses
-        # will be reused by the next load there
-        self.machine.core.invalidate_decode_cache()
-        self._free_domains.append(module.domain)
-        return module
-
-    def attach_timeline(self, interval=None, keep_flash=True):
-        """Attach a :class:`~repro.trace.timeline.Timeline` recorder to
-        the node (keyframes span every subsequent ``call_export`` /
-        kernel-call run; see ``docs/observability.md``)."""
-        return self.machine.attach_timeline(interval=interval,
-                                            keep_flash=keep_flash)
-
-    # --- snapshot/restore ---------------------------------------------
-    def snapshot(self):
-        """Capture machine + loader state for :meth:`restore`.  The
-        UMPU register file, domain tracker and safe-stack unit ride in
-        the machine snapshot (``UmpuMachine._snapshot_extra``)."""
-        from repro.sim.snapshot import MachineSnapshot
-        return MachineSnapshot.capture_system(self)
-
-    def restore(self, snap):
-        snap.apply_system(self)
-        return self
-
-    # ------------------------------------------------------------------
-    def _software_fault(self):
-        """Map the library's numeric fault code back to the typed
-        exception via the stable ``code`` slugs — the same round-trip
-        the software-only system performs, so both paths raise identical
-        fault types for identical violations."""
-        mem = self.machine.memory
-        code = mem.read_data(self.layout.fault_code)
-        if not code:
-            return None
-        addr = mem.read_word_data(self.layout.fault_addr)
-        slug = FAULT_NAMES.get(code)
-        if slug is None:
-            return ProtectionFault(
-                "unknown library fault code {}".format(code), addr=addr)
-        context = {}
-        if code == FAULT_OWNERSHIP:
-            context["operation"] = "free/change_own"
-        elif code == FAULT_STACK_BOUND:
-            context["stack_bound"] = mem.read_word_data(
-                self.layout.stack_bound)
-        elif code == FAULT_SS_OVERFLOW:
-            context["ptr"] = mem.read_word_data(self.layout.ss_ptr)
-            context["limit"] = self.layout.safe_stack_limit
-        elif slug == "memmap" and self.layout.memmap_config.contains(addr):
-            try:
-                context["owner"] = self.memmap.owner_of(addr)
-            except Exception:
-                pass
-        return fault_from_code(slug, addr=addr, domain=self.cur_domain,
-                               **context)
-
-    def clear_fault(self):
-        self.machine.memory.write_data(self.layout.fault_code, 0)
-        self.machine.core.halted = False
-
-    def recover(self):
-        """Kernel-side recovery after a contained hardware fault."""
-        self.clear_fault()
-        machine = self.machine
-        machine.enter_trusted()
-        machine.regs.safe_stack_ptr = self.hw_layout.safe_stack_base
-        machine.tracker.call_depths.clear()
-        machine.memory.sp = machine.geometry.ramend
-        machine.memory.write_data(self.layout.cur_dom, TRUSTED_DOMAIN)
-        return self
-
-    def _checked(self, cycles):
-        exc = self._software_fault()
-        if exc is not None:
-            self.clear_fault()
-            raise self.machine.record_fault(exc)
-        return cycles
-
-    # ------------------------------------------------------------------
-    def call_export(self, module, export, *args, max_cycles=1_000_000):
-        """Dispatch into a module export through the jump table (via the
-        hb_dispatch springboard so the hardware sees a real icall)."""
-        entry = self.modules[module].exports[export]
-        machine = self.machine
-        machine.enter_trusted()
-        machine.set_args(*args)
-        machine.core.set_reg_pair(30, entry // 2)
-        machine.core.push_return_address(0xFFFE)
-        machine.core.pc = self.runtime.symbol("hb_dispatch") // 2
-        if machine.timeline is not None:
-            machine.timeline.begin_run()
-        start = machine.core.cycles
-        try:
-            machine.core.run(max_cycles=max_cycles, until_pc=0xFFFE)
-        except ProtectionFault as fault:
-            raise machine.record_fault(fault)
-        self._checked(0)
-        return machine.result16(), machine.core.cycles - start
-
-    # --- host-side trusted memory API -----------------------------------
-    def _acting(self, domain):
-        self.machine.memory.write_data(self.layout.cur_dom, domain)
-
-    def malloc(self, nbytes, domain=TRUSTED_DOMAIN):
-        self._acting(domain)
-        try:
-            cycles = self.machine.call("hb_malloc", nbytes)
-            self._checked(cycles)
-        finally:
-            self._acting(TRUSTED_DOMAIN)
-        return self.machine.result16() or None
-
-    def free(self, ptr, domain=TRUSTED_DOMAIN):
-        self._acting(domain)
-        try:
-            self._checked(self.machine.call("hb_free", ptr))
-        finally:
-            self._acting(TRUSTED_DOMAIN)
-
-    def change_own(self, ptr, new_domain, domain=TRUSTED_DOMAIN):
-        self._acting(domain)
-        try:
-            self._checked(self.machine.call("hb_change_own", ptr,
-                                            ("u8", new_domain)))
-        finally:
-            self._acting(TRUSTED_DOMAIN)

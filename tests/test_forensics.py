@@ -232,18 +232,28 @@ def test_sfi_software_fault_report_end_to_end():
     assert report.call_stack
 
 
-@pytest.mark.parametrize("numeric,expected", [
+_LIBRARY_FAULTS = [
     (FAULT_MEMMAP, MemMapFault),
     (FAULT_STACK_BOUND, StackBoundFault),
     (FAULT_OUTSIDE, UntrustedAccessFault),
     (FAULT_JT, JumpTableFault),
     (FAULT_SS_OVERFLOW, SafeStackOverflow),
     (FAULT_OWNERSHIP, OwnershipFault),
+]
+
+
+# the UMPU cases keep their original ids; SfiSystem shares the funnel
+@pytest.mark.parametrize("system_cls,numeric,expected", [
+    pytest.param(system_cls, numeric, expected, id="{}{}-{}".format(
+        prefix, numeric, expected.__name__))
+    for system_cls, prefix in ((UmpuSystem, ""), (SfiSystem, "sfi-"))
+    for numeric, expected in _LIBRARY_FAULTS
 ])
-def test_library_fault_code_round_trips_typed(numeric, expected):
+def test_library_fault_code_round_trips_typed(system_cls, numeric, expected):
     """The on-node numeric codes map back to the same typed exceptions
-    the hardware units raise — no anonymous ProtectionFaults."""
-    system = UmpuSystem()
+    the hardware units raise — no anonymous ProtectionFaults — on both
+    back-ends."""
+    system = system_cls()
     mem = system.machine.memory
     layout = system.layout
     mem.write_data(layout.fault_code, numeric)
@@ -257,8 +267,9 @@ def test_library_fault_code_round_trips_typed(numeric, expected):
     assert fault.report is not None
 
 
-def test_unknown_library_fault_code_is_flagged():
-    system = UmpuSystem()
+@pytest.mark.parametrize("system_cls", [UmpuSystem, SfiSystem])
+def test_unknown_library_fault_code_is_flagged(system_cls):
+    system = system_cls()
     mem = system.machine.memory
     mem.write_data(system.layout.fault_code, 99)
     with pytest.raises(ProtectionFault) as excinfo:
