@@ -443,14 +443,22 @@ def write_baseline(path, engine):
 
 
 def load_baseline(path):
-    """Read a baseline file; returns the suppression key set."""
+    """Read a baseline file; returns the suppression key set.  A file
+    that is not a baseline raises ValueError."""
     with open(path) as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("baseline is a JSON {}, not an object".format(
+            type(doc).__name__))
     if doc.get("schema") != BASELINE_SCHEMA:
         raise ValueError("unsupported baseline schema {!r}"
                          .format(doc.get("schema")))
-    return {(e["rule"], e["pc"], e["fingerprint"])
-            for e in doc.get("suppressions", ())}
+    try:
+        return {(e["rule"], e["pc"], e["fingerprint"])
+                for e in doc.get("suppressions", ())}
+    except (KeyError, TypeError) as exc:
+        raise ValueError("malformed suppression entry: {!r}".format(
+            exc)) from None
 
 
 def apply_baseline(engine, suppressions):

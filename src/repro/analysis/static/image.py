@@ -119,8 +119,7 @@ class ImageModel:
                 name=module.name, domain=module.domain,
                 start=module.start, end=module.end,
                 policy=policy, entries=entries,
-                data_spans=tuple(getattr(module, "data_spans", ()) or ()),
-                manifest=getattr(module, "manifest", None)))
+                manifest=module.manifest))
         model.modules.extend(extra_modules)
         return model
 
@@ -148,8 +147,7 @@ class ImageModel:
                                   name=region.name,
                                   extra_leaders=sorted(
                                       region.entries.values()),
-                                  data_spans=getattr(region, "data_spans",
-                                                     ()))
+                                  data_spans=region.data_spans)
             self._cfgs[region.name] = cfg
         return cfg
 

@@ -56,38 +56,180 @@ Installed as console scripts (see ``pyproject.toml``):
 
 The image format is deliberately trivial: one ``ADDR: WORD`` hex pair
 per line (word addresses), so images are diffable and editable.
+
+Every tool goes through one driver (:func:`_tool`) that parses its
+arguments and maps what the tool raises onto one exit-code contract —
+0 ok; 1 findings, a rejected module, an escape or no fault to seek; 2 a
+protection fault or bad input (``error: ...`` on stderr) — see the
+exit-code table in ``docs/toolchain.md``.
 """
 
 import argparse
+import functools
+import json
 import sys
 
 from repro.asm import AsmError, Assembler, assemble, listing
-from repro.asm.disassembler import disassemble
+from repro.asm.assembler import default_symbols
 from repro.asm.program import Program
 from repro.core.faults import ProtectionFault
+from repro.isa.registers import ATMEGA103
 from repro.sfi.layout import SfiLayout
 from repro.sfi.inline import InlineRewriter, TemplateVerifier
 from repro.sfi.rewriter import RewriteError, Rewriter
 from repro.sfi.runtime_asm import build_runtime
 from repro.sfi.verifier import Verifier, VerifyError
 from repro.sim import Machine
+from repro.sim.errors import SimError
 from repro.umpu import HarborLayout, UmpuMachine
 
 
+class CliError(Exception):
+    """Bad input no lower layer has a type for: a malformed image line
+    or flag value, an unknown label."""
+
+
+#: what a tool raises when its input is bad: ``error: ...``, exit 2
+_BAD_INPUT = (OSError, ValueError, AsmError, SimError, CliError)
+
+#: tool name -> console-script target, in ``main()``'s usage order
+TOOLS = {}
+
+
+def _tool(name, description, *parents, rejects=(RewriteError, VerifyError),
+          rejected="error: {}", stream="stderr"):
+    """Register ``harbor-<name>``.
+
+    The decorated ``body(args)`` becomes the console-script target
+    ``cmd(argv=None)``: it parses *argv* against the shared *parents*
+    plus the body's own :func:`_arg` flags, runs the body and maps what
+    it raises onto the exit-code contract.  *rejects* (the module was
+    rejected) prints *rejected* on *stream* and exits 1; a protection
+    fault prints on *stream* and exits 2; bad input prints ``error:
+    ...`` on stderr and exits 2.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def cmd(argv=None):
+            parser = argparse.ArgumentParser(
+                prog="harbor-" + name, description=description,
+                parents=parents)
+            for flags, spec in getattr(body, "arguments", ()):
+                parser.add_argument(*flags, **spec)
+            args = parser.parse_args(argv)
+            out = getattr(sys, stream)
+            try:
+                return body(args)
+            except rejects as exc:
+                print(rejected.format(exc), file=out)
+                return 1
+            except ProtectionFault as exc:
+                print("protection fault: {}".format(exc), file=out)
+                return 2
+            except _BAD_INPUT as exc:
+                print("error: {}".format(exc), file=sys.stderr)
+                return 2
+        TOOLS[name] = cmd
+        return cmd
+    return register
+
+
+def _arg(*flags, **spec):
+    """Declare one of a tool's own arguments (``add_argument`` style);
+    stack them under :func:`_tool` in the order they should appear."""
+    def declare(body):
+        body.arguments = [(flags, spec)] + getattr(body, "arguments", [])
+        return body
+    return declare
+
+
+def _int(text):
+    return int(text, 0)
+
+
+# --- flags several tools share -----------------------------------------
+_RUN = argparse.ArgumentParser(add_help=False)
+_RUN.add_argument("source")
+_RUN.add_argument("--entry", default=None,
+                  help="label to call (default: run from reset)")
+_RUN.add_argument("--umpu", action="store_true",
+                  help="enable the UMPU protection units")
+_RUN.add_argument("--domain", type=int, default=None,
+                  help="run as this protection domain (with --umpu)")
+_RUN.add_argument("--max-cycles", type=int, default=1_000_000)
+
+_MODULES = argparse.ArgumentParser(add_help=False)
+_MODULES.add_argument("modules", nargs="+", metavar="MODULE[:EXPORTS]",
+                      help="module source (.s) or image (.hex); EXPORTS "
+                           "is a comma-separated export list (default: "
+                           "every label)")
+
+_ALLOW_IO = argparse.ArgumentParser(add_help=False)
+_ALLOW_IO.add_argument("--allow-io", action="append", default=[],
+                       type=_int,
+                       help="whitelisted I/O address (repeatable)")
+
+_FAIL_ON = argparse.ArgumentParser(add_help=False)
+_FAIL_ON.add_argument("--fail-on", choices=("error", "warning", "note"),
+                      default="error",
+                      help="exit 1 when a finding at or above this "
+                           "severity exists (default: error)")
+
+_REPORT = argparse.ArgumentParser(add_help=False, parents=[_FAIL_ON])
+_REPORT.add_argument("--format", choices=("text", "json", "sarif"),
+                     default="text", help="report format")
+_REPORT.add_argument("-o", "--output", default=None,
+                     help="write the report here (in --format)")
+
+
+def _static_data(default):
+    """The ``--static-data`` flag, defaulting to *default* bytes."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--static-data", type=_int, default=default,
+                        metavar="BYTES",
+                        help="per-domain static data span size, so "
+                             "modules referencing SDATA_D* symbols "
+                             "assemble (multiple of 256; 0 disables; "
+                             "default {})".format(default))
+    return parent
+
+
+def _layout(args, domains=None):
+    """The SfiLayout ``--static-data`` asks for: a span for each of
+    *domains* domains (default: one per module)."""
+    if domains is None:
+        domains = min(len(args.modules), SfiLayout().ndomains - 1)
+    return SfiLayout(static_data_bytes=args.static_data,
+                     static_data_domains=domains if args.static_data
+                     else 0)
+
+
+# --- images, sources and modules ---------------------------------------
 def _read_source(path):
     with open(path) as handle:
         return handle.read()
 
 
 def _load_image(path):
+    """Parse a hex image; a malformed line raises CliError naming
+    ``path:line``."""
     program = Program(source_name=path)
-    with open(path) as handle:
-        for line in handle:
+    with open(path, errors="replace") as handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            addr, _, word = line.partition(":")
-            program.set_word(int(addr, 16), int(word, 16))
+            try:
+                addr, word = (int(field, 16) for field in line.split(":"))
+                valid = (0 <= addr < ATMEGA103.flash_bytes // 2
+                         and 0 <= word <= 0xFFFF)
+            except ValueError:
+                valid = False
+            if not valid:
+                raise CliError("{}:{}: malformed image line {!r} (want "
+                               "ADDR: WORD in hex)".format(path, line_no,
+                                                           line))
+            program.set_word(addr, word)
     return program
 
 
@@ -103,20 +245,96 @@ def _assemble_arg(path):
     return assemble(_read_source(path), name=path)
 
 
+def _require_labels(names, labels, path):
+    for name in names:
+        if name not in labels:
+            raise CliError("{}: unknown label {!r}".format(path, name))
+
+
+def _load_modules(specs, system, every_label=True):
+    """Yield ``(name, program, labels, exports)`` for each
+    ``MODULE[:EXPORTS]`` spec: a ``.hex`` image, or a source assembled
+    against *system*'s kernel symbols as they stand when it is reached
+    (so a module can call the exports of one loaded before it).
+    *labels* are the module's own code labels; *exports* the named ones,
+    or every label when the spec names none and *every_label* is set."""
+    for spec in specs:
+        path, _, names = spec.partition(":")
+        symbols = system.kernel_symbols()
+        if path.endswith(".hex"):
+            program = _load_image(path)
+        else:
+            program = Assembler(symbols=symbols).assemble(
+                _read_source(path), name=path)
+        lo, hi = program.extent()
+        predefined = set(default_symbols()) | set(symbols)
+        labels = {n: a for n, a in program.symbols.items()
+                  if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
+        exports = tuple(e for e in names.split(",") if e)
+        _require_labels(exports, labels, path)
+        if not exports and every_label:
+            exports = tuple(sorted(labels))
+        yield (path.rsplit("/", 1)[-1].rsplit(".", 1)[0], program, labels,
+               exports)
+
+
+# --- reports -------------------------------------------------------------
+def _parse_rule_filter(specs):
+    """Resolve repeatable comma-separated HL codes / slugs to a code
+    set (harbor-lint ``--select`` / ``--ignore``)."""
+    from repro.analysis.static.diagnostics import rule
+    codes = set()
+    for spec in specs:
+        for token in spec.split(","):
+            token = token.strip()
+            if token:
+                try:
+                    codes.add(rule(token).code)
+                except KeyError as exc:
+                    raise CliError(exc.args[0]) from None
+    return codes
+
+
+def _findings_at_or_above(engine, threshold):
+    """Count findings at or above *threshold* severity (the ``--fail-on``
+    gate; severities order most-severe-first)."""
+    from repro.analysis.static.diagnostics import SEVERITIES
+    rank = SEVERITIES.index(threshold)
+    return sum(1 for d in engine.findings
+               if SEVERITIES.index(d.severity) <= rank)
+
+
+def _emit_report(args, engine, text, analysis, tool):
+    """Print the report in ``--format`` — *text*, or the JSON/SARIF
+    document of *engine* carrying *analysis* — and write it to ``-o``;
+    returns the ``--fail-on`` exit status."""
+    from repro.analysis.static.diagnostics import write_report
+    if args.format == "text":
+        print(text)
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(text + "\n")
+    else:
+        if args.output:
+            write_report(args.output, engine, fmt=args.format,
+                         analysis=analysis)
+        doc = engine.to_sarif() if args.format == "sarif" \
+            else engine.to_dict(analysis=analysis)
+        print(json.dumps(doc, indent=1, sort_keys=True))
+    if args.output:
+        print("; {} report -> {}".format(tool, args.output),
+              file=sys.stderr)
+    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
+
+
 # ---------------------------------------------------------------------
-def cmd_asm(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-asm", description="assemble AVR source")
-    parser.add_argument("source")
-    parser.add_argument("-o", "--output", help="write hex image here")
-    parser.add_argument("--listing", action="store_true",
-                        help="print a disassembly listing")
-    args = parser.parse_args(argv)
-    try:
-        program = assemble(_read_source(args.source), name=args.source)
-    except AsmError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
+@_tool("asm", "assemble AVR source", rejects=AsmError)
+@_arg("source")
+@_arg("-o", "--output", help="write hex image here")
+@_arg("--listing", action="store_true",
+      help="print a disassembly listing")
+def cmd_asm(args):
+    program = assemble(_read_source(args.source), name=args.source)
     if args.output:
         with open(args.output, "w") as out:
             _dump_image(program, out)
@@ -127,41 +345,33 @@ def cmd_asm(argv=None):
     return 0
 
 
-def cmd_disasm(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-disasm", description="disassemble a flash image")
-    parser.add_argument("image", help=".hex image or .s source")
-    args = parser.parse_args(argv)
-    program = _assemble_arg(args.image)
-    print(listing(program))
+@_tool("disasm", "disassemble a flash image")
+@_arg("image", help=".hex image or .s source")
+def cmd_disasm(args):
+    print(listing(_assemble_arg(args.image)))
     return 0
 
 
-def cmd_rewrite(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-rewrite",
-        description="sandbox a module with the binary rewriter")
-    parser.add_argument("source")
-    parser.add_argument("--export", action="append", default=[],
-                        help="exported function (repeatable)")
-    parser.add_argument("--origin", type=lambda v: int(v, 0), default=None,
-                        help="load address (default: after jump tables)")
-    parser.add_argument("--inline", action="store_true",
-                        help="inline the check templates instead of "
-                             "calling the runtime stubs")
-    parser.add_argument("-o", "--output", help="write hex image here")
-    args = parser.parse_args(argv)
+@_tool("rewrite", "sandbox a module with the binary rewriter",
+       rejected="rewrite error: {}")
+@_arg("source")
+@_arg("--export", action="append", default=[],
+      help="exported function (repeatable)")
+@_arg("--origin", type=_int, default=None,
+      help="load address (default: after jump tables)")
+@_arg("--inline", action="store_true",
+      help="inline the check templates instead of calling the runtime "
+           "stubs")
+@_arg("-o", "--output", help="write hex image here")
+def cmd_rewrite(args):
     layout = SfiLayout()
     runtime = build_runtime(layout)
     rewriter_cls = InlineRewriter if args.inline else Rewriter
     rewriter = rewriter_cls(runtime.symbols, layout)
     module = _assemble_arg(args.source)
+    _require_labels(args.export, module.symbols, args.source)
     origin = args.origin if args.origin is not None else layout.jt_end
-    try:
-        result = rewriter.rewrite(module, origin, exports=args.export)
-    except RewriteError as exc:
-        print("rewrite error: {}".format(exc), file=sys.stderr)
-        return 1
+    result = rewriter.rewrite(module, origin, exports=args.export)
     if args.output:
         with open(args.output, "w") as out:
             _dump_image(result.program, out)
@@ -178,18 +388,12 @@ def cmd_rewrite(argv=None):
     return 0
 
 
-def cmd_verify(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-verify",
-        description="run the on-node verifier over a module image")
-    parser.add_argument("image", help=".hex image or .s source")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
-    parser.add_argument("--inline", action="store_true",
-                        help="use the template verifier (accepts "
-                             "inline-checked binaries)")
-    args = parser.parse_args(argv)
+@_tool("verify", "run the on-node verifier over a module image",
+       _ALLOW_IO, rejected="REJECTED: {}", stream="stdout")
+@_arg("image", help=".hex image or .s source")
+@_arg("--inline", action="store_true",
+      help="use the template verifier (accepts inline-checked binaries)")
+def cmd_verify(args):
     layout = SfiLayout()
     runtime = build_runtime(layout)
     verifier_cls = TemplateVerifier if args.inline else Verifier
@@ -197,11 +401,7 @@ def cmd_verify(argv=None):
                             allowed_io=tuple(args.allow_io))
     program = _assemble_arg(args.image)
     lo, hi = program.extent()
-    try:
-        report = verifier.verify(program, lo * 2, (hi + 1) * 2)
-    except VerifyError as exc:
-        print("REJECTED: {}".format(exc))
-        return 1
+    report = verifier.verify(program, lo * 2, (hi + 1) * 2)
     print("ACCEPTED: {} instructions, {} runtime calls, {} internal "
           "calls, {} rets".format(report.instructions,
                                   report.calls_to_runtime,
@@ -209,19 +409,10 @@ def cmd_verify(argv=None):
     return 0
 
 
-def _add_run_arguments(parser):
-    parser.add_argument("source")
-    parser.add_argument("--entry", default=None,
-                        help="label to call (default: run from reset)")
-    parser.add_argument("--umpu", action="store_true",
-                        help="enable the UMPU protection units")
-    parser.add_argument("--domain", type=int, default=None,
-                        help="run as this protection domain (with --umpu)")
-    parser.add_argument("--max-cycles", type=int, default=1_000_000)
-
-
 def _build_machine(args):
     program = _assemble_arg(args.source)
+    if args.entry:
+        _require_labels([args.entry], program.symbols, args.source)
     if args.umpu:
         machine = UmpuMachine(program, layout=HarborLayout())
         if args.domain is not None:
@@ -243,22 +434,14 @@ def _execute(machine, args):
     return cycles, None
 
 
-def cmd_run(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-run", description="run a program on the simulator")
-    _add_run_arguments(parser)
-    parser.add_argument("--dump", action="append", default=[],
-                        help="ADDR[:LEN] memory ranges to print after")
-    args = parser.parse_args(argv)
+@_tool("run", "run a program on the simulator", _RUN, stream="stdout")
+@_arg("--dump", action="append", default=[],
+      help="ADDR[:LEN] memory ranges to print after")
+def cmd_run(args):
     machine = _build_machine(args)
-    try:
-        if args.entry:
-            cycles = machine.call(args.entry, max_cycles=args.max_cycles)
-        else:
-            cycles = machine.run(max_cycles=args.max_cycles)
-    except ProtectionFault as exc:
-        print("protection fault: {}".format(exc))
-        return 2
+    cycles, fault = _execute(machine, args)
+    if fault is not None:
+        raise fault
     print("halted after {} cycles; r24:25 = 0x{:04x}".format(
         cycles, machine.result16()))
     for spec in args.dump:
@@ -272,21 +455,16 @@ def cmd_run(argv=None):
 
 
 # ---------------------------------------------------------------------
-def cmd_trace(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-trace",
-        description="run a program with the structured trace attached "
-                    "and export Chrome trace_event JSON "
-                    "(load in about://tracing or ui.perfetto.dev)")
-    _add_run_arguments(parser)
-    parser.add_argument("-o", "--output", default="trace.json",
-                        help="Chrome trace output path (default: "
-                             "trace.json)")
-    parser.add_argument("--capacity", type=int, default=65536,
-                        help="trace ring-buffer capacity (events)")
-    parser.add_argument("--text", action="store_true",
-                        help="also dump the raw events as text")
-    args = parser.parse_args(argv)
+@_tool("trace", "run a program with the structured trace attached and "
+                "export Chrome trace_event JSON (load in about://tracing "
+                "or ui.perfetto.dev)", _RUN)
+@_arg("-o", "--output", default="trace.json",
+      help="Chrome trace output path (default: trace.json)")
+@_arg("--capacity", type=int, default=65536,
+      help="trace ring-buffer capacity (events)")
+@_arg("--text", action="store_true",
+      help="also dump the raw events as text")
+def cmd_trace(args):
     from repro.trace import write_chrome_trace
     machine = _build_machine(args)
     sink = machine.attach_trace(capacity=args.capacity)
@@ -303,33 +481,27 @@ def cmd_trace(argv=None):
         cycles, sink.emitted, sink.dropped, args.output),
         file=sys.stderr)
     if fault is not None:
-        print("protection fault: {}".format(fault), file=sys.stderr)
-        return 2
+        raise fault
     return 0
 
 
-def cmd_profile(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-profile",
-        description="run a program with the per-domain cycle profiler "
-                    "and print the attribution breakdown")
-    _add_run_arguments(parser)
-    parser.add_argument("--chrome", default=None, metavar="OUT.json",
-                        help="also export the Chrome trace here")
-    parser.add_argument("--capacity", type=int, default=65536,
-                        help="trace ring-buffer capacity (events)")
-    parser.add_argument("--blocks", action="store_true",
-                        help="also rank per-basic-block execution heat "
-                             "(records a timeline and replays it)")
-    parser.add_argument("--top", type=int, default=20,
-                        help="blocks to list with --blocks (default 20)")
-    parser.add_argument("--speedscope", default=None, metavar="OUT.json",
-                        help="export the block heat as a speedscope "
-                             "profile (implies --blocks)")
-    parser.add_argument("--interval", type=int, default=None,
-                        help="timeline keyframe interval in cycles "
-                             "(with --blocks)")
-    args = parser.parse_args(argv)
+@_tool("profile", "run a program with the per-domain cycle profiler and "
+                  "print the attribution breakdown", _RUN)
+@_arg("--chrome", default=None, metavar="OUT.json",
+      help="also export the Chrome trace here")
+@_arg("--capacity", type=int, default=65536,
+      help="trace ring-buffer capacity (events)")
+@_arg("--blocks", action="store_true",
+      help="also rank per-basic-block execution heat (records a "
+           "timeline and replays it)")
+@_arg("--top", type=int, default=20,
+      help="blocks to list with --blocks (default 20)")
+@_arg("--speedscope", default=None, metavar="OUT.json",
+      help="export the block heat as a speedscope profile (implies "
+           "--blocks)")
+@_arg("--interval", type=int, default=None,
+      help="timeline keyframe interval in cycles (with --blocks)")
+def cmd_profile(args):
     from repro.trace import flat_report, write_chrome_trace
     machine = _build_machine(args)
     sink = machine.attach_trace(capacity=args.capacity)
@@ -359,37 +531,29 @@ def cmd_profile(argv=None):
         print("; chrome trace -> {}".format(args.chrome),
               file=sys.stderr)
     if fault is not None:
-        print("protection fault: {}".format(fault), file=sys.stderr)
-        return 2
+        raise fault
     return 0
 
 
-def cmd_replay(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-replay",
-        description="record a run with keyframe snapshots, then seek "
-                    "the time-travel timeline: replay to a cycle or to "
-                    "the fault and show the machine state plus a "
-                    "replay-derived instruction window with live "
-                    "register/SREG values")
-    _add_run_arguments(parser)
-    parser.add_argument("--interval", type=int, default=None,
-                        help="keyframe interval in cycles (default {})"
-                        .format(10_000))
-    parser.add_argument("--to-cycle", type=int, default=None, metavar="C",
-                        help="seek to cycle C after the run")
-    parser.add_argument("--to-fault", action="store_true",
-                        help="seek to the recorded protection fault")
-    parser.add_argument("--window", type=int, default=8, metavar="K",
-                        help="instructions of replayed history to show")
-    parser.add_argument("-o", "--output", default=None,
-                        metavar="TIMELINE.json",
-                        help="write the timeline index (keyframes, "
-                             "segments, faults, stats) here")
-    parser.add_argument("--speedscope", default=None, metavar="OUT.json",
-                        help="replay the whole recording and export the "
-                             "block heat as a speedscope profile")
-    args = parser.parse_args(argv)
+@_tool("replay", "record a run with keyframe snapshots, then seek the "
+                 "time-travel timeline: replay to a cycle or to the fault "
+                 "and show the machine state plus a replay-derived "
+                 "instruction window with live register/SREG values", _RUN)
+@_arg("--interval", type=int, default=None,
+      help="keyframe interval in cycles (default {})".format(10_000))
+@_arg("--to-cycle", type=int, default=None, metavar="C",
+      help="seek to cycle C after the run")
+@_arg("--to-fault", action="store_true",
+      help="seek to the recorded protection fault")
+@_arg("--window", type=int, default=8, metavar="K",
+      help="instructions of replayed history to show")
+@_arg("-o", "--output", default=None, metavar="TIMELINE.json",
+      help="write the timeline index (keyframes, segments, faults, "
+           "stats) here")
+@_arg("--speedscope", default=None, metavar="OUT.json",
+      help="replay the whole recording and export the block heat as a "
+           "speedscope profile")
+def cmd_replay(args):
     from repro.trace import BlockHeat, write_speedscope
     machine = _build_machine(args)
     timeline = machine.attach_timeline(interval=args.interval)
@@ -452,21 +616,17 @@ def cmd_replay(argv=None):
     return status
 
 
-def cmd_explain_fault(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-explain-fault",
-        description="run a program with fault forensics attached and "
-                    "explain any protection fault: registers, annotated "
-                    "faulting address, cross-domain call stack, and the "
-                    "last retired instructions")
-    _add_run_arguments(parser)
-    parser.add_argument("--window", type=int, default=16,
-                        help="instructions of history to disassemble")
-    parser.add_argument("--json", action="store_true",
-                        help="print the report as JSON instead of text")
-    parser.add_argument("-o", "--output", default=None, metavar="OUT.json",
-                        help="also write the JSON report here")
-    args = parser.parse_args(argv)
+@_tool("explain-fault", "run a program with fault forensics attached and "
+                        "explain any protection fault: registers, "
+                        "annotated faulting address, cross-domain call "
+                        "stack, and the last retired instructions", _RUN)
+@_arg("--window", type=int, default=16,
+      help="instructions of history to disassemble")
+@_arg("--json", action="store_true",
+      help="print the report as JSON instead of text")
+@_arg("-o", "--output", default=None, metavar="OUT.json",
+      help="also write the JSON report here")
+def cmd_explain_fault(args):
     machine = _build_machine(args)
     machine.attach_trace()
     machine.attach_forensics(window=args.window)
@@ -489,26 +649,20 @@ def cmd_explain_fault(argv=None):
     return 2
 
 
-def cmd_metrics(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-metrics",
-        description="run a program with the metrics registry attached "
-                    "and print the counters/gauges/histograms")
-    _add_run_arguments(parser)
-    parser.add_argument("--json", action="store_true",
-                        help="print the registry as JSON instead of text")
-    parser.add_argument("-o", "--output", default=None, metavar="OUT.json",
-                        help="also write the JSON export here")
-    args = parser.parse_args(argv)
-    import json as json_mod
-
+@_tool("metrics", "run a program with the metrics registry attached and "
+                  "print the counters/gauges/histograms", _RUN)
+@_arg("--json", action="store_true",
+      help="print the registry as JSON instead of text")
+@_arg("-o", "--output", default=None, metavar="OUT.json",
+      help="also write the JSON export here")
+def cmd_metrics(args):
     from repro.trace import write_metrics
     machine = _build_machine(args)
     registry = machine.attach_metrics()
     cycles, fault = _execute(machine, args)
     registry.sample(machine)
     if args.json:
-        print(json_mod.dumps(registry.to_dict(), indent=1, sort_keys=True))
+        print(json.dumps(registry.to_dict(), indent=1, sort_keys=True))
     else:
         print(registry.render())
     if args.output:
@@ -517,141 +671,84 @@ def cmd_metrics(argv=None):
     print("; {} cycles, {} metrics".format(cycles, len(registry)),
           file=sys.stderr)
     if fault is not None:
-        print("protection fault: {}".format(fault), file=sys.stderr)
-        return 2
+        raise fault
     return 0
 
 
-def cmd_lint(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-lint",
-        description="whole-image static analyzer: build a node image "
-                    "from module sources and run the CFG + abstract-"
-                    "interpretation analyses (protection verification, "
-                    "safe-stack bounds, overhead estimation, dead code); "
-                    "findings carry stable HLxxx rule codes")
-    parser.add_argument("modules", nargs="+", metavar="MODULE[:EXPORTS]",
-                        help="module source (.s) or image (.hex); "
-                             "EXPORTS is a comma-separated export list "
-                             "(default: every label)")
-    parser.add_argument("--umpu", action="store_true",
-                        help="model the hardware-protected system "
-                             "(modules load unrewritten)")
-    parser.add_argument("--unchecked", action="store_true",
-                        help="place the raw images without the rewriter/"
-                             "verifier pipeline — lint miscompiled or "
-                             "hand-written binaries the loader would "
-                             "reject")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the report here (in --format)")
-    parser.add_argument("--no-dead-code", action="store_true",
-                        help="skip the dead/unreachable-block analysis")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when a finding at or above this "
-                             "severity exists (default: error)")
-    parser.add_argument("--select", action="append", default=[],
-                        metavar="RULES",
-                        help="only report these rules (comma-separated "
-                             "HL codes or slugs, repeatable); also "
-                             "narrows the --fail-on gate")
-    parser.add_argument("--ignore", action="append", default=[],
-                        metavar="RULES",
-                        help="drop these rules from the report and the "
-                             "--fail-on gate (comma-separated HL codes "
-                             "or slugs, repeatable)")
-    parser.add_argument("--data-span", action="append", default=[],
-                        metavar="MODULE:LO-HI",
-                        help="declare [LO, HI] (module-relative byte "
-                             "offsets, with --unchecked) as data words "
-                             "— excluded from decode/dead-code analysis "
-                             "(repeatable)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="JSON suppression file: findings matching "
-                             "a (rule, pc, fingerprint) entry are "
-                             "dropped from the report and the --fail-on "
-                             "gate, so CI fails only on new findings")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write the current findings as a baseline "
-                             "suppression file (exit 0 — the next run "
-                             "with --baseline FILE gates on new "
-                             "findings only)")
-    args = parser.parse_args(argv)
-    import json as json_mod
-
-    from repro.analysis.static import (
-        ModuleRegion,
-        lint_system,
-        write_report,
+@_tool("lint", "whole-image static analyzer: build a node image from "
+               "module sources and run the CFG + abstract-interpretation "
+               "analyses (protection verification, safe-stack bounds, "
+               "overhead estimation, dead code); findings carry stable "
+               "HLxxx rule codes", _MODULES, _ALLOW_IO, _REPORT)
+@_arg("--umpu", action="store_true",
+      help="model the hardware-protected system (modules load "
+           "unrewritten)")
+@_arg("--unchecked", action="store_true",
+      help="place the raw images without the rewriter/verifier pipeline "
+           "— lint miscompiled or hand-written binaries the loader would "
+           "reject")
+@_arg("--no-dead-code", action="store_true",
+      help="skip the dead/unreachable-block analysis")
+@_arg("--select", action="append", default=[], metavar="RULES",
+      help="only report these rules (comma-separated HL codes or slugs, "
+           "repeatable); also narrows the --fail-on gate")
+@_arg("--ignore", action="append", default=[], metavar="RULES",
+      help="drop these rules from the report and the --fail-on gate "
+           "(comma-separated HL codes or slugs, repeatable)")
+@_arg("--data-span", action="append", default=[], metavar="MODULE:LO-HI",
+      help="declare [LO, HI] (module-relative byte offsets, with "
+           "--unchecked) as data words — excluded from decode/dead-code "
+           "analysis (repeatable)")
+@_arg("--baseline", default=None, metavar="FILE",
+      help="JSON suppression file: findings matching a (rule, pc, "
+           "fingerprint) entry are dropped from the report and the "
+           "--fail-on gate, so CI fails only on new findings")
+@_arg("--write-baseline", default=None, metavar="FILE",
+      help="write the current findings as a baseline suppression file "
+           "(exit 0 — the next run with --baseline FILE gates on new "
+           "findings only)")
+def cmd_lint(args):
+    from repro.analysis.static import ModuleRegion, lint_system
+    from repro.analysis.static.diagnostics import (
+        apply_baseline,
+        load_baseline,
+        write_baseline,
     )
-    from repro.asm.assembler import default_symbols
     from repro.sfi.system import SfiSystem
     from repro.umpu.system import UmpuSystem
 
     data_spans = {}
-    try:
-        for spec in args.data_span:
-            name, _, span_text = spec.rpartition(":")
-            lo_text, _, hi_text = span_text.partition("-")
-            data_spans.setdefault(name, []).append(
-                (int(lo_text, 0), int(hi_text, 0)))
-    except ValueError as exc:
-        print("error: bad --data-span: {}".format(exc), file=sys.stderr)
-        return 2
-    try:
-        selected = _parse_rule_filter(args.select)
-        ignored = _parse_rule_filter(args.ignore)
-    except KeyError as exc:
-        print("error: {}".format(exc.args[0]), file=sys.stderr)
-        return 2
+    for spec in args.data_span:
+        name, _, span_text = spec.rpartition(":")
+        lo_text, _, hi_text = span_text.partition("-")
+        try:
+            span = (int(lo_text, 0), int(hi_text, 0))
+        except ValueError as exc:
+            raise CliError("bad --data-span: {}".format(exc)) from None
+        data_spans.setdefault(name, []).append(span)
+    selected = _parse_rule_filter(args.select)
+    ignored = _parse_rule_filter(args.ignore)
 
     if args.umpu:
         system = UmpuSystem()
     else:
         system = SfiSystem(allowed_io=tuple(args.allow_io))
-    predefined = set(default_symbols())
     extra_regions = []
-    try:
-        for index, spec in enumerate(args.modules):
-            path, _, exports_text = spec.partition(":")
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                asm = Assembler(symbols=system.kernel_symbols())
-                program = asm.assemble(_read_source(path), name=path)
-            lo, hi = program.extent()
-            labels = {n: a for n, a in program.symbols.items()
-                      if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-            exports = tuple(e for e in exports_text.split(",") if e) \
-                or tuple(sorted(labels))
-            name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            if args.unchecked:
-                base, end = system.place(program)
-                entries = {e: base + labels[e] - lo * 2
-                           for e in exports if e in labels}
-                extra_regions.append(ModuleRegion(
-                    name=name, domain=index, start=base, end=end,
-                    policy="umpu" if args.umpu else "sfi",
-                    entries=entries,
-                    data_spans=tuple(
-                        (base + lo_off, base + hi_off)
-                        for lo_off, hi_off in data_spans.get(name, ()))))
-            else:
-                system.load_module(program, name, exports=exports)
-    except (AsmError, OSError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except (RewriteError, VerifyError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
-    model, report = lint_system(system,
-                                dead_code=not args.no_dead_code,
-                                extra_modules=extra_regions)
+    for index, (name, program, labels, exports) in enumerate(
+            _load_modules(args.modules, system)):
+        if not args.unchecked:
+            system.load_module(program, name, exports=exports)
+            continue
+        base, end = system.place(program)
+        origin = program.extent()[0] * 2
+        extra_regions.append(ModuleRegion(
+            name=name, domain=index, start=base, end=end,
+            policy="umpu" if args.umpu else "sfi",
+            entries={e: base + labels[e] - origin for e in exports},
+            data_spans=tuple((base + lo_off, base + hi_off)
+                             for lo_off, hi_off in data_spans.get(name, ()))))
+    _model, report = lint_system(system, dead_code=not args.no_dead_code,
+                                 extra_modules=extra_regions)
     engine = report.diagnostics
     if selected or ignored:
         engine.findings[:] = [
@@ -659,302 +756,48 @@ def cmd_lint(argv=None):
             if (not selected or d.rule.code in selected)
             and d.rule.code not in ignored]
     if args.baseline:
-        from repro.analysis.static.diagnostics import (
-            apply_baseline,
-            load_baseline,
-        )
         try:
             suppressions = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print("error: bad baseline {}: {}".format(args.baseline, exc),
-                  file=sys.stderr)
-            return 2
+        except ValueError as exc:
+            raise CliError("bad baseline {}: {}".format(
+                args.baseline, exc)) from None
         suppressed = apply_baseline(engine, suppressions)
         if suppressed:
             print("; {} finding(s) suppressed by baseline {}".format(
                 suppressed, args.baseline), file=sys.stderr)
     if args.write_baseline:
-        from repro.analysis.static.diagnostics import write_baseline
         write_baseline(args.write_baseline, engine)
         print("; baseline ({} finding(s)) -> {}".format(
             len(engine), args.write_baseline), file=sys.stderr)
-    analysis = report.analysis_dict()
-    if args.format == "text":
-        text = engine.render_text()
-        tail = report.render_analysis()
-        if tail:
-            text += "\n\n" + tail
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-    else:
-        if args.output:
-            write_report(args.output, engine, fmt=args.format,
-                         analysis=analysis)
-        doc = engine.to_sarif() if args.format == "sarif" \
-            else engine.to_dict(analysis=analysis)
-        print(json_mod.dumps(doc, indent=1, sort_keys=True))
-    if args.output:
-        print("; lint report -> {}".format(args.output), file=sys.stderr)
-    if args.write_baseline:
-        return 0        # baselining acknowledges the current findings
-    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
+    text = engine.render_text()
+    tail = report.render_analysis()
+    status = _emit_report(args, engine,
+                          text + "\n\n" + tail if tail else text,
+                          report.analysis_dict(), "lint")
+    # baselining acknowledges the current findings
+    return 0 if args.write_baseline else status
 
 
-def _parse_rule_filter(specs):
-    """Resolve repeatable comma-separated HL codes / slugs to a code
-    set (harbor-lint ``--select`` / ``--ignore``); unknown tokens raise
-    the diagnostics catalog's KeyError."""
-    from repro.analysis.static.diagnostics import rule
-    codes = set()
-    for spec in specs:
-        for token in spec.split(","):
-            token = token.strip()
-            if token:
-                codes.add(rule(token).code)
-    return codes
-
-
-def _findings_at_or_above(engine, threshold):
-    """Count findings at or above *threshold* severity (harbor-lint's
-    ``--fail-on`` gate; severities order most-severe-first)."""
-    from repro.analysis.static.diagnostics import SEVERITIES
-    rank = SEVERITIES.index(threshold)
-    return sum(1 for d in engine.findings
-               if SEVERITIES.index(d.severity) <= rank)
-
-
-def cmd_race(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-race",
-        description="interrupt-aware static race detector and latency "
-                    "certifier: I-bit dataflow partitions the module "
-                    "into interrupt-atomic/interruptible regions, "
-                    "mainline store/load intervals are intersected "
-                    "against each ISR's access set (HL019 unprotected "
-                    "shared writes, HL020 torn multi-byte accesses, "
-                    "with two-site witnesses), and each ISR gets a "
-                    "static WCET / interrupt-latency bound (HL021)")
-    parser.add_argument("modules", nargs="+", metavar="MODULE[:ENTRIES]",
-                        help="module source (.s) or image (.hex); "
-                             "ENTRIES is a comma-separated list of "
-                             "mainline entry labels (default: every "
-                             "non-ISR label)")
-    parser.add_argument("--isr", action="append", default=[],
-                        metavar="LINE:LABEL",
-                        help="register LABEL as the vector-LINE "
-                             "interrupt handler (repeatable; "
-                             "__vector_N / isr_* / *_isr labels are "
-                             "auto-detected)")
-    parser.add_argument("--latency-budget", type=lambda v: int(v, 0),
-                        default=None, metavar="CYCLES",
-                        help="emit HL021 when the static interrupt-"
-                             "latency bound exceeds this many cycles")
-    parser.add_argument("--static-data", type=lambda v: int(v, 0),
-                        default=0, metavar="BYTES",
-                        help="per-domain static data span size, so "
-                             "modules referencing SDATA_D* symbols "
-                             "assemble (multiple of 256; default 0)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the report here (in --format)")
-    parser.add_argument("--latency-report", default=None, metavar="FILE",
-                        help="write the per-ISR WCET / latency-bound "
-                             "certificate here as JSON")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when a finding at or above this "
-                             "severity exists (default: error)")
-    args = parser.parse_args(argv)
-    import json as json_mod
-
-    from repro.analysis.static.cfg import RegionCFG
-    from repro.analysis.static.concurrency import (
-        ConcurrencyAnalysis,
-        IsrInfo,
-        find_isr_labels,
-    )
-    from repro.analysis.static.diagnostics import (
-        DiagnosticsEngine,
-        write_report,
-    )
-    from repro.asm.assembler import default_symbols
-    from repro.sfi.layout import SfiLayout
-    from repro.sfi.system import SfiSystem
-
-    engine = DiagnosticsEngine()
-    reports = []
-    # kernel symbols so lintable modules (KERNEL_* service calls,
-    # SDATA_D* spans) assemble standalone; the analysis needs no system
-    try:
-        layout = SfiLayout(static_data_bytes=args.static_data,
-                           static_data_domains=min(
-                               len(args.modules),
-                               SfiLayout().ndomains - 1)
-                           if args.static_data else 0)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    kernel_symbols = SfiSystem(layout=layout).kernel_symbols()
-    predefined = set(default_symbols()) | set(kernel_symbols)
-    for spec in args.modules:
-        path, _, entries_text = spec.partition(":")
-        try:
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                program = Assembler(symbols=kernel_symbols).assemble(
-                    _read_source(path), name=path)
-        except (AsmError, OSError) as exc:
-            print("error: {}".format(exc), file=sys.stderr)
-            return 2
-        name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        lo, hi = program.extent()
-        labels = {n: a for n, a in program.symbols.items()
-                  if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-        words = dict(program.words)
-
-        def read_word(word_addr, _words=words):
-            return _words.get(word_addr, 0xFFFF)
-
-        isrs = find_isr_labels(labels)
-        taken = {i.entry for i in isrs}
-        for isr_spec in args.isr:
-            line_text, _, label = isr_spec.partition(":")
-            try:
-                line = int(line_text, 0)
-                entry = labels[label]
-            except (ValueError, KeyError):
-                print("error: bad --isr {!r} (want LINE:LABEL with a "
-                      "label of the module)".format(isr_spec),
-                      file=sys.stderr)
-                return 2
-            isrs = [i for i in isrs if i.entry != entry and
-                    i.line != line]
-            isrs.append(IsrInfo(line, entry, label))
-            taken.add(entry)
-        entries = tuple(e for e in entries_text.split(",") if e)
-        try:
-            mainline = {labels[e] for e in entries} if entries \
-                else set(labels.values()) - taken
-        except KeyError as exc:
-            print("error: unknown entry label {}".format(exc),
-                  file=sys.stderr)
-            return 2
-        cfg = RegionCFG.build(read_word, lo * 2, (hi + 1) * 2, name=name,
-                              extra_leaders=sorted(labels.values()))
-        analysis = ConcurrencyAnalysis(
-            cfg, mainline_entries=mainline, isrs=sorted(
-                isrs, key=lambda i: i.line))
-        reports.append(analysis.run(engine=engine,
-                                    budget=args.latency_budget))
-
-    analysis_doc = {"concurrency": {rep.region: rep.to_dict()
-                                    for rep in reports}}
-    if args.format == "text":
-        text = engine.render_text()
-        tail = "\n".join(rep.render() for rep in reports)
-        if tail:
-            text += "\n\n" + tail
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-    else:
-        if args.output:
-            write_report(args.output, engine, fmt=args.format,
-                         analysis=analysis_doc)
-        doc = engine.to_sarif() if args.format == "sarif" \
-            else engine.to_dict(analysis=analysis_doc)
-        print(json_mod.dumps(doc, indent=1, sort_keys=True))
-    if args.output:
-        print("; race report -> {}".format(args.output), file=sys.stderr)
-    if args.latency_report:
-        with open(args.latency_report, "w") as handle:
-            json_mod.dump(
-                {"schema": 1, "regions": {
-                    rep.region: rep.latency.to_dict() if rep.latency
-                    else None for rep in reports}},
-                handle, indent=1, sort_keys=True)
-        print("; latency report -> {}".format(args.latency_report),
-              file=sys.stderr)
-    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
-
-
-def cmd_opt(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-opt",
-        description="proof-directed check elision: load modules with "
-                    "the whole-image prover enabled, elide run-time "
-                    "store checks proved redundant against the static "
-                    "data spans, emit the ElisionManifest(s) and "
-                    "re-lint the elided image")
-    parser.add_argument("modules", nargs="+", metavar="MODULE[:EXPORTS]",
-                        help="module source (.s) or image (.hex); "
-                             "EXPORTS is a comma-separated export list "
-                             "(default: every label)")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
-    parser.add_argument("--static-data", type=lambda v: int(v, 0),
-                        default=256, metavar="BYTES",
-                        help="per-domain static data span size "
-                             "(multiple of 256; 0 disables; default "
-                             "256)")
-    parser.add_argument("--static-domains", type=int, default=None,
-                        help="domains that get a span (default: one "
-                             "per module)")
-    parser.add_argument("-o", "--output", default=None, metavar="OUT.json",
-                        help="write the manifest(s) here (module name "
-                             "is inserted before the extension when "
-                             "several modules elide)")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when the re-lint finds an issue at "
-                             "or above this severity (default: error)")
-    args = parser.parse_args(argv)
-
+@_tool("opt", "proof-directed check elision: load modules with the "
+              "whole-image prover enabled, elide run-time store checks "
+              "proved redundant against the static data spans, emit the "
+              "ElisionManifest(s) and re-lint the elided image",
+       _MODULES, _ALLOW_IO, _FAIL_ON, _static_data(256))
+@_arg("--static-domains", type=int, default=None,
+      help="domains that get a span (default: one per module)")
+@_arg("-o", "--output", default=None, metavar="OUT.json",
+      help="write the manifest(s) here (module name is inserted before "
+           "the extension when several modules elide)")
+def cmd_opt(args):
     from repro.analysis.static import lint_system
-    from repro.asm.assembler import default_symbols
     from repro.sfi.system import SfiSystem
 
-    static_domains = args.static_domains if args.static_domains is not None \
-        else min(len(args.modules), SfiLayout().ndomains - 1)
-    try:
-        layout = SfiLayout(static_data_bytes=args.static_data,
-                           static_data_domains=static_domains
-                           if args.static_data else 0)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    system = SfiSystem(layout=layout, allowed_io=tuple(args.allow_io))
-    predefined = set(default_symbols())
-    summaries = []
-    try:
-        for spec in args.modules:
-            path, _, exports_text = spec.partition(":")
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                asm = Assembler(symbols=system.kernel_symbols())
-                program = asm.assemble(_read_source(path), name=path)
-            lo, hi = program.extent()
-            labels = {n: a for n, a in program.symbols.items()
-                      if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-            exports = tuple(e for e in exports_text.split(",") if e) \
-                or tuple(sorted(labels))
-            name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            module = system.load_module(program, name, exports=exports,
-                                        elide=True)
-            summaries.append(module)
-    except (AsmError, OSError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except (RewriteError, VerifyError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
+    system = SfiSystem(layout=_layout(args, args.static_domains),
+                       allowed_io=tuple(args.allow_io))
+    summaries = [system.load_module(program, name, exports=exports,
+                                    elide=True)
+                 for name, program, _labels, exports
+                 in _load_modules(args.modules, system)]
     multiple = sum(1 for m in summaries if m.manifest is not None) > 1
     for module in summaries:
         stats = module.rewrite_stats
@@ -985,114 +828,53 @@ def cmd_opt(argv=None):
     return 1 if _findings_at_or_above(engine, args.fail_on) else 0
 
 
-def cmd_certify(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-certify",
-        description="translation validation: load modules through the "
-                    "rewrite/(elide)/verify pipeline, prove the "
-                    "installed flash is a sanctioned translation of "
-                    "each source (HL017 on mismatch) and classify "
-                    "every installed block for the planned block JIT "
-                    "(HL018 notes)")
-    parser.add_argument("modules", nargs="+", metavar="MODULE[:EXPORTS]",
-                        help="module source (.s) or image (.hex); "
-                             "EXPORTS is a comma-separated export list "
-                             "(default: every label)")
-    parser.add_argument("--elide", action="store_true",
-                        help="run the proof-directed check-elision "
-                             "pass; the resulting manifest is part of "
-                             "what certification re-proves")
-    parser.add_argument("--static-data", type=lambda v: int(v, 0),
-                        default=0, metavar="BYTES",
-                        help="per-domain static data span size "
-                             "(multiple of 256; implies a span per "
-                             "module; default 0)")
-    parser.add_argument("--unchecked", action="store_true",
-                        help="place the raw images without the "
-                             "rewriter pipeline and certify them as "
-                             "installed — a miscompiled or hand-"
-                             "patched image fails with HL017")
-    parser.add_argument("--allow-io", action="append", default=[],
-                        type=lambda v: int(v, 0),
-                        help="whitelisted I/O address (repeatable)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the diagnostics report here "
-                             "(in --format)")
-    parser.add_argument("--report", default=None, metavar="OUT.json",
-                        help="write the JIT-readiness JSON (per-module "
-                             "block classification + counts) here")
-    parser.add_argument("--fail-on", choices=("error", "warning", "note"),
-                        default="error",
-                        help="exit 1 when a finding at or above this "
-                             "severity exists (default: error)")
-    args = parser.parse_args(argv)
-    import json as json_mod
-
-    from repro.analysis.static import write_report
+@_tool("certify", "translation validation: load modules through the "
+                  "rewrite/(elide)/verify pipeline, prove the installed "
+                  "flash is a sanctioned translation of each source "
+                  "(HL017 on mismatch) and classify every installed block "
+                  "for the planned block JIT (HL018 notes)",
+       _MODULES, _ALLOW_IO, _REPORT, _static_data(0))
+@_arg("--elide", action="store_true",
+      help="run the proof-directed check-elision pass; the resulting "
+           "manifest is part of what certification re-proves")
+@_arg("--unchecked", action="store_true",
+      help="place the raw images without the rewriter pipeline and "
+           "certify them as installed — a miscompiled or hand-patched "
+           "image fails with HL017")
+@_arg("--report", default=None, metavar="OUT.json",
+      help="write the JIT-readiness JSON (per-module block "
+           "classification + counts) here")
+def cmd_certify(args):
     from repro.analysis.static.diagnostics import DiagnosticsEngine
     from repro.analysis.static.transval import validate_translation
-    from repro.asm.assembler import default_symbols
-    from repro.sfi.layout import SfiLayout
     from repro.sfi.system import SfiSystem
 
-    try:
-        layout = SfiLayout(static_data_bytes=args.static_data,
-                           static_data_domains=min(
-                               len(args.modules),
-                               SfiLayout().ndomains - 1)
-                           if args.static_data else 0)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    system = SfiSystem(layout=layout, allowed_io=tuple(args.allow_io))
-    predefined = set(default_symbols())
+    system = SfiSystem(layout=_layout(args), allowed_io=tuple(args.allow_io))
     engine = DiagnosticsEngine()
     reports = []
-    try:
-        for spec in args.modules:
-            path, _, exports_text = spec.partition(":")
-            if path.endswith(".hex"):
-                program = _load_image(path)
-            else:
-                asm = Assembler(symbols=system.kernel_symbols())
-                program = asm.assemble(_read_source(path), name=path)
-            lo, hi = program.extent()
-            labels = {n: a for n, a in program.symbols.items()
-                      if n not in predefined and lo * 2 <= a <= hi * 2 + 1}
-            exports = tuple(e for e in exports_text.split(",") if e) \
-                or tuple(sorted(labels))
-            name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-            if args.unchecked:
-                base, end = system.place(program)
-                report = validate_translation(
-                    program, system.machine.memory.read_flash_word,
-                    base, end, system.layout, system.runtime.symbols,
-                    exports=exports, engine=engine, region=name,
-                    module=name)
-            else:
-                module = system.load_module(program, name,
-                                            exports=exports,
-                                            elide=args.elide)
-                export_targets = {
-                    e: system.linker.export_target(module.domain, e)
-                    for e in module.exports}
-                report = validate_translation(
-                    program, system.machine.memory.read_flash_word,
-                    module.start, module.end, system.layout,
-                    system.runtime.symbols, exports=exports,
-                    manifest=module.manifest,
-                    export_targets=export_targets, engine=engine,
-                    region=name, domain=module.domain, module=name)
-                module.certification = report
-            reports.append(report)
-    except (AsmError, OSError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except (RewriteError, VerifyError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
+    for name, program, _labels, exports in _load_modules(args.modules,
+                                                         system):
+        if args.unchecked:
+            base, end = system.place(program)
+            report = validate_translation(
+                program, system.machine.memory.read_flash_word,
+                base, end, system.layout, system.runtime.symbols,
+                exports=exports, engine=engine, region=name, module=name)
+        else:
+            module = system.load_module(program, name, exports=exports,
+                                        elide=args.elide)
+            export_targets = {
+                e: system.linker.export_target(module.domain, e)
+                for e in module.exports}
+            report = validate_translation(
+                program, system.machine.memory.read_flash_word,
+                module.start, module.end, system.layout,
+                system.runtime.symbols, exports=exports,
+                manifest=module.manifest, export_targets=export_targets,
+                engine=engine, region=name, domain=module.domain,
+                module=name)
+            module.certification = report
+        reports.append(report)
     summary = {
         "schema": 1,
         "modules": [r.to_dict() for r in reports],
@@ -1106,71 +888,45 @@ def cmd_certify(argv=None):
         "semantic_proofs": sum(r.semantic_proofs for r in reports),
         "elided_sites": sum(r.elided_sites for r in reports),
     }
-    if args.format == "text":
-        text = engine.render_text()
-        for r in reports:
-            text += ("\n{}: {} — {} line(s) matched, {} checked "
-                     "store(s) ({} symbolically proved), {} elided "
-                     "site(s); {} block(s): {} translatable, {} "
-                     "untranslatable".format(
-                         r.module,
-                         "certified" if r.ok else "REJECTED",
-                         r.matched_lines, r.store_checks,
-                         r.semantic_proofs, r.elided_sites,
-                         len(r.blocks), r.translatable_blocks,
-                         r.untranslatable_blocks))
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-    else:
-        if args.output:
-            write_report(args.output, engine, fmt=args.format,
-                         analysis=summary)
-        doc = engine.to_sarif() if args.format == "sarif" \
-            else engine.to_dict(analysis=summary)
-        print(json_mod.dumps(doc, indent=1, sort_keys=True))
+    text = "\n".join([engine.render_text()] + [
+        "{}: {} — {} line(s) matched, {} checked store(s) ({} "
+        "symbolically proved), {} elided site(s); {} block(s): {} "
+        "translatable, {} untranslatable".format(
+            r.module, "certified" if r.ok else "REJECTED",
+            r.matched_lines, r.store_checks, r.semantic_proofs,
+            r.elided_sites, len(r.blocks), r.translatable_blocks,
+            r.untranslatable_blocks)
+        for r in reports])
+    status = _emit_report(args, engine, text, summary, "certify")
     if args.report:
         with open(args.report, "w") as handle:
-            json_mod.dump(summary, handle, indent=1, sort_keys=True)
+            json.dump(summary, handle, indent=1, sort_keys=True)
             handle.write("\n")
         print("; JIT-readiness report -> {}".format(args.report),
               file=sys.stderr)
-    return 1 if _findings_at_or_above(engine, args.fail_on) else 0
+    return status
 
 
-def cmd_fuzz(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="harbor-fuzz",
-        description="adversarial soundness campaign: generate hostile "
-                    "modules, drive them through the admission "
-                    "pipeline, execute the admitted ones on both "
-                    "execution paths under a write oracle and report "
-                    "any isolation escape")
-    parser.add_argument("--system", choices=("sfi", "umpu", "both"),
-                        default="both",
-                        help="which enforcement system(s) to attack "
-                             "(default: both)")
-    parser.add_argument("--count", type=int, default=1000, metavar="N",
-                        help="candidates per system (default: 1000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="campaign seed (default: 0)")
-    parser.add_argument("--start", type=int, default=0, metavar="INDEX",
-                        help="first candidate index (default: 0)")
-    parser.add_argument("--index", type=int, default=None,
-                        metavar="INDEX",
-                        help="replay exactly one candidate index "
-                             "(prints its source/words and verdict)")
-    parser.add_argument("--max-cycles", type=int, default=None,
-                        help="per-call cycle budget (default: 20000)")
-    parser.add_argument("--artifacts", default=None, metavar="DIR",
-                        help="dump escape artifacts (JSON + .asm) here")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full stats as JSON")
-    args = parser.parse_args(argv)
-
-    import json
-
+@_tool("fuzz", "adversarial soundness campaign: generate hostile modules, "
+               "drive them through the admission pipeline, execute the "
+               "admitted ones on both execution paths under a write "
+               "oracle and report any isolation escape")
+@_arg("--system", choices=("sfi", "umpu", "both"), default="both",
+      help="which enforcement system(s) to attack (default: both)")
+@_arg("--count", type=int, default=1000, metavar="N",
+      help="candidates per system (default: 1000)")
+@_arg("--seed", type=int, default=0, help="campaign seed (default: 0)")
+@_arg("--start", type=int, default=0, metavar="INDEX",
+      help="first candidate index (default: 0)")
+@_arg("--index", type=int, default=None, metavar="INDEX",
+      help="replay exactly one candidate index (prints its source/words "
+           "and verdict)")
+@_arg("--max-cycles", type=int, default=None,
+      help="per-call cycle budget (default: 20000)")
+@_arg("--artifacts", default=None, metavar="DIR",
+      help="dump escape artifacts (JSON + .asm) here")
+@_arg("--json", action="store_true", help="print the full stats as JSON")
+def cmd_fuzz(args):
     from repro.soundness import Campaign, dump_escape
     from repro.soundness.fuzzer import DEFAULT_MAX_CYCLES
 
@@ -1215,22 +971,102 @@ def cmd_fuzz(argv=None):
     return 1 if escaped else 0
 
 
+@_tool("race", "interrupt-aware static race detector and latency "
+               "certifier: I-bit dataflow partitions the module into "
+               "interrupt-atomic/interruptible regions, mainline "
+               "store/load intervals are intersected against each ISR's "
+               "access set (HL019 unprotected shared writes, HL020 torn "
+               "multi-byte accesses, with two-site witnesses), and each "
+               "ISR gets a static WCET / interrupt-latency bound (HL021)",
+       _REPORT, _static_data(0))
+@_arg("modules", nargs="+", metavar="MODULE[:ENTRIES]",
+      help="module source (.s) or image (.hex); ENTRIES is a "
+           "comma-separated list of mainline entry labels (default: "
+           "every non-ISR label)")
+@_arg("--isr", action="append", default=[], metavar="LINE:LABEL",
+      help="register LABEL as the vector-LINE interrupt handler "
+           "(repeatable; __vector_N / isr_* / *_isr labels are "
+           "auto-detected)")
+@_arg("--latency-budget", type=_int, default=None, metavar="CYCLES",
+      help="emit HL021 when the static interrupt-latency bound exceeds "
+           "this many cycles")
+@_arg("--latency-report", default=None, metavar="FILE",
+      help="write the per-ISR WCET / latency-bound certificate here as "
+           "JSON")
+def cmd_race(args):
+    from repro.analysis.static.cfg import RegionCFG
+    from repro.analysis.static.concurrency import (
+        ConcurrencyAnalysis,
+        IsrInfo,
+        find_isr_labels,
+    )
+    from repro.analysis.static.diagnostics import DiagnosticsEngine
+    from repro.sfi.system import SfiSystem
+
+    engine = DiagnosticsEngine()
+    reports = []
+    # the system only supplies kernel symbols, so lintable modules
+    # (KERNEL_* service calls, SDATA_D* spans) assemble standalone
+    system = SfiSystem(layout=_layout(args))
+    for name, program, labels, entries in _load_modules(
+            args.modules, system, every_label=False):
+        lo, hi = program.extent()
+        words = dict(program.words)
+
+        def read_word(word_addr, _words=words):
+            return _words.get(word_addr, 0xFFFF)
+
+        isrs = find_isr_labels(labels)
+        taken = {i.entry for i in isrs}
+        for isr_spec in args.isr:
+            line_text, _, label = isr_spec.partition(":")
+            try:
+                line = int(line_text, 0)
+                entry = labels[label]
+            except (ValueError, KeyError):
+                raise CliError("bad --isr {!r} (want LINE:LABEL with a "
+                               "label of the module)".format(isr_spec)) \
+                    from None
+            isrs = [i for i in isrs if i.entry != entry and
+                    i.line != line]
+            isrs.append(IsrInfo(line, entry, label))
+            taken.add(entry)
+        mainline = {labels[e] for e in entries} if entries \
+            else set(labels.values()) - taken
+        cfg = RegionCFG.build(read_word, lo * 2, (hi + 1) * 2, name=name,
+                              extra_leaders=sorted(labels.values()))
+        analysis = ConcurrencyAnalysis(
+            cfg, mainline_entries=mainline, isrs=sorted(
+                isrs, key=lambda i: i.line))
+        reports.append(analysis.run(engine=engine,
+                                    budget=args.latency_budget))
+
+    text = engine.render_text()
+    tail = "\n".join(rep.render() for rep in reports)
+    status = _emit_report(
+        args, engine, text + "\n\n" + tail if tail else text,
+        {"concurrency": {rep.region: rep.to_dict() for rep in reports}},
+        "race")
+    if args.latency_report:
+        with open(args.latency_report, "w") as handle:
+            json.dump(
+                {"schema": 1, "regions": {
+                    rep.region: rep.latency.to_dict() if rep.latency
+                    else None for rep in reports}},
+                handle, indent=1, sort_keys=True)
+        print("; latency report -> {}".format(args.latency_report),
+              file=sys.stderr)
+    return status
+
+
 def main(argv=None):
     """Multiplexer: ``python -m repro.cli <tool> ...``."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    tools = {"asm": cmd_asm, "disasm": cmd_disasm,
-             "rewrite": cmd_rewrite, "verify": cmd_verify,
-             "run": cmd_run, "trace": cmd_trace, "profile": cmd_profile,
-             "replay": cmd_replay, "explain-fault": cmd_explain_fault,
-             "metrics": cmd_metrics, "lint": cmd_lint, "opt": cmd_opt,
-             "certify": cmd_certify, "fuzz": cmd_fuzz, "race": cmd_race}
-    if not argv or argv[0] not in tools:
-        print("usage: python -m repro.cli "
-              "{asm|disasm|rewrite|verify|run|trace|profile|replay|"
-              "explain-fault|metrics|lint|opt|certify|fuzz|race} ...",
-              file=sys.stderr)
+    if not argv or argv[0] not in TOOLS:
+        print("usage: python -m repro.cli {{{}}} ...".format(
+            "|".join(TOOLS)), file=sys.stderr)
         return 64
-    return tools[argv[0]](argv[1:])
+    return TOOLS[argv[0]](argv[1:])
 
 
 if __name__ == "__main__":

@@ -28,6 +28,9 @@ class UmpuModule:
     start: int
     end: int
     exports: dict  # name -> jump-table entry byte address
+    #: always None: UMPU modules load unrewritten, so there are no
+    #: run-time checks to elide (the field mirrors LoadedModule's)
+    manifest: object = None
 
 
 class UmpuSystem(ProtectedSystem):
