@@ -285,12 +285,6 @@ class ImageAnalyzer:
         self.call_models = runtime_call_models(syms)
         self._proofs = {}          # region name -> {pc: StoreProof}
 
-    def _region_entries(self, region):
-        """Addresses execution can enter the region at (exports plus
-        jump-table targets) — absint/prover fixpoint seeds."""
-        return sorted(set(region.entries.values()) |
-                      set(self.model.jt_targets_into(region)))
-
     def region_proofs(self, region):
         """(Cached) :class:`StoreProver` classification of every store
         site in an SFI region."""
@@ -298,8 +292,9 @@ class ImageAnalyzer:
         if proofs is None:
             prover = StoreProver(self.model.layout, self.model.symbols,
                                  region.domain)
-            proofs = prover.prove_cfg(self.model.cfg_for(region),
-                                      entries=self._region_entries(region))
+            proofs = prover.prove_cfg(
+                self.model.cfg_for(region),
+                entries=self.model.region_entries(region))
             self._proofs[region.name] = proofs
         return proofs
 
@@ -355,7 +350,7 @@ class ImageAnalyzer:
                 "control transfer into the middle of an instruction "
                 "(target 0x{:04x})".format(target),
                 byte_addr=source, region=region.name, domain=region.domain)
-        entry_states = {a: {} for a in self._region_entries(region)
+        entry_states = {a: {} for a in model.region_entries(region)
                         if a in cfg.blocks}
         in_states = absint.analyze_cfg(cfg, entry_states=entry_states
                                        or None,
@@ -391,7 +386,7 @@ class ImageAnalyzer:
             return {}
         problems = verify_manifest(
             self.model.read_word, self.model.layout, self.model.symbols,
-            manifest, entries=self._region_entries(region),
+            manifest, entries=self.model.region_entries(region),
             proofs=self.region_proofs(region), cfg=cfg)
         for message, byte_addr in problems:
             self.diags.emit("HL014", message, byte_addr=byte_addr,
@@ -647,8 +642,7 @@ class ImageAnalyzer:
     def _region_depth(self, region):
         """(functions, max_depth|None, cycles) of one region."""
         cfg = self.model.cfg_for(region)
-        roots = set(region.entries.values())
-        roots.update(self.model.jt_targets_into(region))
+        roots = self.model.region_entries(region)
         functions = partition_functions(cfg, roots)
         graph = build_call_graph(functions)
         cycles = find_cycles(graph)
@@ -839,14 +833,12 @@ class ImageAnalyzer:
                 over.save_sites += 1
             elif site.target == self.restore_addr:
                 over.restore_sites += 1
-        roots = dict(region.entries)
-        functions = partition_functions(
-            cfg, set(roots.values()) |
-            set(self.model.jt_targets_into(region)))
+        functions = partition_functions(cfg,
+                                        self.model.region_entries(region))
         graph = build_call_graph(functions)
         cyclic = {n for scc in find_cycles(graph) for n in scc}
         memo = {}
-        for name, entry in sorted(roots.items()):
+        for name, entry in sorted(region.entries.items()):
             stores, prov, xdoms, acts, loops = self._worst_path(
                 cfg, functions, graph, cyclic, entry, memo, provable)
             over.exports.append(ExportOverhead(
@@ -929,10 +921,7 @@ class ImageAnalyzer:
         if region.policy != "sfi":
             return []
         cfg = self.model.cfg_for(region)
-        roots = set(region.entries.values())
-        roots.update(self.model.jt_targets_into(region))
-        if not roots:
-            roots = {region.start}
+        roots = self.model.region_entries(region) or [region.start]
         reachable = cfg.reachable_from(roots)
         dead = []
         for start in sorted(cfg.blocks):

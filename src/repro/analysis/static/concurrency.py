@@ -1050,10 +1050,8 @@ def analyze_region_concurrency(model, region, engine=None, budget=None,
     if isrs is None:
         isrs = model.isr_handlers(region)
     cfg = model.cfg_for(region)
-    entries = set(region.entries.values())
-    entries.update(model.jt_targets_into(region))
     analysis = ConcurrencyAnalysis(
-        cfg, mainline_entries=entries, isrs=isrs,
+        cfg, mainline_entries=model.region_entries(region), isrs=isrs,
         call_models=call_models,
         symbols_by_addr=model.symbols_by_addr())
     return analysis.run(engine=engine, budget=budget)

@@ -138,12 +138,39 @@ class StoreProof:
                 "interval": [self.lo, self.hi], "rule": self.rule}
 
     @classmethod
-    def from_dict(cls, data):
+    def from_dict(cls, data, where="store proof"):
+        """Parse :meth:`to_dict` output; a malformed record raises
+        ValueError naming *where* and the field."""
+        if not isinstance(data, dict):
+            raise ValueError("{} must be an object, not {!r}".format(
+                where, data))
         interval = data.get("interval", [0, 0])
-        return cls(pc=int(data["pc"]), key=str(data["key"]),
-                   kind=str(data["kind"]),
-                   lo=int(interval[0]), hi=int(interval[1]),
+        if not (isinstance(interval, list) and len(interval) == 2 and
+                all(_is_int(v) for v in interval)):
+            raise ValueError("{}: field 'interval' must be two integers, "
+                             "not {!r}".format(where, interval))
+        return cls(pc=_field(data, "pc", int, where),
+                   key=_field(data, "key", str, where),
+                   kind=_field(data, "kind", str, where),
+                   lo=interval[0], hi=interval[1],
                    rule=str(data.get("rule", "")))
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(doc, name, kind, where):
+    """``doc[name]`` checked to be a *kind* (int or str); a missing or
+    mistyped field raises ValueError naming it."""
+    if name not in doc:
+        raise ValueError("{}: missing field {!r}".format(where, name))
+    value = doc[name]
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise ValueError("{}: field {!r} must be {}, not {!r}".format(
+            where, name, "an integer" if kind is int else "a string",
+            value))
+    return value
 
 
 class StoreProver:
@@ -302,17 +329,32 @@ class ElisionManifest:
 
     @classmethod
     def from_dict(cls, data):
+        """Parse :meth:`to_dict` output.  A document that is not a
+        schema-v1 manifest raises ValueError naming the bad field."""
+        where = "elision manifest"
+        if not isinstance(data, dict):
+            raise ValueError("{} is a JSON {}, not an object".format(
+                where, type(data).__name__))
         if data.get("schema") != MANIFEST_SCHEMA:
             raise ValueError("unsupported elision manifest schema: "
                              "{!r}".format(data.get("schema")))
-        return cls(module=str(data["module"]), domain=int(data["domain"]),
-                   start=int(data["start"]), end=int(data["end"]),
-                   checksum=int(data["image_crc32"]),
-                   sites=[StoreProof.from_dict(s)
-                          for s in data.get("sites", ())])
+        sites = data.get("sites", [])
+        if not isinstance(sites, list):
+            raise ValueError("{}: field 'sites' must be a list, not "
+                             "{!r}".format(where, sites))
+        return cls(module=_field(data, "module", str, where),
+                   domain=_field(data, "domain", int, where),
+                   start=_field(data, "start", int, where),
+                   end=_field(data, "end", int, where),
+                   checksum=_field(data, "image_crc32", int, where),
+                   sites=[StoreProof.from_dict(
+                       site, "{}: sites[{}]".format(where, i))
+                       for i, site in enumerate(sites)])
 
     @classmethod
     def load(cls, path):
+        """Read a manifest file; truncated or non-JSON text raises
+        ValueError (:class:`json.JSONDecodeError`)."""
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
 

@@ -12,8 +12,16 @@ diagnostics.
 :class:`~repro.umpu.system.UmpuSystem` (duck-typed: both expose
 ``layout``/``machine``/``runtime``/``jump_table``/``modules``), which is
 what the ``harbor-lint`` CLI and the strict load-time gate use.
+
+A model parses the jump table once, on first use.  Region CFGs live in
+a cache the system owns (``ProtectedSystem.cfg_cache``), so a lint after
+a load rebuilds only the CFGs whose inputs changed.  The cache is keyed
+by content (name, span, entry leaders, data spans and the flash words
+the disassembler reads), not invalidated through flash-write listeners:
+a snapshot restore replaces flash without notifying them.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.isa.encoding import DecodeError, decode_words
@@ -67,7 +75,7 @@ class ImageModel:
 
     def __init__(self, read_word, layout, jump_table, runtime_region,
                  modules=(), symbols=None, allowed_io=(), mode="sfi",
-                 isrs=()):
+                 isrs=(), cfg_cache=None):
         self.read_word = read_word
         self.layout = layout
         self.jump_table = jump_table
@@ -79,7 +87,12 @@ class ImageModel:
         #: explicitly registered interrupt handlers (IsrInfo list);
         #: :meth:`isr_handlers` unions these with label discovery
         self.isrs = list(isrs)
-        self._cfgs = {}
+        #: (start, end) -> (content key, RegionCFG), at most one CFG per
+        #: span; a system passes its own dict so CFGs outlive the model
+        self.cfg_cache = {} if cfg_cache is None else cfg_cache
+        self._cfgs = {}            # region name -> RegionCFG
+        self._jt = None            # parsed jump table (JtEntry list)
+        self._jt_targets = None    # its distinct jmp targets, sorted
 
     # ------------------------------------------------------------------
     @classmethod
@@ -108,7 +121,7 @@ class ImageModel:
                     symbols=symbols,
                     allowed_io=system.verifier.allowed_io
                     if policy == "sfi" else (),
-                    mode=policy)
+                    mode=policy, cfg_cache=system.cfg_cache)
         for module in system.modules.values():
             entries = {}
             for export, entry_addr in module.exports.items():
@@ -121,6 +134,9 @@ class ImageModel:
                 policy=policy, entries=entries,
                 manifest=module.manifest))
         model.modules.extend(extra_modules)
+        live = {(region.start, region.end) for region in model.regions}
+        for span in [s for s in model.cfg_cache if s not in live]:
+            del model.cfg_cache[span]
         return model
 
     # ------------------------------------------------------------------
@@ -140,16 +156,41 @@ class ImageModel:
         return None
 
     def cfg_for(self, region):
-        """The (cached) :class:`RegionCFG` of *region*."""
+        """The :class:`RegionCFG` of *region*: memoised per model, and
+        taken from :attr:`cfg_cache` when everything the build reads is
+        unchanged — including the word at ``end // 2``, which the
+        disassembler reads for a trailing 32-bit form."""
         cfg = self._cfgs.get(region.name)
-        if cfg is None:
+        if cfg is not None:
+            return cfg
+        leaders = sorted(region.entries.values())
+        key = (region.name, leaders, tuple(region.data_spans),
+               [self._word_or_none(i)
+                for i in range(region.start // 2, region.end // 2 + 1)])
+        span = (region.start, region.end)
+        cached = self.cfg_cache.get(span)
+        if cached is not None and cached[0] == key:
+            cfg = cached[1]
+        else:
             cfg = RegionCFG.build(self.read_word, region.start, region.end,
-                                  name=region.name,
-                                  extra_leaders=sorted(
-                                      region.entries.values()),
+                                  name=region.name, extra_leaders=leaders,
                                   data_spans=region.data_spans)
-            self._cfgs[region.name] = cfg
+            self.cfg_cache[span] = (key, cfg)
+        self._cfgs[region.name] = cfg
         return cfg
+
+    def _word_or_none(self, word_addr):
+        try:
+            return self.read_word(word_addr)
+        except Exception:
+            return None
+
+    def region_entries(self, region):
+        """Addresses execution can enter *region* at, sorted: its
+        declared entries plus the jump-table targets inside it (the
+        roots of reachability and the analyses' fixpoint seeds)."""
+        return sorted(set(region.entries.values()).union(
+            self.jt_targets_into(region)))
 
     # ------------------------------------------------------------------
     def symbols_by_addr(self):
@@ -194,47 +235,53 @@ class ImageModel:
         """The jmp destination of the jump-table slot at *entry_addr*
         (byte address), or None if the slot does not decode to a jmp."""
         try:
-            w0 = self.read_word(entry_addr // 2)
-            w1 = self.read_word(entry_addr // 2 + 1)
-            instr = decode_words(w0, w1)
+            return _jmp_target(self.read_word(entry_addr // 2),
+                               self.read_word(entry_addr // 2 + 1))
         except Exception:
             return None
-        if instr.key != "jmp":
-            return None
-        return instr.operands[0] * 2
 
     def jt_entries(self):
-        """Parse every jump-table slot; yields :class:`JtEntry`."""
+        """Every jump-table slot as a :class:`JtEntry`.  The table is
+        read from flash once per model, and each distinct slot content
+        decoded once (almost every empty slot holds the same jmp)."""
+        if self._jt is not None:
+            return self._jt
         jt = self.jump_table
+        decoded = {}    # (w0, w1) -> jmp target or None
         entries = []
         for domain in range(jt.ndomains):
             for index in range(jt.entries_per_domain):
                 addr = jt.entry_addr(domain, index)
                 try:
-                    w0 = self.read_word(addr // 2)
-                    w1 = self.read_word(addr // 2 + 1)
+                    words = (self.read_word(addr // 2),
+                             self.read_word(addr // 2 + 1))
                 except Exception:
                     entries.append(JtEntry(domain, index, addr, ok=False))
                     continue
-                words = (w0, w1)
-                try:
-                    instr = decode_words(w0, w1)
-                except DecodeError:
-                    entries.append(JtEntry(domain, index, addr, ok=False,
-                                           words=words))
-                    continue
-                if instr.key != "jmp":
-                    entries.append(JtEntry(domain, index, addr, ok=False,
-                                           words=words))
-                    continue
-                entries.append(JtEntry(domain, index, addr,
-                                       target=instr.operands[0] * 2,
-                                       words=words))
+                if words not in decoded:
+                    decoded[words] = _jmp_target(*words)
+                target = decoded[words]
+                entries.append(JtEntry(domain, index, addr, target=target,
+                                       ok=target is not None, words=words))
+        self._jt = entries
         return entries
 
     def jt_targets_into(self, region):
         """Jump-table targets landing inside *region* (the addresses a
         cross-domain call can reach — entry roots for reachability)."""
-        return sorted({e.target for e in self.jt_entries()
-                       if e.target is not None
-                       and region.start <= e.target < region.end})
+        if self._jt_targets is None:
+            self._jt_targets = sorted({e.target for e in self.jt_entries()
+                                       if e.target is not None})
+        targets = self._jt_targets
+        return targets[bisect_left(targets, region.start):
+                       bisect_left(targets, region.end)]
+
+
+def _jmp_target(w0, w1):
+    """The byte destination of ``jmp`` words *w0*, *w1*, or None if they
+    decode to something else (or nothing)."""
+    try:
+        instr = decode_words(w0, w1)
+    except DecodeError:
+        return None
+    return instr.operands[0] * 2 if instr.key == "jmp" else None

@@ -59,6 +59,9 @@ class ProtectedSystem:
             self.jump_table,
             exception_target=runtime.symbol("hb_fault_r20"))
         self.modules = {}
+        #: region CFGs the whole-image lint reuses across loads
+        #: (:meth:`repro.analysis.static.image.ImageModel.cfg_for`)
+        self.cfg_cache = {}
         self._next_load = layout.jt_end
         self._next_domain = 0
         self._free_domains = []

@@ -78,13 +78,17 @@ class CrossDomainLinker:
     def emit(self, write_word):
         """Write the full jump-table region via ``write_word(word_addr,
         value)``: real entries ``jmp target``, empty entries ``jmp
-        exception_target``."""
+        exception_target``.  Every slot is rewritten, so a corrupted one
+        is repaired; each distinct target is encoded once."""
         jt = self.jump_table
+        encoded = {}
         for domain in range(jt.ndomains):
             for index in range(jt.entries_per_domain):
                 rec = self._exports.get((domain, index))
                 target = rec.target if rec else self.exception_target
-                w0, w1 = encode("jmp", (target // 2,))
+                if target not in encoded:
+                    encoded[target] = encode("jmp", (target // 2,))
+                w0, w1 = encoded[target]
                 entry = jt.entry_addr(domain, index) // 2
                 write_word(entry, w0)
                 write_word(entry + 1, w1)
