@@ -19,10 +19,15 @@ sweep the suite can run.  This harness tracks that speed over time:
                        interrupt delivery plus device event horizons)
 
 Protocol: build each workload once, run ``--warmup`` untimed passes,
-then ``--repeats`` timed passes and report the **median**
-instructions/sec.  Simulated cycle counts are deterministic and
-asserted unchanged across passes — this harness can never observe a
-simulation-semantics change, only host speed.
+then ``--repeats`` timed passes.  A pass is a sequence of units (one
+program run, one call) cut into ``STRETCHES`` stretches of consecutive
+units, and each stretch keeps its fastest repeat, as in
+``perfbench/run.py``: the host's speed drifts in phases on a shared
+machine, and every stretch meets a fast phase in a run of several
+passes.  Instructions/sec is the retired instructions of those
+fastest stretches over their summed time.  Simulated cycle counts are
+deterministic and asserted unchanged across passes — this harness can
+never observe a simulation-semantics change, only host speed.
 
 Run::
 
@@ -39,7 +44,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import sys
 import time
 
@@ -56,39 +60,13 @@ from repro.umpu import UmpuSystem  # noqa: E402
 import bench_macro_overhead as macro  # noqa: E402
 
 
-# ----------------------------------------------------------------------
-# instruction counting
-# ----------------------------------------------------------------------
-def _count_instructions(build):
-    """Retired-instruction count of one steady-state workload pass.
-
-    The first (cold) pass may differ from steady state (allocator
-    warm-up), so one untimed pass runs first and the second pass is
-    counted.  Uses the core's ``instret`` counter when present; on
-    older cores it falls back to a counting wrapper around ``step()``
-    (the workload is deterministic, so a separate counting pass sees
-    the same stream)."""
-    machine, run_pass = build()
-    core = machine.core
-    run_pass()  # cold pass: reach steady state
-    if hasattr(core, "instret"):
-        before = core.instret
-        run_pass()
-        return core.instret - before
-    count = [0]
-    orig_step = core.step
-
-    def counting_step():
-        count[0] += 1
-        return orig_step()
-
-    core.step = counting_step
-    run_pass()
-    return count[0]
+#: stretches a pass is cut into (perfbench/run.py cuts its passes the
+#: same way)
+STRETCHES = 10
 
 
 # ----------------------------------------------------------------------
-# workloads: each returns (machine-with-core, run_one_pass callable)
+# workloads: each returns (machine-with-core, the units of one pass)
 # ----------------------------------------------------------------------
 MICRO_ALU = """
     ldi r26, 0x00
@@ -133,15 +111,18 @@ loop:
 
 
 def _micro(src, iterations):
-    program = assemble(src.format(lo=iterations & 0xFF,
-                                  hi=(iterations >> 8) & 0xFF), "micro")
+    """A pass is ``STRETCHES`` runs of the loop, *iterations* trips in
+    all."""
+    trips = -(-iterations // STRETCHES)
+    program = assemble(src.format(lo=trips & 0xFF, hi=(trips >> 8) & 0xFF),
+                       "micro")
     machine = Machine(program)
 
-    def run_pass():
+    def run_once():
         machine.reset()
         machine.core.run(max_cycles=100_000_000)
 
-    return machine, run_pass
+    return machine, [run_once] * STRETCHES
 
 
 def build_micro_alu(iterations):
@@ -169,12 +150,8 @@ def build_macro_unprot(iterations):
     machine.core.invalidate_decode_cache()
     machine.call("hb_init", max_cycles=100000)
     produce = program.symbol("produce")
-
-    def run_pass():
-        for _ in range(iterations):
-            machine.call(produce, max_cycles=100000)
-
-    return machine, run_pass
+    return machine, [lambda: machine.call(produce, max_cycles=100000)] \
+        * iterations
 
 
 def build_macro_umpu(iterations):
@@ -189,12 +166,10 @@ def build_macro_umpu(iterations):
                                      consumer.domain), "producer"),
         "producer", exports=("produce",))
 
-    def run_pass():
-        for _ in range(iterations):
-            system.call_export("producer", "produce",
-                               max_cycles=100000)
+    def produce():
+        system.call_export("producer", "produce", max_cycles=100000)
 
-    return system.machine, run_pass
+    return system.machine, [produce] * iterations
 
 
 MACRO_IRQ = """
@@ -233,21 +208,23 @@ IRQ_PERIOD = 500
 
 
 def build_macro_irq(iterations):
-    """A timer-driven stock core: every pass restarts the sampling loop
-    with a fresh controller and timer, so passes are cycle-identical."""
-    program = assemble(MACRO_IRQ.format(lo=iterations & 0xFF,
-                                        hi=(iterations >> 8) & 0xFF),
+    """A timer-driven stock core: every unit restarts the sampling loop
+    with a fresh controller and timer, so passes are cycle-identical.
+    A pass is ``STRETCHES`` units, *iterations* samples in all."""
+    samples = -(-iterations // STRETCHES)
+    program = assemble(MACRO_IRQ.format(lo=samples & 0xFF,
+                                        hi=(samples >> 8) & 0xFF),
                        "macro_irq")
     machine = Machine(program)
 
-    def run_pass():
+    def run_once():
         machine.reset()
         controller = InterruptController(machine.core, nvectors=2)
         machine.core.devices = [
             PeriodicTimer(controller, line=1, period=IRQ_PERIOD)]
         machine.core.run(max_cycles=100_000_000)
 
-    return machine, run_pass
+    return machine, [run_once] * STRETCHES
 
 
 WORKLOADS = [
@@ -263,15 +240,31 @@ QUICK_SCALE = 0.2
 
 # ----------------------------------------------------------------------
 def measure(name, build, iterations, warmup, repeats):
-    instructions = _count_instructions(lambda: build(iterations))
-    machine, run_pass = build(iterations)
+    machine, units = build(iterations)
     core = machine.core
-    run_pass()  # cold pass: reach allocator steady state before timing
-    cycles_per_pass = None
-    for _ in range(warmup):
+    stretch = -(-len(units) // STRETCHES)
+    stretches = [units[k:k + stretch] for k in range(0, len(units), stretch)]
+    now = time.perf_counter_ns
+
+    def run_pass(best):
+        """Run one pass; keep each stretch's fastest ``(ns, instret)``
+        in *best*.  Returns the simulated cycles it consumed."""
         before = core.cycles
-        run_pass()
-        consumed = core.cycles - before
+        for k, part in enumerate(stretches):
+            instret = core.instret
+            t0 = now()
+            for unit in part:
+                unit()
+            ns = now() - t0
+            if best is not None and (best[k] is None or ns < best[k][0]):
+                best[k] = (ns, core.instret - instret)
+        return core.cycles - before
+
+    run_pass(None)  # cold pass: reach allocator steady state before timing
+    cycles_per_pass = None
+    best = [None] * len(stretches)
+    for timed in [False] * warmup + [True] * repeats:
+        consumed = run_pass(best if timed else None)
         # determinism guard: every steady pass simulates identical work
         if cycles_per_pass is None:
             cycles_per_pass = consumed
@@ -279,26 +272,15 @@ def measure(name, build, iterations, warmup, repeats):
             raise AssertionError(
                 "{}: non-deterministic pass ({} vs {} cycles)".format(
                     name, consumed, cycles_per_pass))
-    times = []
-    for _ in range(repeats):
-        before = core.cycles
-        t0 = time.perf_counter()
-        run_pass()
-        t1 = time.perf_counter()
-        consumed = core.cycles - before
-        if cycles_per_pass is not None and consumed != cycles_per_pass:
-            raise AssertionError(
-                "{}: non-deterministic pass ({} vs {} cycles)".format(
-                    name, consumed, cycles_per_pass))
-        times.append(t1 - t0)
-    median = statistics.median(times)
+    seconds = sum(ns for ns, _ in best) / 1e9
+    instructions = sum(n for _, n in best)
     return {
         "instructions": instructions,
         "cycles_per_pass": cycles_per_pass,
-        "median_s": round(median, 6),
-        "min_s": round(min(times), 6),
+        "fastest_s": round(seconds, 6),
         "repeats": repeats,
-        "ips": round(instructions / median, 1),
+        "stretches": len(stretches),
+        "ips": round(instructions / seconds, 1),
     }
 
 
@@ -308,10 +290,10 @@ def run_suite(warmup, repeats, scale=1.0):
         n = max(1, int(iterations * scale))
         results[name] = measure(name, build, n, warmup, repeats)
         print("{:14s} {:>12,.0f} instr/s   ({:,} instructions, "
-              "median of {} runs: {:.4f}s)".format(
+              "fastest of {} runs per stretch: {:.4f}s)".format(
                   name, results[name]["ips"],
                   results[name]["instructions"], repeats,
-                  results[name]["median_s"]))
+                  results[name]["fastest_s"]))
     return results
 
 
@@ -360,7 +342,8 @@ def main(argv=None):
     results = run_suite(warmup, repeats, scale)
 
     doc = {
-        "schema": 1,
+        "schema": 2,
+        "timing": "fastest-stretch",
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "quick": args.quick,

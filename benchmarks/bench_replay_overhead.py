@@ -55,8 +55,12 @@ QUICK_SCALE = 0.25
 
 def _median_ips(build, iterations, repeats, record):
     """Median instructions/sec of one workload, optionally recording."""
-    machine, run_pass = build(iterations)
+    machine, units = build(iterations)
     timeline = machine.attach_timeline() if record else None
+
+    def run_pass():
+        for unit in units:
+            unit()
     core = machine.core
     run_pass()  # cold pass
     times = []
@@ -133,9 +137,10 @@ def export_artifacts(directory, interval=None):
     paths = []
 
     # -- macro workload: record, seek mid-run, export ------------------
-    machine, run_pass = host.build_macro_unprot(20)
+    machine, units = host.build_macro_unprot(20)
     timeline = machine.attach_timeline(interval=interval)
-    run_pass()
+    for unit in units:
+        unit()
     timeline.finalize()
     start = timeline.keyframes[0].cycles
     end = timeline.end_cycle

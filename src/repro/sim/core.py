@@ -12,40 +12,29 @@ returns.  Functional units may add stall cycles per transaction; these
 are returned by the bus and added to the core's cycle counter, which is
 how the MMC's single-cycle store penalty is measured.
 
-Dispatch is threaded: ``_fetch`` resolves each instruction's executor
+Instruction semantics live in :mod:`repro.sim.semantics`, one source
+template per opcode; the ``_exec_*`` handlers are generated from them
+at import (only ``lpm``, ``elpm`` and ``break`` are written out here).
+Dispatch is threaded: ``_fetch`` resolves each instruction's handler
 once at decode time and caches ``(instr, handler, size_words,
 base_cycles)``, so the steady-state step is a dict probe plus one
-indirect call — no per-step name building.  :meth:`run` additionally
-selects a fast loop that hoists the trace/profiler/debugger guards out
-of the loop entirely whenever none of those are attached, and folds
-device events and timeline keyframes into its budget comparison; the
-fast and instrumented paths execute the identical handlers and are
-cycle-for-cycle identical (asserted by the differential tests).
+indirect call.  :meth:`run` selects a fast loop that hoists the
+trace/profiler/debugger guards out of the loop whenever none of those
+are attached, and folds device events and timeline keyframes into its
+budget comparison.  When nothing on the bus or the call path observes
+the run either, the fast loop also runs hot straight-line code as
+compiled blocks rendered from the same templates.  All paths are
+cycle-for-cycle identical to :meth:`step` (asserted by the
+differential tests).
 """
 
 from repro.isa.encoding import DecodeError, decode_words, is_32bit_opcode
 from repro.isa.opcodes import SPEC_BY_KEY
-from repro.isa.registers import ATMEGA103, SREG_BITS, IoReg
-from repro.sim.errors import BadOpcode, CycleLimitExceeded
+from repro.isa.registers import ATMEGA103, IoReg
+from repro.sim import semantics
+from repro.sim.errors import BadOpcode, CycleLimitExceeded, SimError
 from repro.sim.events import AccessKind
 from repro.trace.events import TraceEventKind
-
-_C = SREG_BITS.C
-_Z = SREG_BITS.Z
-_N = SREG_BITS.N
-_V = SREG_BITS.V
-_S = SREG_BITS.S
-_H = SREG_BITS.H
-_T = SREG_BITS.T
-
-# SREG bit masks for the flattened flag updates
-_MC = 1 << _C
-_MZ = 1 << _Z
-_MN = 1 << _N
-_MV = 1 << _V
-_MS = 1 << _S
-_MH = 1 << _H
-_MT = 1 << _T
 
 # data-space addresses of the named I/O registers the core touches on
 # nearly every instruction (SREG) or every call/push (SP)
@@ -53,7 +42,11 @@ _SREG_ADDR = IoReg.SREG + 0x20
 _SPL_ADDR = IoReg.SPL + 0x20
 _SPH_ADDR = IoReg.SPH + 0x20
 
-_PTR_REG = {"X": 26, "Y": 28, "Z": 30}
+#: visits to a PC before the block starting there is compiled
+_HOT = 2
+#: the blocks-table entry of a PC that runs interpreted (not hot yet, or
+#: no block starts there): its entry cost never fits a bound
+_NO_BLOCK = (None, float("inf"), -1)
 
 
 def _tick(devices, elapsed):
@@ -137,6 +130,14 @@ class AvrCore:
         #: callable returning the active protection domain (set by
         #: UmpuMachine); None on cores without protection hardware
         self.domain_provider = None
+        #: compiled blocks (see :meth:`_run_blocks`): start word ->
+        #: ``(function, cycles before its last instruction, word of its
+        #: last instruction)``, or ``_NO_BLOCK`` where none can start
+        self._blocks = {}
+        #: visits of PCs not yet in ``_blocks``
+        self._heat = {}
+        #: flash word -> start words of the blocks that read it
+        self._block_cover = {}
         bus.cycle_hook = lambda: self.cycles
         # runtime flash writes invalidate the decoded instructions they
         # overwrite, so no write path can execute stale decodes
@@ -218,18 +219,27 @@ class AvrCore:
         return entry
 
     def invalidate_decode_cache(self):
-        """Call after rewriting flash at runtime."""
+        """Call after rewriting flash at runtime.  Drops the compiled
+        blocks as well."""
         self._decode_cache.clear()
+        self._blocks.clear()
+        self._heat.clear()
+        self._block_cover.clear()
 
     def _on_flash_write(self, word_addr):
         """Memory notified us of a flash write: drop any decode that
         covers the word (a 32-bit instruction starting one word earlier
-        spans it too).  The cached entry carries the bound handler, so
-        dropping it unbinds the stale executor as well."""
+        spans it too), and every compiled block that read it.  The
+        cached entry carries the bound handler, so dropping it unbinds
+        the stale executor as well."""
         cache = self._decode_cache
         if cache:
             cache.pop(word_addr, None)
             cache.pop(word_addr - 1, None)
+        starts = self._block_cover.pop(word_addr, None)
+        if starts:
+            for start in starts:
+                self._blocks.pop(start, None)
 
     def _instr_size_at(self, word_addr):
         """Word size of the instruction at *word_addr* (for skips).
@@ -333,7 +343,9 @@ class AvrCore:
         Only a trace sink, a profiler or a debugger moves the run onto
         the instrumented :meth:`step` path; everything else runs on a
         fast loop with the per-step guards hoisted out, cycle-for-cycle
-        identical to the instrumented path.  The fast loop polls a
+        identical to the instrumented path (and running compiled blocks
+        when nothing observes the bus or the call path either, see
+        :meth:`_run_blocks`).  The fast loop polls a
         pending interrupt line at the same instruction boundaries as
         :meth:`step`, ticks devices at their next event (see
         :meth:`_run_fast`), and metrics emitters (interrupt entry, bus
@@ -397,7 +409,16 @@ class AvrCore:
         per iteration: the set object is stable for the controller's
         lifetime, so the loop holds a direct reference and only calls
         :meth:`InterruptController.poll` (which re-checks the I flag and
-        vectors) when a line is actually pending."""
+        vectors) when a line is actually pending.
+
+        A run that nothing on the bus or the call path can observe
+        instruction by instruction goes to :meth:`_run_blocks` instead.
+        The choice is made once per call."""
+        bus = self.bus
+        if not (bus.interposers or bus.tracer is not None
+                or bus.trace is not None or self.call_hooks
+                or self.memory.io_devices):
+            return self._run_blocks(start, max_cycles, until_pc)
         cache = self._decode_cache
         decode = self._decode_and_cache
         limit = start + max_cycles
@@ -466,510 +487,142 @@ class AvrCore:
             _tick(devices, self.cycles - synced)
         return self.cycles - start
 
-    # ==================== ALU: add/sub family ============================
-    def _add(self, d, r_val, carry):
+    def _run_blocks(self, start, max_cycles, until_pc):
+        """:meth:`_run_fast` with compiled blocks, for a run with no bus
+        interposer, bus tracer or trace sink, call hook or I/O device.
+        Then a data-space access is a plain read or write of
+        ``memory.data`` and a control transfer has no callout, so a
+        straight-line run of templated instructions can run as one
+        generated function (:func:`repro.sim.semantics.compile_block`).
+
+        A PC gets its block on its ``_HOT``-th visit.  The block ends at
+        and includes a control transfer or skip, and ends before an
+        opcode without a template or at ``BLOCK_MAX`` instructions.  It
+        is entered only where interpreting it would cross no loop event
+        on the way: no interrupt is pending (none can become pending
+        inside, as devices tick only at ``bound``), every boundary
+        before its last instruction lies before ``bound``, and
+        ``until_pc`` is not one of them.  Everything else runs exactly
+        as in :meth:`_run_fast`, one instruction at a time, with the
+        retired-instruction count kept on the core, where blocks
+        charge it."""
+        cache = self._decode_cache
+        decode = self._decode_and_cache
+        blocks = self._blocks
         data = self.memory.data
-        rd = data[d]
-        result = rd + r_val + carry
-        res8 = result & 0xFF
-        sreg = data[_SREG_ADDR] & 0xC0  # keep I, T
-        if ((rd & 0xF) + (r_val & 0xF) + carry) > 0xF:
-            sreg |= _MH
-        if result > 0xFF:
-            sreg |= _MC
-        v = (~(rd ^ r_val) & (rd ^ res8)) & 0x80
-        if v:
-            sreg |= _MV
-        n = res8 & 0x80
-        if n:
-            sreg |= _MN
-        if (n != 0) ^ (v != 0):
-            sreg |= _MS
-        if res8 == 0:
-            sreg |= _MZ
-        data[_SREG_ADDR] = sreg
-        data[d] = res8
+        limit = start + max_cycles
+        watermark = self.watermark
+        devices = self.devices
+        synced = start
+        due = _next_event(devices, synced) if devices else None
+        bound = _nearest(limit, watermark, due)
+        interrupts = self.interrupts
+        pending = interrupts.pending if interrupts is not None else None
+        stop_pc = -1 if until_pc is None else until_pc
+        irq_instret = irq_cycles = -1
+        try:
+            while not self.halted:
+                pc = self.pc
+                if pc == until_pc:
+                    break
+                cycles = self.cycles
+                if cycles >= bound:
+                    if due is not None and cycles >= due:
+                        elapsed, synced = cycles - synced, cycles
+                        _tick(devices, elapsed)
+                        due = _next_event(devices, synced)
+                    if cycles >= limit:
+                        raise CycleLimitExceeded(
+                            max_cycles, overshoot=cycles - limit)
+                    if watermark is not None and cycles >= watermark:
+                        self.watermark_hook(self)
+                        watermark = self.watermark
+                    bound = _nearest(limit, watermark, due)
+                    continue
+                if pending:
+                    taken = interrupts.poll()
+                    if taken:
+                        irq_instret, irq_cycles = self.instret, cycles
+                        cycles += taken
+                        self.cycles = cycles
+                        pc = self.pc
+                else:
+                    block = blocks.get(pc)
+                    if block is None:
+                        block = self._warm(pc)
+                    if cycles + block[1] < bound \
+                            and not pc < stop_pc <= block[2]:
+                        block[0](self, data, cycles)
+                        continue
+                entry = cache.get(pc)
+                if entry is None:
+                    entry = decode(pc)
+                self.pc = pc + entry[2]
+                extra = entry[1](self, entry[0])
+                self.cycles = cycles + entry[3] + (extra or 0)
+                self.instret += 1
+        except BaseException:
+            if devices:
+                end = irq_cycles if irq_instret == self.instret \
+                    else self.cycles
+                _tick(devices, end - synced)
+            raise
+        if devices:
+            _tick(devices, self.cycles - synced)
+        return self.cycles - start
 
-    def _sub(self, d, r_val, carry, store=True, keep_z=False):
-        data = self.memory.data
-        rd = data[d]
-        result = rd - r_val - carry
-        res8 = result & 0xFF
-        sreg = data[_SREG_ADDR]
-        z_prev = sreg & _MZ
-        sreg &= 0xC0  # keep I, T
-        if ((rd & 0xF) - (r_val & 0xF) - carry) < 0:
-            sreg |= _MH
-        if result < 0:
-            sreg |= _MC
-        v = ((rd ^ r_val) & (rd ^ res8)) & 0x80
-        if v:
-            sreg |= _MV
-        n = res8 & 0x80
-        if n:
-            sreg |= _MN
-        if (n != 0) ^ (v != 0):
-            sreg |= _MS
-        if res8 == 0 and (z_prev if keep_z else True):
-            sreg |= _MZ
-        data[_SREG_ADDR] = sreg
-        if store:
-            data[d] = res8
-        return res8
+    def _warm(self, pc):
+        """Count a visit to *pc*; on the ``_HOT``-th, compile its block."""
+        heat = self._heat.pop(pc, 0) + 1
+        if heat < _HOT:
+            self._heat[pc] = heat
+            return _NO_BLOCK
+        return self._compile_block(pc)
 
-    def _exec_add(self, i):
-        self._add(i.operands[0], self.memory.data[i.operands[1]], 0)
-
-    def _exec_adc(self, i):
-        data = self.memory.data
-        self._add(i.operands[0], data[i.operands[1]],
-                  data[_SREG_ADDR] & _MC)
-
-    def _exec_sub(self, i):
-        self._sub(i.operands[0], self.memory.data[i.operands[1]], 0)
-
-    def _exec_sbc(self, i):
-        data = self.memory.data
-        self._sub(i.operands[0], data[i.operands[1]],
-                  data[_SREG_ADDR] & _MC, keep_z=True)
-
-    def _exec_subi(self, i):
-        self._sub(i.operands[0], i.operands[1], 0)
-
-    def _exec_sbci(self, i):
-        self._sub(i.operands[0], i.operands[1],
-                  self.memory.data[_SREG_ADDR] & _MC, keep_z=True)
-
-    def _exec_cp(self, i):
-        self._sub(i.operands[0], self.memory.data[i.operands[1]], 0,
-                  store=False)
-
-    def _exec_cpc(self, i):
-        data = self.memory.data
-        self._sub(i.operands[0], data[i.operands[1]],
-                  data[_SREG_ADDR] & _MC, store=False, keep_z=True)
-
-    def _exec_cpi(self, i):
-        self._sub(i.operands[0], i.operands[1], 0, store=False)
-
-    # ==================== ALU: logic ====================================
-    def _logic(self, d, result):
-        # V cleared; Z/N/S from the result; C and H untouched
-        data = self.memory.data
-        sreg = data[_SREG_ADDR] & ~(_MV | _MZ | _MN | _MS) & 0xFF
-        if result == 0:
-            sreg |= _MZ
-        if result & 0x80:
-            sreg |= _MN | _MS  # V=0, so S = N
-        data[_SREG_ADDR] = sreg
-        data[d] = result
-
-    def _exec_and(self, i):
-        data = self.memory.data
-        self._logic(i.operands[0], data[i.operands[0]] & data[i.operands[1]])
-
-    def _exec_andi(self, i):
-        self._logic(i.operands[0],
-                    self.memory.data[i.operands[0]] & i.operands[1])
-
-    def _exec_or(self, i):
-        data = self.memory.data
-        self._logic(i.operands[0], data[i.operands[0]] | data[i.operands[1]])
-
-    def _exec_ori(self, i):
-        self._logic(i.operands[0],
-                    self.memory.data[i.operands[0]] | i.operands[1])
-
-    def _exec_eor(self, i):
-        data = self.memory.data
-        self._logic(i.operands[0], data[i.operands[0]] ^ data[i.operands[1]])
-
-    def _exec_com(self, i):
-        d = i.operands[0]
-        data = self.memory.data
-        result = (~data[d]) & 0xFF
-        # C set, V cleared, Z/N/S from the result; H untouched
-        sreg = (data[_SREG_ADDR] & (0xC0 | _MH)) | _MC
-        if result == 0:
-            sreg |= _MZ
-        if result & 0x80:
-            sreg |= _MN | _MS
-        data[_SREG_ADDR] = sreg
-        data[d] = result
-
-    def _exec_neg(self, i):
-        d = i.operands[0]
-        data = self.memory.data
-        rd = data[d]
-        result = (-rd) & 0xFF
-        sreg = data[_SREG_ADDR] & 0xC0
-        if (result | rd) & 0x8:
-            sreg |= _MH
-        if result != 0:
-            sreg |= _MC
-        v = result == 0x80
-        if v:
-            sreg |= _MV
-        n = result & 0x80
-        if n:
-            sreg |= _MN
-        if (n != 0) ^ v:
-            sreg |= _MS
-        if result == 0:
-            sreg |= _MZ
-        data[_SREG_ADDR] = sreg
-        data[d] = result
-
-    def _inc_dec_flags(self, data, result, overflow):
-        # V from the operand, Z/N/S from the result; C and H untouched
-        sreg = data[_SREG_ADDR] & ~(_MV | _MZ | _MN | _MS) & 0xFF
-        if overflow:
-            sreg |= _MV
-        if result == 0:
-            sreg |= _MZ
-        if result & 0x80:
-            sreg |= _MN
-            if not overflow:
-                sreg |= _MS
-        elif overflow:
-            sreg |= _MS
-        data[_SREG_ADDR] = sreg
-
-    def _exec_inc(self, i):
-        d = i.operands[0]
-        data = self.memory.data
-        rd = data[d]
-        result = (rd + 1) & 0xFF
-        self._inc_dec_flags(data, result, rd == 0x7F)
-        data[d] = result
-
-    def _exec_dec(self, i):
-        d = i.operands[0]
-        data = self.memory.data
-        rd = data[d]
-        result = (rd - 1) & 0xFF
-        self._inc_dec_flags(data, result, rd == 0x80)
-        data[d] = result
-
-    def _exec_swap(self, i):
-        d = i.operands[0]
-        data = self.memory.data
-        rd = data[d]
-        data[d] = ((rd << 4) | (rd >> 4)) & 0xFF
-
-    def _shift(self, d, rd, result):
-        # C from bit0 of the operand, V = N^C, Z/N/S from the result;
-        # H untouched
-        data = self.memory.data
-        sreg = data[_SREG_ADDR] & (0xC0 | _MH)
-        c = rd & 1
-        n = result & 0x80
-        if c:
-            sreg |= _MC
-        if n:
-            sreg |= _MN
-        v = (n != 0) ^ (c != 0)
-        if v:
-            sreg |= _MV
-        if (n != 0) ^ v:
-            sreg |= _MS
-        if result == 0:
-            sreg |= _MZ
-        data[_SREG_ADDR] = sreg
-        data[d] = result
-
-    def _exec_asr(self, i):
-        d = i.operands[0]
-        rd = self.memory.data[d]
-        self._shift(d, rd, (rd >> 1) | (rd & 0x80))
-
-    def _exec_lsr(self, i):
-        d = i.operands[0]
-        rd = self.memory.data[d]
-        self._shift(d, rd, rd >> 1)
-
-    def _exec_ror(self, i):
-        d = i.operands[0]
-        data = self.memory.data
-        rd = data[d]
-        self._shift(d, rd, ((data[_SREG_ADDR] & _MC) << 7) | (rd >> 1))
-
-    def _exec_mov(self, i):
-        data = self.memory.data
-        data[i.operands[0]] = data[i.operands[1]]
-
-    def _exec_movw(self, i):
-        d, r = i.operands
-        data = self.memory.data
-        data[d] = data[r]
-        data[d + 1] = data[r + 1]
-
-    def _exec_ldi(self, i):
-        self.memory.data[i.operands[0]] = i.operands[1] & 0xFF
-
-    def _exec_mul(self, i):
-        data = self.memory.data
-        product = data[i.operands[0]] * data[i.operands[1]]
-        data[0] = product & 0xFF
-        data[1] = (product >> 8) & 0xFF
-        sreg = data[_SREG_ADDR] & ~(_MC | _MZ) & 0xFF
-        if product & 0x8000:
-            sreg |= _MC
-        if product == 0:
-            sreg |= _MZ
-        data[_SREG_ADDR] = sreg
-
-    def _adiw_sbiw_flags(self, data, result, v, c):
-        sreg = data[_SREG_ADDR] & (0xC0 | _MH)
-        if v:
-            sreg |= _MV
-        if c:
-            sreg |= _MC
-        n = result & 0x8000
-        if n:
-            sreg |= _MN
-        if (n != 0) ^ (v != 0):
-            sreg |= _MS
-        if result == 0:
-            sreg |= _MZ
-        data[_SREG_ADDR] = sreg
-
-    def _exec_adiw(self, i):
-        d, k = i.operands
-        data = self.memory.data
-        rd = data[d] | (data[d + 1] << 8)
-        result = (rd + k) & 0xFFFF
-        self._adiw_sbiw_flags(data, result,
-                              (~rd & result) & 0x8000,
-                              (~result & rd) & 0x8000)
-        data[d] = result & 0xFF
-        data[d + 1] = result >> 8
-
-    def _exec_sbiw(self, i):
-        d, k = i.operands
-        data = self.memory.data
-        rd = data[d] | (data[d + 1] << 8)
-        result = (rd - k) & 0xFFFF
-        self._adiw_sbiw_flags(data, result,
-                              (rd & ~result) & 0x8000,
-                              (result & ~rd) & 0x8000)
-        data[d] = result & 0xFF
-        data[d + 1] = result >> 8
-
-    # ==================== SREG / bit ops =================================
-    def _exec_bset(self, i):
-        self.set_flag(i.operands[0], 1)
-
-    def _exec_bclr(self, i):
-        self.set_flag(i.operands[0], 0)
-
-    def _exec_bst(self, i):
-        d, b = i.operands
-        data = self.memory.data
-        if (data[d] >> b) & 1:
-            data[_SREG_ADDR] |= _MT
+    def _compile_block(self, pc):
+        """Compile and enter into ``_blocks`` the block starting at *pc*
+        (``_NO_BLOCK`` when its first opcode has no template)."""
+        flash = self.memory.flash
+        data_end = self.geometry.data_end
+        compiled = semantics.cached_block(flash, pc, data_end)
+        if compiled is None:
+            compiled = semantics.compile_block(
+                flash, self._block_body(pc), data_end)
+        if compiled is None:
+            block, end = _NO_BLOCK, pc + 2
         else:
-            data[_SREG_ADDR] &= ~_MT & 0xFF
+            block, end = compiled[:3], compiled[3]
+        self._blocks[pc] = block
+        cover = self._block_cover
+        for word in range(pc, end):
+            cover.setdefault(word, set()).add(pc)
+        return block
 
-    def _exec_bld(self, i):
-        d, b = i.operands
-        data = self.memory.data
-        if data[_SREG_ADDR] & _MT:
-            data[d] |= 1 << b
-        else:
-            data[d] &= ~(1 << b) & 0xFF
+    def _block_body(self, pc):
+        """The instructions a block at *pc* may hold, as
+        ``(pc, instr, skip words)``: templated ones, up to and including
+        the first control transfer, at most ``BLOCK_MAX``."""
+        body = []
+        try:
+            while len(body) < semantics.BLOCK_MAX:
+                instr, _handler, size, _cycles = \
+                    self._decode_cache.get(pc) or self._decode_and_cache(pc)
+                control = semantics.CONTROL.get(instr.key, False)
+                if control is False:
+                    break
+                skip = self._instr_size_at(pc + size) \
+                    if control == "skip" else 0
+                body.append((pc, instr, skip))
+                pc += size
+                if control:
+                    break
+        except SimError:
+            pass  # undecodable or past flash: step() raises on arrival
+        return body
 
-    # ==================== control transfer ================================
-    def _notify(self, event, **kw):
-        for hook in self.call_hooks:
-            hook(self, event, **kw)
-
-    def _exec_rjmp(self, i):
-        self.pc = self.pc + i.operands[0]
-
-    def _exec_jmp(self, i):
-        self.pc = i.operands[0]
-
-    def _exec_ijmp(self, i):
-        target = self.reg_pair(30)
-        extra = 0
-        for hook in self.call_hooks:
-            result = hook(self, "ijmp", target=target)
-            if result:
-                extra += result
-        if self.trace is not None:
-            self.trace.emit(self.cycles, TraceEventKind.CONTROL_TRANSFER,
-                            pc=self.pc * 2, domain=self._trace_domain(),
-                            transfer="ijmp", target=target * 2)
-        self.pc = target
-        return extra
-
-    def _do_call(self, target_word):
-        ret = self.pc  # already advanced past the call
-        extra = 0
-        for hook in self.call_hooks:
-            result = hook(self, "call", target=target_word, ret=ret)
-            if result:
-                extra += result
-        extra += self.push_return_address(ret)
-        if self.trace is not None:
-            self.trace.emit(self.cycles, TraceEventKind.CONTROL_TRANSFER,
-                            pc=ret * 2, domain=self._trace_domain(),
-                            transfer="call", target=target_word * 2,
-                            ret=ret * 2)
-        self.pc = target_word
-        return extra
-
-    def _exec_rcall(self, i):
-        return self._do_call(self.pc + i.operands[0])
-
-    def _exec_call(self, i):
-        return self._do_call(i.operands[0])
-
-    def _exec_icall(self, i):
-        return self._do_call(self.reg_pair(30))
-
-    def _exec_ret(self, i):
-        target, extra = self.pop_return_address()
-        for hook in self.call_hooks:
-            result = hook(self, "ret", target=target)
-            if result:
-                extra += result
-        if self.trace is not None:
-            self.trace.emit(self.cycles, TraceEventKind.CONTROL_TRANSFER,
-                            pc=self.pc * 2, domain=self._trace_domain(),
-                            transfer="ret", target=target * 2)
-        self.pc = target
-        return extra
-
-    def _exec_reti(self, i):
-        extra = self._exec_ret(i)
-        self.set_flag(SREG_BITS.I, 1)
-        if self.trace is not None:
-            self.trace.emit(self.cycles, TraceEventKind.IRQ_EXIT,
-                            pc=self.pc * 2, domain=self._trace_domain())
-        return extra
-
-    def _branch(self, taken, offset):
-        if taken:
-            self.pc = self.pc + offset
-            return 1
-        return 0
-
-    def _exec_brbs(self, i):
-        s, k = i.operands
-        if (self.memory.data[_SREG_ADDR] >> s) & 1:
-            self.pc += k
-            return 1
-        return 0
-
-    def _exec_brbc(self, i):
-        s, k = i.operands
-        if (self.memory.data[_SREG_ADDR] >> s) & 1:
-            return 0
-        self.pc += k
-        return 1
-
-    def _skip(self, condition):
-        if not condition:
-            return 0
-        size = self._instr_size_at(self.pc)
-        self.pc += size
-        return size
-
-    def _exec_cpse(self, i):
-        data = self.memory.data
-        return self._skip(data[i.operands[0]] == data[i.operands[1]])
-
-    def _exec_sbrc(self, i):
-        r, b = i.operands
-        return self._skip(((self.memory.data[r] >> b) & 1) == 0)
-
-    def _exec_sbrs(self, i):
-        r, b = i.operands
-        return self._skip(((self.memory.data[r] >> b) & 1) == 1)
-
-    def _exec_sbic(self, i):
-        a, b = i.operands
-        value, extra = self.bus.read(a + 0x20, AccessKind.IO_READ)
-        return self._skip(((value >> b) & 1) == 0) + extra
-
-    def _exec_sbis(self, i):
-        a, b = i.operands
-        value, extra = self.bus.read(a + 0x20, AccessKind.IO_READ)
-        return self._skip(((value >> b) & 1) == 1) + extra
-
-    # ==================== loads/stores ======================================
-    def _pointer(self, spec):
-        return _PTR_REG[spec.modes["ptr"]]
-
-    def _effective_addr(self, instr):
-        """Resolve the address of a ld/st variant, applying inc/dec.
-
-        (Kept for introspection; the generated ld/st handlers resolve
-        their fixed addressing mode directly.)"""
-        spec = instr.spec
-        preg = self._pointer(spec)
-        ptr = self.reg_pair(preg)
-        if spec.modes.get("pre_dec"):
-            ptr = (ptr - 1) & 0xFFFF
-            self.set_reg_pair(preg, ptr)
-            return ptr
-        if spec.modes.get("post_inc"):
-            self.set_reg_pair(preg, (ptr + 1) & 0xFFFF)
-            return ptr
-        if spec.modes.get("disp"):
-            return (ptr + instr.operand("q")) & 0xFFFF
-        return ptr
-
-    def _load(self, d, addr):
-        value, extra = self.bus.read(addr, AccessKind.DATA_LOAD)
-        self.memory.data[d] = value & 0xFF
-        return extra
-
-    def _store(self, addr, r):
-        return self.bus.write(addr, self.memory.data[r],
-                              AccessKind.DATA_STORE)
-
-    def _exec_lds(self, i):
-        return self._load(i.operands[0], i.operands[1])
-
-    def _exec_sts(self, i):
-        return self._store(i.operands[0], i.operands[1])
-
-    def _exec_push(self, i):
-        return self._push_byte(self.memory.data[i.operands[0]],
-                               AccessKind.STACK_PUSH)
-
-    def _exec_pop(self, i):
-        value, extra = self._pop_byte(AccessKind.STACK_POP)
-        self.memory.data[i.operands[0]] = value & 0xFF
-        return extra
-
-    def _exec_in(self, i):
-        d, a = i.operands
-        value, extra = self.bus.read(a + 0x20, AccessKind.IO_READ)
-        self.memory.data[d] = value & 0xFF
-        return extra
-
-    def _exec_out(self, i):
-        a, r = i.operands
-        return self.bus.write(a + 0x20, self.memory.data[r],
-                              AccessKind.IO_WRITE)
-
-    def _exec_sbi(self, i):
-        a, b = i.operands
-        value, e0 = self.bus.read(a + 0x20, AccessKind.IO_READ)
-        e1 = self.bus.write(a + 0x20, value | (1 << b), AccessKind.IO_WRITE)
-        return e0 + e1
-
-    def _exec_cbi(self, i):
-        a, b = i.operands
-        value, e0 = self.bus.read(a + 0x20, AccessKind.IO_READ)
-        e1 = self.bus.write(a + 0x20, value & ~(1 << b) & 0xFF,
-                            AccessKind.IO_WRITE)
-        return e0 + e1
-
+    # ==================== hand-written handlers =========================
+    # every other opcode's handler is generated from its template in
+    # repro.sim.semantics (see the loop after this class)
     def _exec_lpm_r0(self, i):
         self.set_reg(0, self.memory.read_flash_byte(self.reg_pair(30)))
 
@@ -1000,102 +653,16 @@ class AvrCore:
         self.memory.write_data(IoReg.RAMPZ + 0x20, (addr >> 16) & 1)
         self.set_reg_pair(30, addr & 0xFFFF)
 
-    # ==================== MCU ====================================================
-    def _exec_nop(self, i):
-        pass
-
-    def _exec_sleep(self, i):
-        pass
-
-    def _exec_wdr(self, i):
-        pass
-
     def _exec_break(self, i):
         self.halted = True
 
 
-# generate ld/st variant handlers: each spec's addressing mode is fixed,
-# so the mode is resolved once here and the handler body is straight-line
-def _make_ld(key):
-    spec = SPEC_BY_KEY[key]
-    modes = spec.modes
-    preg = _PTR_REG[modes["ptr"]]
-
-    if modes.get("pre_dec"):
-        def handler(self, i):
-            data = self.memory.data
-            ptr = ((data[preg] | (data[preg + 1] << 8)) - 1) & 0xFFFF
-            data[preg] = ptr & 0xFF
-            data[preg + 1] = ptr >> 8
-            return self._load(i.operands[0], ptr)
-    elif modes.get("post_inc"):
-        def handler(self, i):
-            data = self.memory.data
-            ptr = data[preg] | (data[preg + 1] << 8)
-            nxt = (ptr + 1) & 0xFFFF
-            data[preg] = nxt & 0xFF
-            data[preg + 1] = nxt >> 8
-            return self._load(i.operands[0], ptr)
-    elif modes.get("disp"):
-        def handler(self, i):
-            data = self.memory.data
-            addr = ((data[preg] | (data[preg + 1] << 8))
-                    + i.operands[1]) & 0xFFFF  # ldd operands: (d, q)
-            return self._load(i.operands[0], addr)
-    else:
-        def handler(self, i):
-            data = self.memory.data
-            return self._load(i.operands[0],
-                              data[preg] | (data[preg + 1] << 8))
-    handler.__name__ = "_exec_" + key
-    return handler
-
-
-def _make_st(key):
-    spec = SPEC_BY_KEY[key]
-    modes = spec.modes
-    preg = _PTR_REG[modes["ptr"]]
-
-    if modes.get("pre_dec"):
-        def handler(self, i):
-            data = self.memory.data
-            ptr = ((data[preg] | (data[preg + 1] << 8)) - 1) & 0xFFFF
-            data[preg] = ptr & 0xFF
-            data[preg + 1] = ptr >> 8
-            return self._store(ptr, i.operands[-1])
-    elif modes.get("post_inc"):
-        def handler(self, i):
-            data = self.memory.data
-            ptr = data[preg] | (data[preg + 1] << 8)
-            nxt = (ptr + 1) & 0xFFFF
-            data[preg] = nxt & 0xFF
-            data[preg + 1] = nxt >> 8
-            return self._store(ptr, i.operands[-1])
-    elif modes.get("disp"):
-        def handler(self, i):
-            data = self.memory.data
-            addr = ((data[preg] | (data[preg + 1] << 8))
-                    + i.operands[0]) & 0xFFFF  # std operands: (q, r)
-            return self._store(addr, i.operands[-1])
-    else:
-        def handler(self, i):
-            data = self.memory.data
-            return self._store(data[preg] | (data[preg + 1] << 8),
-                               i.operands[-1])
-    handler.__name__ = "_exec_" + key
-    return handler
-
-
-for _key in ("ld_x", "ld_xp", "ld_mx", "ld_yp", "ld_my", "ld_zp", "ld_mz",
-             "ldd_y", "ldd_z"):
-    setattr(AvrCore, "_exec_" + _key, _make_ld(_key))
-for _key in ("st_x", "st_xp", "st_mx", "st_yp", "st_my", "st_zp", "st_mz",
-             "std_y", "std_z"):
-    setattr(AvrCore, "_exec_" + _key, _make_st(_key))
+for _key in semantics.TEMPLATES:
+    setattr(AvrCore, "_exec_" + _key, semantics.make_handler(_key))
 
 #: threaded-dispatch table: instruction key -> unbound executor.  Built
-#: once after all handlers (including the generated ld/st variants)
-#: exist; ``_decode_and_cache`` binds entries from here at decode time.
+#: once after all handlers (including the generated ones) exist;
+#: ``_decode_and_cache`` binds entries from here at decode time.
 _DISPATCH = {
     _key: getattr(AvrCore, "_exec_" + _key)
     for _key in SPEC_BY_KEY

@@ -1,0 +1,565 @@
+"""One source template per AVR opcode, rendered two ways.
+
+Each template below is the only written-out copy of its opcode's effect
+on registers, SREG and data memory.  At import time :mod:`repro.sim.core`
+renders every template into the interpreter's ``_exec_<key>`` handler
+(:func:`handler_source`).  At run time the block compiler renders runs
+of templates into one straight-line Python function with the operands
+constant-folded (:func:`compile_block`).  The two renderings differ
+only in the pseudo-ops, which are where the bus, the call hooks and the
+trace sink come in:
+
+``{d}``, ``{r}``, ``{K}``, ... (the spec's operand letters)
+    the operand: a local of the handler, a literal in a block.
+``{next}``
+    the word address after the instruction (the handler's ``self.pc``,
+    already advanced by the run loop).
+``{SREG}``, ``{SPL}``, ``{SPH}``
+    data-space addresses of the status register and the stack pointer.
+``@load v, addr, KIND`` / ``@store addr, value, KIND``
+    a data-space transaction.  A handler runs it through the bus and
+    adds the stall cycles it returns; a block reads or writes ``data``
+    directly after a bounds check.
+``@push value, KIND`` / ``@pop v, KIND``
+    a stack transaction through SP, rendered the same two ways.
+``@hook event, kwargs`` / ``@emit KIND, pc, kwargs``
+    the call hooks and the trace event of a control transfer.  Only
+    handlers carry them: a block runs only on a core with neither.
+``@goto target`` / ``@goto_if cond, target, cycles`` / ``@skip_if cond``
+    the control transfer that ends the template.  ``@skip_if`` skips
+    the next instruction; a handler reads its size when the skip is
+    taken, a block has it folded in at compile time.
+
+Every other line is Python over ``data`` (the unified data space, so
+registers and SREG are plain bytes of it) and the flag table
+:data:`NVSZ`.  Temporaries may be any name except ``self``, ``i``,
+``core``, ``data``, ``cycles``, ``extra``, ``NVSZ`` and the ``op_*``
+operand locals.
+"""
+
+from repro.isa.opcodes import SPEC_BY_KEY
+from repro.isa.registers import IoReg
+from repro.sim.errors import InvalidAccess
+from repro.sim.events import AccessKind
+from repro.trace.events import TraceEventKind
+
+_ADDRS = {"SREG": IoReg.SREG + 0x20, "SPL": IoReg.SPL + 0x20,
+          "SPH": IoReg.SPH + 0x20}
+
+#: most instructions one compiled block holds
+BLOCK_MAX = 32
+
+# ----------------------------------------------------------------------
+# templates
+# ----------------------------------------------------------------------
+#: N, V, S (= N ^ V) and Z of an 8-bit result, indexed by
+#: ``res | V << 8``; with V clear, S = N
+NVSZ = tuple(((res & 0x80) >> 5) | (v << 3) | (((res >> 7) ^ v) << 4)
+             | ((res == 0) << 1) for v in (0, 1) for res in range(256))
+
+
+def _add(carry):
+    # H is the carry into bit 4, V the sign rule on the operands
+    return """
+rd = data[{d}]
+rr = data[{r}]
+t = rd + rr""" + carry + """
+res = t & 0xFF
+data[{SREG}] = ((data[{SREG}] & 0xC0) | (t >> 8) | (((rd ^ rr ^ res) & 0x10) << 1)
+                | NVSZ[res | ((~(rd ^ rr) & (rd ^ res) & 0x80) << 1)])
+data[{d}] = res
+"""
+
+
+def _sub(source, carry, store):
+    # C and H are borrows; with carry (sbc/sbci/cpc) Z only stays set
+    return """
+rd = data[{d}]
+rr = """ + source + """
+sreg = data[{SREG}]
+t = rd - rr""" + (" - (sreg & 1)" if carry else "") + """
+res = t & 0xFF
+data[{SREG}] = ((sreg & 0xC0) | ((t >> 8) & 1) | (((rd ^ rr ^ res) & 0x10) << 1)
+                | NVSZ[res | (((rd ^ rr) & (rd ^ res) & 0x80) << 1)]""" + (
+        " & (sreg | 0xFD)" if carry else "") + """)
+""" + ("data[{d}] = res\n" if store else "")
+
+
+def _logic(op, source):
+    # V cleared, C and H kept
+    return """
+res = data[{d}] """ + op + " " + source + """
+data[{SREG}] = (data[{SREG}] & 0xE1) | NVSZ[res]
+data[{d}] = res
+"""
+
+
+def _shift(result):
+    # C from bit 0 of the operand, V = N ^ C, H kept
+    return """
+rd = data[{d}]
+res = """ + result + """
+c = rd & 1
+data[{SREG}] = (data[{SREG}] & 0xE0) | c | NVSZ[res | (((res >> 7) ^ c) << 8)]
+data[{d}] = res
+"""
+
+
+def _inc_dec(op, overflow):
+    # V from the operand, C and H kept
+    return """
+rd = data[{d}]
+res = (rd """ + op + """ 1) & 0xFF
+data[{SREG}] = (data[{SREG}] & 0xE1) | NVSZ[res | ((rd == """ + overflow + """) << 8)]
+data[{d}] = res
+"""
+
+
+def _word(op, v, c):
+    # adiw/sbiw on a register pair; H kept
+    return """
+rd = data[{d}] | (data[{d} + 1] << 8)
+res = (rd """ + op + """ {K}) & 0xFFFF
+v = """ + v + """
+c = """ + c + """
+data[{SREG}] = ((data[{SREG}] & 0xE0) | (v >> 12) | (c >> 15) | ((res & 0x8000) >> 13)
+                | (((res ^ v) & 0x8000) >> 11) | ((res == 0) << 1))
+data[{d}] = res & 0xFF
+data[{d} + 1] = res >> 8
+"""
+
+
+def _call(target):
+    return "target = " + target + """
+@hook "call", target=target, ret={next}
+@push {next} & 0xFF, RET_PUSH
+@push ({next} >> 8) & 0xFF, RET_PUSH
+@emit CONTROL_TRANSFER, {next} * 2, transfer="call", target=target * 2, ret={next} * 2
+@goto target
+"""
+
+
+_RET = """
+@pop hi, RET_POP
+@pop lo, RET_POP
+target = (hi << 8) | lo
+@hook "ret", target=target
+@emit CONTROL_TRANSFER, {next} * 2, transfer="ret", target=target * 2
+"""
+
+_PTR = {"X": 26, "Y": 28, "Z": 30}
+
+
+def _pointer(key):
+    """Lines leaving a ld/st variant's effective address in ``ptr``
+    (pointer register updated first, as the datasheet orders it)."""
+    modes = SPEC_BY_KEY[key].modes
+    lo = _PTR[modes["ptr"]]
+    ptr = "(data[{}] | (data[{}] << 8))".format(lo, lo + 1)
+    if modes["pre_dec"]:
+        return ("ptr = ({} - 1) & 0xFFFF\ndata[{}] = ptr & 0xFF\n"
+                "data[{}] = ptr >> 8\n").format(ptr, lo, lo + 1)
+    if modes["post_inc"]:
+        return ("ptr = {}\nnxt = (ptr + 1) & 0xFFFF\ndata[{}] = nxt & 0xFF\n"
+                "data[{}] = nxt >> 8\n").format(ptr, lo, lo + 1)
+    if modes["disp"]:
+        return "ptr = ({} + {{q}}) & 0xFFFF\n".format(ptr)
+    return "ptr = {}\n".format(ptr)
+
+
+TEMPLATES = {
+    "add": _add(""),
+    "adc": _add(" + (data[{SREG}] & 1)"),
+    "sub": _sub("data[{r}]", False, True),
+    "sbc": _sub("data[{r}]", True, True),
+    "subi": _sub("{K}", False, True),
+    "sbci": _sub("{K}", True, True),
+    "cp": _sub("data[{r}]", False, False),
+    "cpc": _sub("data[{r}]", True, False),
+    "cpi": _sub("{K}", False, False),
+    "and": _logic("&", "data[{r}]"),
+    "andi": _logic("&", "{K}"),
+    "or": _logic("|", "data[{r}]"),
+    "ori": _logic("|", "{K}"),
+    "eor": _logic("^", "data[{r}]"),
+    # C set, V cleared, H kept
+    "com": """
+res = data[{d}] ^ 0xFF
+data[{SREG}] = (data[{SREG}] & 0xE0) | 1 | NVSZ[res]
+data[{d}] = res
+""",
+    "neg": """
+rd = data[{d}]
+res = -rd & 0xFF
+data[{SREG}] = ((data[{SREG}] & 0xC0) | (((res | rd) & 0x08) << 2) | (res != 0)
+                | NVSZ[res | ((res == 0x80) << 8)])
+data[{d}] = res
+""",
+    "inc": _inc_dec("+", "0x7F"),
+    "dec": _inc_dec("-", "0x80"),
+    "swap": """
+rd = data[{d}]
+data[{d}] = ((rd << 4) | (rd >> 4)) & 0xFF
+""",
+    "asr": _shift("(rd >> 1) | (rd & 0x80)"),
+    "lsr": _shift("rd >> 1"),
+    "ror": _shift("((data[{SREG}] & 1) << 7) | (rd >> 1)"),
+    "mov": "data[{d}] = data[{r}]\n",
+    "movw": "data[{d}] = data[{r}]\ndata[{d} + 1] = data[{r} + 1]\n",
+    "ldi": "data[{d}] = {K}\n",
+    "mul": """
+t = data[{d}] * data[{r}]
+data[0] = t & 0xFF
+data[1] = t >> 8
+data[{SREG}] = (data[{SREG}] & 0xFC) | (t >> 15) | ((t == 0) << 1)
+""",
+    "adiw": _word("+", "~rd & res & 0x8000", "~res & rd & 0x8000"),
+    "sbiw": _word("-", "rd & ~res & 0x8000", "res & ~rd & 0x8000"),
+    # --- SREG and bit ops ---------------------------------------------
+    "bset": "data[{SREG}] |= 1 << {s}\n",
+    "bclr": "data[{SREG}] &= ~(1 << {s}) & 0xFF\n",
+    "bst": "data[{SREG}] = (data[{SREG}] & 0xBF) | (((data[{d}] >> {b}) & 1) << 6)\n",
+    "bld": ("data[{d}] = ((data[{d}] & ~(1 << {b}) & 0xFF)"
+            " | (((data[{SREG}] >> 6) & 1) << {b}))\n"),
+    # --- control transfer ---------------------------------------------
+    "rjmp": "@goto {next} + {k}\n",
+    "jmp": "@goto {k}\n",
+    "ijmp": """
+target = data[30] | (data[31] << 8)
+@hook "ijmp", target=target
+@emit CONTROL_TRANSFER, {next} * 2, transfer="ijmp", target=target * 2
+@goto target
+""",
+    "rcall": _call("{next} + {k}"),
+    "call": _call("{k}"),
+    "icall": _call("data[30] | (data[31] << 8)"),
+    "ret": _RET + "@goto target\n",
+    "reti": _RET + """
+data[{SREG}] |= 0x80
+@emit IRQ_EXIT, target * 2
+@goto target
+""",
+    "brbs": "@goto_if (data[{SREG}] >> {s}) & 1, {next} + {k}, 1\n",
+    "brbc": "@goto_if not (data[{SREG}] >> {s}) & 1, {next} + {k}, 1\n",
+    "cpse": "@skip_if data[{d}] == data[{r}]\n",
+    "sbrc": "@skip_if not (data[{r}] >> {b}) & 1\n",
+    "sbrs": "@skip_if (data[{r}] >> {b}) & 1\n",
+    "sbic": "@load v, {A} + 0x20, IO_READ\n@skip_if not (v >> {b}) & 1\n",
+    "sbis": "@load v, {A} + 0x20, IO_READ\n@skip_if (v >> {b}) & 1\n",
+    # --- data memory ----------------------------------------------------
+    "lds": "@load v, {k}, DATA_LOAD\ndata[{d}] = v & 0xFF\n",
+    "sts": "@store {k}, data[{d}], DATA_STORE\n",
+    "push": "@push data[{d}], STACK_PUSH\n",
+    "pop": "@pop v, STACK_POP\ndata[{d}] = v & 0xFF\n",
+    "in": "@load v, {A} + 0x20, IO_READ\ndata[{d}] = v & 0xFF\n",
+    "out": "@store {A} + 0x20, data[{d}], IO_WRITE\n",
+    "sbi": """
+@load v, {A} + 0x20, IO_READ
+@store {A} + 0x20, v | (1 << {b}), IO_WRITE
+""",
+    "cbi": """
+@load v, {A} + 0x20, IO_READ
+@store {A} + 0x20, v & ~(1 << {b}) & 0xFF, IO_WRITE
+""",
+    "nop": "",
+    "sleep": "",
+    "wdr": "",
+}
+for _key in ("ld_x", "ld_xp", "ld_mx", "ld_yp", "ld_my", "ld_zp", "ld_mz",
+             "ldd_y", "ldd_z"):
+    TEMPLATES[_key] = _pointer(_key) + \
+        "@load v, ptr, DATA_LOAD\ndata[{d}] = v & 0xFF\n"
+for _key in ("st_x", "st_xp", "st_mx", "st_yp", "st_my", "st_zp", "st_mz",
+             "std_y", "std_z"):
+    TEMPLATES[_key] = _pointer(_key) + "@store ptr, data[{r}], DATA_STORE\n"
+
+_CONTROL = ("@goto ", "@goto_if ", "@skip_if ")
+
+
+def _lines(key):
+    lines = [line for line in TEMPLATES[key].split("\n") if line.strip()]
+    for line in lines[:-1]:
+        if line.startswith(_CONTROL):
+            raise AssertionError(
+                "{}: a control transfer must end its template".format(key))
+    return lines
+
+
+def _args(text, n):
+    """Split a pseudo-op's argument text into *n* fields: the first
+    n-1 end at commas, the last takes the rest."""
+    parts = text.split(", ", n - 1)
+    if len(parts) != n:
+        raise AssertionError("bad pseudo-op arguments: " + text)
+    return parts
+
+
+#: template key -> its non-blank lines
+_LINES = {key: _lines(key) for key in TEMPLATES}
+
+#: template key -> how its block ends: ``"skip"`` for skips, ``"goto"``
+#: for every other control transfer, None for straight-line code
+CONTROL = {}
+for _key in TEMPLATES:
+    _last = (_LINES[_key] or [""])[-1]
+    CONTROL[_key] = ("skip" if _last.startswith("@skip_if ") else
+                     "goto" if _last.startswith(_CONTROL) else None)
+
+
+# ----------------------------------------------------------------------
+# rendering 1: interpreter handlers
+# ----------------------------------------------------------------------
+def _handler_lines(line):
+    """One template line in handler form: lines, and whether it adds
+    to ``extra``."""
+    if not line.startswith("@"):
+        return [line], False
+    op, _, rest = line.partition(" ")
+    if op == "@load":
+        var, addr, kind = _args(rest, 3)
+        return ["{}, e_ = self.bus.read({}, AccessKind.{})".format(
+            var, addr, kind), "extra += e_"], True
+    if op == "@store":
+        addr, value, kind = _args(rest, 3)
+        return ["extra += self.bus.write({}, {}, AccessKind.{})".format(
+            addr, value, kind)], True
+    if op == "@push":
+        value, kind = _args(rest, 2)
+        return ["extra += self._push_byte({}, AccessKind.{})".format(
+            value, kind)], True
+    if op == "@pop":
+        var, kind = _args(rest, 2)
+        return ["{}, e_ = self._pop_byte(AccessKind.{})".format(var, kind),
+                "extra += e_"], True
+    if op == "@hook":
+        return ["for hook in self.call_hooks:",
+                "    h_ = hook(self, {})".format(rest),
+                "    if h_:",
+                "        extra += h_"], True
+    if op == "@emit":
+        kind, pc, *kwargs = rest.split(", ", 2)
+        return ["if self.trace is not None:",
+                "    self.trace.emit(self.cycles, TraceEventKind.{}, pc={}, "
+                "domain=self._trace_domain(){})".format(
+                    kind, pc, "".join(", " + kw for kw in kwargs))], False
+    if op == "@goto":
+        return ["self.pc = " + rest], False
+    if op == "@goto_if":
+        cond, target, cost = _args(rest, 3)
+        return ["if {}:".format(cond), "    self.pc = " + target,
+                "    extra += " + cost], True
+    if op == "@skip_if":
+        return ["if {}:".format(rest),
+                "    n_ = self._instr_size_at(self.pc)",
+                "    self.pc += n_",
+                "    extra += n_"], True
+    raise AssertionError("unknown pseudo-op " + op)
+
+
+def handler_source(key):
+    """Python source of the interpreter handler ``_exec_<key>(self, i)``:
+    operands unpacked from ``i.operands``, returning the stall and
+    control-transfer cycles beyond the spec's base cost."""
+    letters = [op.letter for op in SPEC_BY_KEY[key].operands]
+    names = dict(_ADDRS, next="self.pc",
+                 **{letter: "op_" + letter for letter in letters})
+    body, extra = [], False
+    for line in _LINES[key]:
+        rendered, adds = _handler_lines(line.format(**names))
+        body += rendered
+        extra = extra or adds
+    head = ["def _exec_{}(self, i):".format(key)]
+    if letters:
+        head.append("    {}, = i.operands".format(
+            ", ".join("op_" + letter for letter in letters)))
+    if any("data" in line for line in body):
+        head.append("    data = self.memory.data")
+    if extra:
+        head.append("    extra = 0")
+        body.append("return extra")
+    return "\n".join(head + ["    " + line for line in body or ["pass"]])
+
+
+def make_handler(key):
+    """The interpreter handler of *key*, compiled from its template."""
+    namespace = {"AccessKind": AccessKind, "TraceEventKind": TraceEventKind,
+                 "NVSZ": NVSZ}
+    exec(compile(handler_source(key), "<template {}>".format(key), "exec"),
+         namespace)
+    return namespace["_exec_" + key]
+
+
+# ----------------------------------------------------------------------
+# rendering 2: compiled blocks
+# ----------------------------------------------------------------------
+_SP = "data[{SPL}] | (data[{SPH}] << 8)".format(**_ADDRS)
+_SET_SP = ["data[{SPL}] = sp_ & 0xFF".format(**_ADDRS),
+           "data[{SPH}] = sp_ >> 8".format(**_ADDRS)]
+
+
+class _Unblockable(Exception):
+    """A template line a block cannot hold (a constant address outside
+    the data space: the interpreter raises there)."""
+
+
+def _constant(expr):
+    """The value of *expr* if it is a constant expression, else None."""
+    try:
+        return eval(expr, {"__builtins__": {}})
+    except NameError:
+        return None
+
+
+class _BlockWriter:
+    """Renders one block: straight-line code over ``data``, one exit.
+
+    On a bounds fault the block leaves ``pc``, ``cycles`` and
+    ``instret`` as :meth:`AvrCore.step` would at that instruction: PC
+    past it, its cycles not charged, only the instructions before it
+    retired."""
+
+    def __init__(self, data_end):
+        self.data_end = data_end
+        self.lines = []
+        self.cycles = 0      # base cycles of the instructions added
+        self.count = 0       # instructions added
+        self.next = None     # word address after the current instruction
+        self.skip = 0        # words the current instruction may skip
+        self.base = 0        # base cycles of the current instruction
+
+    def fault(self, addr):
+        fix = "core.pc = {}; core.cycles = cycles + {}".format(
+            self.next, self.cycles)
+        if self.count:
+            fix += "; core.instret += {}".format(self.count)
+        return ["if {} > {}:".format(addr, self.data_end),
+                "    " + fix, "    raise InvalidAccess({})".format(addr)]
+
+    def access(self, addr):
+        """Lines that bounds-check *addr*, and the index to use."""
+        value = _constant(addr)
+        if value is not None:
+            if not 0 <= value <= self.data_end:
+                raise _Unblockable(addr)
+            return [], str(value)
+        if addr.isidentifier():
+            return self.fault(addr), addr
+        return ["a_ = " + addr] + self.fault("a_"), "a_"
+
+    def exit(self, pc, cycles):
+        return ["core.pc = " + pc, "core.cycles = cycles + {}".format(cycles)]
+
+    def render(self, line):
+        if not line.startswith("@"):
+            return [line]
+        op, _, rest = line.partition(" ")
+        if op == "@load":
+            var, addr, _kind = _args(rest, 3)
+            check, at = self.access(addr)
+            return check + ["{} = data[{}]".format(var, at)]
+        if op == "@store":
+            addr, value, _kind = _args(rest, 3)
+            check, at = self.access(addr)
+            return check + ["data[{}] = {}".format(at, value)]
+        if op == "@push":
+            value, _kind = _args(rest, 2)
+            return (["sp_ = " + _SP] + self.fault("sp_") + [
+                "data[sp_] = " + value, "sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP)
+        if op == "@pop":
+            var, _kind = _args(rest, 2)
+            return (["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
+                    + self.fault("sp_") + ["{} = data[sp_]".format(var)])
+        if op in ("@hook", "@emit"):
+            return []
+        total = self.cycles + self.base
+        if op == "@goto":
+            return self.exit(rest, total)
+        if op == "@goto_if":
+            cond, target, cost = _args(rest, 3)
+            cost = int(cost)
+        else:
+            cond, target, cost = rest, str(int(self.next) + self.skip), \
+                self.skip
+        return (["if {}:".format(cond)]
+                + ["    " + x for x in self.exit(target, total + cost)]
+                + ["else:"]
+                + ["    " + x for x in self.exit(self.next, total)])
+
+    def add(self, pc, instr, skip):
+        """Append one instruction; raises :class:`_Unblockable` (and
+        appends nothing) when the block cannot hold it."""
+        self.next = str(pc + instr.size_words)
+        self.skip = skip
+        self.base = instr.spec.cycles
+        names = dict(_ADDRS, next=self.next, **{
+            op.letter: str(value)
+            for op, value in zip(instr.spec.operands, instr.operands)})
+        lines = []
+        for line in _LINES[instr.key]:
+            lines += self.render(line.format(**names))
+        self.lines += lines
+        self.cycles += self.base
+        self.count += 1
+
+
+#: compiled blocks shared by every core in the process, so that a
+#: restore, a replay or a rebuilt node compiles nothing again:
+#: ``(start word, data_end, flash words the block read) -> block``
+_CACHE = {}
+#: ``(start word, data_end) -> lengths of the cached blocks there``
+_SPANS = {}
+#: bound on the cache; a full cache is dropped and refilled
+_CACHE_MAX = 1024
+
+
+def cached_block(flash, pc, data_end):
+    """A block this process compiled at *pc* from the words now in
+    *flash*, or None.  The words a block read determine its code."""
+    for length in _SPANS.get((pc, data_end), ()):
+        block = _CACHE.get((pc, data_end, tuple(flash[pc:pc + length])))
+        if block is not None:
+            return block
+    return None
+
+
+def compile_block(flash, body, data_end):
+    """Compile *body*, a run of ``(pc, decoded instr, skip words)``
+    entries read from *flash*, all with templates, in which only the
+    last may transfer control; an entry a block cannot hold ends it
+    early.
+
+    Returns ``(function, cycles before the last instruction, last
+    instruction's word address, end word)``, where ``end`` is one past
+    the last flash word the block read (the skipped instruction of a
+    final skip included), or None when no entry fits.  The function
+    takes ``(core, data, cycles)``, runs the block and charges its
+    cycles, PC and retired instructions to *core*."""
+    writer = _BlockWriter(data_end)
+    last = end = key = None
+    prefix = 0
+    for pc, instr, skip in body:
+        before = writer.cycles
+        try:
+            writer.add(pc, instr, skip)
+        except _Unblockable:
+            break
+        prefix, last, key = before, pc, instr.key
+        end = pc + instr.size_words + skip
+    if last is None:
+        return None
+    lines = writer.lines
+    if CONTROL[key] is None:
+        lines += writer.exit(str(end), writer.cycles)
+    lines.append("core.instret += {}".format(writer.count))
+    source = "def block(core, data, cycles):\n" + "\n".join(
+        "    " + line for line in lines)
+    namespace = {"InvalidAccess": InvalidAccess, "NVSZ": NVSZ}
+    exec(compile(source, "<avr block>", "exec"), namespace)
+    start = body[0][0]
+    block = (namespace["block"], prefix, last, end)
+    if len(_CACHE) >= _CACHE_MAX:
+        _CACHE.clear()
+        _SPANS.clear()
+    _CACHE[(start, data_end, tuple(flash[start:end]))] = block
+    _SPANS.setdefault((start, data_end), set()).add(end - start)
+    return block
