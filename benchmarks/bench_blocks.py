@@ -3,11 +3,14 @@
 
 For ``node_sfi``, ``node_umpu`` and ``irq_node`` this prints the share
 of retired instructions that ran inside compiled blocks during one pass
-of the workload after its set-up.  It also prints the wall time of the
-first ``node_sfi`` set-up in a fresh process, where every block is
-compiled from scratch (the best of ``--cold`` processes).
-``benchmarks/BENCH_blocks.json`` records these figures next to the
-perfbench throughput pairs.
+of the workload after its set-up, and the mean block length (retired
+instructions per block entry).  ``node_umpu``'s blocks call out to the
+MMC, the safe-stack unit and the domain tracker for the transactions
+they claim and end there, so its blocks are shorter.  It also prints
+the wall time of the first ``node_sfi`` set-up in a fresh process,
+where every block is compiled from scratch (the best of ``--cold``
+processes).  ``benchmarks/BENCH_blocks.json`` records these figures
+next to the perfbench throughput pairs.
 
 Run from the repository root::
 
@@ -32,6 +35,7 @@ WORKLOADS = ("node_sfi", "node_umpu", "irq_node")
 def _counted(core, function, inside):
     def block(core_, data, cycles):
         instret = core.instret
+        inside[1] += 1
         try:
             function(core_, data, cycles)
         finally:
@@ -40,13 +44,14 @@ def _counted(core, function, inside):
 
 
 def block_share(name, seed):
-    """Share of one pass's retired instructions run inside blocks."""
+    """Share of one pass's retired instructions run inside blocks, and
+    the mean retired instructions per block entry."""
     import workloads
     w = workloads.make(name, seed)
     for _ in w.setup_steps():
         pass
     core = w.core
-    inside = [0]
+    inside = [0, 0]
     for start, block in list(core._blocks.items()):
         if block[0] is not None:
             core._blocks[start] = (_counted(core, block[0], inside),) \
@@ -64,7 +69,8 @@ def block_share(name, seed):
     for i in range(w.pass_len):
         if not w.check_op(i, w.run_op(i)):
             raise RuntimeError("{}: {}".format(name, w.failures))
-    return inside[0] / (core.instret - instret)
+    return (inside[0] / (core.instret - instret),
+            inside[0] / max(inside[1], 1))
 
 
 def cold_setup(seed):
@@ -88,12 +94,13 @@ def main(argv=None):
     if args.cold_once:
         print(cold_setup(args.seed))
         return 0
-    result = {"seed": args.seed, "block_share": {}}
+    result = {"seed": args.seed, "block_share": {}, "mean_block": {}}
     for name in WORKLOADS:
-        share = block_share(name, args.seed)
+        share, mean = block_share(name, args.seed)
         result["block_share"][name] = round(share, 4)
-        print("{:10s} {:6.1%} of retired instructions in blocks".format(
-            name, share))
+        result["mean_block"][name] = round(mean, 2)
+        print("{:10s} {:6.1%} of retired instructions in blocks, {:.2f} "
+              "per block".format(name, share, mean))
     runs = [float(subprocess.check_output(
         [sys.executable, os.path.abspath(__file__), "--cold-once",
          "--seed", str(args.seed)]).decode())

@@ -41,9 +41,20 @@ class ReadAction:
 
 
 class BusInterposer:
-    """Base class for bus functional units; default is pass-through."""
+    """Base class for bus functional units; default is pass-through.
+
+    ``kinds`` declares the :class:`AccessKind` members the unit may act
+    on: its ``on_write``/``on_read`` must return None and change
+    nothing (no counter, register or memory byte) for every other kind.
+    ``None``, the default, claims every kind.  The declaration is what
+    lets the core's compiled blocks call out to the bus only for the
+    transactions some unit claims (``docs/performance.md``), so a unit
+    that claims too little is unsound; one that claims too much is
+    only slower.
+    """
 
     name = "interposer"
+    kinds = None
 
     def on_write(self, bus, addr, value, kind):
         """Return a :class:`WriteAction` or None (pass through).
@@ -87,18 +98,6 @@ class DataBus:
     # ------------------------------------------------------------------
     def write(self, addr, value, kind=AccessKind.DATA_STORE):
         """Run a write transaction; returns stall cycles added by units."""
-        if not self.interposers and self.tracer is None \
-                and self.trace is None:
-            # flat path: no units, no observers — straight to memory.
-            # I/O devices still claim their addresses (they are wiring,
-            # not instrumentation).
-            memory = self.memory
-            device = memory.io_devices.get(addr)
-            if device is not None:
-                device.io_write(addr, value)
-            else:
-                memory.write_data(addr, value)
-            return 0
         extra = 0
         target = addr
         handled = False
@@ -118,28 +117,13 @@ class DataBus:
                 device.io_write(target, value)
             else:
                 self.memory.write_data(target, value)
-        if self.tracer is not None:
-            note = "" if target == addr else "redirected->0x{:04x}".format(
-                target)
-            self.tracer.record(self._now(), kind, addr, value, note)
-        if self.trace is not None:
-            self.trace.emit(self._now(), TraceEventKind.BUS_ACCESS,
-                            addr=addr, value=value, access=kind.value,
-                            write=True, stall=extra,
-                            **({"target": target} if target != addr
-                               else {}))
+        if self.tracer is not None or self.trace is not None:
+            self._observe(kind, addr, value, target, extra, True)
         return extra
 
     # ------------------------------------------------------------------
     def read(self, addr, kind=AccessKind.DATA_LOAD):
         """Run a read transaction; returns (value, stall cycles)."""
-        if not self.interposers and self.tracer is None \
-                and self.trace is None:
-            memory = self.memory
-            device = memory.io_devices.get(addr)
-            if device is not None:
-                return device.io_read(addr), 0
-            return memory.read_data(addr), 0
         extra = 0
         target = addr
         value = None
@@ -159,6 +143,12 @@ class DataBus:
                 value = device.io_read(target)
             else:
                 value = self.memory.read_data(target)
+        if self.tracer is not None or self.trace is not None:
+            self._observe(kind, addr, value, target, extra, False)
+        return value, extra
+
+    def _observe(self, kind, addr, value, target, extra, write):
+        """Hand one transaction to the bus tracer and the trace sink."""
         if self.tracer is not None:
             note = "" if target == addr else "redirected->0x{:04x}".format(
                 target)
@@ -166,7 +156,6 @@ class DataBus:
         if self.trace is not None:
             self.trace.emit(self._now(), TraceEventKind.BUS_ACCESS,
                             addr=addr, value=value, access=kind.value,
-                            write=False, stall=extra,
+                            write=write, stall=extra,
                             **({"target": target} if target != addr
                                else {}))
-        return value, extra

@@ -14,18 +14,21 @@ how the MMC's single-cycle store penalty is measured.
 
 Instruction semantics live in :mod:`repro.sim.semantics`, one source
 template per opcode; the ``_exec_*`` handlers are generated from them
-at import (only ``lpm``, ``elpm`` and ``break`` are written out here).
+at import.
 Dispatch is threaded: ``_fetch`` resolves each instruction's handler
 once at decode time and caches ``(instr, handler, size_words,
 base_cycles)``, so the steady-state step is a dict probe plus one
-indirect call.  :meth:`run` selects a fast loop that hoists the
-trace/profiler/debugger guards out of the loop whenever none of those
-are attached, and folds device events and timeline keyframes into its
-budget comparison.  When nothing on the bus or the call path observes
-the run either, the fast loop also runs hot straight-line code as
-compiled blocks rendered from the same templates.  All paths are
-cycle-for-cycle identical to :meth:`step` (asserted by the
-differential tests).
+indirect call.
+
+:meth:`run` has one fast loop for runs with no trace sink, profiler
+or debugger.  It folds device events and timeline keyframes into its
+budget comparison and runs hot straight-line code as blocks compiled
+from the same templates.  A block reads and writes ``memory.data``
+directly except where something may act: a bus access of a kind some
+unit claims (:attr:`BusInterposer.kinds`), a call hook, a mapped I/O
+device.  There it calls out in handler form and ends after that
+instruction.  Both paths are cycle-for-cycle identical to :meth:`step`
+(asserted by the differential tests).
 """
 
 from repro.isa.encoding import DecodeError, decode_words, is_32bit_opcode
@@ -44,6 +47,9 @@ _SPH_ADDR = IoReg.SPH + 0x20
 
 #: visits to a PC before the block starting there is compiled
 _HOT = 2
+#: the claim of a unit without ``kinds``, and of no unit
+_ALL_KINDS = frozenset(AccessKind)
+_NO_KINDS = frozenset()
 #: the blocks-table entry of a PC that runs interpreted (not hot yet, or
 #: no block starts there): its entry cost never fits a bound
 _NO_BLOCK = (None, float("inf"), -1)
@@ -117,23 +123,22 @@ class AvrCore:
         #: optional repro.trace.metrics.MetricsRegistry
         self.metrics = None
         #: cycle watermark (absolute cycle count) at which
-        #: ``watermark_hook(core)`` fires, checked at instruction
-        #: boundaries inside :meth:`run` on *both* loops.  The timeline
-        #: recorder uses this to drop keyframe snapshots every N cycles;
-        #: unlike the observers above, a set watermark does NOT opt the
-        #: core out of the fast loop — the fast loop folds the check
-        #: into its existing budget comparison, so an armed watermark
-        #: costs nothing per step.  The hook must advance (or clear)
-        #: ``watermark`` past the current cycle before returning.
+        #: ``watermark_hook(core)`` fires, at instruction boundaries on
+        #: both run paths; the timeline recorder drops keyframes with it.
+        #: The fast loop folds it into its bound, so it costs nothing
+        #: per step.  The hook must advance (or clear) ``watermark``
+        #: past the current cycle before returning.
         self.watermark = None
         self.watermark_hook = None
         #: callable returning the active protection domain (set by
         #: UmpuMachine); None on cores without protection hardware
         self.domain_provider = None
-        #: compiled blocks (see :meth:`_run_blocks`): start word ->
+        #: compiled blocks (see :meth:`_run_fast`): start word ->
         #: ``(function, cycles before its last instruction, word of its
         #: last instruction)``, or ``_NO_BLOCK`` where none can start
         self._blocks = {}
+        #: the view of the bus and call path they were compiled for
+        self._view = semantics.PLAIN
         #: visits of PCs not yet in ``_blocks``
         self._heat = {}
         #: flash word -> start words of the blocks that read it
@@ -222,6 +227,9 @@ class AvrCore:
         """Call after rewriting flash at runtime.  Drops the compiled
         blocks as well."""
         self._decode_cache.clear()
+        self._drop_blocks()
+
+    def _drop_blocks(self):
         self._blocks.clear()
         self._heat.clear()
         self._block_cover.clear()
@@ -255,37 +263,33 @@ class AvrCore:
         w0 = self.memory.read_flash_word(word_addr)
         return 2 if is_32bit_opcode(w0) else 1
 
-    # --- stack helpers -------------------------------------------------------
-    def _push_byte(self, value, kind):
-        data = self.memory.data
-        sp = data[_SPL_ADDR] | (data[_SPH_ADDR] << 8)
-        extra = self.bus.write(sp, value, kind)
-        sp = (sp - 1) & 0xFFFF
-        data[_SPL_ADDR] = sp & 0xFF
-        data[_SPH_ADDR] = sp >> 8
-        return extra
-
-    def _pop_byte(self, kind):
-        data = self.memory.data
-        sp = ((data[_SPL_ADDR] | (data[_SPH_ADDR] << 8)) + 1) & 0xFFFF
-        data[_SPL_ADDR] = sp & 0xFF
-        data[_SPH_ADDR] = sp >> 8
-        value, extra = self.bus.read(sp, kind)
-        return value, extra
-
+    # --- return addresses ---------------------------------------------------
     def push_return_address(self, word_addr):
         """Push a return address as the `call` family does: low byte
         first, high byte second (the safe-stack unit redirects these two
         transactions in the same order, completing the 5-byte frame
-        layout ``[domain][sb_lo][sb_hi][ret_lo][ret_hi]``)."""
-        extra = self._push_byte(word_addr & 0xFF, AccessKind.RET_PUSH)
-        extra += self._push_byte((word_addr >> 8) & 0xFF, AccessKind.RET_PUSH)
+        layout ``[domain][sb_lo][sb_hi][ret_lo][ret_hi]``).  Each byte
+        lands (or faults) before SP moves."""
+        data = self.memory.data
+        extra = 0
+        for byte in (word_addr & 0xFF, (word_addr >> 8) & 0xFF):
+            sp = data[_SPL_ADDR] | (data[_SPH_ADDR] << 8)
+            extra += self.bus.write(sp, byte, AccessKind.RET_PUSH)
+            sp = (sp - 1) & 0xFFFF
+            data[_SPL_ADDR], data[_SPH_ADDR] = sp & 0xFF, sp >> 8
         return extra
 
     def pop_return_address(self):
-        hi, e0 = self._pop_byte(AccessKind.RET_POP)
-        lo, e1 = self._pop_byte(AccessKind.RET_POP)
-        return (hi << 8) | lo, e0 + e1
+        """Pop a return address as ``ret`` does: high byte first, SP
+        moving before each read."""
+        data = self.memory.data
+        value = extra = 0
+        for _ in range(2):
+            sp = ((data[_SPL_ADDR] | (data[_SPH_ADDR] << 8)) + 1) & 0xFFFF
+            data[_SPL_ADDR], data[_SPH_ADDR] = sp & 0xFF, sp >> 8
+            byte, stall = self.bus.read(sp, AccessKind.RET_POP)
+            value, extra = (value << 8) | byte, extra + stall
+        return value, extra
 
     # --- execution -------------------------------------------------------------
     def step(self):
@@ -341,17 +345,13 @@ class AvrCore:
         executed step overshot the budget.
 
         Only a trace sink, a profiler or a debugger moves the run onto
-        the instrumented :meth:`step` path; everything else runs on a
-        fast loop with the per-step guards hoisted out, cycle-for-cycle
-        identical to the instrumented path (and running compiled blocks
-        when nothing observes the bus or the call path either, see
-        :meth:`_run_blocks`).  The fast loop polls a
-        pending interrupt line at the same instruction boundaries as
-        :meth:`step`, ticks devices at their next event (see
-        :meth:`_run_fast`), and metrics emitters (interrupt entry, bus
-        interposers, fault counting) run unchanged on it.  Attach
-        instrumentation *before* calling ``run`` (as
-        ``Machine.attach_*`` do) — the path is selected once per call.
+        the instrumented :meth:`step` path; everything else runs on
+        :meth:`_run_fast`, cycle-for-cycle identical to it.  For that
+        loop's compiled blocks the run computes its view of the bus and
+        the call path (:meth:`_block_view`) and drops the blocks it
+        compiled under another.  Attach instrumentation, interposers
+        and hooks *before* calling ``run`` (as ``Machine.attach_*``
+        do) — the path and the view are chosen once per call.
 
         Every device in :attr:`devices` must implement
         ``cycles_to_event()``; a device without it raises
@@ -367,6 +367,10 @@ class AvrCore:
                     "device must report its next event".format(device))
         if (self.trace is None and self.profiler is None
                 and self.debug is None):
+            view = self._block_view()
+            if view != self._view:
+                self._drop_blocks()
+                self._view = view
             return self._run_fast(start, max_cycles, until_pc)
         while not self.halted:
             if until_pc is not None and self.pc == until_pc:
@@ -381,46 +385,52 @@ class AvrCore:
             self.step()
         return self.cycles - start
 
-    def _run_fast(self, start, max_cycles, until_pc):
-        """Uninstrumented run loop: threaded dispatch straight off the
-        decode cache.  State transitions (PC, SREG, registers, memory,
-        cycle accounting, fault behaviour) are identical to repeated
-        :meth:`step` calls minus the detached-instrumentation guards.
-
-        The cycle watermark (timeline keyframes) is folded into the
-        loop's existing budget comparison: ``bound`` is the nearer of
-        the budget limit and the watermark, so an armed recorder adds
-        zero comparisons to the per-step path and the hook fires at the
-        exact same instruction boundaries as the instrumented loop.
-
-        Devices share the same bound: instead of a per-step ``tick``,
-        the loop asks each device how many cycles remain until its next
-        event (``cycles_to_event()``) and folds the nearest into
-        ``bound``.  At the first boundary on or past it, every device is
-        ticked once with the cycles elapsed since the last sync.  That
-        is the boundary :meth:`step` reaches just after the tick that
-        fires the device, and the tick precedes the budget check, as it
-        does there.  The remainder is synced on every exit.  A step that
-        raises ticks none of its cycles, including an interrupt entry it
-        began with, exactly as in :meth:`step`.  With no device the
-        horizon is ``None`` and the per-step path is unchanged.
-
-        Interrupt polling costs one truthiness check on the pending-set
-        per iteration: the set object is stable for the controller's
-        lifetime, so the loop holds a direct reference and only calls
-        :meth:`InterruptController.poll` (which re-checks the I flag and
-        vectors) when a line is actually pending.
-
-        A run that nothing on the bus or the call path can observe
-        instruction by instruction goes to :meth:`_run_blocks` instead.
-        The choice is made once per call."""
+    def _block_view(self):
+        """This run's view (:data:`repro.sim.semantics.PLAIN`): the
+        kinds the bus units claim (all under a bus tracer or trace sink,
+        or a unit without ``kinds``), whether there are call hooks and
+        whether any I/O device is mapped."""
         bus = self.bus
-        if not (bus.interposers or bus.tracer is not None
-                or bus.trace is not None or self.call_hooks
-                or self.memory.io_devices):
-            return self._run_blocks(start, max_cycles, until_pc)
+        claimed = _NO_KINDS
+        for unit in bus.interposers:
+            kinds = getattr(unit, "kinds", None)
+            claimed = _ALL_KINDS if kinds is None else claimed.union(kinds)
+        if bus.tracer is not None or bus.trace is not None:
+            claimed = _ALL_KINDS
+        return claimed, bool(self.call_hooks), bool(self.memory.io_devices)
+
+    def _run_fast(self, start, max_cycles, until_pc):
+        """Uninstrumented run loop: compiled blocks where they fit,
+        threaded dispatch off the decode cache elsewhere, with the same
+        state transitions (PC, SREG, registers, memory, cycles, faults)
+        as repeated :meth:`step` calls.
+
+        One comparison per iteration guards every loop event: ``bound``
+        is the nearest of the budget limit, the timeline watermark and
+        the next device event (``cycles_to_event()``).  At the first
+        boundary on or past it the loop ticks every device with the
+        cycles since the last sync (the boundary where :meth:`step`
+        would have fired it), checks the budget, fires the watermark
+        hook and recomputes the bound; the remainder is synced on every
+        exit.  A step that raises ticks none of its cycles, an interrupt
+        entry it began with included.  A pending interrupt line costs
+        one truthiness check on the controller's pending-set.
+
+        A PC gets its block, compiled for the run's view, on its
+        ``_HOT``-th visit.  The block ends at and includes a control
+        transfer or skip, ends after an instruction that calls out to
+        the bus or the call hooks, and ends before an opcode without a
+        template or at ``BLOCK_MAX`` instructions.  It is entered only
+        where interpreting it would cross no loop event on the way: no
+        interrupt is pending (none can become pending inside: devices
+        tick only at ``bound`` and a callout ends its block), every
+        boundary before its last instruction lies before ``bound``, and
+        ``until_pc`` is not one of them.  Stall cycles therefore fall
+        past those checks.  ``docs/performance.md`` has the details."""
         cache = self._decode_cache
         decode = self._decode_and_cache
+        blocks = self._blocks
+        data = self.memory.data
         limit = start + max_cycles
         watermark = self.watermark
         devices = self.devices
@@ -429,7 +439,7 @@ class AvrCore:
         bound = _nearest(limit, watermark, due)
         interrupts = self.interrupts
         pending = interrupts.pending if interrupts is not None else None
-        instret = self.instret
+        stop_pc = -1 if until_pc is None else until_pc
         # (instret, cycles) at the last taken interrupt entry: a step
         # that raises before retiring leaves its entry cycles unticked
         irq_instret = irq_cycles = -1
@@ -440,8 +450,6 @@ class AvrCore:
                     break
                 cycles = self.cycles
                 if cycles >= bound:
-                    # publish the loop-local counter before any callout
-                    self.instret = instret
                     if due is not None and cycles >= due:
                         elapsed, synced = cycles - synced, cycles
                         _tick(devices, elapsed)
@@ -461,85 +469,6 @@ class AvrCore:
                     # check, before the fetch.  poll() re-checks the I
                     # flag; a taken interrupt redirects the PC, so
                     # re-read it before dispatch.
-                    self.cycles = cycles
-                    self.instret = instret
-                    taken = interrupts.poll()
-                    if taken:
-                        irq_instret, irq_cycles = instret, cycles
-                        cycles += taken
-                        self.cycles = cycles
-                        pc = self.pc
-                entry = cache.get(pc)
-                if entry is None:
-                    entry = decode(pc)
-                self.pc = pc + entry[2]
-                extra = entry[1](self, entry[0])
-                self.cycles = cycles + entry[3] + (extra or 0)
-                instret += 1
-        except BaseException:
-            if devices:
-                end = irq_cycles if irq_instret == instret else self.cycles
-                _tick(devices, end - synced)
-            raise
-        finally:
-            self.instret = instret
-        if devices:
-            _tick(devices, self.cycles - synced)
-        return self.cycles - start
-
-    def _run_blocks(self, start, max_cycles, until_pc):
-        """:meth:`_run_fast` with compiled blocks, for a run with no bus
-        interposer, bus tracer or trace sink, call hook or I/O device.
-        Then a data-space access is a plain read or write of
-        ``memory.data`` and a control transfer has no callout, so a
-        straight-line run of templated instructions can run as one
-        generated function (:func:`repro.sim.semantics.compile_block`).
-
-        A PC gets its block on its ``_HOT``-th visit.  The block ends at
-        and includes a control transfer or skip, and ends before an
-        opcode without a template or at ``BLOCK_MAX`` instructions.  It
-        is entered only where interpreting it would cross no loop event
-        on the way: no interrupt is pending (none can become pending
-        inside, as devices tick only at ``bound``), every boundary
-        before its last instruction lies before ``bound``, and
-        ``until_pc`` is not one of them.  Everything else runs exactly
-        as in :meth:`_run_fast`, one instruction at a time, with the
-        retired-instruction count kept on the core, where blocks
-        charge it."""
-        cache = self._decode_cache
-        decode = self._decode_and_cache
-        blocks = self._blocks
-        data = self.memory.data
-        limit = start + max_cycles
-        watermark = self.watermark
-        devices = self.devices
-        synced = start
-        due = _next_event(devices, synced) if devices else None
-        bound = _nearest(limit, watermark, due)
-        interrupts = self.interrupts
-        pending = interrupts.pending if interrupts is not None else None
-        stop_pc = -1 if until_pc is None else until_pc
-        irq_instret = irq_cycles = -1
-        try:
-            while not self.halted:
-                pc = self.pc
-                if pc == until_pc:
-                    break
-                cycles = self.cycles
-                if cycles >= bound:
-                    if due is not None and cycles >= due:
-                        elapsed, synced = cycles - synced, cycles
-                        _tick(devices, elapsed)
-                        due = _next_event(devices, synced)
-                    if cycles >= limit:
-                        raise CycleLimitExceeded(
-                            max_cycles, overshoot=cycles - limit)
-                    if watermark is not None and cycles >= watermark:
-                        self.watermark_hook(self)
-                        watermark = self.watermark
-                    bound = _nearest(limit, watermark, due)
-                    continue
-                if pending:
                     taken = interrupts.poll()
                     if taken:
                         irq_instret, irq_cycles = self.instret, cycles
@@ -584,10 +513,10 @@ class AvrCore:
         (``_NO_BLOCK`` when its first opcode has no template)."""
         flash = self.memory.flash
         data_end = self.geometry.data_end
-        compiled = semantics.cached_block(flash, pc, data_end)
+        compiled = semantics.cached_block(flash, pc, data_end, self._view)
         if compiled is None:
             compiled = semantics.compile_block(
-                flash, self._block_body(pc), data_end)
+                flash, self._block_body(pc), data_end, self._view)
         if compiled is None:
             block, end = _NO_BLOCK, pc + 2
         else:
@@ -619,42 +548,6 @@ class AvrCore:
         except SimError:
             pass  # undecodable or past flash: step() raises on arrival
         return body
-
-    # ==================== hand-written handlers =========================
-    # every other opcode's handler is generated from its template in
-    # repro.sim.semantics (see the loop after this class)
-    def _exec_lpm_r0(self, i):
-        self.set_reg(0, self.memory.read_flash_byte(self.reg_pair(30)))
-
-    def _exec_lpm(self, i):
-        self.set_reg(i.operands[0],
-                     self.memory.read_flash_byte(self.reg_pair(30)))
-
-    def _exec_lpm_zp(self, i):
-        z = self.reg_pair(30)
-        self.set_reg(i.operands[0], self.memory.read_flash_byte(z))
-        self.set_reg_pair(30, (z + 1) & 0xFFFF)
-
-    def _rampz_addr(self):
-        rampz = self.memory.read_data(IoReg.RAMPZ + 0x20) & 1
-        return (rampz << 16) | self.reg_pair(30)
-
-    def _exec_elpm_r0(self, i):
-        self.set_reg(0, self.memory.read_flash_byte(self._rampz_addr()))
-
-    def _exec_elpm(self, i):
-        self.set_reg(i.operands[0],
-                     self.memory.read_flash_byte(self._rampz_addr()))
-
-    def _exec_elpm_zp(self, i):
-        addr = self._rampz_addr()
-        self.set_reg(i.operands[0], self.memory.read_flash_byte(addr))
-        addr += 1
-        self.memory.write_data(IoReg.RAMPZ + 0x20, (addr >> 16) & 1)
-        self.set_reg_pair(30, addr & 0xFFFF)
-
-    def _exec_break(self, i):
-        self.halted = True
 
 
 for _key in semantics.TEMPLATES:

@@ -5,26 +5,33 @@ on registers, SREG and data memory.  At import time :mod:`repro.sim.core`
 renders every template into the interpreter's ``_exec_<key>`` handler
 (:func:`handler_source`).  At run time the block compiler renders runs
 of templates into one straight-line Python function with the operands
-constant-folded (:func:`compile_block`).  The two renderings differ
+constant-folded (:func:`compile_block`); only :data:`HANDLER_ONLY`
+opcodes never enter a block.  The two renderings differ
 only in the pseudo-ops, which are where the bus, the call hooks and the
-trace sink come in:
+trace sink come in.  A block renders a pseudo-op in handler form only
+where its view (:data:`PLAIN`) says something may act on it (a
+*callout*), and directly everywhere else:
 
 ``{d}``, ``{r}``, ``{K}``, ... (the spec's operand letters)
     the operand: a local of the handler, a literal in a block.
 ``{next}``
-    the word address after the instruction (the handler's ``self.pc``,
+    the word address after the instruction (the handler's ``core.pc``,
     already advanced by the run loop).
-``{SREG}``, ``{SPL}``, ``{SPH}``
-    data-space addresses of the status register and the stack pointer.
+``{SREG}``, ``{SPL}``, ``{SPH}``, ``{RAMPZ}``
+    data-space addresses of the status register, the stack pointer and
+    the flash page register.
 ``@load v, addr, KIND`` / ``@store addr, value, KIND``
     a data-space transaction.  A handler runs it through the bus and
-    adds the stall cycles it returns; a block reads or writes ``data``
-    directly after a bounds check.
+    adds the stall cycles it returns; so does a block where the view
+    claims KIND.  Otherwise a block reads or writes ``data`` directly
+    after a bounds check (and an I/O-device lookup, when the view has
+    devices).
 ``@push value, KIND`` / ``@pop v, KIND``
     a stack transaction through SP, rendered the same two ways.
 ``@hook event, kwargs`` / ``@emit KIND, pc, kwargs``
-    the call hooks and the trace event of a control transfer.  Only
-    handlers carry them: a block runs only on a core with neither.
+    the call hooks and the trace event of a control transfer.  A block
+    calls the hooks when the view has any; it never emits, because a
+    core with a trace sink runs ``step()``.
 ``@goto target`` / ``@goto_if cond, target, cycles`` / ``@skip_if cond``
     the control transfer that ends the template.  ``@skip_if`` skips
     the next instruction; a handler reads its size when the skip is
@@ -32,9 +39,9 @@ trace sink come in:
 
 Every other line is Python over ``data`` (the unified data space, so
 registers and SREG are plain bytes of it) and the flag table
-:data:`NVSZ`.  Temporaries may be any name except ``self``, ``i``,
-``core``, ``data``, ``cycles``, ``extra``, ``NVSZ`` and the ``op_*``
-operand locals.
+:data:`NVSZ`.  Temporaries may be any name except ``core``, ``i``,
+``data``, ``cycles``, ``hook``, ``NVSZ`` and the ``op_*`` operand
+locals; names ending in ``_`` belong to the renderers.
 """
 
 from repro.isa.opcodes import SPEC_BY_KEY
@@ -44,7 +51,7 @@ from repro.sim.events import AccessKind
 from repro.trace.events import TraceEventKind
 
 _ADDRS = {"SREG": IoReg.SREG + 0x20, "SPL": IoReg.SPL + 0x20,
-          "SPH": IoReg.SPH + 0x20}
+          "SPH": IoReg.SPH + 0x20, "RAMPZ": IoReg.RAMPZ + 0x20}
 
 #: most instructions one compiled block holds
 BLOCK_MAX = 32
@@ -148,6 +155,9 @@ target = (hi << 8) | lo
 """
 
 _PTR = {"X": 26, "Y": 28, "Z": 30}
+#: the program-memory addresses of lpm and elpm
+_Z = "(data[30] | (data[31] << 8))"
+_RAMPZ_Z = "(((data[{RAMPZ}] & 1) << 16) | " + _Z + ")"
 
 
 def _pointer(key):
@@ -264,7 +274,30 @@ data[{SREG}] |= 0x80
     "nop": "",
     "sleep": "",
     "wdr": "",
+    # --- handler-only (see HANDLER_ONLY) --------------------------------
+    "lpm_r0": "data[0] = core.memory.read_flash_byte(" + _Z + ")\n",
+    "lpm": "data[{d}] = core.memory.read_flash_byte(" + _Z + ")\n",
+    "lpm_zp": "z = " + _Z + """
+data[{d}] = core.memory.read_flash_byte(z)
+z = (z + 1) & 0xFFFF
+data[30] = z & 0xFF
+data[31] = z >> 8
+""",
+    "elpm_r0": "data[0] = core.memory.read_flash_byte(" + _RAMPZ_Z + ")\n",
+    "elpm": "data[{d}] = core.memory.read_flash_byte(" + _RAMPZ_Z + ")\n",
+    "elpm_zp": "z = " + _RAMPZ_Z + """
+data[{d}] = core.memory.read_flash_byte(z)
+z += 1
+data[{RAMPZ}] = (z >> 16) & 1
+data[30] = z & 0xFF
+data[31] = (z >> 8) & 0xFF
+""",
+    "break": "core.halted = True\n",
 }
+#: opcodes only the interpreter runs: a flash read past the part's
+#: flash raises outside any pseudo-op, and a halt must end the run loop
+HANDLER_ONLY = frozenset(("lpm_r0", "lpm", "lpm_zp", "elpm_r0", "elpm",
+                          "elpm_zp", "break"))
 for _key in ("ld_x", "ld_xp", "ld_mx", "ld_yp", "ld_my", "ld_zp", "ld_mz",
              "ldd_y", "ldd_z"):
     TEMPLATES[_key] = _pointer(_key) + \
@@ -300,10 +333,45 @@ _LINES = {key: _lines(key) for key in TEMPLATES}
 #: template key -> how its block ends: ``"skip"`` for skips, ``"goto"``
 #: for every other control transfer, None for straight-line code
 CONTROL = {}
-for _key in TEMPLATES:
+for _key in TEMPLATES.keys() - HANDLER_ONLY:
     _last = (_LINES[_key] or [""])[-1]
     CONTROL[_key] = ("skip" if _last.startswith("@skip_if ") else
                      "goto" if _last.startswith(_CONTROL) else None)
+
+
+_SP = "data[{SPL}] | (data[{SPH}] << 8)".format(**_ADDRS)
+_SET_SP = ["data[{SPL}] = sp_ & 0xFF".format(**_ADDRS),
+           "data[{SPH}] = sp_ >> 8".format(**_ADDRS)]
+#: the pseudo-ops that are data-space accesses; KIND ends each
+_ACCESSES = ("@load", "@store", "@push", "@pop")
+
+
+def _callout(op, rest):
+    """An access or ``@hook`` in handler form, shared by both
+    renderings: through ``core.bus`` and ``core.call_hooks``, adding
+    stall cycles to ``x_``.  A stack write lands (or faults) before SP
+    moves; SP moves before a stack read."""
+    if op == "@load":
+        var, addr, kind = _args(rest, 3)
+        return ["{}, e_ = core.bus.read({}, AccessKind.{})".format(
+            var, addr, kind), "x_ += e_"]
+    if op == "@store":
+        addr, value, kind = _args(rest, 3)
+        return ["x_ += core.bus.write({}, {}, AccessKind.{})".format(
+            addr, value, kind)]
+    if op == "@push":
+        value, kind = _args(rest, 2)
+        return (["sp_ = " + _SP,
+                 "x_ += core.bus.write(sp_, {}, AccessKind.{})".format(
+                     value, kind), "sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP)
+    if op == "@pop":
+        var, kind = _args(rest, 2)
+        return (["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
+                + ["{}, e_ = core.bus.read(sp_, AccessKind.{})".format(
+                    var, kind), "x_ += e_"])
+    return ["for hook in core.call_hooks:",
+            "    h_ = hook(core, {})".format(rest),
+            "    if h_:", "        x_ += h_"]
 
 
 # ----------------------------------------------------------------------
@@ -311,72 +379,53 @@ for _key in TEMPLATES:
 # ----------------------------------------------------------------------
 def _handler_lines(line):
     """One template line in handler form: lines, and whether it adds
-    to ``extra``."""
+    to ``x_``."""
     if not line.startswith("@"):
         return [line], False
     op, _, rest = line.partition(" ")
-    if op == "@load":
-        var, addr, kind = _args(rest, 3)
-        return ["{}, e_ = self.bus.read({}, AccessKind.{})".format(
-            var, addr, kind), "extra += e_"], True
-    if op == "@store":
-        addr, value, kind = _args(rest, 3)
-        return ["extra += self.bus.write({}, {}, AccessKind.{})".format(
-            addr, value, kind)], True
-    if op == "@push":
-        value, kind = _args(rest, 2)
-        return ["extra += self._push_byte({}, AccessKind.{})".format(
-            value, kind)], True
-    if op == "@pop":
-        var, kind = _args(rest, 2)
-        return ["{}, e_ = self._pop_byte(AccessKind.{})".format(var, kind),
-                "extra += e_"], True
-    if op == "@hook":
-        return ["for hook in self.call_hooks:",
-                "    h_ = hook(self, {})".format(rest),
-                "    if h_:",
-                "        extra += h_"], True
+    if op in _ACCESSES or op == "@hook":
+        return _callout(op, rest), True
     if op == "@emit":
         kind, pc, *kwargs = rest.split(", ", 2)
-        return ["if self.trace is not None:",
-                "    self.trace.emit(self.cycles, TraceEventKind.{}, pc={}, "
-                "domain=self._trace_domain(){})".format(
+        return ["if core.trace is not None:",
+                "    core.trace.emit(core.cycles, TraceEventKind.{}, pc={}, "
+                "domain=core._trace_domain(){})".format(
                     kind, pc, "".join(", " + kw for kw in kwargs))], False
     if op == "@goto":
-        return ["self.pc = " + rest], False
+        return ["core.pc = " + rest], False
     if op == "@goto_if":
         cond, target, cost = _args(rest, 3)
-        return ["if {}:".format(cond), "    self.pc = " + target,
-                "    extra += " + cost], True
+        return ["if {}:".format(cond), "    core.pc = " + target,
+                "    x_ += " + cost], True
     if op == "@skip_if":
         return ["if {}:".format(rest),
-                "    n_ = self._instr_size_at(self.pc)",
-                "    self.pc += n_",
-                "    extra += n_"], True
+                "    n_ = core._instr_size_at(core.pc)",
+                "    core.pc += n_",
+                "    x_ += n_"], True
     raise AssertionError("unknown pseudo-op " + op)
 
 
 def handler_source(key):
-    """Python source of the interpreter handler ``_exec_<key>(self, i)``:
+    """Python source of the interpreter handler ``_exec_<key>(core, i)``:
     operands unpacked from ``i.operands``, returning the stall and
     control-transfer cycles beyond the spec's base cost."""
     letters = [op.letter for op in SPEC_BY_KEY[key].operands]
-    names = dict(_ADDRS, next="self.pc",
+    names = dict(_ADDRS, next="core.pc",
                  **{letter: "op_" + letter for letter in letters})
     body, extra = [], False
     for line in _LINES[key]:
         rendered, adds = _handler_lines(line.format(**names))
         body += rendered
         extra = extra or adds
-    head = ["def _exec_{}(self, i):".format(key)]
+    head = ["def _exec_{}(core, i):".format(key)]
     if letters:
         head.append("    {}, = i.operands".format(
             ", ".join("op_" + letter for letter in letters)))
     if any("data" in line for line in body):
-        head.append("    data = self.memory.data")
+        head.append("    data = core.memory.data")
     if extra:
-        head.append("    extra = 0")
-        body.append("return extra")
+        head.append("    x_ = 0")
+        body.append("return x_")
     return "\n".join(head + ["    " + line for line in body or ["pass"]])
 
 
@@ -392,11 +441,6 @@ def make_handler(key):
 # ----------------------------------------------------------------------
 # rendering 2: compiled blocks
 # ----------------------------------------------------------------------
-_SP = "data[{SPL}] | (data[{SPH}] << 8)".format(**_ADDRS)
-_SET_SP = ["data[{SPL}] = sp_ & 0xFF".format(**_ADDRS),
-           "data[{SPH}] = sp_ >> 8".format(**_ADDRS)]
-
-
 class _Unblockable(Exception):
     """A template line a block cannot hold (a constant address outside
     the data space: the interpreter raises there)."""
@@ -410,66 +454,117 @@ def _constant(expr):
         return None
 
 
+#: the view of a run nothing observes, where every access is direct.
+#: A view is ``(claimed, hooks, io)``, computed once per
+#: :meth:`AvrCore.run`: the :class:`AccessKind` members some bus unit or
+#: observer claims, whether the core has call hooks, and whether any I/O
+#: device is mapped.  A block runs only under the view it was compiled for.
+PLAIN = (frozenset(), False, False)
+
+
 class _BlockWriter:
     """Renders one block: straight-line code over ``data``, one exit.
 
-    On a bounds fault the block leaves ``pc``, ``cycles`` and
-    ``instret`` as :meth:`AvrCore.step` would at that instruction: PC
-    past it, its cycles not charged, only the instructions before it
-    retired."""
+    An access of a kind the view claims, and a call hook when the view
+    has hooks, is a *callout* in handler form (:func:`_callout`): its
+    stalls add to the block's charge and the block ends after its
+    instruction.  Other accesses read or write ``data`` directly; under
+    a view with I/O devices they look up ``io_devices`` first, and a
+    block exits after an instruction that reached a device.  Before a
+    callout or device call, and on a bounds fault, the block publishes
+    the ``pc``, ``cycles`` and ``instret`` that :meth:`AvrCore.step`
+    shows the instruction's handler: PC past it, its cycles not
+    charged, only the instructions before it retired."""
 
-    def __init__(self, data_end):
+    def __init__(self, data_end, view):
         self.data_end = data_end
+        self.plain = view == PLAIN
+        self.claimed, self.hooks, self.io = view
         self.lines = []
         self.cycles = 0      # base cycles of the instructions added
         self.count = 0       # instructions added
         self.next = None     # word address after the current instruction
         self.skip = 0        # words the current instruction may skip
         self.base = 0        # base cycles of the current instruction
+        self.stalls = False  # the current instruction made a callout
+        self.device = False  # the current instruction may reach a device
+
+    def retire(self, count):
+        """The line charging *count* retired instructions in all (``i_``
+        holds the count at entry, where a publish may have run)."""
+        if self.plain:
+            return "core.instret += {}".format(count)
+        return "core.instret = i_ + {}".format(count)
+
+    def publish(self):
+        """Lines leaving the state ``step()`` shows a handler of the
+        current instruction."""
+        lines = ["core.pc = {}".format(self.next),
+                 "core.cycles = cycles + {}".format(self.cycles)]
+        return lines + [self.retire(self.count)] if self.count else lines
 
     def fault(self, addr):
-        fix = "core.pc = {}; core.cycles = cycles + {}".format(
-            self.next, self.cycles)
-        if self.count:
-            fix += "; core.instret += {}".format(self.count)
         return ["if {} > {}:".format(addr, self.data_end),
-                "    " + fix, "    raise InvalidAccess({})".format(addr)]
+                "    " + "; ".join(self.publish()),
+                "    raise InvalidAccess({})".format(addr)]
 
-    def access(self, addr):
-        """Lines that bounds-check *addr*, and the index to use."""
-        value = _constant(addr)
-        if value is not None:
-            if not 0 <= value <= self.data_end:
+    def direct(self, addr, write, value):
+        """An unclaimed access: *value* written to, or the variable
+        *value* read from, ``data[addr]`` after a bounds check, or the
+        I/O device mapped there under a view with devices."""
+        constant = _constant(addr)
+        if constant is not None:
+            if not 0 <= constant <= self.data_end:
                 raise _Unblockable(addr)
-            return [], str(value)
-        if addr.isidentifier():
-            return self.fault(addr), addr
-        return ["a_ = " + addr] + self.fault("a_"), "a_"
+            setup, at, check = [], str(constant), []
+        elif addr.isidentifier():
+            setup, at, check = [], addr, self.fault(addr)
+        else:
+            setup, at, check = ["a_ = " + addr], "a_", self.fault("a_")
+        if write:
+            line = "data[{}] = {}".format(at, value)
+            device = "d_.io_write({}, {})".format(at, value)
+        else:
+            line = "{} = data[{}]".format(value, at)
+            device = "{} = d_.io_read({})".format(value, at)
+        if not self.io:
+            return setup + check + [line]
+        self.device = True
+        return (setup + ["d_ = io_.get({})".format(at), "if d_ is None:"]
+                + ["    " + x for x in check + [line]] + ["else:"]
+                + ["    " + x for x in self.publish() + [device, "o_ = 1"]])
+
+    def callout(self, lines):
+        """A claimed access or a call hook, in handler form."""
+        if self.stalls:
+            return lines
+        self.stalls = True
+        return self.publish() + ["x_ = 0"] + lines
 
     def exit(self, pc, cycles):
-        return ["core.pc = " + pc, "core.cycles = cycles + {}".format(cycles)]
+        return ["core.pc = " + pc, "core.cycles = cycles + {}{}".format(
+            cycles, " + x_" if self.stalls else "")]
 
     def render(self, line):
         if not line.startswith("@"):
             return [line]
         op, _, rest = line.partition(" ")
-        if op == "@load":
-            var, addr, _kind = _args(rest, 3)
-            check, at = self.access(addr)
-            return check + ["{} = data[{}]".format(var, at)]
-        if op == "@store":
-            addr, value, _kind = _args(rest, 3)
-            check, at = self.access(addr)
-            return check + ["data[{}] = {}".format(at, value)]
-        if op == "@push":
-            value, _kind = _args(rest, 2)
-            return (["sp_ = " + _SP] + self.fault("sp_") + [
-                "data[sp_] = " + value, "sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP)
-        if op == "@pop":
-            var, _kind = _args(rest, 2)
-            return (["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
-                    + self.fault("sp_") + ["{} = data[sp_]".format(var)])
-        if op in ("@hook", "@emit"):
+        if op in _ACCESSES:
+            *args, kind = _args(rest, 3 if op in ("@load", "@store") else 2)
+            if AccessKind[kind] in self.claimed:
+                return self.callout(_callout(op, rest))
+            if op == "@push":
+                return (["sp_ = " + _SP] + self.direct("sp_", True, *args)
+                        + ["sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP)
+            if op == "@pop":
+                return (["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
+                        + self.direct("sp_", False, *args))
+            if op == "@load":
+                return self.direct(args[1], False, args[0])
+            return self.direct(args[0], True, args[1])
+        if op == "@hook":
+            return self.callout(_callout(op, rest)) if self.hooks else []
+        if op == "@emit":
             return []
         total = self.cycles + self.base
         if op == "@goto":
@@ -494,9 +589,15 @@ class _BlockWriter:
         names = dict(_ADDRS, next=self.next, **{
             op.letter: str(value)
             for op, value in zip(instr.spec.operands, instr.operands)})
+        self.stalls = self.device = False
         lines = []
         for line in _LINES[instr.key]:
             lines += self.render(line.format(**names))
+        if self.device and not self.stalls and CONTROL[instr.key] is None:
+            # a device was reached: exit after this instruction
+            lines += ["if o_:"] + ["    " + x for x in self.exit(
+                self.next, self.cycles + self.base)
+                + [self.retire(self.count + 1), "return"]]
         self.lines += lines
         self.cycles += self.base
         self.count += 1
@@ -504,29 +605,32 @@ class _BlockWriter:
 
 #: compiled blocks shared by every core in the process, so that a
 #: restore, a replay or a rebuilt node compiles nothing again:
-#: ``(start word, data_end, flash words the block read) -> block``
+#: ``(start word, data_end, view, flash words the block read) -> block``
 _CACHE = {}
-#: ``(start word, data_end) -> lengths of the cached blocks there``
+#: ``(start word, data_end, view) -> lengths of the cached blocks there``
 _SPANS = {}
 #: bound on the cache; a full cache is dropped and refilled
 _CACHE_MAX = 1024
 
 
-def cached_block(flash, pc, data_end):
-    """A block this process compiled at *pc* from the words now in
-    *flash*, or None.  The words a block read determine its code."""
-    for length in _SPANS.get((pc, data_end), ()):
-        block = _CACHE.get((pc, data_end, tuple(flash[pc:pc + length])))
+def cached_block(flash, pc, data_end, view):
+    """A block this process compiled at *pc* under *view* from the
+    words now in *flash*, or None.  The words a block read and the view
+    determine its code."""
+    for length in _SPANS.get((pc, data_end, view), ()):
+        block = _CACHE.get(
+            (pc, data_end, view, tuple(flash[pc:pc + length])))
         if block is not None:
             return block
     return None
 
 
-def compile_block(flash, body, data_end):
+def compile_block(flash, body, data_end, view):
     """Compile *body*, a run of ``(pc, decoded instr, skip words)``
     entries read from *flash*, all with templates, in which only the
-    last may transfer control; an entry a block cannot hold ends it
-    early.
+    last may transfer control, for a run under *view*; an entry a block
+    cannot hold ends it early, and an entry with a callout ends it
+    after that entry.
 
     Returns ``(function, cycles before the last instruction, last
     instruction's word address, end word)``, where ``end`` is one past
@@ -534,7 +638,7 @@ def compile_block(flash, body, data_end):
     final skip included), or None when no entry fits.  The function
     takes ``(core, data, cycles)``, runs the block and charges its
     cycles, PC and retired instructions to *core*."""
-    writer = _BlockWriter(data_end)
+    writer = _BlockWriter(data_end, view)
     last = end = key = None
     prefix = 0
     for pc, instr, skip in body:
@@ -542,24 +646,31 @@ def compile_block(flash, body, data_end):
         try:
             writer.add(pc, instr, skip)
         except _Unblockable:
+            writer.stalls = False  # the block ends before this entry
             break
         prefix, last, key = before, pc, instr.key
         end = pc + instr.size_words + skip
+        if writer.stalls:
+            break  # a callout ends its block
     if last is None:
         return None
     lines = writer.lines
     if CONTROL[key] is None:
         lines += writer.exit(str(end), writer.cycles)
-    lines.append("core.instret += {}".format(writer.count))
+    lines.append(writer.retire(writer.count))
+    head = [] if writer.plain else ["i_ = core.instret"]
+    if writer.io:
+        head += ["io_ = core.memory.io_devices", "o_ = 0"]
     source = "def block(core, data, cycles):\n" + "\n".join(
-        "    " + line for line in lines)
-    namespace = {"InvalidAccess": InvalidAccess, "NVSZ": NVSZ}
+        "    " + line for line in head + lines)
+    namespace = {"InvalidAccess": InvalidAccess, "NVSZ": NVSZ,
+                 "AccessKind": AccessKind}
     exec(compile(source, "<avr block>", "exec"), namespace)
     start = body[0][0]
     block = (namespace["block"], prefix, last, end)
     if len(_CACHE) >= _CACHE_MAX:
         _CACHE.clear()
         _SPANS.clear()
-    _CACHE[(start, data_end, tuple(flash[start:end]))] = block
-    _SPANS.setdefault((start, data_end), set()).add(end - start)
+    _CACHE[(start, data_end, view, tuple(flash[start:end]))] = block
+    _SPANS.setdefault((start, data_end, view), set()).add(end - start)
     return block

@@ -44,6 +44,7 @@ from repro.core.encoding import TRUSTED_DOMAIN
 from repro.core.faults import ProtectionFault
 from repro.sim.bus import BusInterposer
 from repro.sim.events import AccessKind
+from repro.umpu.mmc import MemMapController
 
 
 class EscapeRecord:
@@ -79,6 +80,8 @@ class WriteOracle(BusInterposer):
     """
 
     name = "write-oracle"
+    #: the oracle only logs writes
+    kinds = frozenset(kind for kind in AccessKind if kind.is_write)
 
     def __init__(self):
         #: (pc_byte, addr, value, kind_name, domain) per landed write
@@ -175,9 +178,6 @@ class UmpuWriteOracle(WriteOracle):
     """Oracle for the hardware system: every untrusted checked-kind
     write must satisfy the golden model, no PC exemptions."""
 
-    #: the kinds the MMC contract covers (mirrors mmc._CHECKED_KINDS)
-    CHECKED_KINDS = (AccessKind.DATA_STORE, AccessKind.STACK_PUSH)
-
     def __init__(self, machine):
         super().__init__()
         self.machine = machine
@@ -195,7 +195,7 @@ class UmpuWriteOracle(WriteOracle):
         return self.machine.regs.stack_bound
 
     def _check(self, pc, addr, kind, domain):
-        if kind not in self.CHECKED_KINDS:
+        if kind not in MemMapController.kinds:
             return None
         if not self.machine.regs.enabled:
             return None             # protection explicitly disabled

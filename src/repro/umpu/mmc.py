@@ -32,8 +32,6 @@ from repro.trace.profiler import CAT_MMC
 #: Cycles the MMC stalls the CPU per memory-map table access.
 MMC_STALL_CYCLES = 1
 
-_CHECKED_KINDS = (AccessKind.DATA_STORE, AccessKind.STACK_PUSH)
-
 #: preallocated verdict for the (hot) passed-check case: the bus only
 #: reads WriteAction fields, so one immutable instance serves every
 #: checked store without a per-transaction allocation
@@ -44,6 +42,7 @@ class MemMapController(BusInterposer):
     """Hardware write checker, configured by :class:`UmpuRegisters`."""
 
     name = "mmc"
+    kinds = frozenset((AccessKind.DATA_STORE, AccessKind.STACK_PUSH))
 
     def __init__(self, registers, memory):
         self.regs = registers
@@ -90,7 +89,7 @@ class MemMapController(BusInterposer):
     # ------------------------------------------------------------------
     def on_write(self, bus, addr, value, kind):
         regs = self.regs
-        if not regs.enabled or kind not in _CHECKED_KINDS:
+        if kind not in self.kinds or not regs.enabled:
             return None
         domain = regs.cur_domain
         if domain == TRUSTED_DOMAIN:

@@ -36,6 +36,7 @@ class SafeStackUnit(BusInterposer):
     """Redirects return-address pushes/pops to the safe stack region."""
 
     name = "safe_stack"
+    kinds = frozenset((AccessKind.RET_PUSH, AccessKind.RET_POP))
 
     def __init__(self, registers, memory):
         self.regs = registers
@@ -73,7 +74,7 @@ class SafeStackUnit(BusInterposer):
 
     # ------------------------------------------------------------------
     def on_write(self, bus, addr, value, kind):
-        if not self.regs.enabled or kind is not AccessKind.RET_PUSH:
+        if kind is not AccessKind.RET_PUSH or not self.regs.enabled:
             return None
         self.push_byte(value)
         self.redirected_pushes += 1
@@ -88,7 +89,7 @@ class SafeStackUnit(BusInterposer):
         return _HANDLED_VERDICT
 
     def on_read(self, bus, addr, kind):
-        if not self.regs.enabled or kind is not AccessKind.RET_POP:
+        if kind is not AccessKind.RET_POP or not self.regs.enabled:
             return None
         value = self.pop_byte()
         self.redirected_pops += 1

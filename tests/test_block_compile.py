@@ -1,16 +1,22 @@
 """Differential licence for compiled blocks: a run that enters blocks
 must leave the same architectural state as a loop of ``step()`` calls.
 
-``AvrCore._run_fast`` hands a run with no bus interposer, tracer, call
-hook or I/O device to ``_run_blocks``, which compiles a PC's
-straight-line run of templated instructions into one function once the
-PC is hot.  The programs here are the fast-path fuzz generators of
+``AvrCore._run_fast`` compiles a PC's straight-line run of templated
+instructions into one function once the PC is hot.  The programs here
+are the fast-path fuzz generators of
 ``tests/test_fastpath_differential.py`` wrapped in a loop that runs
 past the hotness count, plus a hand-written loop over the opcodes the
 generators do not emit.  Each scenario stops, interrupts or faults a
 run inside a block's span: a cycle budget, ``until_pc`` on an interior
 PC, a watermark hook, a timer interrupt, a store past the data space,
-a flash write into a block and a snapshot restore.  Every test also
+a flash write into a block and a snapshot restore.
+
+Blocks call out to the bus for the access kinds its units claim, to
+the call hooks and to I/O devices.  The second half runs an
+``UmpuMachine`` in an untrusted domain (MMC stalls and faults, the
+safe stack, cross-domain calls through the jump table, UMPU register
+writes) and plain machines with a bus tracer, an interposer claiming
+every kind and a device that raises an interrupt.  Every test also
 checks that blocks were entered, so none can pass vacuously.
 """
 
@@ -19,7 +25,9 @@ import random
 import pytest
 
 from repro.asm import assemble
+from repro.core.faults import ConfigFault, MemMapFault
 from repro.sim import (
+    BusInterposer,
     CycleLimitExceeded,
     InterruptController,
     InvalidAccess,
@@ -27,6 +35,9 @@ from repro.sim import (
     MachineSnapshot,
     PeriodicTimer,
 )
+from repro.sim.machine import CALL_SENTINEL_WORD
+from repro.soundness.oracle import UmpuWriteOracle
+from repro.umpu import HarborLayout, UmpuMachine
 from tests.test_fastpath_differential import (
     BLOCKS,
     IRQ_WRAPPED,
@@ -404,13 +415,345 @@ def test_snapshot_restore_then_resume():
     assert_states_identical(fast, ref)
 
 
-def test_umpu_machine_compiles_no_blocks():
-    """A core with bus interposers and call hooks stays on the
-    instruction-at-a-time loop."""
-    from repro.umpu import HarborLayout, UmpuMachine
-    machine = UmpuMachine(assemble(looped_program(2), "loop"),
-                          layout=HarborLayout())
-    machine.run()
-    assert machine.core.halted
-    assert machine.core.instret > 500
-    assert not machine.core._blocks
+# ----------------------------------------------------------------------
+# blocks that call out: UMPU units, call hooks, bus observers
+# ----------------------------------------------------------------------
+LAYOUT = HarborLayout()
+#: domain 1's page of the jump table
+JT1 = LAYOUT.jt_base + 512
+
+#: domain 0 loops past the hotness count: stores into its own blocks
+#: (MMC stall), push/pop through the MMC-checked stack window, loads,
+#: an I/O read, an ordinary call (safe-stack redirect, tracker
+#: confinement) and a cross-domain call through the jump table into
+#: domain 1, which stores into its own block and returns
+UMPU_LOOP = """
+entry:
+    ldi r20, {trips}
+    ldi r26, 0x00
+    ldi r27, 0x04
+    ldi r28, 0x40
+    ldi r29, 0x04
+loop:
+    mov r16, r20
+    st X, r16
+    subi r26, -16
+    inc r17
+    std Y+3, r17
+    sts 0x0410, r20
+    push r16
+    lds r18, 0x0410
+    pop r16
+    in r19, 0x3f
+    rcall helper
+    call {jt1:#x}
+    dec r20
+    brne loop
+    ret
+helper:
+    eor r21, r20
+    ret
+.org {jt1:#x}
+    jmp remote
+.org 0x3000
+remote:
+    ldi r30, 0x00
+    ldi r31, 0x05
+    st Z, r20
+    ret
+""".format(trips=20, jt1=JT1)
+
+
+def umpu_machine(foreign=False):
+    """An UmpuMachine about to run ``entry`` in domain 0.  *foreign*
+    hands 0x04F0, which X reaches on the 16th trip, to domain 1."""
+    machine = UmpuMachine(assemble(UMPU_LOOP, "umpu_loop"), layout=LAYOUT)
+    machine.memmap.set_segment(0x0400, 0x100, 0)
+    machine.memmap.set_segment(0x0500, 8, 1)
+    if foreign:
+        machine.memmap.set_segment(0x04F0, 8, 1)
+    machine.tracker.register_code_region(0, 0, LAYOUT.jt_base)
+    machine.tracker.register_code_region(1, 0x3000, 0x3100)
+    machine.enter_domain(0)
+    machine.core.push_return_address(CALL_SENTINEL_WORD)
+    machine.core.pc = machine.program.symbol("entry") // 2
+    return machine
+
+
+def umpu_pair(**kw):
+    """A machine on the fast loop (counting block entries) and one
+    driven by step(), both from :func:`umpu_machine`."""
+    fast, ref = umpu_machine(**kw), umpu_machine(**kw)
+    entered = count_block_entries(fast.core)
+    return fast, ref, entered, ((fast, fast.core.run),
+                                (ref, step_driven_run(ref.core)))
+
+
+def assert_umpu_identical(fast, ref):
+    assert_states_identical(fast, ref)
+    assert fast.regs.dump() == ref.regs.dump()
+    assert (fast.mmc.checked_stores, fast.mmc.faults) == \
+        (ref.mmc.checked_stores, ref.mmc.faults)
+    unit, other = fast.safe_stack_unit, ref.safe_stack_unit
+    assert (unit.redirected_pushes, unit.redirected_pops,
+            unit.high_water) == (other.redirected_pushes,
+                                 other.redirected_pops, other.high_water)
+    tracker, other = fast.tracker, ref.tracker
+    assert (tracker.call_depths, tracker.cross_calls,
+            tracker.cross_returns) == (other.call_depths, other.cross_calls,
+                                       other.cross_returns)
+
+
+def test_umpu_blocks_match_step_to_completion():
+    """Own-block stores stall on the MMC, return addresses go to the
+    safe stack and every trip crosses into domain 1 and back, all
+    from compiled blocks."""
+    fast, ref, entered, runs = umpu_pair()
+    for _machine, run in runs:
+        assert run_until_stop(run, until_pc=CALL_SENTINEL_WORD) == ("halt",)
+    assert_umpu_identical(fast, ref)
+    assert fast.mmc.checked_stores >= 3 * 20
+    assert fast.tracker.cross_calls == fast.tracker.cross_returns == 20
+    assert fast.regs.cur_domain == 0
+    program = fast.program
+    for label in ("loop", "remote"):
+        assert program.symbol(label) // 2 in entered
+
+
+def test_umpu_foreign_store_faults_mid_run_then_resumes():
+    """The 16th trip's ``st X`` hits domain 1's block: MemMapFault from
+    inside a compiled block, with the state step() leaves; both
+    machines then resume to the same end."""
+    fast, ref, entered, runs = umpu_pair(foreign=True)
+    for _machine, run in runs:
+        with pytest.raises(MemMapFault):
+            run(until_pc=CALL_SENTINEL_WORD)
+    assert entered.count(fast.program.symbol("loop") // 2) >= 10
+    assert_umpu_identical(fast, ref)
+    assert fast.mmc.faults == 1
+    assert fast.memory.data[0x04F0] == 0
+    del entered[:]
+    for _machine, run in runs:
+        assert run_until_stop(run, until_pc=CALL_SENTINEL_WORD) == ("halt",)
+    assert entered
+    assert_umpu_identical(fast, ref)
+
+
+def test_umpu_budget_ending_on_stalled_instructions():
+    """Consecutive budgets across several trips, so that some end just
+    after a stalled store or a cross-domain call or return: each stops
+    where the step() loop stops, with the same overshoot."""
+    probe = umpu_machine()
+    probe.core.run(until_pc=CALL_SENTINEL_WORD)
+    total = probe.core.cycles
+    entered_any = False
+    for budget in range(total // 2, total // 2 + 150):
+        fast, ref, entered, runs = umpu_pair()
+        got, want = (run_until_stop(run, max_cycles=budget,
+                                    until_pc=CALL_SENTINEL_WORD)
+                     for _machine, run in runs)
+        assert got == want and got[0] == "limit"
+        assert_umpu_identical(fast, ref)
+        entered_any = entered_any or bool(entered)
+    assert entered_any
+
+
+def test_umpu_until_pc_on_an_interior_pc():
+    """Stop on the last instruction of a compiled multi-instruction
+    block past the hotness count, then resume."""
+    probe = umpu_machine()
+    probe.core.run(until_pc=CALL_SENTINEL_WORD)
+    spans = compiled_spans(probe.core)
+    assert spans
+    for start, last in spans[:6]:
+        fast, ref, entered, runs = umpu_pair()
+        for machine, run in runs:
+            run_until_stop(run, max_cycles=probe.core.cycles // 2)
+            assert run_until_stop(run, until_pc=last) == ("halt",)
+            assert machine.core.pc == last
+        assert entered
+        assert_umpu_identical(fast, ref)
+        for _machine, run in runs:
+            assert run_until_stop(run, until_pc=CALL_SENTINEL_WORD) == \
+                ("halt",)
+        assert_umpu_identical(fast, ref)
+
+
+@pytest.mark.parametrize("interval", [5, 19, 47])
+def test_umpu_watermark_hook_inside_block_spans(interval):
+    def watched(machine):
+        seen = []
+
+        def hook(core):
+            seen.append((core.cycles, core.instret, core.pc,
+                         machine.regs.cur_domain, bytes(core.memory.data)))
+            core.watermark = core.cycles + interval
+        machine.core.watermark = interval
+        machine.core.watermark_hook = hook
+        return seen
+
+    fast, ref, entered, _runs = umpu_pair()
+    fast_seen, ref_seen = watched(fast), watched(ref)
+    ref.attach_trace()
+    for machine in (fast, ref):
+        machine.core.run(until_pc=CALL_SENTINEL_WORD)
+    assert entered
+    assert len(fast_seen) > 20
+    assert fast_seen == ref_seen
+    assert_umpu_identical(fast, ref)
+
+
+class Recorder(BusInterposer):
+    """Logs every transaction with the core state a handler sees;
+    claims every kind (``kinds`` left at None)."""
+
+    def __init__(self, core):
+        self.core = core
+        self.log = []
+
+    def on_write(self, bus, addr, value, kind):
+        core = self.core
+        self.log.append(("w", kind, addr, value, core.pc, core.cycles,
+                         core.instret))
+
+    def on_read(self, bus, addr, kind):
+        core = self.core
+        self.log.append(("r", kind, addr, core.pc, core.cycles,
+                         core.instret))
+
+
+def test_bus_tracer_sees_the_step_loop_transactions():
+    src = looped_program(7)
+    fast, ref = Machine(assemble(src)), Machine(assemble(src))
+    entered = count_block_entries(fast.core)
+    tracers = [machine.attach_tracer() for machine in (fast, ref)]
+    fast.run()
+    ref.core.run = step_driven_run(ref.core)
+    ref.run()
+    assert entered
+    assert len(tracers[0]) > 200
+    assert tracers[0].events == tracers[1].events
+    assert_states_identical(fast, ref)
+
+
+def test_recorder_claiming_every_kind_sees_every_transaction():
+    src = looped_program(8)
+    fast, ref = Machine(assemble(src)), Machine(assemble(src))
+    entered = count_block_entries(fast.core)
+    recorders = [machine.bus.add_interposer(Recorder(machine.core))
+                 for machine in (fast, ref)]
+    fast.run()
+    ref.core.run = step_driven_run(ref.core)
+    ref.run()
+    assert entered
+    assert len(recorders[0].log) > 200
+    assert recorders[0].log == recorders[1].log
+    assert_states_identical(fast, ref)
+
+
+def test_umpu_write_oracle_logs_the_step_loop_writes():
+    """The fuzzer's oracle claims the write kinds only: its log (PC,
+    address, value, kind, domain of every landed write) matches the
+    step() loop's."""
+    fast, ref, entered, runs = umpu_pair()
+    oracles = [machine.bus.add_interposer(UmpuWriteOracle(machine))
+               for machine in (fast, ref)]
+    for _machine, run in runs:
+        run(until_pc=CALL_SENTINEL_WORD)
+    assert entered
+    assert len(oracles[0].log) == 5 * 20  # return addresses never land
+    assert oracles[0].log == oracles[1].log
+    assert not oracles[0].escapes
+    assert_umpu_identical(fast, ref)
+
+
+#: a trusted loop that reads and writes the UMPU's cur_domain register
+#: (an I/O device) from straight-line code; the 16th trip's write drops
+#: to domain 0, so the 17th trip's write raises ConfigFault
+REGISTER_LOOP = """
+entry:
+    ldi r20, 20
+    ldi r30, 0x00
+    ldi r31, 0x06
+loop:
+    ld r16, Z+
+    in r17, 0x2B
+    out 0x2B, r16
+    sts 0x0410, r17
+    dec r20
+    brne loop
+    ret
+"""
+
+
+def test_umpu_register_access_from_blocks():
+    def build():
+        machine = UmpuMachine(assemble(REGISTER_LOOP, "regs"), layout=LAYOUT)
+        machine.memmap.set_segment(0x0400, 0x100, 0)
+        machine.write_bytes(0x0600, [7] * 15 + [0] * 5)
+        machine.enter_trusted()
+        machine.core.push_return_address(CALL_SENTINEL_WORD)
+        machine.core.pc = 0
+        return machine
+
+    fast, ref = build(), build()
+    entered = count_block_entries(fast.core)
+    for run in (fast.core.run, step_driven_run(ref.core)):
+        with pytest.raises(ConfigFault):
+            run(until_pc=CALL_SENTINEL_WORD)
+    assert entered
+    assert fast.regs.cur_domain == 0
+    assert fast.mmc.checked_stores == 1
+    assert_umpu_identical(fast, ref)
+
+
+class Doorbell:
+    """An I/O register whose every write raises interrupt line 1."""
+
+    def __init__(self, interrupts, io_addr=0x10):
+        self.interrupts = interrupts
+        self.io_addr = io_addr
+        self.rings = 0
+
+    def io_read(self, addr):
+        return self.rings & 0xFF
+
+    def io_write(self, addr, value):
+        self.rings += 1
+        self.interrupts.raise_irq(1)
+
+
+DOORBELL_LOOP = """
+    ldi r20, 20
+loop:
+    inc r16
+    out 0x10, r16
+    inc r17
+    add r18, r17
+    in r19, 0x10
+    mov r21, r2
+    dec r20
+    brne loop
+    break
+"""
+
+
+def test_device_write_raising_an_interrupt_ends_its_block():
+    """The interrupt a device write raises is taken right after that
+    instruction, as from step(), not at the end of the block."""
+    def build(fast):
+        machine = Machine(assemble(IRQ_WRAPPED.format(DOORBELL_LOOP)))
+        controller = InterruptController(machine.core, nvectors=2)
+        bell = Doorbell(controller)
+        machine.memory.io_devices[bell.io_addr + 0x20] = bell
+        if not fast:
+            machine.core.run = step_driven_run(machine.core)
+        return machine, controller
+
+    (fast, fast_irq), (ref, ref_irq) = build(True), build(False)
+    entered = count_block_entries(fast.core)
+    for machine in (fast, ref):
+        machine.run()
+    assert entered
+    assert fast_irq.taken == ref_irq.taken == 20
+    assert_states_identical(fast, ref)
