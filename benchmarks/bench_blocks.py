@@ -1,16 +1,26 @@
 #!/usr/bin/env python3
-"""Compiled-block coverage and cold set-up time on the perfbench nodes.
+"""Compiled-region coverage and cold set-up time on the perfbench nodes.
 
-For ``node_sfi``, ``node_umpu`` and ``irq_node`` this prints the share
-of retired instructions that ran inside compiled blocks during one pass
-of the workload after its set-up, and the mean block length (retired
-instructions per block entry).  ``node_umpu``'s blocks call out to the
-MMC, the safe-stack unit and the domain tracker for the transactions
-they claim and end there, so its blocks are shorter.  It also prints
-the wall time of the first ``node_sfi`` set-up in a fresh process,
-where every block is compiled from scratch (the best of ``--cold``
-processes).  ``benchmarks/BENCH_blocks.json`` records these figures
-next to the perfbench throughput pairs.
+For ``node_sfi``, ``node_umpu`` and ``irq_node`` this prints, for one
+pass of the workload after its set-up:
+
+* the share of retired instructions that ran inside compiled regions;
+* region entries per op (calls of a region function by the run loop);
+* retired instructions per region entry;
+* the share of moves from one block to the next that stayed inside a
+  region, rather than returning to the run loop.  A region moves when
+  its ``if cycles >= s_:`` check after assigning the next block's start
+  to ``p_`` passes, and leaves through the ``break`` under it when not;
+  both lines are counted with a line tracer, so this pass runs slower
+  than untraced.
+
+``node_umpu``'s blocks call out to the MMC, the safe-stack unit and the
+domain tracker for the transactions they claim, and a region never
+moves on from a block that calls out, so its regions stay short.  The
+script also prints the wall time of the first ``node_sfi`` set-up in a
+fresh process, where every region is compiled from scratch (the best of
+``--cold`` processes).  ``benchmarks/BENCH_blocks.json`` records these
+figures next to the perfbench throughput pairs.
 
 Run from the repository root::
 
@@ -18,6 +28,7 @@ Run from the repository root::
 """
 
 import argparse
+import dis
 import json
 import os
 import subprocess
@@ -43,15 +54,53 @@ def _counted(core, function, inside):
     return block
 
 
+def _move_lines(code):
+    """Line number -> +1 for each ``if cycles >= s_:`` of *code* that
+    follows a ``p_ = <start>``, and -1 for the ``break`` under it."""
+    lines, line, stored = {}, None, False
+    for instr in dis.get_instructions(code):
+        if instr.starts_line is not None:
+            line = instr.starts_line
+        if stored and instr.opname == "LOAD_FAST" \
+                and instr.argval == "cycles":
+            lines[line], lines[line + 1] = 1, -1
+        stored = instr.opname == "STORE_FAST" and instr.argval == "p_"
+    return lines
+
+
+def _count_moves(moves):
+    """A tracer adding to ``moves[0]`` every in-region move."""
+    lines = {}
+
+    def tracer(frame, event, _arg):
+        code = frame.f_code
+        if code.co_name != "block":
+            return None
+        if code not in lines:
+            lines[code] = _move_lines(code)
+        if not lines[code]:
+            return None
+        mine = lines[code]
+
+        def local(frame_, event_, _arg_):
+            if event_ == "line":
+                moves[0] += mine.get(frame_.f_lineno, 0)
+            return local
+        return local
+    return tracer
+
+
 def block_share(name, seed):
-    """Share of one pass's retired instructions run inside blocks, and
-    the mean retired instructions per block entry."""
+    """For one pass: the share of retired instructions run inside
+    regions, region entries per op, retired instructions per entry, and
+    the share of block-to-block moves that stayed inside a region."""
     import workloads
     w = workloads.make(name, seed)
     for _ in w.setup_steps():
         pass
     core = w.core
     inside = [0, 0]
+    moves = [0]
     for start, block in list(core._blocks.items()):
         if block[0] is not None:
             core._blocks[start] = (_counted(core, block[0], inside),) \
@@ -66,11 +115,16 @@ def block_share(name, seed):
         return block
     core._compile_block = counting
     instret = core.instret
-    for i in range(w.pass_len):
-        if not w.check_op(i, w.run_op(i)):
-            raise RuntimeError("{}: {}".format(name, w.failures))
-    return (inside[0] / (core.instret - instret),
-            inside[0] / max(inside[1], 1))
+    sys.settrace(_count_moves(moves))
+    try:
+        for i in range(w.pass_len):
+            if not w.check_op(i, w.run_op(i)):
+                raise RuntimeError("{}: {}".format(name, w.failures))
+    finally:
+        sys.settrace(None)
+    return (inside[0] / (core.instret - instret), inside[1] / w.pass_len,
+            inside[0] / max(inside[1], 1),
+            moves[0] / max(moves[0] + inside[1], 1))
 
 
 def cold_setup(seed):
@@ -94,13 +148,18 @@ def main(argv=None):
     if args.cold_once:
         print(cold_setup(args.seed))
         return 0
-    result = {"seed": args.seed, "block_share": {}, "mean_block": {}}
+    result = {"seed": args.seed, "block_share": {}, "entries_per_op": {},
+              "instructions_per_entry": {}, "moves_inside": {}}
     for name in WORKLOADS:
-        share, mean = block_share(name, args.seed)
+        share, entries, mean, kept = block_share(name, args.seed)
         result["block_share"][name] = round(share, 4)
-        result["mean_block"][name] = round(mean, 2)
-        print("{:10s} {:6.1%} of retired instructions in blocks, {:.2f} "
-              "per block".format(name, share, mean))
+        result["entries_per_op"][name] = round(entries, 2)
+        result["instructions_per_entry"][name] = round(mean, 2)
+        result["moves_inside"][name] = round(kept, 4)
+        print("{:10s} {:6.1%} of retired instructions in regions, {:.2f} "
+              "entries per op, {:.2f} instructions per entry, {:.1%} of "
+              "moves inside a region".format(name, share, entries, mean,
+                                             kept))
     runs = [float(subprocess.check_output(
         [sys.executable, os.path.abspath(__file__), "--cold-once",
          "--seed", str(args.seed)]).decode())

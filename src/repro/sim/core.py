@@ -22,13 +22,16 @@ indirect call.
 
 :meth:`run` has one fast loop for runs with no trace sink, profiler
 or debugger.  It folds device events and timeline keyframes into its
-budget comparison and runs hot straight-line code as blocks compiled
-from the same templates.  A block reads and writes ``memory.data``
-directly except where something may act: a bus access of a kind some
-unit claims (:attr:`BusInterposer.kinds`), a call hook, a mapped I/O
-device.  There it calls out in handler form and ends after that
-instruction.  Both paths are cycle-for-cycle identical to :meth:`step`
-(asserted by the differential tests).
+budget comparison and runs hot code as regions compiled from the same
+templates: one function per hot loop, holding a hot block and the
+blocks reachable from it by compile-time-known exits, which moves
+between them without returning to the loop.  A region reads and writes
+``memory.data`` directly except where something may act: a bus access
+of a kind some unit claims (:attr:`BusInterposer.kinds`), a call hook,
+a mapped I/O device.  There it calls out in handler form and returns
+after that instruction.  When nothing may act at all it keeps r0-r31,
+SP and SREG in Python locals.  Both paths are cycle-for-cycle identical
+to :meth:`step` (asserted by the differential tests).
 """
 
 from repro.isa.encoding import DecodeError, decode_words, is_32bit_opcode
@@ -52,7 +55,7 @@ _ALL_KINDS = frozenset(AccessKind)
 _NO_KINDS = frozenset()
 #: the blocks-table entry of a PC that runs interpreted (not hot yet, or
 #: no block starts there): its entry cost never fits a bound
-_NO_BLOCK = (None, float("inf"), -1)
+_NO_BLOCK = (None, float("inf"), -1, 0, -1)
 
 
 def _tick(devices, elapsed):
@@ -133,16 +136,22 @@ class AvrCore:
         #: callable returning the active protection domain (set by
         #: UmpuMachine); None on cores without protection hardware
         self.domain_provider = None
-        #: compiled blocks (see :meth:`_run_fast`): start word ->
-        #: ``(function, cycles before its last instruction, word of its
-        #: last instruction)``, or ``_NO_BLOCK`` where none can start
+        #: entries into compiled regions (see :meth:`_run_fast`): block
+        #: start word -> ``(region function, cycles before the block's
+        #: last instruction, word of that instruction, first and last
+        #: word of the region)``, or ``_NO_BLOCK`` where none can start
         self._blocks = {}
+        #: block start word -> the region holding that block
+        self._regions = {}
         #: the view of the bus and call path they were compiled for
         self._view = semantics.PLAIN
         #: visits of PCs not yet in ``_blocks``
         self._heat = {}
-        #: flash word -> start words of the blocks that read it
+        #: flash word -> block starts (one collection per region) whose
+        #: entries go when the word is written
         self._block_cover = {}
+        #: the run loop's bound, read by a region at entry
+        self._bound = 0
         bus.cycle_hook = lambda: self.cycles
         # runtime flash writes invalidate the decoded instructions they
         # overwrite, so no write path can execute stale decodes
@@ -231,23 +240,27 @@ class AvrCore:
 
     def _drop_blocks(self):
         self._blocks.clear()
+        self._regions.clear()
         self._heat.clear()
         self._block_cover.clear()
 
     def _on_flash_write(self, word_addr):
         """Memory notified us of a flash write: drop any decode that
         covers the word (a 32-bit instruction starting one word earlier
-        spans it too), and every compiled block that read it.  The
-        cached entry carries the bound handler, so dropping it unbinds
-        the stale executor as well."""
+        spans it too), and every region that read it, at all of its
+        entries.  The cached entry carries the bound handler, so
+        dropping it unbinds the stale executor as well."""
         cache = self._decode_cache
         if cache:
             cache.pop(word_addr, None)
             cache.pop(word_addr - 1, None)
-        starts = self._block_cover.pop(word_addr, None)
-        if starts:
-            for start in starts:
-                self._blocks.pop(start, None)
+        stale = self._block_cover.pop(word_addr, None)
+        if stale:
+            blocks, regions = self._blocks, self._regions
+            for starts in stale:
+                for start in starts:
+                    blocks.pop(start, None)
+                    regions.pop(start, None)
 
     def _instr_size_at(self, word_addr):
         """Word size of the instruction at *word_addr* (for skips).
@@ -400,7 +413,7 @@ class AvrCore:
         return claimed, bool(self.call_hooks), bool(self.memory.io_devices)
 
     def _run_fast(self, start, max_cycles, until_pc):
-        """Uninstrumented run loop: compiled blocks where they fit,
+        """Uninstrumented run loop: compiled regions where they fit,
         threaded dispatch off the decode cache elsewhere, with the same
         state transitions (PC, SREG, registers, memory, cycles, faults)
         as repeated :meth:`step` calls.
@@ -416,17 +429,22 @@ class AvrCore:
         entry it began with included.  A pending interrupt line costs
         one truthiness check on the controller's pending-set.
 
-        A PC gets its block, compiled for the run's view, on its
-        ``_HOT``-th visit.  The block ends at and includes a control
-        transfer or skip, ends after an instruction that calls out to
-        the bus or the call hooks, and ends before an opcode without a
-        template or at ``BLOCK_MAX`` instructions.  It is entered only
-        where interpreting it would cross no loop event on the way: no
-        interrupt is pending (none can become pending inside: devices
-        tick only at ``bound`` and a callout ends its block), every
-        boundary before its last instruction lies before ``bound``, and
-        ``until_pc`` is not one of them.  Stall cycles therefore fall
-        past those checks.  ``docs/performance.md`` has the details."""
+        A PC gets its entry on its ``_HOT``-th visit: into the region of
+        this core that already holds a block starting there, else into a
+        new region formed there (:meth:`_form_region`), compiled for the
+        run's view.  A block ends at and includes a control transfer or
+        skip, ends after an instruction that calls out to the bus or the
+        call hooks, and ends before an opcode without a template or at
+        ``BLOCK_MAX`` instructions.  A region is entered only where
+        interpreting its entry block would cross no loop event on the
+        way: no interrupt is pending (none can become pending inside:
+        devices tick only at ``bound``, and a callout or device call
+        ends the region), every boundary before the block's last
+        instruction lies before ``bound``, and ``until_pc`` lies outside
+        the region's word span.  Inside, the region moves to another of
+        its blocks only while that block's entry rule holds too, reading
+        ``bound`` from ``_bound``.  Stall cycles therefore fall past
+        those checks.  ``docs/performance.md`` has the details."""
         cache = self._decode_cache
         decode = self._decode_and_cache
         blocks = self._blocks
@@ -437,6 +455,7 @@ class AvrCore:
         synced = start  # cycle the devices were last ticked up to
         due = _next_event(devices, synced) if devices else None
         bound = _nearest(limit, watermark, due)
+        outer, self._bound = self._bound, bound
         interrupts = self.interrupts
         pending = interrupts.pending if interrupts is not None else None
         stop_pc = -1 if until_pc is None else until_pc
@@ -462,7 +481,7 @@ class AvrCore:
                         # and re-derive the bound from the new watermark
                         self.watermark_hook(self)
                         watermark = self.watermark
-                    bound = _nearest(limit, watermark, due)
+                    bound = self._bound = _nearest(limit, watermark, due)
                     continue
                 if pending:
                     # same boundary step() polls at: after the budget
@@ -480,7 +499,7 @@ class AvrCore:
                     if block is None:
                         block = self._warm(pc)
                     if cycles + block[1] < bound \
-                            and not pc < stop_pc <= block[2]:
+                            and not block[3] <= stop_pc <= block[4]:
                         block[0](self, data, cycles)
                         continue
                 entry = cache.get(pc)
@@ -496,12 +515,14 @@ class AvrCore:
                     else self.cycles
                 _tick(devices, end - synced)
             raise
+        finally:
+            self._bound = outer  # a run nested in a hook restores ours
         if devices:
             _tick(devices, self.cycles - synced)
         return self.cycles - start
 
     def _warm(self, pc):
-        """Count a visit to *pc*; on the ``_HOT``-th, compile its block."""
+        """Count a visit to *pc*; on the ``_HOT``-th, compile its entry."""
         heat = self._heat.pop(pc, 0) + 1
         if heat < _HOT:
             self._heat[pc] = heat
@@ -509,28 +530,65 @@ class AvrCore:
         return self._compile_block(pc)
 
     def _compile_block(self, pc):
-        """Compile and enter into ``_blocks`` the block starting at *pc*
-        (``_NO_BLOCK`` when its first opcode has no template)."""
-        flash = self.memory.flash
-        data_end = self.geometry.data_end
-        compiled = semantics.cached_block(flash, pc, data_end, self._view)
-        if compiled is None:
-            compiled = semantics.compile_block(
-                flash, self._block_body(pc), data_end, self._view)
-        if compiled is None:
-            block, end = _NO_BLOCK, pc + 2
-        else:
-            block, end = compiled[:3], compiled[3]
-        self._blocks[pc] = block
-        cover = self._block_cover
-        for word in range(pc, end):
-            cover.setdefault(word, set()).add(pc)
+        """Enter into ``_blocks`` the entry of *pc* into the region
+        holding its block: one of this core's, else one this process
+        compiled from the same flash words, else a new one formed at
+        *pc* (``_NO_BLOCK`` when no block can start there)."""
+        region = self._regions.get(pc)
+        if region is None:
+            flash, view = self.memory.flash, self._view
+            data_end = self.geometry.data_end
+            region = semantics.cached_region(flash, pc, data_end, view)
+            if region is None:
+                members = self._form_region(pc)
+                if members:
+                    region = semantics.compile_region(
+                        flash, members, data_end, view)
+            if region is None:
+                self._cover(((pc, pc + 2),), (pc,))
+                self._blocks[pc] = _NO_BLOCK
+                return _NO_BLOCK
+            for start in region.entries:
+                self._regions.setdefault(start, region)
+            self._cover(region.cover, region.entries)
+        block = self._blocks[pc] = region.entry(pc)
         return block
+
+    def _cover(self, spans, starts):
+        """Drop the entries at *starts* when a word of *spans* is
+        written."""
+        cover = self._block_cover
+        for first, end in spans:
+            for word in range(first, end):
+                cover.setdefault(word, []).append(starts)
+
+    def _form_region(self, pc):
+        """The blocks of a new region at *pc*, start word -> body: the
+        block at *pc* and, breadth first, those reachable from it by
+        compile-time-known exits (:func:`semantics.successors`), at most
+        ``REGION_MAX``.  A block that ends its region adds no
+        successors."""
+        view = self._view
+        members = {}
+        queue = [pc]
+        for start in queue:
+            if start in members:
+                continue
+            body = self._block_body(start)
+            if not body:
+                continue
+            members[start] = body
+            if len(members) == semantics.REGION_MAX:
+                break
+            if not semantics.ends_region(body, view):
+                queue += semantics.successors(body)
+        return members
 
     def _block_body(self, pc):
         """The instructions a block at *pc* may hold, as
         ``(pc, instr, skip words)``: templated ones, up to and including
-        the first control transfer, at most ``BLOCK_MAX``."""
+        the first control transfer or callout, at most ``BLOCK_MAX``."""
+        view = self._view
         body = []
         try:
             while len(body) < semantics.BLOCK_MAX:
@@ -543,7 +601,7 @@ class AvrCore:
                     if control == "skip" else 0
                 body.append((pc, instr, skip))
                 pc += size
-                if control:
+                if control or semantics.calls_out(instr.key, view):
                     break
         except SimError:
             pass  # undecodable or past flash: step() raises on arrival

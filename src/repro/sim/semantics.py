@@ -3,14 +3,16 @@
 Each template below is the only written-out copy of its opcode's effect
 on registers, SREG and data memory.  At import time :mod:`repro.sim.core`
 renders every template into the interpreter's ``_exec_<key>`` handler
-(:func:`handler_source`).  At run time the block compiler renders runs
-of templates into one straight-line Python function with the operands
-constant-folded (:func:`compile_block`); only :data:`HANDLER_ONLY`
-opcodes never enter a block.  The two renderings differ
-only in the pseudo-ops, which are where the bus, the call hooks and the
-trace sink come in.  A block renders a pseudo-op in handler form only
-where its view (:data:`PLAIN`) says something may act on it (a
-*callout*), and directly everywhere else:
+(:func:`handler_source`).  At run time the region compiler renders
+blocks (runs of templates ending at a control transfer) into one Python
+function per region with the operands constant-folded
+(:func:`compile_region`); a region moves between its blocks without
+returning, and under :data:`PLAIN` keeps r0-r31, SPL, SPH and SREG in
+locals.  Only :data:`HANDLER_ONLY` opcodes never enter a block.  The
+two renderings differ only in the pseudo-ops, which are where the bus,
+the call hooks and the trace sink come in.  A block renders a pseudo-op
+in handler form only where its view (:data:`PLAIN`) says something may
+act on it (a *callout*), and directly everywhere else:
 
 ``{d}``, ``{r}``, ``{K}``, ... (the spec's operand letters)
     the operand: a local of the handler, a literal in a block.
@@ -38,11 +40,15 @@ where its view (:data:`PLAIN`) says something may act on it (a
     taken, a block has it folded in at compile time.
 
 Every other line is Python over ``data`` (the unified data space, so
-registers and SREG are plain bytes of it) and the flag table
+registers and SREG are plain bytes of it; a region with the register
+cache renames their constant subscripts to locals) and the flag table
 :data:`NVSZ`.  Temporaries may be any name except ``core``, ``i``,
 ``data``, ``cycles``, ``hook``, ``NVSZ`` and the ``op_*`` operand
 locals; names ending in ``_`` belong to the renderers.
 """
+
+import re
+from operator import itemgetter
 
 from repro.isa.opcodes import SPEC_BY_KEY
 from repro.isa.registers import IoReg
@@ -439,31 +445,112 @@ def make_handler(key):
 
 
 # ----------------------------------------------------------------------
-# rendering 2: compiled blocks
+# rendering 2: compiled regions
 # ----------------------------------------------------------------------
-class _Unblockable(Exception):
-    """A template line a block cannot hold (a constant address outside
-    the data space: the interpreter raises there)."""
-
-
 def _constant(expr):
     """The value of *expr* if it is a constant expression, else None."""
+    if expr.isdigit():
+        return int(expr)
     try:
         return eval(expr, {"__builtins__": {}})
     except NameError:
         return None
 
 
+def _names(instr, next_word):
+    """Template placeholders of *instr* as block literals."""
+    return dict(_ADDRS, next=next_word, **{
+        op.letter: str(value)
+        for op, value in zip(instr.spec.operands, instr.operands)})
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
+
+
 #: the view of a run nothing observes, where every access is direct.
 #: A view is ``(claimed, hooks, io)``, computed once per
 #: :meth:`AvrCore.run`: the :class:`AccessKind` members some bus unit or
 #: observer claims, whether the core has call hooks, and whether any I/O
-#: device is mapped.  A block runs only under the view it was compiled for.
+#: device is mapped.  A region runs only under the view it was compiled
+#: for, and keeps registers in locals only under this one.
 PLAIN = (frozenset(), False, False)
+
+#: most blocks one region holds
+REGION_MAX = 16
+#: the bytes a region under :data:`PLAIN` keeps in locals (r0-r31, SPL,
+#: SPH, SREG), and the first data address past them
+_LOCALS = {n: "r{}_".format(n) for n in range(32)}
+_LOCALS.update({_ADDRS["SPL"]: "spl_", _ADDRS["SPH"]: "sph_",
+                _ADDRS["SREG"]: "sreg_"})
+_LOCALS_END = _ADDRS["SREG"] + 1
+_SUBSCRIPT = re.compile(r"data\[([^\[\]]+)\]")
+_ASSIGNED = re.compile(r"data\[([^\[\]]+)\] *[|&]?= ")
+#: placeholder lines for what only the whole region knows: write its
+#: written locals back to ``data``, reload all its locals from ``data``
+_WRITE_BACK, _RELOAD = "\0w", "\0r"
+
+#: template key -> the access kinds of its pseudo-ops
+_KINDS = {key: frozenset(AccessKind[line.rsplit(", ", 1)[1]]
+                         for line in _LINES[key] if line.startswith(_ACCESSES))
+          for key in TEMPLATES}
+#: template keys that call the call hooks
+_HOOKED = frozenset(key for key in TEMPLATES
+                    if any(line.startswith("@hook ") for line in _LINES[key]))
+
+
+def calls_out(key, view):
+    """Whether an instruction of *key* makes a callout under *view*: a
+    block ends after it."""
+    claimed, hooks, _io = view
+    return bool(_KINDS[key] & claimed) or (hooks and key in _HOOKED)
+
+
+def ends_region(body, view):
+    """Whether a block calls out or may reach an I/O device under
+    *view*: every exit of such a block leaves its region."""
+    io = view[2]
+    return any(calls_out(instr.key, view) or (io and _KINDS[instr.key])
+               for _pc, instr, _skip in body)
+
+
+def successors(body):
+    """The words a block's compile-time-known exits go to: the
+    fall-through, both sides of a branch or skip, and a jump's or
+    call's constant target."""
+    pc, instr, skip = body[-1]
+    after = pc + instr.size_words
+    control = CONTROL[instr.key]
+    if control is None:
+        return [after]
+    if control == "skip":
+        return [after, after + skip]
+    names = _names(instr, str(after))
+    target = None
+    for line in _LINES[instr.key]:
+        line = line.format(**names)
+        if line.startswith("target = "):
+            target = _constant(line[9:])
+    op, _, rest = line.partition(" ")
+    if op == "@goto_if":
+        return [after, _constant(_args(rest, 3)[1])]
+    if rest != "target":
+        target = _constant(rest)
+    return [] if target is None else [target]
 
 
 class _BlockWriter:
-    """Renders one block: straight-line code over ``data``, one exit.
+    """Renders the blocks of one region over ``data``.
+
+    Without *members* it renders one block as straight-line code whose
+    exits set ``pc`` and ``cycles`` and fall through to the function's
+    tail.  With them, every exit charges the block's cycles and
+    instructions to the locals ``cycles`` and ``i_``, sets ``p_`` and
+    leaves the region's loop for the one publish after it, except an
+    exit of a block that does not end its region (:func:`ends_region`)
+    to a constant member start: that *moves* there, as long as
+    ``cycles`` stays below ``s_`` (the run loop's bound less the largest
+    entry prefix).
 
     An access of a kind the view claims, and a call hook when the view
     has hooks, is a *callout* in handler form (:func:`_callout`): its
@@ -474,25 +561,40 @@ class _BlockWriter:
     callout or device call, and on a bounds fault, the block publishes
     the ``pc``, ``cycles`` and ``instret`` that :meth:`AvrCore.step`
     shows the instruction's handler: PC past it, its cycles not
-    charged, only the instructions before it retired."""
+    charged, only the instructions before it retired.
 
-    def __init__(self, data_end, view):
+    With *cache* every constant subscript of r0-r31, SPL, SPH or SREG is
+    a local, loaded at entry and written back by the function's
+    ``finally`` on every exit and fault.  A direct access whose address
+    is computed at run time writes the locals back first when the
+    address is below ``_LOCALS_END``, and reloads them after a store
+    there."""
+
+    def __init__(self, data_end, view, members, cache):
         self.data_end = data_end
         self.plain = view == PLAIN
         self.claimed, self.hooks, self.io = view
+        self.members = members
+        self.cache = cache
+        self.used = set()      # cached bytes the region names
+        self.written = set()   # cached bytes it assigns
+        self.start = None      # first word of the current block
+        self.terminal = False  # the current block ends its region
         self.lines = []
-        self.cycles = 0      # base cycles of the instructions added
-        self.count = 0       # instructions added
+        self.cycles = 0      # base cycles of the block's instructions
+        self.count = 0       # instructions added to the block
         self.next = None     # word address after the current instruction
         self.skip = 0        # words the current instruction may skip
         self.base = 0        # base cycles of the current instruction
+        self.target = None   # the current instruction's constant target
         self.stalls = False  # the current instruction made a callout
         self.device = False  # the current instruction may reach a device
+        self.devices = False  # some instruction may reach a device
 
     def retire(self, count):
         """The line charging *count* retired instructions in all (``i_``
-        holds the count at entry, where a publish may have run)."""
-        if self.plain:
+        holds the count at the block's entry)."""
+        if self.plain and self.members is None:
             return "core.instret += {}".format(count)
         return "core.instret = i_ + {}".format(count)
 
@@ -501,12 +603,37 @@ class _BlockWriter:
         current instruction."""
         lines = ["core.pc = {}".format(self.next),
                  "core.cycles = cycles + {}".format(self.cycles)]
-        return lines + [self.retire(self.count)] if self.count else lines
+        if self.count or self.members is not None:
+            lines.append(self.retire(self.count))
+        return lines
 
     def fault(self, addr):
-        return ["if {} > {}:".format(addr, self.data_end),
-                "    " + "; ".join(self.publish()),
-                "    raise InvalidAccess({})".format(addr)]
+        return (["if {} > {}:".format(addr, self.data_end)]
+                + _indent(self.publish()
+                          + ["raise InvalidAccess({})".format(addr)]))
+
+    def local(self, addr, write):
+        """The local holding the cached byte at *addr*."""
+        self.used.add(addr)
+        if write:
+            self.written.add(addr)
+        return _LOCALS[addr]
+
+    def _rename(self, match):
+        addr = _constant(match.group(1))
+        return match.group(0) if addr not in _LOCALS else \
+            self.local(addr, False)
+
+    def cached(self, line):
+        """*line* with its constant subscripts of cached bytes renamed
+        to their locals (no-op without the cache)."""
+        if not self.cache:
+            return line
+        assigned = _ASSIGNED.match(line)
+        addr = assigned and _constant(assigned.group(1))
+        if addr in _LOCALS:
+            self.written.add(addr)
+        return _SUBSCRIPT.sub(self._rename, line)
 
     def direct(self, addr, write, value):
         """An unclaimed access: *value* written to, or the variable
@@ -514,9 +641,12 @@ class _BlockWriter:
         I/O device mapped there under a view with devices."""
         constant = _constant(addr)
         if constant is not None:
-            if not 0 <= constant <= self.data_end:
-                raise _Unblockable(addr)
-            setup, at, check = [], str(constant), []
+            setup, at = [], str(constant)
+            check = [] if 0 <= constant <= self.data_end else self.fault(at)
+            if not check and self.cache and constant in _LOCALS:
+                name = self.local(constant, write)
+                return [name + " = " + value] if write else \
+                    [value + " = " + name]
         elif addr.isidentifier():
             setup, at, check = [], addr, self.fault(addr)
         else:
@@ -527,12 +657,16 @@ class _BlockWriter:
         else:
             line = "{} = data[{}]".format(value, at)
             device = "{} = d_.io_read({})".format(value, at)
+        if self.cache and constant is None:
+            alias = [_WRITE_BACK, line] + ([_RELOAD] if write else [])
+            return (setup + ["if {} < {}:".format(at, _LOCALS_END)]
+                    + _indent(alias) + ["else:"] + _indent(check + [line]))
         if not self.io:
             return setup + check + [line]
-        self.device = True
+        self.device = self.devices = True
         return (setup + ["d_ = io_.get({})".format(at), "if d_ is None:"]
-                + ["    " + x for x in check + [line]] + ["else:"]
-                + ["    " + x for x in self.publish() + [device, "o_ = 1"]])
+                + _indent(check + [line]) + ["else:"]
+                + _indent(self.publish() + [device, "o_ = 1"]))
 
     def callout(self, lines):
         """A claimed access or a call hook, in handler form."""
@@ -541,12 +675,31 @@ class _BlockWriter:
         self.stalls = True
         return self.publish() + ["x_ = 0"] + lines
 
-    def exit(self, pc, cycles):
-        return ["core.pc = " + pc, "core.cycles = cycles + {}{}".format(
-            cycles, " + x_" if self.stalls else "")]
+    def exit(self, target, cycles, count, leave=False):
+        """Lines leaving the block for *target* with *cycles* base cycles
+        and *count* instructions charged.  A straight-line block's exit
+        returns only when *leave*.  A region's charges ``cycles`` and
+        ``i_``, sets ``p_`` and either breaks out of the loop to the
+        publish after it or moves."""
+        stall = " + x_" if self.stalls else ""
+        if self.members is None:
+            lines = ["core.pc = " + target,
+                     "core.cycles = cycles + {}{}".format(cycles, stall)]
+            return lines + [self.retire(count), "return"] if leave else lines
+        to = _constant(target)
+        lines = ["cycles += {}{}".format(cycles, stall),
+                 "i_ += {}".format(count),
+                 "p_ = {}".format(target if to is None else to)]
+        if self.terminal or to not in self.members:
+            return lines + ["break"]
+        return (lines + ["if cycles >= s_:", "    break"]
+                + (["continue"] if to <= self.start else []))
 
     def render(self, line):
+        line = self.cached(line)
         if not line.startswith("@"):
+            if line.startswith("target = "):
+                self.target = _constant(line[9:])
             return [line]
         op, _, rest = line.partition(" ")
         if op in _ACCESSES:
@@ -554,10 +707,13 @@ class _BlockWriter:
             if AccessKind[kind] in self.claimed:
                 return self.callout(_callout(op, rest))
             if op == "@push":
-                return (["sp_ = " + _SP] + self.direct("sp_", True, *args)
-                        + ["sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP)
+                return (["sp_ = " + self.cached(_SP)]
+                        + self.direct("sp_", True, *args)
+                        + ["sp_ = (sp_ - 1) & 0xFFFF"]
+                        + [self.cached(x) for x in _SET_SP])
             if op == "@pop":
-                return (["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
+                return (["sp_ = (({}) + 1) & 0xFFFF".format(self.cached(_SP))]
+                        + [self.cached(x) for x in _SET_SP]
                         + self.direct("sp_", False, *args))
             if op == "@load":
                 return self.direct(args[1], False, args[0])
@@ -566,9 +722,11 @@ class _BlockWriter:
             return self.callout(_callout(op, rest)) if self.hooks else []
         if op == "@emit":
             return []
-        total = self.cycles + self.base
+        total, count = self.cycles + self.base, self.count + 1
         if op == "@goto":
-            return self.exit(rest, total)
+            if rest == "target" and self.target is not None:
+                rest = str(self.target)
+            return self.exit(rest, total, count)
         if op == "@goto_if":
             cond, target, cost = _args(rest, 3)
             cost = int(cost)
@@ -576,101 +734,190 @@ class _BlockWriter:
             cond, target, cost = rest, str(int(self.next) + self.skip), \
                 self.skip
         return (["if {}:".format(cond)]
-                + ["    " + x for x in self.exit(target, total + cost)]
-                + ["else:"]
-                + ["    " + x for x in self.exit(self.next, total)])
+                + _indent(self.exit(target, total + cost, count))
+                + ["else:"] + _indent(self.exit(self.next, total, count)))
 
     def add(self, pc, instr, skip):
-        """Append one instruction; raises :class:`_Unblockable` (and
-        appends nothing) when the block cannot hold it."""
+        """Append one instruction."""
         self.next = str(pc + instr.size_words)
         self.skip = skip
         self.base = instr.spec.cycles
-        names = dict(_ADDRS, next=self.next, **{
-            op.letter: str(value)
-            for op, value in zip(instr.spec.operands, instr.operands)})
+        self.target = None
+        names = _names(instr, self.next)
         self.stalls = self.device = False
         lines = []
         for line in _LINES[instr.key]:
             lines += self.render(line.format(**names))
         if self.device and not self.stalls and CONTROL[instr.key] is None:
             # a device was reached: exit after this instruction
-            lines += ["if o_:"] + ["    " + x for x in self.exit(
-                self.next, self.cycles + self.base)
-                + [self.retire(self.count + 1), "return"]]
+            lines += ["if o_:"] + _indent(self.exit(
+                self.next, self.cycles + self.base, self.count + 1, True))
         self.lines += lines
         self.cycles += self.base
         self.count += 1
 
+    def block(self, body, terminal):
+        """Render the block *body*, a run of ``(pc, decoded instr, skip
+        words)`` in which only the last may transfer control.  Returns
+        its lines, the cycles before its last instruction, that
+        instruction's word, and one past the last flash word it read
+        (the skipped instruction of a final skip included)."""
+        self.start = body[0][0]
+        self.terminal = terminal
+        self.lines, self.cycles, self.count = [], 0, 0
+        prefix = 0
+        for pc, instr, skip in body:
+            prefix = self.cycles
+            self.add(pc, instr, skip)
+        after = pc + instr.size_words
+        if CONTROL[instr.key] is None:
+            self.lines += self.exit(str(after), self.cycles, self.count)
+        return self.lines, prefix, pc, after + skip
 
-#: compiled blocks shared by every core in the process, so that a
+    def stores(self):
+        return ["data[{}] = {}".format(addr, _LOCALS[addr])
+                for addr in sorted(self.written)] or ["pass"]
+
+    def loads(self):
+        """One line loading every local (``g_`` gets them all)."""
+        names = [_LOCALS[addr] for addr in sorted(self.used)]
+        if len(names) < 2:
+            return ["{} = data[{}]".format(name, addr)
+                    for name, addr in zip(names, sorted(self.used))]
+        return ["{}, = g_(data)".format(", ".join(names))]
+
+    def namespace(self):
+        """The globals :meth:`loads` and :meth:`expand` refer to."""
+        used, written = sorted(self.used), sorted(self.written)
+        return {"g_": itemgetter(*used) if len(used) > 1 else None,
+                "w_": tuple(written), "put_": _put}
+
+    def expand(self, lines):
+        """*lines* with the write-back and reload placeholders filled in
+        from the whole region's locals."""
+        stores = ["put_(data, w_, ({},))".format(", ".join(
+            _LOCALS[addr] for addr in sorted(self.written)))] \
+            if self.written else ["pass"]
+        loads = self.loads() or ["pass"]
+        out = []
+        for line in lines:
+            code = line.lstrip(" ")
+            if code in (_WRITE_BACK, _RELOAD):
+                pad = line[:len(line) - len(code)]
+                out += [pad + x
+                        for x in (stores if code == _WRITE_BACK else loads)]
+            else:
+                out.append(line)
+        return out
+
+
+def _put(data, addrs, values):
+    """Write a region's written locals back before an access that may
+    alias them."""
+    for addr, value in zip(addrs, values):
+        data[addr] = value
+
+
+class Region:
+    """One compiled function running a set of blocks (its *members*),
+    entered at any of them: ``entries`` maps each member's start word to
+    the cycles before its last instruction and that instruction's word;
+    ``lo``..``hi`` is the word span of every instruction the function
+    may run, and ``cover`` the ``(start, end)`` flash words each member
+    read."""
+
+    __slots__ = ("function", "entries", "lo", "hi", "cover")
+
+    def __init__(self, function, entries, cover):
+        self.function = function
+        self.entries = entries
+        self.lo = min(entries)
+        self.hi = max(last for _prefix, last in entries.values())
+        self.cover = cover
+
+    def entry(self, pc):
+        """The run loop's blocks-table entry for the member at *pc*."""
+        prefix, last = self.entries[pc]
+        return (self.function, prefix, last, self.lo, self.hi)
+
+
+#: compiled regions shared by every core in the process, so that a
 #: restore, a replay or a rebuilt node compiles nothing again:
-#: ``(start word, data_end, view, flash words the block read) -> block``
+#: ``(data_end, view, ((member start, its flash words), ...)) -> Region``
 _CACHE = {}
-#: ``(start word, data_end, view) -> lengths of the cached blocks there``
-_SPANS = {}
+#: ``(member start, data_end, view) -> keys of the cached regions``
+_AT = {}
 #: bound on the cache; a full cache is dropped and refilled
 _CACHE_MAX = 1024
 
 
-def cached_block(flash, pc, data_end, view):
-    """A block this process compiled at *pc* under *view* from the
-    words now in *flash*, or None.  The words a block read and the view
-    determine its code."""
-    for length in _SPANS.get((pc, data_end, view), ()):
-        block = _CACHE.get(
-            (pc, data_end, view, tuple(flash[pc:pc + length])))
-        if block is not None:
-            return block
+def cached_region(flash, pc, data_end, view):
+    """A region this process compiled under *view* with a member at *pc*
+    whose members' words are all still in *flash*, or None.  The words
+    the members read and the view determine its code."""
+    for key in _AT.get((pc, data_end, view), ()):
+        if all(tuple(flash[start:start + len(words)]) == words
+               for start, words in key[2]):
+            return _CACHE[key]
     return None
 
 
-def compile_block(flash, body, data_end, view):
-    """Compile *body*, a run of ``(pc, decoded instr, skip words)``
-    entries read from *flash*, all with templates, in which only the
-    last may transfer control, for a run under *view*; an entry a block
-    cannot hold ends it early, and an entry with a callout ends it
-    after that entry.
+def compile_region(flash, members, data_end, view):
+    """Compile *members*, ``start word -> block body`` as
+    :meth:`_BlockWriter.block` takes it, read from *flash*, into one
+    :class:`Region` for a run under *view*.
 
-    Returns ``(function, cycles before the last instruction, last
-    instruction's word address, end word)``, where ``end`` is one past
-    the last flash word the block read (the skipped instruction of a
-    final skip included), or None when no entry fits.  The function
-    takes ``(core, data, cycles)``, runs the block and charges its
-    cycles, PC and retired instructions to *core*."""
-    writer = _BlockWriter(data_end, view)
-    last = end = key = None
-    prefix = 0
-    for pc, instr, skip in body:
-        before = writer.cycles
-        try:
-            writer.add(pc, instr, skip)
-        except _Unblockable:
-            writer.stalls = False  # the block ends before this entry
-            break
-        prefix, last, key = before, pc, instr.key
-        end = pc + instr.size_words + skip
-        if writer.stalls:
-            break  # a callout ends its block
-    if last is None:
-        return None
-    lines = writer.lines
-    if CONTROL[key] is None:
-        lines += writer.exit(str(end), writer.cycles)
-    lines.append(writer.retire(writer.count))
-    head = [] if writer.plain else ["i_ = core.instret"]
-    if writer.io:
+    Its function takes ``(core, data, cycles)`` with ``core.pc`` at a
+    member's start, runs from there and charges the cycles, PC and
+    retired instructions to *core*.  A region of one block that cannot
+    move to itself is rendered as straight-line code; every other
+    region dispatches on the local ``p_`` in a loop, reading the bound
+    its moves must stay under from ``core._bound``."""
+    order = sorted(members)
+    terminal = {start: ends_region(members[start], view) for start in order}
+    first = order[0]
+    looping = len(order) > 1 or (
+        not terminal[first] and first in successors(members[first]))
+    writer = _BlockWriter(data_end, view, set(order) if looping else None,
+                          view == PLAIN)
+    entries, cover, body = {}, [], []
+    for start in order:
+        lines, prefix, last, end = writer.block(members[start],
+                                                terminal[start])
+        entries[start] = (prefix, last)
+        cover.append((start, end))
+        if len(order) > 1:
+            lines = ["if p_ == {}:".format(start)] + _indent(lines)
+        body += lines
+    head = [] if writer.plain and not looping else ["i_ = core.instret"]
+    if writer.devices:
         head += ["io_ = core.memory.io_devices", "o_ = 0"]
+    if looping:
+        head.append("s_ = core._bound - {}".format(
+            max(prefix for prefix, _last in entries.values())))
+        if len(order) > 1:
+            head.append("p_ = core.pc")
+        body = ["while True:"] + _indent(body) + [
+            "core.pc = p_", "core.cycles = cycles", "core.instret = i_"]
+    else:
+        body += [writer.retire(writer.count)]
+    if writer.cache:
+        # every exit and fault leaves through the write-back
+        head += writer.loads()
+        body = ["try:"] + _indent(body) + ["finally:"] + _indent(
+            writer.stores())
     source = "def block(core, data, cycles):\n" + "\n".join(
-        "    " + line for line in head + lines)
-    namespace = {"InvalidAccess": InvalidAccess, "NVSZ": NVSZ,
-                 "AccessKind": AccessKind}
+        _indent(writer.expand(head + body)))
+    namespace = dict(writer.namespace(), InvalidAccess=InvalidAccess,
+                     NVSZ=NVSZ, AccessKind=AccessKind)
     exec(compile(source, "<avr block>", "exec"), namespace)
-    start = body[0][0]
-    block = (namespace["block"], prefix, last, end)
+    region = Region(namespace["block"], entries, tuple(cover))
     if len(_CACHE) >= _CACHE_MAX:
         _CACHE.clear()
-        _SPANS.clear()
-    _CACHE[(start, data_end, view, tuple(flash[start:end]))] = block
-    _SPANS.setdefault((start, data_end, view), set()).add(end - start)
-    return block
+        _AT.clear()
+    key = (data_end, view, tuple((start, tuple(flash[start:end]))
+                                 for start, end in cover))
+    _CACHE[key] = region
+    for start in order:
+        _AT.setdefault((start, data_end, view), []).append(key)
+    return region

@@ -1,15 +1,18 @@
 """Differential licence for compiled blocks: a run that enters blocks
 must leave the same architectural state as a loop of ``step()`` calls.
 
-``AvrCore._run_fast`` compiles a PC's straight-line run of templated
-instructions into one function once the PC is hot.  The programs here
+``AvrCore._run_fast`` compiles a hot PC's straight-line run of templated
+instructions, with the blocks reachable from it, into one region
+function that moves between its blocks without returning.  The programs here
 are the fast-path fuzz generators of
 ``tests/test_fastpath_differential.py`` wrapped in a loop that runs
 past the hotness count, plus a hand-written loop over the opcodes the
 generators do not emit.  Each scenario stops, interrupts or faults a
 run inside a block's span: a cycle budget, ``until_pc`` on an interior
 PC, a watermark hook, a timer interrupt, a store past the data space,
-a flash write into a block and a snapshot restore.
+a flash write into a block and a snapshot restore.  A second set
+repeats these on a loop of several blocks, landing each event on a move
+into a block that is not the region's entry.
 
 Blocks call out to the bus for the access kinds its units claim, to
 the call hooks and to I/O devices.  The second half runs an
@@ -147,6 +150,11 @@ def count_block_entries(core):
         return block
     core._compile_block = counting
     return entered
+
+
+def region_members(core, entered):
+    """Start words of every block in the regions entered at *entered*."""
+    return {start for pc in entered for start in core._regions[pc].entries}
 
 
 def compiled_spans(core):
@@ -416,6 +424,304 @@ def test_snapshot_restore_then_resume():
 
 
 # ----------------------------------------------------------------------
+# regions: loops of several blocks
+# ----------------------------------------------------------------------
+#: a loop of seven blocks: a branch, jumps to block starts (``store``,
+#: whose first instruction writes through X, and ``tail``) and a skip.  X starts at ``x`` and
+#: moves up one byte per trip; r16 counts trips.
+REGION_LOOP = """
+    ldi r26, lo8({x})
+    ldi r27, hi8({x})
+loop:
+    inc r16
+    mov r17, r16
+    andi r17, 3
+    brne odd
+    add r18, r16
+    adc r19, r1
+    rjmp store
+odd:
+    eor r18, r16
+    lsr r19
+    st X+, r16
+    rjmp tail
+store:
+    st X+, r16
+tail:
+    subi r20, 1
+    sbrc r20, 2
+    inc r21
+    rjmp loop
+"""
+
+
+def region_loop(x=0x0200):
+    return assemble(REGION_LOOP.format(x=x))
+
+
+def loop_region(machine):
+    """The region holding the block at ``loop`` after a warm-up run."""
+    return machine.core._regions[machine.program.symbol("loop") // 2]
+
+
+def member_boundaries(program, cycles, wrap=False):
+    """``(cycles, pc)`` of every boundary a step() run of *program* for
+    *cycles* reaches at the start of a block of the loop's region other
+    than ``loop`` itself, after the first trips."""
+    probe = Machine(program)
+    run_until_stop(probe.core.run, max_cycles=cycles)
+    loop = program.symbol("loop") // 2
+    members = set(loop_region(probe).entries) - {loop}
+    assert len(members) >= 4, "the loop must run as one region"
+    ref = Machine(program)
+    seen = []
+    while ref.core.cycles < cycles:
+        if ref.core.pc in members and ref.core.cycles > 200:
+            seen.append((ref.core.cycles, ref.core.pc))
+        ref.core.step()
+    return seen
+
+
+def test_region_loop_runs_as_one_region():
+    machine = Machine(region_loop())
+    entered = count_block_entries(machine.core)
+    instret = machine.core.instret
+    run_until_stop(machine.core.run, max_cycles=20_000)
+    region = loop_region(machine)
+    assert len(region.entries) == 7
+    assert set(entered) <= set(region.entries)
+    assert (machine.core.instret - instret) / len(entered) > 100
+
+
+@pytest.mark.parametrize("pick", range(6))
+def test_budget_ending_on_a_move_between_blocks(pick):
+    """Budgets ending at, one before and one past a boundary where the
+    region moves into a block other than its entry."""
+    program = region_loop()
+    boundaries = member_boundaries(program, 3000)
+    at, _pc = boundaries[pick * len(boundaries) // 6]
+    for budget in (at - 1, at, at + 1):
+        fast, ref = Machine(program), Machine(program)
+        entered = count_block_entries(fast.core)
+        got = run_until_stop(fast.core.run, max_cycles=budget)
+        want = run_until_stop(step_driven_run(ref.core), max_cycles=budget)
+        assert got == want and got[0] == "limit"
+        assert entered
+        assert_states_identical(fast, ref)
+        # resuming from there runs the same
+        for run in (fast.core.run, step_driven_run(ref.core)):
+            run_until_stop(run, max_cycles=777)
+        assert_states_identical(fast, ref)
+
+
+def test_watermark_on_moves_between_blocks():
+    """A watermark at every tenth such boundary: the hook sees what it
+    sees on the instrumented path."""
+    program = region_loop()
+    marks = [at for at, _pc in member_boundaries(program, 6000)][::10]
+
+    def watched(machine):
+        seen, pending = [], list(marks)
+        core = machine.core
+
+        def hook(core_):
+            seen.append((core_.cycles, core_.instret, core_.pc,
+                         bytes(core_.memory.data)))
+            while pending and pending[0] <= core_.cycles:
+                pending.pop(0)
+            core_.watermark = pending[0] if pending else None
+        core.watermark = pending[0]
+        core.watermark_hook = hook
+        return seen
+
+    fast, ref = Machine(program), Machine(program)
+    entered = count_block_entries(fast.core)
+    fast_seen = watched(fast)
+    ref.attach_trace()
+    ref_seen = watched(ref)
+    for machine in (fast, ref):
+        run_until_stop(machine.core.run, max_cycles=6500)
+    assert entered
+    assert len(fast_seen) == len(marks) > 5
+    assert [seen[0] for seen in fast_seen] == marks
+    assert fast_seen == ref_seen
+    assert_states_identical(fast, ref)
+
+
+@pytest.mark.parametrize("pick", range(4))
+def test_timer_event_on_a_move_between_blocks(pick):
+    """A timer whose first event falls where the region moves into a
+    block other than its entry."""
+    program = assemble(IRQ_WRAPPED.format(REGION_LOOP.format(x=0x0200)))
+    boundaries = member_boundaries(program, 3000)
+    period, _pc = boundaries[pick * len(boundaries) // 4]
+
+    def rig(fast):
+        machine = Machine(program)
+        controller = InterruptController(machine.core, nvectors=2)
+        PeriodicTimer(controller, line=1, period=period).install(machine.core)
+        if not fast:
+            machine.core.run = step_driven_run(machine.core)
+        return machine, controller
+
+    (fast, fast_irq), (ref, ref_irq) = rig(True), rig(False)
+    entered = count_block_entries(fast.core)
+    for machine in (fast, ref):
+        run_until_stop(machine.core.run, max_cycles=8 * period + 5)
+    assert entered
+    assert fast_irq.taken == ref_irq.taken >= 8
+    assert_states_identical(fast, ref)
+
+
+def test_until_pc_on_a_block_that_is_not_the_entry():
+    program = region_loop()
+    for label in ("odd", "store", "tail"):
+        stop = program.symbol(label) // 2
+        fast, ref = Machine(program), Machine(program)
+        entered = count_block_entries(fast.core)
+        for machine, run in ((fast, fast.core.run),
+                             (ref, step_driven_run(ref.core))):
+            run_until_stop(run, max_cycles=2000)
+            assert run_until_stop(run, until_pc=stop) == ("halt",)
+            assert machine.core.pc == stop
+        assert stop in region_members(fast.core, entered)
+        assert_states_identical(fast, ref)
+        for run in (fast.core.run, step_driven_run(ref.core)):
+            run_until_stop(run, max_cycles=1500)
+        assert_states_identical(fast, ref)
+
+
+def test_fault_on_the_first_instruction_of_a_block_moved_to():
+    """Trip 40 takes ``rjmp store`` and its ``st X+`` (the first
+    instruction of ``store``) is the first store past the data space:
+    the fault leaves the PC, cycles and instret step() leaves."""
+    end = Machine().geometry.data_end
+    program = region_loop(x=end - 38)
+    fast, ref = Machine(program), Machine(program)
+    entered = count_block_entries(fast.core)
+    got = run_until_stop(fast.core.run)
+    want = run_until_stop(step_driven_run(ref.core))
+    assert got == want == ("invalid", end + 1)
+    assert fast.core.reg(16) == 40
+    assert fast.core.pc == program.symbol("tail") // 2
+    assert program.symbol("store") // 2 in region_members(fast.core, entered)
+    assert_states_identical(fast, ref)
+
+
+def test_flash_write_into_a_block_that_is_not_the_entry():
+    """Patching ``odd`` drops the region at every one of its entries."""
+    program = region_loop()
+    victim = program.symbol("odd") // 2 + 1  # lsr r19
+    patch = assemble("    break\n").words[0]
+    fast, ref = Machine(program), Machine(program)
+    entered = count_block_entries(fast.core)
+    runs = ((fast, fast.core.run), (ref, step_driven_run(ref.core)))
+    for _machine, run in runs:
+        run_until_stop(run, max_cycles=1500)
+    region = loop_region(fast)
+    starts = set(region.entries)
+    assert entered and victim - 1 in starts
+    for machine, _run in runs:
+        machine.memory.write_flash_word(victim, patch)
+    assert not starts & set(fast.core._blocks)
+    assert not starts & set(fast.core._regions)
+    for machine, run in runs:
+        assert run_until_stop(run) == ("halt",)
+        assert machine.core.pc == victim + 1
+    assert_states_identical(fast, ref)
+
+
+def test_snapshot_restore_in_the_middle_of_a_region_loop():
+    program = region_loop()
+    fast, ref = Machine(program), Machine(program)
+    entered = count_block_entries(fast.core)
+    runs = ((fast, fast.core.run), (ref, step_driven_run(ref.core)))
+    snaps = []
+    for machine, run in runs:
+        run_until_stop(run, max_cycles=1733)
+        snaps.append(MachineSnapshot.capture(machine))
+        run_until_stop(run, max_cycles=2111)
+    assert entered
+    for (machine, _run), snap in zip(runs, snaps):
+        snap.apply(machine)
+    assert not fast.core._blocks and not fast.core._regions
+    del entered[:]
+    for _machine, run in runs:
+        assert run_until_stop(run, max_cycles=3001)[0] == "limit"
+    assert entered, "regions are formed again after the restore"
+    assert_states_identical(fast, ref)
+
+
+#: the mainline of the perfbench ``irq_node`` workload: an LFSR sampled
+#: into a ring buffer, three taps per sample, under a timer ISR
+IRQ_SAMPLER = """
+    jmp main
+    jmp tick_isr
+main:
+    ldi r28, 0x00
+    ldi r29, 0x08
+    ldi r24, 0x5A
+    ldi r20, 0xB8
+    clr r2
+    clr r3
+    sei
+sample:
+    lsr r24
+    brcc s0
+    eor r24, r20
+s0:
+    lsr r24
+    brcc s1
+    eor r24, r20
+s1:
+    lsr r24
+    brcc s2
+    eor r24, r20
+s2:
+    st Y+, r24
+    andi r28, 0x3F
+    add r2, r24
+    adc r3, r1
+    rjmp sample
+tick_isr:
+    push r16
+    in r16, 0x3f
+    push r16
+    lds r16, 0x0700
+    subi r16, 0xFF
+    sts 0x0700, r16
+    lds r16, 0x0701
+    sbci r16, 0xFF
+    sts 0x0701, r16
+    sts 0x0702, r24
+    pop r16
+    out 0x3f, r16
+    pop r16
+    reti
+"""
+
+
+def test_irq_sampling_loop_runs_as_one_region():
+    """Between two timer events the sampling loop never leaves its
+    region: well over 100 instructions per region entry."""
+    machine = Machine(assemble(IRQ_SAMPLER))
+    controller = InterruptController(machine.core, nvectors=2)
+    PeriodicTimer(controller, line=1, period=1200).install(machine.core)
+    run_until_stop(machine.core.run, max_cycles=12_000)
+    entered = count_block_entries(machine.core)
+    for start, block in list(machine.core._blocks.items()):
+        if block[0] is not None:
+            del machine.core._blocks[start]  # re-entered through the counter
+    instret = machine.core.instret
+    run_until_stop(machine.core.run, max_cycles=120_000)
+    sample = machine.program.symbol("sample") // 2
+    assert controller.taken > 100
+    loop_entries = [pc for pc in entered
+                    if sample in machine.core._regions[pc].entries]
+    assert (machine.core.instret - instret) / len(loop_entries) >= 100
+
+
+# ----------------------------------------------------------------------
 # blocks that call out: UMPU units, call hooks, bus observers
 # ----------------------------------------------------------------------
 LAYOUT = HarborLayout()
@@ -517,7 +823,7 @@ def test_umpu_blocks_match_step_to_completion():
     assert fast.regs.cur_domain == 0
     program = fast.program
     for label in ("loop", "remote"):
-        assert program.symbol(label) // 2 in entered
+        assert program.symbol(label) // 2 in region_members(fast.core, entered)
 
 
 def test_umpu_foreign_store_faults_mid_run_then_resumes():
@@ -528,7 +834,8 @@ def test_umpu_foreign_store_faults_mid_run_then_resumes():
     for _machine, run in runs:
         with pytest.raises(MemMapFault):
             run(until_pc=CALL_SENTINEL_WORD)
-    assert entered.count(fast.program.symbol("loop") // 2) >= 10
+    loop = fast.program.symbol("loop") // 2
+    assert sum(loop in fast.core._regions[pc].entries for pc in entered) >= 10
     assert_umpu_identical(fast, ref)
     assert fast.mmc.faults == 1
     assert fast.memory.data[0x04F0] == 0
