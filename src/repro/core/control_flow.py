@@ -43,15 +43,16 @@ class JumpTable:
     ndomains: int                # number of domains with tables
     entries_per_domain: int = JT_ENTRIES_PER_DOMAIN
     entry_bytes: int = JT_ENTRY_BYTES
+    #: bytes of one domain's table; derived once, at construction
+    page_bytes: int = field(init=False, repr=False, compare=False)
+    #: first byte address past the whole jump-table region
+    end: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def page_bytes(self):
-        return self.entries_per_domain * self.entry_bytes
-
-    @property
-    def end(self):
-        """First byte address past the whole jump-table region."""
-        return self.base + self.ndomains * self.page_bytes
+    def __post_init__(self):
+        page_bytes = self.entries_per_domain * self.entry_bytes
+        object.__setattr__(self, "page_bytes", page_bytes)
+        object.__setattr__(self, "end",
+                           self.base + self.ndomains * page_bytes)
 
     @property
     def total_flash_bytes(self):

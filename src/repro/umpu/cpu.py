@@ -16,6 +16,7 @@ Typical setup (what the trusted runtime does at boot)::
     m.call("module_entry")
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.core.encoding import TRUSTED_DOMAIN
@@ -63,8 +64,8 @@ class UmpuMachine(Machine):
         self.regs = UmpuRegisters().attach(self.memory)
         self.safe_stack_unit = SafeStackUnit(self.regs, self.memory)
         self.mmc = MemMapController(self.regs, self.memory)
-        # unit order matters: the safe-stack unit must claim RET_PUSH
-        # transactions before the MMC would check them
+        # the units claim disjoint kinds (RET_PUSH/RET_POP vs
+        # DATA_STORE/STACK_PUSH), so their order on the bus is free
         self.bus.add_interposer(self.safe_stack_unit)
         self.bus.add_interposer(self.mmc)
         self.tracker = DomainTracker(self.regs, self.safe_stack_unit)
@@ -123,7 +124,7 @@ class UmpuMachine(Machine):
 
     # --- snapshot/restore ---------------------------------------------
     #: UmpuRegisters fields that are architectural state (everything the
-    #: trusted runtime can program; derived properties recompute)
+    #: trusted runtime can program; restoring mem_map_config decodes it)
     _SNAP_REG_FIELDS = ("mem_map_base", "mem_prot_bot", "mem_prot_top",
                         "mem_map_config", "stack_bound", "safe_stack_ptr",
                         "cur_domain", "jt_base")
@@ -172,18 +173,12 @@ class UmpuMachine(Machine):
         self.mmc.faults = extra["mmc"]["faults"]
 
     # ------------------------------------------------------------------
+    @contextmanager
     def protection_disabled(self):
         """Context manager temporarily disabling all units (for loads)."""
-        regs = self.regs
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self._saved_config = regs.mem_map_config
-                regs.mem_map_config &= 0x7F
-                return self
-
-            def __exit__(self_inner, *exc):
-                regs.mem_map_config = self._saved_config
-                return False
-
-        return _Ctx()
+        saved = self.regs.mem_map_config
+        self.regs.mem_map_config = saved & 0x7F
+        try:
+            yield self
+        finally:
+            self.regs.mem_map_config = saved

@@ -23,6 +23,11 @@ The tracker watches every control transfer the core executes:
   closes a frame.
 * computed jumps (``ijmp``) are confined to the current domain's code
   region.
+
+The tracker keeps one :class:`~repro.core.control_flow.JumpTable` for
+the current ``(jt_base, ndomains)`` and rebuilds it only when the
+trusted runtime reprograms either; its ``classify`` is the one place a
+cross-domain target is validated.
 """
 
 from repro.core.control_flow import JumpTable
@@ -55,15 +60,9 @@ class DomainTracker:
         self.code_regions = {}
         self.cross_calls = 0
         self.cross_returns = 0
+        self._jt = None  # (re)built by _on_call, see the module doc
 
     # ------------------------------------------------------------------
-    def jump_table(self):
-        """Current jump-table geometry from the registers."""
-        return JumpTable(base=self.regs.jt_base,
-                         ndomains=self.regs.ndomains,
-                         entries_per_domain=self.entries_per_domain,
-                         entry_bytes=self.entry_bytes)
-
     def register_code_region(self, domain, start_byte, end_byte):
         self.code_regions[domain] = (start_byte, end_byte)
 
@@ -108,24 +107,18 @@ class DomainTracker:
                                   len(self.call_depths))
 
     def _on_call(self, core, target_byte):
-        jt = self.jump_table()
+        regs = self.regs
+        jt = self._jt
+        if jt is None or jt.base != regs.jt_base \
+                or jt.ndomains != regs.ndomains:
+            jt = self._jt = JumpTable(
+                base=regs.jt_base, ndomains=regs.ndomains,
+                entries_per_domain=self.entries_per_domain,
+                entry_bytes=self.entry_bytes)
         if jt.contains(target_byte):
-            jt.classify(target_byte)  # validates alignment/domain range
-            callee = (target_byte - jt.base) // jt.page_bytes
-            # sequence the caller's state onto the safe stack; the
-            # core's redirected return-address push follows, completing
-            # the frame [domain][sb_lo][sb_hi][ret_lo][ret_hi]
-            caller = self.regs.cur_domain
-            self.unit.push_byte(caller)
-            self.unit.push_byte(self.regs.stack_bound & 0xFF)
-            self.unit.push_byte((self.regs.stack_bound >> 8) & 0xFF)
-            self.call_depths.append(0)
-            self.regs.cur_domain = callee
-            self.regs.stack_bound = core.sp
-            self.cross_calls += 1
-            self._switched(core, caller, "call",
-                           CROSS_DOMAIN_CALL_CYCLES)
-            return CROSS_DOMAIN_CALL_CYCLES
+            # validates alignment and the domain range
+            callee, _index = jt.classify(target_byte)
+            return self._open_frame(core, callee, "call", core.sp)
         # ordinary call: confined to the current domain's code
         self._confine(target_byte, "call")
         if self.call_depths:
@@ -154,18 +147,26 @@ class DomainTracker:
     def _on_irq(self, core):
         """Interrupt entry: handlers are kernel code, so the hardware
         swaps to the trusted domain exactly like a cross-domain call (a
-        frame on the safe stack, closed by the reti's return)."""
-        interrupted = self.regs.cur_domain
-        self.unit.push_byte(interrupted)
-        self.unit.push_byte(self.regs.stack_bound & 0xFF)
-        self.unit.push_byte((self.regs.stack_bound >> 8) & 0xFF)
+        frame on the safe stack, closed by the reti's return).  The
+        handler borrows the interrupted stack; trusted code is
+        unchecked, so the bound stays as-is for the frame's pop."""
+        return self._open_frame(core, TRUSTED_DOMAIN, "irq",
+                                self.regs.stack_bound)
+
+    def _open_frame(self, core, callee, via, stack_bound):
+        """Push [domain][sb_lo][sb_hi] (the redirected return address
+        completes the frame), then activate *callee*, *stack_bound*."""
+        regs = self.regs
+        caller = regs.cur_domain
+        push = self.unit.push_byte
+        push(caller)
+        push(regs.stack_bound & 0xFF)
+        push(regs.stack_bound >> 8)
         self.call_depths.append(0)
-        self.regs.cur_domain = TRUSTED_DOMAIN
-        # the handler borrows the interrupted stack; trusted code is
-        # unchecked, so the bound may stay as-is for the frame's pop
+        regs.cur_domain = callee
+        regs.stack_bound = stack_bound
         self.cross_calls += 1
-        self._switched(core, interrupted, "irq",
-                       CROSS_DOMAIN_CALL_CYCLES)
+        self._switched(core, caller, via, CROSS_DOMAIN_CALL_CYCLES)
         return CROSS_DOMAIN_CALL_CYCLES
 
     def _on_ijmp(self, target_byte):

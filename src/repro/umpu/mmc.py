@@ -39,7 +39,9 @@ _STALL_VERDICT = WriteAction(extra_cycles=MMC_STALL_CYCLES)
 
 
 class MemMapController(BusInterposer):
-    """Hardware write checker, configured by :class:`UmpuRegisters`."""
+    """Hardware write checker, configured by :class:`UmpuRegisters`: a
+    callout is one pass of decoded-register reads and integer
+    arithmetic, and builds waveform phases only while recording."""
 
     name = "mmc"
     kinds = frozenset((AccessKind.DATA_STORE, AccessKind.STACK_PUSH))
@@ -64,52 +66,43 @@ class MemMapController(BusInterposer):
         :meth:`repro.core.memmap.MemMapConfig.translate`.
         """
         regs = self.regs
-        offset = addr - regs.mem_prot_bot
-        block = offset >> regs.block_size_log2
-        if regs.bits_per_entry == 4:
-            byte_index = block >> 1
-            shift = 4 * (block & 1)
-        else:
-            byte_index = block >> 2
-            shift = 2 * (block & 3)
-        return regs.mem_map_base + byte_index, shift
-
-    def permission_at(self, addr):
-        """Fetch and split the permission entry covering *addr*."""
-        table_addr, shift = self.translate(addr)
-        byte = self.memory.read_data(table_addr)
-        mask = (1 << self.regs.bits_per_entry) - 1
-        return (byte >> shift) & mask
-
-    def _owner_of_code(self, code):
-        if self.regs.bits_per_entry == 4:
-            return (code >> 1) & 0x7
-        return TRUSTED_DOMAIN if code & 0b10 else 0
+        block = (addr - regs.mem_prot_bot) >> regs.block_size_log2
+        if regs.multi_domain:
+            return regs.mem_map_base + (block >> 1), 4 * (block & 1)
+        return regs.mem_map_base + (block >> 2), 2 * (block & 3)
 
     # ------------------------------------------------------------------
     def on_write(self, bus, addr, value, kind):
         regs = self.regs
-        if kind not in self.kinds or not regs.enabled:
+        if (kind is not AccessKind.DATA_STORE
+                and kind is not AccessKind.STACK_PUSH) or not regs.enabled:
             return None
         domain = regs.cur_domain
         if domain == TRUSTED_DOMAIN:
             return None
-        self._wave("intercept", addr=addr, domain=domain)
+        wave = self.waveform
+        if wave is not None:
+            self._wave("intercept", addr=addr, domain=domain)
         if addr > regs.stack_bound:
             self._fault(bus, addr, domain, "stack_bound")
             raise StackBoundFault(addr, domain, regs.stack_bound)
         if regs.mem_prot_bot <= addr <= regs.mem_prot_top:
             self.checked_stores += 1
             table_addr, shift = self.translate(addr)
-            byte = self.memory.read_data(table_addr)
-            code = (byte >> shift) & ((1 << regs.bits_per_entry) - 1)
-            owner = self._owner_of_code(code)
-            self._wave("translate", table_addr=table_addr, shift=shift,
-                       code=code, owner=owner)
+            code = (self.memory.read_data(table_addr) >> shift) \
+                & (0xF if regs.multi_domain else 0x3)
+            # a 4-bit entry holds the owner above its segment-start bit;
+            # a 2-bit entry's high bit tells trusted from domain 0
+            owner = code >> 1 if regs.multi_domain else \
+                TRUSTED_DOMAIN if code & 0b10 else 0
+            if wave is not None:
+                self._wave("translate", table_addr=table_addr, shift=shift,
+                           code=code, owner=owner)
             if owner != domain:
                 self._fault(bus, addr, domain, "memmap", owner=owner)
                 raise MemMapFault(addr, domain, owner)
-            self._wave("write_enable", addr=addr)
+            if wave is not None:
+                self._wave("write_enable", addr=addr)
             if bus.trace is not None:
                 bus.trace.emit(bus._now(), TraceEventKind.MMC_STALL,
                                domain=domain, addr=addr,
@@ -125,7 +118,8 @@ class MemMapController(BusInterposer):
         if addr > regs.mem_prot_top:
             # the module's own stack window: the bound comparison above
             # already admitted it; no table access, no stall
-            self._wave("stack_window", addr=addr)
+            if wave is not None:
+                self._wave("stack_window", addr=addr)
             return None
         self._fault(bus, addr, domain, "untrusted_access")
         raise UntrustedAccessFault(addr, domain)

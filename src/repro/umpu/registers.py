@@ -25,6 +25,11 @@ number of protection domains"):
 * bit 3     — protection mode: 1 = multi-domain (4-bit), 0 = two-domain
 * bits 6..4 — number of domains with jump tables, minus one
 * bit 7     — global protection enable
+
+The register is decoded when it is written, not when it is read: its
+setter sets ``enabled``, ``block_size_log2``, ``multi_domain``,
+``bits_per_entry`` and ``ndomains`` as plain attributes, which the
+units read on every bus transaction and call.
 """
 
 from repro.core.encoding import TRUSTED_DOMAIN
@@ -55,29 +60,23 @@ class UmpuRegisters:
 
     # --- config decoding ---------------------------------------------------
     @property
-    def enabled(self):
-        return bool(self.mem_map_config & 0x80)
+    def mem_map_config(self):
+        return self._mem_map_config
 
-    @property
-    def block_size_log2(self):
-        return self.mem_map_config & 0x07
+    @mem_map_config.setter
+    def mem_map_config(self, value):
+        """Every write path (I/O, encode_config, protection_disabled,
+        snapshot restore) lands here: decode once, per write."""
+        self._mem_map_config = value
+        self.enabled = bool(value & 0x80)
+        self.block_size_log2 = value & 0x07
+        self.multi_domain = bool(value & 0x08)
+        self.bits_per_entry = 4 if self.multi_domain else 2
+        self.ndomains = ((value >> 4) & 0x07) + 1
 
     @property
     def block_size(self):
         return 1 << self.block_size_log2
-
-    @property
-    def multi_domain(self):
-        return bool(self.mem_map_config & 0x08)
-
-    @property
-    def bits_per_entry(self):
-        return 4 if self.multi_domain else 2
-
-    @property
-    def ndomains(self):
-        """Domains with jump tables (1..8)."""
-        return ((self.mem_map_config >> 4) & 0x07) + 1
 
     def encode_config(self, block_size_log2, multi_domain, ndomains,
                       enabled=True):

@@ -20,16 +20,23 @@ core's SP datapath untouched — the extensions stay outside the core,
 Overflow: the safe stack grows up toward the run-time stack; the unit
 raises :class:`SafeStackOverflow` when ``safe_stack_ptr`` would collide
 with SP.
+
+A callout reads decoded register attributes and SP's two data-space
+bytes, and returns a preallocated verdict.
 """
 
 from repro.core.faults import SafeStackOverflow, SafeStackUnderflow
+from repro.isa.registers import IoReg
 from repro.sim.bus import BusInterposer, ReadAction, WriteAction
 from repro.sim.events import AccessKind
 from repro.trace.events import TraceEventKind
 
-#: preallocated verdict for redirected pushes: the bus only reads
-#: WriteAction fields, so one immutable instance serves every push
+#: preallocated verdicts (the bus only reads their fields): one serves
+#: every redirected push, one per byte value every redirected pop
 _HANDLED_VERDICT = WriteAction(handled=True, extra_cycles=0)
+_POP_VERDICTS = tuple(ReadAction(value=v) for v in range(256))
+#: data-space address of SPL (SPH follows)
+_SP = IoReg.SPL + 0x20
 
 
 class SafeStackUnit(BusInterposer):
@@ -55,19 +62,20 @@ class SafeStackUnit(BusInterposer):
     def push_byte(self, value):
         """Sequence one byte onto the safe stack (also used by the
         domain tracker to push its part of the cross-domain frame)."""
-        ptr = self.regs.safe_stack_ptr
-        if ptr >= self.memory.sp:
-            raise SafeStackOverflow(ptr, self.memory.sp)
-        self.memory.write_data(ptr, value & 0xFF)
-        self.regs.safe_stack_ptr = ptr + 1
-        if ptr + 1 > self.high_water:
-            self.high_water = ptr + 1
+        regs = self.regs
+        ptr = regs.safe_stack_ptr
+        data = self.memory.data
+        sp = data[_SP] | (data[_SP + 1] << 8)
+        if ptr >= sp:
+            raise SafeStackOverflow(ptr, sp)
+        self.memory.write_data(ptr, value)
+        regs.safe_stack_ptr = ptr = ptr + 1
+        if ptr > self.high_water:
+            self.high_water = ptr
 
     def pop_byte(self):
         ptr = self.regs.safe_stack_ptr - 1
-        if self.floor is not None and ptr < self.floor:
-            raise SafeStackUnderflow()
-        if ptr < 0:
+        if ptr < 0 or (self.floor is not None and ptr < self.floor):
             raise SafeStackUnderflow()
         self.regs.safe_stack_ptr = ptr
         return self.memory.read_data(ptr)
@@ -99,4 +107,4 @@ class SafeStackUnit(BusInterposer):
                            domain=self.regs.cur_domain, addr=addr,
                            target=self.regs.safe_stack_ptr,
                            write=False)
-        return ReadAction(value=value, extra_cycles=0)
+        return _POP_VERDICTS[value]
