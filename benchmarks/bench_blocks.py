@@ -14,13 +14,17 @@ pass of the workload after its set-up:
   both lines are counted with a line tracer, so this pass runs slower
   than untraced.
 
-``node_umpu``'s blocks call out to the MMC, the safe-stack unit and the
-domain tracker for the transactions they claim, and a region never
-moves on from a block that calls out, so its regions stay short.  The
-script also prints the wall time of the first ``node_sfi`` set-up in a
-fresh process, where every region is compiled from scratch (the best of
-``--cold`` processes).  ``benchmarks/BENCH_blocks.json`` records these
-figures next to the perfbench throughput pairs.
+``node_umpu``'s blocks render the common case of the MMC, the
+safe-stack unit and the domain tracker inline and call out to them for
+the rest; a region never moves on from a block with a unit transaction,
+so its regions stay short.  For ``node_umpu`` the script also prints the
+unit handler entries per op: calls of ``DataBus.write``,
+``DataBus.read`` and the core's call hooks, counted with a profile
+hook (a deterministic count).  Last it prints the wall time of the first
+``node_sfi`` and ``node_umpu`` set-up in a fresh process, where every
+region is compiled from scratch (the best of ``--cold`` processes).
+``benchmarks/BENCH_blocks.json`` and ``benchmarks/BENCH_umpu.json``
+record these figures next to the perfbench throughput pairs.
 
 Run from the repository root::
 
@@ -127,10 +131,37 @@ def block_share(name, seed):
             moves[0] / max(moves[0] + inside[1], 1))
 
 
-def cold_setup(seed):
-    """Seconds of the first node_sfi set-up in this process."""
+def unit_entries(seed):
+    """Unit handler entries per op over one node_umpu pass after its
+    set-up: calls of ``DataBus.write``, ``DataBus.read`` and the
+    functions of the core's call hooks."""
     import workloads
-    w = workloads.make("node_sfi", seed)
+    from repro.sim.bus import DataBus
+    w = workloads.make("node_umpu", seed)
+    for _ in w.setup_steps():
+        pass
+    codes = {DataBus.write.__code__, DataBus.read.__code__}
+    codes.update(getattr(hook, "__func__", hook).__code__
+                 for hook in w.core.call_hooks)
+    entries = [0]
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            entries[0] += 1
+    sys.setprofile(profile)
+    try:
+        for i in range(w.pass_len):
+            if not w.check_op(i, w.run_op(i)):
+                raise RuntimeError("node_umpu: {}".format(w.failures))
+    finally:
+        sys.setprofile(None)
+    return entries[0] / w.pass_len
+
+
+def cold_setup(name, seed):
+    """Seconds of the first set-up of workload *name* in this process."""
+    import workloads
+    w = workloads.make(name, seed)
     t0 = time.perf_counter()
     for _ in w.setup_steps():
         pass
@@ -142,11 +173,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cold", type=int, default=5,
                         help="fresh processes timing the cold set-up")
-    parser.add_argument("--cold-once", action="store_true",
+    parser.add_argument("--cold-once", metavar="WORKLOAD",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.cold_once:
-        print(cold_setup(args.seed))
+        print(cold_setup(args.cold_once, args.seed))
         return 0
     result = {"seed": args.seed, "block_share": {}, "entries_per_op": {},
               "instructions_per_entry": {}, "moves_inside": {}}
@@ -160,13 +191,17 @@ def main(argv=None):
               "entries per op, {:.2f} instructions per entry, {:.1%} of "
               "moves inside a region".format(name, share, entries, mean,
                                              kept))
-    runs = [float(subprocess.check_output(
-        [sys.executable, os.path.abspath(__file__), "--cold-once",
-         "--seed", str(args.seed)]).decode())
-        for _ in range(args.cold)]
-    result["node_sfi_cold_setup_s"] = round(min(runs), 4)
-    print("node_sfi   cold set-up {:.4f} s (best of {} processes)".format(
-        min(runs), len(runs)))
+    entries = unit_entries(args.seed)
+    result["node_umpu_unit_entries_per_op"] = round(entries, 2)
+    print("node_umpu  {:.2f} unit handler entries per op".format(entries))
+    for name in ("node_sfi", "node_umpu"):
+        runs = [float(subprocess.check_output(
+            [sys.executable, os.path.abspath(__file__), "--cold-once", name,
+             "--seed", str(args.seed)]).decode())
+            for _ in range(args.cold)]
+        result[name + "_cold_setup_s"] = round(min(runs), 4)
+        print("{:10s} cold set-up {:.4f} s (best of {} processes)".format(
+            name, min(runs), len(runs)))
     print(json.dumps(result))
     return 0
 

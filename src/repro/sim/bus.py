@@ -51,10 +51,16 @@ class BusInterposer:
     transactions some unit claims (``docs/performance.md``), so a unit
     that claims too little is unsound; one that claims too much is
     only slower.
+
+    ``fragments`` may map each claimed kind to the source of the unit's
+    common case, which compiled blocks render in place of the callout
+    (:mod:`repro.sim.semantics` has the format).  ``None``, the
+    default, keeps every claimed transaction a callout.
     """
 
     name = "interposer"
     kinds = None
+    fragments = None
 
     def on_write(self, bus, addr, value, kind):
         """Return a :class:`WriteAction` or None (pass through).

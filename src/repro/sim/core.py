@@ -28,10 +28,12 @@ blocks reachable from it by compile-time-known exits, which moves
 between them without returning to the loop.  A region reads and writes
 ``memory.data`` directly except where something may act: a bus access
 of a kind some unit claims (:attr:`BusInterposer.kinds`), a call hook,
-a mapped I/O device.  There it calls out in handler form and returns
-after that instruction.  When nothing may act at all it keeps r0-r31,
-SP and SREG in Python locals.  Both paths are cycle-for-cycle identical
-to :meth:`step` (asserted by the differential tests).
+a mapped I/O device.  There it calls out in handler form, or renders
+the claiming unit's fragment (its common case inline, the callout for
+the rest) when the run's units all supply them, and returns after that
+instruction.  When nothing may act at all it keeps r0-r31, SP and SREG
+in Python locals.  Both paths are cycle-for-cycle identical to
+:meth:`step` (asserted by the differential tests).
 """
 
 from repro.isa.encoding import DecodeError, decode_words, is_32bit_opcode
@@ -56,6 +58,36 @@ _NO_KINDS = frozenset()
 #: the blocks-table entry of a PC that runs interpreted (not hot yet, or
 #: no block starts there): its entry cost never fits a bound
 _NO_BLOCK = (None, float("inf"), -1, 0, -1)
+#: instance attributes that replace what a unit's fragments were
+#: written against (perfbench's traced pass patches the handlers)
+_OVERRIDES = frozenset(("kinds", "fragments", "on_write", "on_read",
+                        "on_event"))
+
+
+#: ``(bus unit classes, hook owner classes) ->`` :func:`_renderable`
+_RENDERABLE = {}
+
+
+def _renderable(bus_units, owners):
+    """Whether blocks may render the fragments of units of these classes
+    in place of their callouts: every bus unit claims kinds no other
+    claims and has a fragment for each, every hook owner has one for
+    each of :data:`~repro.sim.semantics.HOOK_EVENTS`, and every
+    instance has a ``__dict__`` for :meth:`AvrCore._fragment_units` to
+    check for overrides."""
+    claimed = set()
+    for unit in bus_units:
+        fragments = getattr(unit, "fragments", None)
+        kinds = getattr(unit, "kinds", None)
+        if fragments is None or kinds is None or claimed & kinds \
+                or not kinds <= fragments.keys():
+            return False
+        claimed |= kinds
+    for owner in owners:
+        fragments = getattr(owner, "fragments", None)
+        if fragments is None or not semantics.HOOK_EVENTS <= fragments.keys():
+            return False
+    return all(unit.__dictoffset__ for unit in bus_units + owners)
 
 
 def _tick(devices, elapsed):
@@ -145,6 +177,9 @@ class AvrCore:
         self._regions = {}
         #: the view of the bus and call path they were compiled for
         self._view = semantics.PLAIN
+        #: the unit instances the view's fragments act on, bound by a
+        #: region at entry: the bus units, then the hook owners
+        self._units = ()
         #: visits of PCs not yet in ``_blocks``
         self._heat = {}
         #: flash word -> block starts (one collection per region) whose
@@ -401,16 +436,54 @@ class AvrCore:
     def _block_view(self):
         """This run's view (:data:`repro.sim.semantics.PLAIN`): the
         kinds the bus units claim (all under a bus tracer or trace sink,
-        or a unit without ``kinds``), whether there are call hooks and
-        whether any I/O device is mapped."""
+        or a unit without ``kinds``), whether there are call hooks,
+        whether any I/O device is mapped, and the units whose fragments
+        blocks render (:meth:`_fragment_units`)."""
         bus = self.bus
         claimed = _NO_KINDS
         for unit in bus.interposers:
             kinds = getattr(unit, "kinds", None)
             claimed = _ALL_KINDS if kinds is None else claimed.union(kinds)
+        units = None
         if bus.tracer is not None or bus.trace is not None:
             claimed = _ALL_KINDS
-        return claimed, bool(self.call_hooks), bool(self.memory.io_devices)
+        elif bus.profiler is None and bus.metrics is None:
+            units = self._fragment_units()
+        return (claimed, bool(self.call_hooks), bool(self.memory.io_devices),
+                units)
+
+    def _fragment_units(self):
+        """The classes of the bus units and hook owners whose fragments
+        this run's blocks render, as the view names them, or None when
+        any of them cannot be rendered: then they all call out, because
+        their order matters.  The classes must pass :func:`_renderable`,
+        each call hook must be its owner's own ``on_event``, and no
+        instance may override its class's claims, fragments or
+        handlers.  Sets :attr:`_units` to the instances."""
+        units = list(self.bus.interposers)
+        bus_units = len(units)
+        for hook in self.call_hooks:
+            try:
+                owner = hook.__self__
+                if hook.__func__ is not type(owner).on_event:
+                    return None
+            except AttributeError:
+                return None
+            units.append(owner)
+        if not units:
+            return None
+        classes = tuple(map(type, units))
+        key = classes[:bus_units], classes[bus_units:]
+        renderable = _RENDERABLE.get(key)
+        if renderable is None:
+            renderable = _RENDERABLE[key] = _renderable(*key)
+        if not renderable:
+            return None
+        for unit in units:
+            if not _OVERRIDES.isdisjoint(unit.__dict__):
+                return None
+        self._units = tuple(units)
+        return key
 
     def _run_fast(self, start, max_cycles, until_pc):
         """Uninstrumented run loop: compiled regions where they fit,

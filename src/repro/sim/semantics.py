@@ -33,7 +33,8 @@ act on it (a *callout*), and directly everywhere else:
 ``@hook event, kwargs`` / ``@emit KIND, pc, kwargs``
     the call hooks and the trace event of a control transfer.  A block
     calls the hooks when the view has any; it never emits, because a
-    core with a trace sink runs ``step()``.
+    core with a trace sink runs ``step()``.  The hook events are
+    :data:`HOOK_EVENTS`.
 ``@goto target`` / ``@goto_if cond, target, cycles`` / ``@skip_if cond``
     the control transfer that ends the template.  ``@skip_if`` skips
     the next instruction; a handler reads its size when the skip is
@@ -45,6 +46,28 @@ cache renames their constant subscripts to locals) and the flag table
 :data:`NVSZ`.  Temporaries may be any name except ``core``, ``i``,
 ``data``, ``cycles``, ``hook``, ``NVSZ`` and the ``op_*`` operand
 locals; names ending in ``_`` belong to the renderers.
+
+A unit on the bus or the call path may supply *fragments*: the common
+case of each kind it claims (a bus unit, keyed by :class:`AccessKind`)
+or of each of :data:`HOOK_EVENTS` (the owner of a call hook), as lines
+of Python a block renders in place of the callout, the way it renders
+``@store`` (``docs/performance.md``, "Protection-unit fragments").  A
+fragment's placeholders are ``{u}`` (the unit, bound once at region
+entry), ``{data_end}``, and the transaction: ``{addr}`` and ``{value}``
+of a write, ``{addr}`` and the variable ``{var}`` of a read, the
+keyword arguments of a hook (``{target}``, ``{ret}``).  It adds the
+stall cycles of its common case to ``x_``, names its temporaries
+``f*_``, and ends each path with one of two pseudo-ops on a line of
+their own:
+
+``@direct``
+    the access as though no unit acted: the direct read or write of
+    ``data`` (with the I/O-device lookup under a view with devices).
+``@callout``
+    every other case: publish ``pc``/``cycles``/``instret`` and run the
+    transaction through the bus, or the hook through the unit's
+    ``on_event``, so that the unit's own handler raises the fault or
+    does the work.
 """
 
 import re
@@ -352,29 +375,33 @@ _SET_SP = ["data[{SPL}] = sp_ & 0xFF".format(**_ADDRS),
 _ACCESSES = ("@load", "@store", "@push", "@pop")
 
 
+def _bus_read(var, addr, kind):
+    return ["{}, e_ = core.bus.read({}, AccessKind.{})".format(
+        var, addr, kind), "x_ += e_"]
+
+
+def _bus_write(addr, value, kind):
+    return ["x_ += core.bus.write({}, {}, AccessKind.{})".format(
+        addr, value, kind)]
+
+
 def _callout(op, rest):
     """An access or ``@hook`` in handler form, shared by both
     renderings: through ``core.bus`` and ``core.call_hooks``, adding
     stall cycles to ``x_``.  A stack write lands (or faults) before SP
     moves; SP moves before a stack read."""
     if op == "@load":
-        var, addr, kind = _args(rest, 3)
-        return ["{}, e_ = core.bus.read({}, AccessKind.{})".format(
-            var, addr, kind), "x_ += e_"]
+        return _bus_read(*_args(rest, 3))
     if op == "@store":
-        addr, value, kind = _args(rest, 3)
-        return ["x_ += core.bus.write({}, {}, AccessKind.{})".format(
-            addr, value, kind)]
+        return _bus_write(*_args(rest, 3))
     if op == "@push":
         value, kind = _args(rest, 2)
-        return (["sp_ = " + _SP,
-                 "x_ += core.bus.write(sp_, {}, AccessKind.{})".format(
-                     value, kind), "sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP)
+        return (["sp_ = " + _SP] + _bus_write("sp_", value, kind)
+                + ["sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP)
     if op == "@pop":
         var, kind = _args(rest, 2)
         return (["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
-                + ["{}, e_ = core.bus.read(sp_, AccessKind.{})".format(
-                    var, kind), "x_ += e_"])
+                + _bus_read(var, "sp_", kind))
     return ["for hook in core.call_hooks:",
             "    h_ = hook(core, {})".format(rest),
             "    if h_:", "        x_ += h_"]
@@ -469,12 +496,16 @@ def _indent(lines):
 
 
 #: the view of a run nothing observes, where every access is direct.
-#: A view is ``(claimed, hooks, io)``, computed once per
+#: A view is ``(claimed, hooks, io, units)``, computed once per
 #: :meth:`AvrCore.run`: the :class:`AccessKind` members some bus unit or
-#: observer claims, whether the core has call hooks, and whether any I/O
-#: device is mapped.  A region runs only under the view it was compiled
-#: for, and keeps registers in locals only under this one.
-PLAIN = (frozenset(), False, False)
+#: observer claims, whether the core has call hooks, whether any I/O
+#: device is mapped, and the units whose fragments blocks render: None
+#: (every claimed access and hook calls out), or ``(bus unit classes,
+#: hook owner classes)`` in bus and hook order, whose instances a
+#: region binds from ``core._units`` at entry.  A region runs only
+#: under the view it was compiled for, and keeps registers in locals
+#: only under this one.
+PLAIN = (frozenset(), False, False, None)
 
 #: most blocks one region holds
 REGION_MAX = 16
@@ -497,12 +528,16 @@ _KINDS = {key: frozenset(AccessKind[line.rsplit(", ", 1)[1]]
 #: template keys that call the call hooks
 _HOOKED = frozenset(key for key in TEMPLATES
                     if any(line.startswith("@hook ") for line in _LINES[key]))
+#: the events the templates hand the call hooks
+HOOK_EVENTS = frozenset(line[6:].split(",", 1)[0].strip('"')
+                        for key in _HOOKED for line in _LINES[key]
+                        if line.startswith("@hook "))
 
 
 def calls_out(key, view):
     """Whether an instruction of *key* makes a callout under *view*: a
     block ends after it."""
-    claimed, hooks, _io = view
+    claimed, hooks, _io, _units = view
     return bool(_KINDS[key] & claimed) or (hooks and key in _HOOKED)
 
 
@@ -553,7 +588,8 @@ class _BlockWriter:
     entry prefix).
 
     An access of a kind the view claims, and a call hook when the view
-    has hooks, is a *callout* in handler form (:func:`_callout`): its
+    has hooks, is a *callout* in handler form (:func:`_callout`), or
+    the claiming unit's fragment when the view names the units: its
     stalls add to the block's charge and the block ends after its
     instruction.  Other accesses read or write ``data`` directly; under
     a view with I/O devices they look up ``io_devices`` first, and a
@@ -573,7 +609,20 @@ class _BlockWriter:
     def __init__(self, data_end, view, members, cache):
         self.data_end = data_end
         self.plain = view == PLAIN
-        self.claimed, self.hooks, self.io = view
+        self.claimed, self.hooks, self.io, units = view
+        #: claimed kind -> (unit index, its fragment); hook owners as
+        #: (unit index, their fragments), or None to call the hooks
+        self.fragments, self.hook_units = {}, None
+        self.units = 0         # units the view names
+        self.binds = False     # some fragment names a unit
+        if units is not None:
+            bus_units, owners = units
+            for index, unit in enumerate(bus_units):
+                for kind in unit.kinds:
+                    self.fragments[kind] = index, unit.fragments[kind]
+            self.hook_units = [(len(bus_units) + n, owner.fragments)
+                               for n, owner in enumerate(owners)]
+            self.units = len(bus_units) + len(owners)
         self.members = members
         self.cache = cache
         self.used = set()      # cached bytes the region names
@@ -587,7 +636,8 @@ class _BlockWriter:
         self.skip = 0        # words the current instruction may skip
         self.base = 0        # base cycles of the current instruction
         self.target = None   # the current instruction's constant target
-        self.stalls = False  # the current instruction made a callout
+        self.stalls = False  # the current instruction adds to x_
+        self.published = False  # ... and has published its state
         self.device = False  # the current instruction may reach a device
         self.devices = False  # some instruction may reach a device
 
@@ -670,10 +720,58 @@ class _BlockWriter:
 
     def callout(self, lines):
         """A claimed access or a call hook, in handler form."""
-        if self.stalls:
-            return lines
+        head = [] if self.published else self.publish()
+        if not self.stalls:
+            head.append("x_ = 0")
+        self.stalls = self.published = True
+        return head + lines
+
+    def fragment(self, index, source, names, direct, callout):
+        """Unit *index*'s fragment *source* with *names* filled in, its
+        ``@direct`` lines replaced by ``direct()`` (an access fragment's
+        only) and its ``@callout`` lines by the publish and *callout*."""
+        self.binds = True
+        head = [] if self.stalls else ["x_ = 0"]
         self.stalls = True
-        return self.publish() + ["x_ = 0"] + lines
+        slow = callout if self.published else self.publish() + callout
+        source = source.format(u="u{}_".format(index),
+                               data_end=self.data_end, **names)
+        lines = []
+        for line in source.split("\n"):
+            code = line.lstrip(" ")
+            pad = line[:len(line) - len(code)]
+            if code == "@direct":
+                lines += [pad + x for x in direct()]
+            elif code == "@callout":
+                lines += [pad + x for x in slow]
+            elif code:
+                lines.append(line)
+        return head + lines
+
+    def access(self, kind, addr, write, operand):
+        """A claimed access by the claiming unit's fragment: a write of
+        *operand* to, or a read of the variable *operand* from,
+        *addr*."""
+        index, source = self.fragments[kind]
+        if write:
+            names = {"addr": addr, "value": operand}
+            call = _bus_write(addr, operand, kind.name)
+        else:
+            names = {"addr": addr, "var": operand}
+            call = _bus_read(operand, addr, kind.name)
+        return self.fragment(index, source, names,
+                             lambda: self.direct(addr, write, operand), call)
+
+    def hook(self, rest):
+        """A ``@hook`` by each hook owner's fragment, in hook order."""
+        event, *kwargs = rest.split(", ")
+        names = dict(kwarg.split("=", 1) for kwarg in kwargs)
+        lines = []
+        for index, fragments in self.hook_units:
+            call = ["x_ += u{}_.on_event(core, {}) or 0".format(index, rest)]
+            lines += self.fragment(index, fragments[event.strip('"')], names,
+                                   None, call)
+        return lines
 
     def exit(self, target, cycles, count, leave=False):
         """Lines leaving the block for *target* with *cycles* base cycles
@@ -704,22 +802,33 @@ class _BlockWriter:
         op, _, rest = line.partition(" ")
         if op in _ACCESSES:
             *args, kind = _args(rest, 3 if op in ("@load", "@store") else 2)
-            if AccessKind[kind] in self.claimed:
+            kind = AccessKind[kind]
+            if kind in self.claimed and kind not in self.fragments:
                 return self.callout(_callout(op, rest))
+            head = tail = []
             if op == "@push":
-                return (["sp_ = " + self.cached(_SP)]
-                        + self.direct("sp_", True, *args)
-                        + ["sp_ = (sp_ - 1) & 0xFFFF"]
-                        + [self.cached(x) for x in _SET_SP])
-            if op == "@pop":
-                return (["sp_ = (({}) + 1) & 0xFFFF".format(self.cached(_SP))]
-                        + [self.cached(x) for x in _SET_SP]
-                        + self.direct("sp_", False, *args))
-            if op == "@load":
-                return self.direct(args[1], False, args[0])
-            return self.direct(args[0], True, args[1])
+                addr, write, operand = "sp_", True, args[0]
+                head = ["sp_ = " + self.cached(_SP)]
+                tail = ["sp_ = (sp_ - 1) & 0xFFFF"] + [
+                    self.cached(x) for x in _SET_SP]
+            elif op == "@pop":
+                addr, write, operand = "sp_", False, args[0]
+                head = ["sp_ = (({}) + 1) & 0xFFFF".format(
+                    self.cached(_SP))] + [self.cached(x) for x in _SET_SP]
+            elif op == "@load":
+                addr, write, operand = args[1], False, args[0]
+            else:
+                addr, write, operand = args[0], True, args[1]
+            body = self.access(kind, addr, write, operand) \
+                if kind in self.claimed else \
+                self.direct(addr, write, operand)
+            return head + body + tail
         if op == "@hook":
-            return self.callout(_callout(op, rest)) if self.hooks else []
+            if not self.hooks:
+                return []
+            if self.hook_units is None:
+                return self.callout(_callout(op, rest))
+            return self.hook(rest)
         if op == "@emit":
             return []
         total, count = self.cycles + self.base, self.count + 1
@@ -744,7 +853,7 @@ class _BlockWriter:
         self.base = instr.spec.cycles
         self.target = None
         names = _names(instr, self.next)
-        self.stalls = self.device = False
+        self.stalls = self.published = self.device = False
         lines = []
         for line in _LINES[instr.key]:
             lines += self.render(line.format(**names))
@@ -890,6 +999,9 @@ def compile_region(flash, members, data_end, view):
             lines = ["if p_ == {}:".format(start)] + _indent(lines)
         body += lines
     head = [] if writer.plain and not looping else ["i_ = core.instret"]
+    if writer.binds:
+        head.append("{}, = core._units".format(", ".join(
+            "u{}_".format(index) for index in range(writer.units))))
     if writer.devices:
         head += ["io_ = core.memory.io_devices", "o_ = 0"]
     if looping:

@@ -39,9 +39,13 @@ from repro.trace.events import TraceEventKind
 #: JSON export schema version (bump on incompatible changes).
 REPORT_SCHEMA = 1
 
+#: reports a ring keeps: the process-wide one below and each
+#: recorder's own
+REPORTS_KEPT = 32
+
 #: process-wide ring of the most recent reports (newest last), fed by
 #: every FlightRecorder; used by the pytest failure hook / CI artifact.
-RECENT_REPORTS = deque(maxlen=32)
+RECENT_REPORTS = deque(maxlen=REPORTS_KEPT)
 
 #: bytes per safe-stack cross-domain frame (paper §3.3):
 #: [caller_domain][sb_lo][sb_hi][ret_lo][ret_hi]
@@ -176,7 +180,9 @@ class FlightRecorder:
         self.layout = None
         self.memmap_provider = None
         self.symbols = None    # extra name -> byte addr map, or callable
-        self.reports = []
+        #: this machine's most recent reports (newest last); a bounded
+        #: ring, so a long run's contained faults do not pile up
+        self.reports = deque(maxlen=REPORTS_KEPT)
 
     # ------------------------------------------------------------------
     def capture(self, fault):
@@ -383,7 +389,7 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
     def clear(self):
-        self.reports = []
+        self.reports.clear()
 
 
 def reset():

@@ -28,6 +28,10 @@ The tracker keeps one :class:`~repro.core.control_flow.JumpTable` for
 the current ``(jt_base, ndomains)`` and rebuilds it only when the
 trusted runtime reprograms either; its ``classify`` is the one place a
 cross-domain target is validated.
+
+Compiled regions render the ordinary call and return inline
+(:attr:`DomainTracker.fragments`) and call out to :meth:`on_event`
+for the rest.
 """
 
 from repro.core.control_flow import JumpTable
@@ -47,6 +51,41 @@ class DomainTracker:
     """Call/return extension; installs as a core call hook."""
 
     name = "domain_tracker"
+    #: the common case compiled regions render (repro.sim.semantics): a
+    #: call, with the cached jump table still current, to a target
+    #: outside the table and inside the domain's code region counts one
+    #: more nested call; a return that closes no cross-domain frame
+    #: counts one fewer, or is ignored with no frame open or the unit
+    #: disabled.  A cross-domain transfer, a jump-table rebuild, a
+    #: confinement fault and every ``ijmp`` call out to on_event.
+    fragments = {
+        "call": """
+fr_ = {u}.regs
+if fr_.enabled:
+    fj_ = {u}._jt
+    ft_ = {target} * 2
+    fd_ = fr_.cur_domain
+    fc_ = {u}.code_regions.get(fd_)
+    if (fj_ is None or fj_.base != fr_.jt_base
+            or fj_.ndomains != fr_.ndomains or fj_.base <= ft_ < fj_.end
+            or fd_ != """ + str(TRUSTED_DOMAIN) + """
+            and not (fc_ and fc_[0] <= ft_ < fc_[1])):
+        @callout
+    else:
+        fk_ = {u}.call_depths
+        if fk_:
+            fk_[-1] += 1
+""",
+        "ret": """
+fk_ = {u}.call_depths
+if fk_ and {u}.regs.enabled:
+    if fk_[-1] > 0:
+        fk_[-1] -= 1
+    else:
+        @callout
+""",
+        "ijmp": "@callout",
+    }
 
     def __init__(self, registers, safe_stack_unit,
                  entries_per_domain=128, entry_bytes=4):

@@ -16,6 +16,10 @@ an untrusted domain it:
 The stack-bound comparison (§3.3) is combinational and free; only the
 table access costs the stall cycle.  The trusted domain bypasses the
 checker entirely, as does a disabled MMC.
+
+Compiled regions render the passing checks inline
+(:attr:`MemMapController.fragments`) and call out to
+:meth:`MemMapController.on_write` for the rest.
 """
 
 from repro.core.encoding import TRUSTED_DOMAIN
@@ -45,6 +49,30 @@ class MemMapController(BusInterposer):
 
     name = "mmc"
     kinds = frozenset((AccessKind.DATA_STORE, AccessKind.STACK_PUSH))
+    #: the common case compiled regions render (repro.sim.semantics): a
+    #: trusted domain or a disabled MMC writes directly; an untrusted
+    #: store within the stack bound writes to the stack window with no
+    #: stall, or, to a block the domain owns, counts a checked store
+    #: and stalls.  A fault or a recorded waveform calls out to
+    #: on_write.
+    fragments = dict.fromkeys(kinds, """
+fr_ = {u}.regs
+fd_ = fr_.cur_domain
+fc_ = False
+if fd_ != """ + str(TRUSTED_DOMAIN) + """ and fr_.enabled:
+    if ({u}.waveform is not None
+            or not fr_.mem_prot_bot <= {addr} <= fr_.stack_bound):
+        fc_ = True
+    elif {addr} <= fr_.mem_prot_top:
+        fc_ = {u}.owner({addr}) != fd_
+        if not fc_:
+            {u}.checked_stores += 1
+            x_ += """ + str(MMC_STALL_CYCLES) + """
+if fc_:
+    @callout
+else:
+    @direct
+""")
 
     def __init__(self, registers, memory):
         self.regs = registers
@@ -70,6 +98,19 @@ class MemMapController(BusInterposer):
         if regs.multi_domain:
             return regs.mem_map_base + (block >> 1), 4 * (block & 1)
         return regs.mem_map_base + (block >> 2), 2 * (block & 3)
+
+    def owner(self, addr):
+        """The owner the memory-map table records for the protected byte
+        at *addr* (decoded as :meth:`on_write` decodes it), or None when
+        the table byte lies past the data space."""
+        regs = self.regs
+        table_addr, shift = self.translate(addr)
+        if table_addr > self.memory.geometry.data_end:
+            return None
+        code = self.memory.data[table_addr] >> shift
+        if regs.multi_domain:
+            return (code & 0xF) >> 1
+        return TRUSTED_DOMAIN if code & 0b10 else 0
 
     # ------------------------------------------------------------------
     def on_write(self, bus, addr, value, kind):

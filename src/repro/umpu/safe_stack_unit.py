@@ -22,7 +22,9 @@ raises :class:`SafeStackOverflow` when ``safe_stack_ptr`` would collide
 with SP.
 
 A callout reads decoded register attributes and SP's two data-space
-bytes, and returns a preallocated verdict.
+bytes, and returns a preallocated verdict.  Compiled regions render
+the common case of each kind inline instead (:attr:`SafeStackUnit.
+fragments`) and call out for the rest.
 """
 
 from repro.core.faults import SafeStackOverflow, SafeStackUnderflow
@@ -44,6 +46,36 @@ class SafeStackUnit(BusInterposer):
 
     name = "safe_stack"
     kinds = frozenset((AccessKind.RET_PUSH, AccessKind.RET_POP))
+    #: the common case compiled regions render (repro.sim.semantics):
+    #: an enabled unit whose push stays below SP (a return-address push
+    #: goes to SP) and whose pop stays at or above the floor, inside the
+    #: data space.  An overflow, an underflow or a disabled unit calls
+    #: out to on_write/on_read.
+    fragments = {
+        AccessKind.RET_PUSH: """
+fr_ = {u}.regs
+fp_ = fr_.safe_stack_ptr
+if fr_.enabled and fp_ < {addr} and fp_ <= {data_end}:
+    data[fp_] = {value}
+    fp_ += 1
+    fr_.safe_stack_ptr = fp_
+    {u}.redirected_pushes += 1
+    if fp_ > {u}.high_water:
+        {u}.high_water = fp_
+else:
+    @callout
+""",
+        AccessKind.RET_POP: """
+fr_ = {u}.regs
+fp_ = fr_.safe_stack_ptr - 1
+if fr_.enabled and 0 <= fp_ <= {data_end} and ({u}.floor or 0) <= fp_:
+    {var} = data[fp_]
+    fr_.safe_stack_ptr = fp_
+    {u}.redirected_pops += 1
+else:
+    @callout
+""",
+    }
 
     def __init__(self, registers, memory):
         self.regs = registers
@@ -74,11 +106,14 @@ class SafeStackUnit(BusInterposer):
             self.high_water = ptr
 
     def pop_byte(self):
+        """Sequence one byte off the safe stack.  A faulting pop leaves
+        ``safe_stack_ptr`` where it was, as a faulting push does."""
         ptr = self.regs.safe_stack_ptr - 1
         if ptr < 0 or (self.floor is not None and ptr < self.floor):
             raise SafeStackUnderflow()
+        value = self.memory.read_data(ptr)
         self.regs.safe_stack_ptr = ptr
-        return self.memory.read_data(ptr)
+        return value
 
     # ------------------------------------------------------------------
     def on_write(self, bus, addr, value, kind):

@@ -39,7 +39,7 @@ from repro.sfi.layout import (
 )
 from repro.sfi.system import SfiSystem
 from repro.trace import RECENT_REPORTS, BreakpointHit, WatchpointHit
-from repro.trace.forensics import dump_recent
+from repro.trace.forensics import REPORTS_KEPT, dump_recent
 from repro.umpu import HarborLayout, UmpuMachine, UmpuSystem
 
 ALL_FAULTS = [
@@ -188,6 +188,24 @@ def test_umpu_fault_report_without_trace_uses_static_window():
     assert report is not None
     assert report.window_source == "static"
     assert report.instr_window
+
+
+def test_flight_recorder_keeps_a_bounded_ring():
+    """A long run's contained faults do not pile up in the recorder:
+    after 100 faults it keeps at most the ring's worth of reports, the
+    newest last, and the newest fault still carries its report."""
+    machine = _umpu_poke_machine()
+    recorder = machine.forensics
+    for _ in range(100):
+        machine.enter_domain(0)
+        with pytest.raises(MemMapFault) as excinfo:
+            machine.call("poke")
+        machine.enter_trusted()
+    assert len(recorder.reports) == REPORTS_KEPT < 100
+    assert excinfo.value.report is recorder.reports[-1]
+    assert excinfo.value.report.code == "memmap"
+    recorder.clear()
+    assert not recorder.reports
 
 
 def test_umpu_system_cross_domain_call_stack():
