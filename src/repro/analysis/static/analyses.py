@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 
 from repro.core.encoding import TRUSTED_DOMAIN
 from repro.core.faults import JumpTableFault
+from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sfi.runtime_asm import RUNTIME_ENTRIES, STORE_STUBS
+from repro.sfi.verifier import Verifier
 
 from repro.analysis.static import absint
 from repro.analysis.static.cfg import (
@@ -49,15 +51,9 @@ from repro.analysis.static.elision import (
     verify_manifest,
 )
 
-#: store keys a sandboxed module may not contain raw
-STORE_KEYS = frozenset({
-    "st_x", "st_xp", "st_mx", "st_yp", "st_my", "st_zp", "st_mz",
-    "std_y", "std_z", "sts",
-})
-
-#: other keys outside the sandboxed subset
-FORBIDDEN_KEYS = frozenset({"ijmp", "icall", "break", "reti", "sleep",
-                            "wdr"})
+#: other keys outside the sandboxed subset (store keys a sandboxed
+#: module may not contain raw are :data:`repro.isa.opcodes.STORE_KEYS`)
+FORBIDDEN_KEYS = Verifier.FORBIDDEN_KEYS - STORE_KEYS
 
 #: flash words that mean "erased / never written" (skip, don't diagnose)
 _ERASED_WORDS = frozenset({0xFFFF, 0x0000})

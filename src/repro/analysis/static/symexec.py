@@ -4,19 +4,27 @@
 symbolically and returns a :class:`BlockSummary`: for every register and
 SREG flag an expression over the *initial* block state, an ordered log
 of memory writes, the set of memory reads, a cycle count (base cycles
-plus per-edge conditional extras) and the block terminator.  The
-expression language is deliberately tiny — leaves are the initial
-registers/flags/SP plus memory and flash reads, interior nodes are the
-exact ALU/flag formulas of :mod:`repro.sim.core` — and every node folds
-to a Python ``int`` when its operands are constants, so summaries stay
-small and structurally canonical.
+plus per-edge conditional extras) and how the block ends.
+
+The instruction semantics are not written here: each opcode runs its
+template from :mod:`repro.sim.semantics`, the same text the interpreter
+handlers and the compiled regions are rendered from, compiled a third
+time by :func:`repro.sim.semantics.make_symbolic`.  Ordinary template
+lines run verbatim over :class:`_Val`, whose Python operators build
+:class:`Expr` nodes; ``data`` holds r0-r31 and SREG (kept as eight flag
+expressions) and every pseudo-op is a method of the evaluator state
+(:class:`_State`).  The expression language is tiny — leaves are the
+initial registers/flags/SP plus memory and flash reads, interior nodes
+are the Python operators the templates use plus ``NVSZ`` — and every
+node folds to a Python ``int`` when its operands are constants, so
+summaries stay small and structurally canonical.
 
 Two consumers build on the summaries:
 
-* the hypothesis differential (tests/test_symexec.py) evaluates a
-  summary against a captured pre-state and asserts the resulting
-  register file / SREG / memory image / cycle count matches concrete
-  ``step()`` execution on both protection systems;
+* the differentials (tests/test_symexec.py, tests/test_symexec_keys.py)
+  evaluate a summary against a captured pre-state and assert the
+  resulting register file / SREG / memory image / cycle count matches
+  concrete ``step()`` execution;
 * the translation validator (:mod:`repro.analysis.static.transval`)
   compares the *module-visible effect* of a source block against its
   rewritten counterpart, with the Harbor store stubs applied as atomic
@@ -29,11 +37,18 @@ but the model tracks separately — are rejected as unsupported;
 symbolic store/load targets are assumed to stay in SRAM proper,
 exactly the addresses the Harbor store rule sanctions.  ``in``/``out``
 on SREG and ``in`` on SPL/SPH are modelled precisely; writing SP
-directly, ``elpm`` (RAMPZ) and indirect control (``ijmp``/``icall``)
-are out of model and classify a block as untranslatable.
+directly, ``elpm`` (RAMPZ), indirect control (``ijmp``/``icall``) and a
+call with no call model are out of model and classify a block as
+untranslatable.
 """
 
+import operator
+from types import SimpleNamespace
+
 from repro.analysis.static.cfg import static_target
+from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
+from repro.sim.events import AccessKind
+from repro.sim.semantics import NVSZ, make_symbolic
 
 __all__ = [
     "BlockSummary",
@@ -58,10 +73,6 @@ __all__ = [
 _SREG_ADDR = 0x5F
 _SPL_ADDR = 0x5D
 _SPH_ADDR = 0x5E
-_PTR_REG = {"X": 26, "Y": 28, "Z": 30}
-
-# SREG bit indices (repro.isa.registers.SREG_BITS)
-_C, _Z, _N, _V, _S, _H, _T, _I = 0, 1, 2, 3, 4, 5, 6, 7
 
 
 class UnsupportedInstruction(Exception):
@@ -77,52 +88,64 @@ class UnsupportedInstruction(Exception):
 # ---------------------------------------------------------------------
 # expression language
 # ---------------------------------------------------------------------
-# Every op is a *total* function returning an already-masked value, so
-# constant folding and concrete evaluation share one table.  Flag ops
-# return 0/1; byte ops return 0..255; 16-bit ops return 0..65535.
+# Every op is a total function over Python ints with the templates'
+# meaning (unbounded ints, so ``~`` and ``-`` may go negative), so
+# constant folding and concrete evaluation share one table.
 _OPS = {
-    "add8": lambda a, b: (a + b) & 0xFF,
-    "adc8": lambda a, b, c: (a + b + c) & 0xFF,
-    "sub8": lambda a, b: (a - b) & 0xFF,
-    "sbc8": lambda a, b, c: (a - b - c) & 0xFF,
-    "add16": lambda a, b: (a + b) & 0xFFFF,
-    "sub16": lambda a, b: (a - b) & 0xFFFF,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "com": lambda a: (~a) & 0xFF,
-    "neg": lambda a: (-a) & 0xFF,
-    "shr": lambda a: a >> 1,
-    "asr": lambda a: (a >> 1) | (a & 0x80),
-    "rorc": lambda a, c: ((c & 1) << 7) | (a >> 1),
-    "swap": lambda a: ((a << 4) | (a >> 4)) & 0xFF,
-    "mul": lambda a, b: a * b,
-    "lo": lambda a: a & 0xFF,
-    "hi": lambda a: (a >> 8) & 0xFF,
-    "pair": lambda lo, hi: lo | (hi << 8),
-    "bit": lambda a, b: (a >> b) & 1,
-    "setbit": lambda a, b, v: ((a | (1 << b)) if v
-                               else (a & ~(1 << b) & 0xFF)),
-    "pack8": lambda *bits: sum(b << i for i, b in enumerate(bits)),
-    "not1": lambda a: 1 - a,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "shl": operator.lshift,
+    "shr": operator.rshift,
+    "inv": operator.invert,
+    "neg": operator.neg,
     "eq": lambda a, b: int(a == b),
-    "eq0": lambda a: int(a == 0),
-    "ne0": lambda a: int(a != 0),
-    # flag formulas, verbatim from repro.sim.core
-    "h_add": lambda a, b, c: int(((a & 0xF) + (b & 0xF) + c) > 0xF),
-    "c_add": lambda a, b, c: int((a + b + c) > 0xFF),
-    "v_add": lambda a, b, c: int(bool(
-        (~(a ^ b) & (a ^ ((a + b + c) & 0xFF))) & 0x80)),
-    "h_sub": lambda a, b, c: int(((a & 0xF) - (b & 0xF) - c) < 0),
-    "c_sub": lambda a, b, c: int((a - b - c) < 0),
-    "v_sub": lambda a, b, c: int(bool(
-        ((a ^ b) & (a ^ ((a - b - c) & 0xFF))) & 0x80)),
-    "h_neg": lambda a: int(bool((((-a) & 0xFF) | a) & 0x8)),
-    "v_adiw": lambda a, b: int(bool((~a & ((a + b) & 0xFFFF)) & 0x8000)),
-    "c_adiw": lambda a, b: int(bool((~((a + b) & 0xFFFF) & a) & 0x8000)),
-    "v_sbiw": lambda a, b: int(bool((a & ~((a - b) & 0xFFFF)) & 0x8000)),
-    "c_sbiw": lambda a, b: int(bool((((a - b) & 0xFFFF) & ~a) & 0x8000)),
+    "ne": lambda a, b: int(a != b),
+    "nvsz": NVSZ.__getitem__,
+    "bit": lambda a, b: (a >> b) & 1,
+    "pack8": lambda *bits: sum(b << i for i, b in enumerate(bits)),
+    # a stack address: initial SP plus the block's net push/pop offset
+    "add16": lambda a, b: (a + b) & 0xFFFF,
 }
+
+#: the bits a node of these kinds can have set, whatever its operands
+_FIXED_BITS = {"reg0": 0xFF, "mem": 0xFF, "flash": 0xFF, "flag0": 1,
+               "sp0": 0xFFFF, "add16": 0xFFFF, "eq": 1, "ne": 1, "bit": 1,
+               "nvsz": 0x1E, "pack8": 0xFF}
+
+
+def _bits(x):
+    """A mask of the bits *x* can have set, or None when it may be
+    negative or its bits are not tracked."""
+    if x.__class__ is int:
+        return x if x >= 0 else None
+    return x.bits
+
+
+def _bits_of(name, args):
+    fixed = _FIXED_BITS.get(name)
+    if fixed is not None:
+        return fixed
+    known = [_bits(a) for a in args]
+    if name == "and":
+        masks = [k for k in known if k is not None]
+        return masks[0] & masks[-1] if masks else None
+    if None in known:
+        return None
+    if name in ("or", "xor"):
+        return known[0] | known[1]
+    if name == "shl" and args[1].__class__ is int:
+        return known[0] << args[1]
+    if name == "shr":
+        return known[0] >> args[1] if args[1].__class__ is int else known[0]
+    if name == "add":
+        return (1 << (known[0] + known[1]).bit_length()) - 1
+    if name == "mul":
+        return (1 << (known[0] * known[1]).bit_length()) - 1
+    return None
 
 
 class Expr(object):
@@ -134,23 +157,26 @@ class Expr(object):
     nodes name an entry of ``_OPS``.  Operands are ``Expr`` or ``int``.
     """
 
-    __slots__ = ("name", "args", "_key", "_hash")
+    __slots__ = ("name", "args", "bits", "_key", "_hash")
 
     def __init__(self, name, args):
         self.name = name
         self.args = args
-        self._key = (name,) + tuple(
-            a._key if isinstance(a, Expr) else a for a in args)
+        self.bits = _bits_of(name, args)
+        # operands hash by their cached hash, so building a node costs
+        # O(operands), not O(tree)
+        self._key = (name,) + tuple(args)
         self._hash = hash(self._key)
 
     def __eq__(self, other):
         if isinstance(other, Expr):
-            return self._key == other._key
+            return self is other or (self._hash == other._hash
+                                     and self._key == other._key)
         return NotImplemented
 
     def __ne__(self, other):
         if isinstance(other, Expr):
-            return self._key != other._key
+            return not self.__eq__(other)
         return NotImplemented
 
     def __hash__(self):
@@ -169,15 +195,86 @@ class Expr(object):
 _REG0 = tuple(Expr("reg0", (n,)) for n in range(32))
 _FLAG0 = tuple(Expr("flag0", (b,)) for b in range(8))
 _SP0 = Expr("sp0", ())
+#: ops whose zero right operand (or, for the commutative ones, left
+#: operand) leaves the other operand
+_ZERO_RIGHT = frozenset(("add", "sub", "or", "xor", "shl", "shr", "add16"))
+_ZERO_LEFT = frozenset(("add", "or", "xor"))
 
 
 def _op(name, *args):
-    """Smart constructor: folds constants and trivial identities."""
-    if all(isinstance(a, int) for a in args):
+    """Smart constructor: folds constants and the identities that keep
+    summaries small and canonical — a zero operand, a mask that keeps
+    every bit its operand can have, SREG bits read back."""
+    if name == "bit":
+        return _bit(*args)
+    if all(a.__class__ is int for a in args):
         return _OPS[name](*args)
-    if name in ("add16", "sub16") and args[1] == 0:
-        return args[0]
+    if len(args) == 2:
+        a, b = args
+        if b.__class__ is int and b == 0 and name in _ZERO_RIGHT:
+            return a
+        if a.__class__ is int and a == 0 and name in _ZERO_LEFT:
+            return b
+        if name in ("and", "or") and (a.__class__ is int
+                                      or b.__class__ is int):
+            x, m = (b, a) if a.__class__ is int else (a, b)
+            return _mask(x, m) if name == "and" else _set(x, m)
     return Expr(name, args)
+
+
+def _mask(x, m):
+    """``x & m`` for a constant *m*."""
+    bits = x.bits
+    if bits is not None:
+        if bits & m == 0:
+            return 0
+        if bits & ~m == 0:
+            return x
+    if x.name == "and" and x.args[1].__class__ is int:
+        return _mask(x.args[0], x.args[1] & m)
+    if x.name == "or":
+        return _op("or", _op("and", x.args[0], m), _op("and", x.args[1], m))
+    if m == 1:
+        return _bit(x, 0)
+    return Expr("and", (x, m))
+
+
+def _set(x, m):
+    """``x | m`` for a constant *m*."""
+    bits = x.bits
+    if bits is not None and bits & ~m == 0:
+        return m
+    return Expr("or", (x, m))
+
+
+def _bit(x, k):
+    """Bit *k* (0/1) of *x*, pushed through the bitwise ops so that an
+    SREG byte written by a template splits into per-flag expressions."""
+    if x.__class__ is int:
+        return (x >> k) & 1
+    bits = x.bits
+    if bits is not None:
+        if not (bits >> k) & 1:
+            return 0
+        if bits == 1:
+            return x
+    name, args = x.name, x.args
+    if name == "pack8":
+        return args[k]
+    if name in ("and", "or", "xor"):
+        return _op(name, _bit(args[0], k), _bit(args[1], k))
+    if name in ("shl", "shr") and args[1].__class__ is int:
+        k += args[1] if name == "shr" else -args[1]
+        return _bit(args[0], k) if k >= 0 else 0
+    if name == "nvsz":
+        # NVSZ[res | V << 8]: Z = (res == 0), N = res bit 7, S = N ^ V
+        index = args[0]
+        if k == 1:
+            return _op("eq", _op("and", index, 0xFF), 0)
+        if k == 4:
+            return _op("xor", _bit(index, 7), _bit(index, 8))
+        return _bit(index, 7 if k == 2 else 8)
+    return Expr("bit", (x, k))
 
 
 def _sp_slot(addr):
@@ -191,6 +288,10 @@ def _sp_slot(addr):
                 and addr.args[0].name == "sp0"):
             return addr.args[1]
     return None
+
+
+def _sp_addr(off):
+    return _SP0 if off == 0 else Expr("add16", (_SP0, off))
 
 
 class _Write(object):
@@ -209,25 +310,34 @@ class _Write(object):
 class CallModel(object):
     """Atomic effect model for a ``call`` target inside a block.
 
-    The Harbor store stubs preserve all registers and SREG except the
-    pointer-pair bump and perform exactly one data-space store at their
-    effective address; their own frame is balanced, so they are
-    SP-neutral from the caller's perspective (the ``call``'s return
-    push is consumed by the stub's ``ret`` and is not logged).
+    A Harbor store stub stands for the store template *key* of the
+    addressing mode it checks, with the stored value in r18 and, for a
+    displaced mode, the displacement in r19: it performs exactly that
+    store (pointer bump included) and preserves every other register
+    and SREG.  Its own frame is balanced, so it is SP-neutral from the
+    caller's perspective (the ``call``'s return push is consumed by the
+    stub's ``ret`` and is not logged).  *cycles* is charged on top of
+    the ``call``.
     """
 
-    __slots__ = ("name", "store", "ptr_lo", "ea_bias", "ea_uses_q",
-                 "delta", "cycles")
+    __slots__ = ("name", "key", "cycles")
 
-    def __init__(self, name, store=False, ptr_lo=None, ea_bias=0,
-                 ea_uses_q=False, delta=0, cycles=0):
+    def __init__(self, name, key, cycles=0):
         self.name = name
-        self.store = store
-        self.ptr_lo = ptr_lo
-        self.ea_bias = ea_bias
-        self.ea_uses_q = ea_uses_q
-        self.delta = delta
+        self.key = key
         self.cycles = cycles
+
+    @property
+    def store(self):
+        """Whether the model stands for a store template."""
+        return self.key in STORE_KEYS
+
+    @property
+    def delta(self):
+        """The pointer bump of the store: +1, -1 or 0."""
+        modes = SPEC_BY_KEY[self.key].modes
+        return 1 if modes.get("post_inc") else -1 if modes.get("pre_dec") \
+            else 0
 
 
 class BlockSummary(object):
@@ -244,30 +354,13 @@ class BlockSummary(object):
         self.extras = []          # [(cond 0/1 expr, extra cycles)]
         self.stub_calls = []      # [CallModel names, in order]
         self.terminator = None    # final Line when it transfers control
+        #: how the terminator leaves: "jump", "branch", "skip",
+        #: "return" or "halt"
+        self.exit = None
 
     @property
     def start(self):
         return self.lines[0].byte_addr if self.lines else None
-
-    def successors(self):
-        """Static control successors: list of (kind, byte_addr|None)."""
-        line = self.terminator
-        if line is None:
-            if not self.lines:
-                return []
-            last = self.lines[-1]
-            return [("fall", last.byte_addr + 2 * len(last.words))]
-        key = line.instr.key
-        fall = line.byte_addr + 2 * len(line.words)
-        if key in ("rjmp", "jmp"):
-            return [("jump", static_target(line))]
-        if key in ("brbs", "brbc"):
-            return [("branch", static_target(line)), ("fall", fall)]
-        if key in ("cpse", "sbrc", "sbrs", "sbic", "sbis"):
-            return [("skip", None), ("fall", fall)]
-        if key in ("ret", "reti"):
-            return [("ret", None)]
-        return [("halt", None)]
 
 
 # ---------------------------------------------------------------------
@@ -382,370 +475,221 @@ def image_after(summary, env):
 
 
 # ---------------------------------------------------------------------
-# the symbolic transfer functions
+# the templates, run symbolically
 # ---------------------------------------------------------------------
-class _Sym(object):
-    def __init__(self, summary, call_models):
+def _x(value):
+    return value.x if value.__class__ is _Val else value
+
+
+class _Val(object):
+    """A template value: its Python operators build :class:`Expr`
+    nodes (``==``/``!=`` included, so it has no truth value)."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
+    def __eq__(self, other):
+        return _Val(_op("eq", self.x, _x(other)))
+
+    def __ne__(self, other):
+        return _Val(_op("ne", self.x, _x(other)))
+
+    def __invert__(self):
+        return _Val(_op("inv", self.x))
+
+    def __neg__(self):
+        return _Val(_op("neg", self.x))
+
+    def __bool__(self):
+        raise TypeError("a symbolic value has no truth value")
+
+    __hash__ = None
+
+
+def _binary(name):
+    return (lambda a, b: _Val(_op(name, a.x, _x(b))),
+            lambda a, b: _Val(_op(name, _x(b), a.x)))
+
+
+for _name, _dunder in (("add", "add"), ("sub", "sub"), ("mul", "mul"),
+                       ("and", "and"), ("or", "or"), ("xor", "xor"),
+                       ("shl", "lshift"), ("shr", "rshift")):
+    _forward, _reflected = _binary(_name)
+    setattr(_Val, "__{}__".format(_dunder), _forward)
+    setattr(_Val, "__r{}__".format(_dunder), _reflected)
+
+
+class _Nvsz(object):
+    """``NVSZ`` for a template: the lookup is one ``nvsz`` node."""
+
+    def __getitem__(self, index):
+        return _Val(_op("nvsz", _x(index)))
+
+
+class _Evaluators(dict):
+    """Template key -> its symbolic evaluator ``(state, instr)``,
+    compiled on first use."""
+
+    def __missing__(self, key):
+        run = self[key] = make_symbolic(key, _Nvsz())
+        return run
+
+
+_EXEC = _Evaluators()
+
+#: access kind -> the summary's read/write log kind
+_LOG_KIND = {AccessKind.DATA_LOAD: "data", AccessKind.DATA_STORE: "data",
+             AccessKind.IO_READ: "io", AccessKind.IO_WRITE: "io",
+             AccessKind.STACK_PUSH: "stack", AccessKind.STACK_POP: "stack",
+             AccessKind.RET_PUSH: "stack", AccessKind.RET_POP: "stack"}
+
+#: keys out of model whatever their operands (the RAMPZ reads of
+#: ``elpm`` fail in :class:`_Data`)
+_INDIRECT = frozenset(("ijmp", "icall"))
+#: the store stubs' calling convention (:class:`CallModel`)
+_STUB_VALUE, _STUB_DISP = 18, 19
+
+
+class _Data(object):
+    """``data`` for a template: r0-r31 and SREG.  Every other byte is
+    reached through a pseudo-op, or is out of model."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state):
+        self.state = state
+
+    def __getitem__(self, addr):
+        summary = self.state.s
+        if addr.__class__ is int:
+            if addr < 32:
+                return _Val(summary.regs[addr])
+            if addr == _SREG_ADDR:
+                return _Val(_op("pack8", *summary.flags))
+        raise self.state.unsupported(
+            "data byte 0x{:02X} is out of the symbolic model".format(addr))
+
+    def __setitem__(self, addr, value):
+        summary = self.state.s
+        if addr.__class__ is int:
+            if addr < 32:
+                summary.regs[addr] = _x(value)
+                return
+            if addr == _SREG_ADDR:
+                value = _x(value)
+                summary.flags = [_bit(value, b) for b in range(8)]
+                return
+        raise self.state.unsupported(
+            "data byte 0x{:02X} is out of the symbolic model".format(addr))
+
+
+class _State(object):
+    """The symbolic ``core`` a template runs against: ``memory.data``
+    is :class:`_Data`, ``memory.read_flash_byte`` a ``flash`` leaf,
+    ``pc`` the word after the instruction, and each pseudo-op a
+    method."""
+
+    def __init__(self, summary, next_size_words):
         self.s = summary
-        self.call_models = call_models or {}
+        self.next_size_words = next_size_words
+        self.memory = self
+        self.data = _Data(self)
+        self.pc = 0
+        self.line = None
 
-    # -- tiny state helpers -------------------------------------------
-    def reg(self, n):
-        return self.s.regs[n]
+    def unsupported(self, reason):
+        line = self.line
+        return UnsupportedInstruction(line.byte_addr, line.instr.key,
+                                      reason)
 
-    def set_reg(self, n, value):
-        self.s.regs[n] = value
-
-    def pair(self, n):
-        return _op("pair", self.s.regs[n], self.s.regs[n + 1])
-
-    def set_pair(self, n, value):
-        self.s.regs[n] = _op("lo", value)
-        self.s.regs[n + 1] = _op("hi", value)
-
-    def flag(self, b):
-        return self.s.flags[b]
-
-    def sp_addr(self, off):
-        return _SP0 if off == 0 else Expr("add16", (_SP0, off))
-
-    def read_mem(self, addr, kind):
-        self.s.reads.append((kind, addr))
-        return Expr("mem", (addr, len(self.s.writes)))
-
-    def write_mem(self, addr, value, kind):
-        if isinstance(addr, int):
-            self._check_const_addr(addr)
-        self.s.writes.append(_Write(addr, value, kind))
-
-    # -- flag groups, matching repro.sim.core bit for bit -------------
-    def _nzs(self, res, v):
-        flags = self.s.flags
-        n = _op("bit", res, 7)
-        flags[_N] = n
-        flags[_V] = v
-        flags[_S] = _op("xor", n, v)
-        flags[_Z] = _op("eq0", res)
-
-    def _add(self, d, r_val, carry):
-        rd = self.reg(d)
-        res = _op("adc8", rd, r_val, carry)
-        flags = self.s.flags
-        flags[_H] = _op("h_add", rd, r_val, carry)
-        flags[_C] = _op("c_add", rd, r_val, carry)
-        self._nzs(res, _op("v_add", rd, r_val, carry))
-        self.set_reg(d, res)
-
-    def _sub(self, d, r_val, carry, store=True, keep_z=False):
-        rd = self.reg(d)
-        res = _op("sbc8", rd, r_val, carry)
-        flags = self.s.flags
-        z_prev = flags[_Z]
-        flags[_H] = _op("h_sub", rd, r_val, carry)
-        flags[_C] = _op("c_sub", rd, r_val, carry)
-        self._nzs(res, _op("v_sub", rd, r_val, carry))
-        if keep_z:
-            flags[_Z] = _op("and", flags[_Z], z_prev)
-        if store:
-            self.set_reg(d, res)
-
-    def _logic(self, d, res):
-        flags = self.s.flags
-        n = _op("bit", res, 7)
-        flags[_V] = 0
-        flags[_N] = n
-        flags[_S] = n
-        flags[_Z] = _op("eq0", res)
-        self.set_reg(d, res)
-
-    def _shift(self, d, rd, res):
-        flags = self.s.flags
-        c = _op("bit", rd, 0)
-        n = _op("bit", res, 7)
-        v = _op("xor", n, c)
-        flags[_C] = c
-        flags[_N] = n
-        flags[_V] = v
-        flags[_S] = _op("xor", n, v)
-        flags[_Z] = _op("eq0", res)
-        self.set_reg(d, res)
-
-    def _inc_dec(self, d, res, v):
-        flags = self.s.flags
-        n = _op("bit", res, 7)
-        flags[_V] = v
-        flags[_N] = n
-        flags[_S] = _op("xor", n, v)
-        flags[_Z] = _op("eq0", res)
-        self.set_reg(d, res)
-
-    def sreg_byte(self):
-        return _op("pack8", *self.s.flags)
-
-    def set_sreg_byte(self, value):
-        self.s.flags = [_op("bit", value, b) for b in range(8)]
-
-    # -- dispatch ------------------------------------------------------
-    def exec_line(self, line):
+    def run(self, line):
+        self.line = line
         instr = line.instr
-        self._addr = line.byte_addr
-        self._key = instr.key
-        ops = instr.operands
-        s = self.s
-        key = instr.key
+        self.pc = line.byte_addr // 2 + instr.size_words
+        _EXEC[instr.key](self, instr)
 
-        if key == "add":
-            self._add(ops[0], self.reg(ops[1]), 0)
-        elif key == "adc":
-            self._add(ops[0], self.reg(ops[1]), self.flag(_C))
-        elif key == "sub":
-            self._sub(ops[0], self.reg(ops[1]), 0)
-        elif key == "sbc":
-            self._sub(ops[0], self.reg(ops[1]), self.flag(_C),
-                      keep_z=True)
-        elif key == "subi":
-            self._sub(ops[0], ops[1], 0)
-        elif key == "sbci":
-            self._sub(ops[0], ops[1], self.flag(_C), keep_z=True)
-        elif key == "cp":
-            self._sub(ops[0], self.reg(ops[1]), 0, store=False)
-        elif key == "cpc":
-            self._sub(ops[0], self.reg(ops[1]), self.flag(_C),
-                      store=False, keep_z=True)
-        elif key == "cpi":
-            self._sub(ops[0], ops[1], 0, store=False)
-        elif key == "and":
-            self._logic(ops[0], _op("and", self.reg(ops[0]),
-                                    self.reg(ops[1])))
-        elif key == "andi":
-            self._logic(ops[0], _op("and", self.reg(ops[0]), ops[1]))
-        elif key == "or":
-            self._logic(ops[0], _op("or", self.reg(ops[0]),
-                                    self.reg(ops[1])))
-        elif key == "ori":
-            self._logic(ops[0], _op("or", self.reg(ops[0]), ops[1]))
-        elif key == "eor":
-            self._logic(ops[0], _op("xor", self.reg(ops[0]),
-                                    self.reg(ops[1])))
-        elif key == "com":
-            res = _op("com", self.reg(ops[0]))
-            flags = s.flags
-            flags[_C] = 1
-            n = _op("bit", res, 7)
-            flags[_V] = 0
-            flags[_N] = n
-            flags[_S] = n
-            flags[_Z] = _op("eq0", res)
-            self.set_reg(ops[0], res)
-        elif key == "neg":
-            rd = self.reg(ops[0])
-            res = _op("neg", rd)
-            flags = s.flags
-            flags[_H] = _op("h_neg", rd)
-            flags[_C] = _op("ne0", res)
-            self._nzs(res, _op("eq", res, 0x80))
-            self.set_reg(ops[0], res)
-        elif key == "inc":
-            rd = self.reg(ops[0])
-            self._inc_dec(ops[0], _op("add8", rd, 1), _op("eq", rd, 0x7F))
-        elif key == "dec":
-            rd = self.reg(ops[0])
-            self._inc_dec(ops[0], _op("sub8", rd, 1), _op("eq", rd, 0x80))
-        elif key == "swap":
-            self.set_reg(ops[0], _op("swap", self.reg(ops[0])))
-        elif key == "asr":
-            rd = self.reg(ops[0])
-            self._shift(ops[0], rd, _op("asr", rd))
-        elif key == "lsr":
-            rd = self.reg(ops[0])
-            self._shift(ops[0], rd, _op("shr", rd))
-        elif key == "ror":
-            rd = self.reg(ops[0])
-            self._shift(ops[0], rd, _op("rorc", rd, self.flag(_C)))
-        elif key == "mov":
-            self.set_reg(ops[0], self.reg(ops[1]))
-        elif key == "movw":
-            d, r = ops
-            self.set_reg(d, self.reg(r))
-            self.set_reg(d + 1, self.reg(r + 1))
-        elif key == "ldi":
-            self.set_reg(ops[0], ops[1] & 0xFF)
-        elif key == "mul":
-            product = _op("mul", self.reg(ops[0]), self.reg(ops[1]))
-            self.set_reg(0, _op("lo", product))
-            self.set_reg(1, _op("hi", product))
-            s.flags[_C] = _op("bit", product, 15)
-            s.flags[_Z] = _op("eq0", product)
-        elif key == "adiw":
-            d, k = ops
-            rd = self.pair(d)
-            res = _op("add16", rd, k)
-            self._adiw_sbiw(res, _op("v_adiw", rd, k),
-                            _op("c_adiw", rd, k))
-            self.set_pair(d, res)
-        elif key == "sbiw":
-            d, k = ops
-            rd = self.pair(d)
-            res = _op("sub16", rd, k)
-            self._adiw_sbiw(res, _op("v_sbiw", rd, k),
-                            _op("c_sbiw", rd, k))
-            self.set_pair(d, res)
-        elif key == "bset":
-            s.flags[ops[0]] = 1
-        elif key == "bclr":
-            s.flags[ops[0]] = 0
-        elif key == "bst":
-            s.flags[_T] = _op("bit", self.reg(ops[0]), ops[1])
-        elif key == "bld":
-            self.set_reg(ops[0], _op("setbit", self.reg(ops[0]),
-                                     ops[1], self.flag(_T)))
-        elif key == "push":
-            self.write_mem(self.sp_addr(s.sp_off),
-                           self.reg(ops[0]), "stack")
-            s.sp_off -= 1
-        elif key == "pop":
-            s.sp_off += 1
-            self.set_reg(ops[0],
-                         self.read_mem(self.sp_addr(s.sp_off), "stack"))
-        elif key == "lds":
-            self._check_const_addr(ops[1])
-            self.set_reg(ops[0], self.read_mem(ops[1], "data"))
-        elif key == "sts":
-            self._check_const_addr(ops[0])
-            self.write_mem(ops[0], self.reg(ops[1]), "data")
-        elif key in ("ld_x", "ld_xp", "ld_mx", "ld_yp", "ld_my",
-                     "ld_zp", "ld_mz", "ldd_y", "ldd_z"):
-            self._load_store(instr, ops, load=True)
-        elif key in ("st_x", "st_xp", "st_mx", "st_yp", "st_my",
-                     "st_zp", "st_mz", "std_y", "std_z"):
-            self._load_store(instr, ops, load=False)
-        elif key == "in":
-            self._in(ops[0], ops[1])
-        elif key == "out":
-            self._out(ops[0], ops[1])
-        elif key in ("sbi", "cbi"):
-            a, b = ops
-            self._check_io_plain(a)
-            value = self.read_mem(a + 0x20, "io")
-            if key == "sbi":
-                value = _op("or", value, 1 << b)
-            else:
-                value = _op("and", value, ~(1 << b) & 0xFF)
-            self.write_mem(a + 0x20, value, "io")
-        elif key == "lpm_r0":
-            self.set_reg(0, self._flash_read(self.pair(30)))
-        elif key == "lpm":
-            self.set_reg(ops[0], self._flash_read(self.pair(30)))
-        elif key == "lpm_zp":
-            z = self.pair(30)
-            self.set_reg(ops[0], self._flash_read(z))
-            self.set_pair(30, _op("add16", z, 1))
-        elif key in ("nop", "sleep", "wdr"):
-            pass
-        else:
-            raise UnsupportedInstruction(
-                line.byte_addr, key, "out of the symbolic model")
+    def call(self, line, model):
+        """Apply a stub's :class:`CallModel`: its store template over
+        the stub's operands."""
+        self.line = line
+        operands = tuple(
+            self.data[_STUB_DISP] if op.letter == "q" else _STUB_VALUE
+            for op in SPEC_BY_KEY[model.key].operands)
+        _EXEC[model.key](self, SimpleNamespace(operands=operands))
+        self.s.base_cycles += model.cycles
+        self.s.stub_calls.append(model.name)
 
-    def _adiw_sbiw(self, res, v, c):
-        flags = self.s.flags
-        n = _op("bit", res, 15)
-        flags[_V] = v
-        flags[_C] = c
-        flags[_N] = n
-        flags[_S] = _op("xor", n, v)
-        flags[_Z] = _op("eq0", res)
-
-    def _check_const_addr(self, addr):
+    def _check_const(self, addr):
         # the concrete core aliases the register file and SP/SREG into
         # data space; the model keeps them separate, so constant
         # accesses there are out of model (symbolic targets are assumed
         # to stay in SRAM proper, as the Harbor store rule sanctions)
         if addr < 0x20 or addr in (_SPL_ADDR, _SPH_ADDR, _SREG_ADDR):
-            raise UnsupportedInstruction(
-                self._addr, self._key,
+            raise self.unsupported(
                 "constant data address 0x{:02X} aliases the register "
                 "file / SP / SREG".format(addr))
 
-    def _check_io_plain(self, a):
-        if a + 0x20 in (_SREG_ADDR, _SPL_ADDR, _SPH_ADDR):
-            raise UnsupportedInstruction(
-                self._addr, self._key,
-                "bit access to SREG/SP is out of model")
+    def _read(self, addr, kind):
+        self.s.reads.append((kind, addr))
+        return _Val(Expr("mem", (addr, len(self.s.writes))))
 
-    def _flash_read(self, addr):
+    def read_flash_byte(self, addr):
+        addr = _x(addr)
         self.s.reads.append(("flash", addr))
-        return Expr("flash", (addr,))
+        return _Val(Expr("flash", (addr,)))
 
-    def _load_store(self, instr, ops, load):
-        modes = instr.spec.modes
-        preg = _PTR_REG[modes["ptr"]]
-        ptr = self.pair(preg)
-        if modes.get("pre_dec"):
-            addr = _op("sub16", ptr, 1)
-            self.set_pair(preg, addr)
-        elif modes.get("post_inc"):
-            addr = ptr
-            self.set_pair(preg, _op("add16", ptr, 1))
-        elif modes.get("disp"):
-            # ldd operands (d, q); std operands (q, r)
-            q = ops[1] if load else ops[0]
-            addr = _op("add16", ptr, q)
-        else:
-            addr = ptr
-        if load:
-            self.set_reg(ops[0], self.read_mem(addr, "data"))
-        else:
-            self.write_mem(addr, self.reg(ops[-1]), "data")
+    # -- the pseudo-ops ------------------------------------------------
+    def load(self, addr, kind):
+        addr = _x(addr)
+        if kind is AccessKind.IO_READ and addr == _SREG_ADDR:
+            return self.data[addr]
+        if kind is AccessKind.IO_READ and addr in (_SPL_ADDR, _SPH_ADDR):
+            sp = _Val(_sp_addr(self.s.sp_off))
+            return sp & 0xFF if addr == _SPL_ADDR else sp >> 8
+        if addr.__class__ is int:
+            self._check_const(addr)
+        return self._read(addr, _LOG_KIND[kind])
 
-    def _in(self, d, a):
-        addr = a + 0x20
-        if addr == _SREG_ADDR:
-            self.set_reg(d, self.sreg_byte())
-        elif addr == _SPL_ADDR:
-            self.set_reg(d, _op("lo", self._sp_expr()))
-        elif addr == _SPH_ADDR:
-            self.set_reg(d, _op("hi", self._sp_expr()))
-        else:
-            self.set_reg(d, self.read_mem(addr, "io"))
+    def store(self, addr, value, kind):
+        addr = _x(addr)
+        if kind is AccessKind.IO_WRITE and addr == _SREG_ADDR:
+            self.data[addr] = value
+            return
+        if kind is AccessKind.IO_WRITE and addr in (_SPL_ADDR, _SPH_ADDR):
+            raise self.unsupported("writing SP is out of model")
+        if addr.__class__ is int:
+            self._check_const(addr)
+        self.s.writes.append(_Write(addr, _x(value), _LOG_KIND[kind]))
 
-    def _out(self, a, r):
-        addr = a + 0x20
-        if addr == _SREG_ADDR:
-            self.set_sreg_byte(self.reg(r))
-        elif addr in (_SPL_ADDR, _SPH_ADDR):
-            raise UnsupportedInstruction(
-                self._addr, self._key, "writing SP is out of model")
-        else:
-            self.write_mem(addr, self.reg(r), "io")
-
-    def _sp_expr(self):
-        return self.sp_addr(self.s.sp_off)
-
-    def apply_call_model(self, model):
+    def push(self, value, _kind):
         s = self.s
-        if model.store:
-            ea = self.pair(model.ptr_lo)
-            if model.ea_bias:
-                ea = _op("sub16", ea, -model.ea_bias)
-            if model.ea_uses_q:
-                ea = _op("add16", ea, self.reg(19))
-            self.write_mem(ea, self.reg(18), "data")
-        if model.delta:
-            preg = model.ptr_lo
-            if model.delta > 0:
-                self.set_pair(preg, _op("add16", self.pair(preg),
-                                        model.delta))
-            else:
-                self.set_pair(preg, _op("sub16", self.pair(preg),
-                                        -model.delta))
-        s.base_cycles += model.cycles
-        s.stub_calls.append(model.name)
+        s.writes.append(_Write(_sp_addr(s.sp_off), _x(value), "stack"))
+        s.sp_off -= 1
 
+    def pop(self, _kind):
+        self.s.sp_off += 1
+        return self._read(_sp_addr(self.s.sp_off), "stack")
 
-_CONTROL_KEYS = frozenset((
-    "rjmp", "jmp", "ijmp", "rcall", "call", "icall", "ret", "reti",
-    "brbs", "brbc", "cpse", "sbrc", "sbrs", "sbic", "sbis", "break",
-))
+    def goto(self, target):
+        # ijmp/icall never get here, so a computed target is a return
+        self._exit("jump" if _x(target).__class__ is int else "return")
+
+    def goto_if(self, cond, _target, cycles):
+        self.s.extras.append((_x(cond), cycles))
+        self._exit("branch")
+
+    def skip_if(self, cond):
+        self.s.extras.append((_x(cond), self.next_size_words))
+        self._exit("skip")
+
+    #: ``break`` sets it
+    halted = property(None, lambda self, _value: self._exit("halt"))
+
+    def _exit(self, kind):
+        self.s.exit = kind
+        self.s.terminator = self.line
 
 
 def summarize(lines, call_models=None, next_size_words=1):
@@ -761,8 +705,8 @@ def summarize(lines, call_models=None, next_size_words=1):
     anything outside the model.
     """
     summary = BlockSummary(lines)
-    sym = _Sym(summary, call_models)
-    models = sym.call_models
+    state = _State(summary, next_size_words)
+    models = call_models or {}
     last = len(summary.lines) - 1
     for index, line in enumerate(summary.lines):
         instr = line.instr
@@ -770,60 +714,23 @@ def summarize(lines, call_models=None, next_size_words=1):
             raise UnsupportedInstruction(
                 line.byte_addr, "?", "undecodable word")
         key = instr.key
-        if key in _CONTROL_KEYS:
-            if key in ("call", "rcall"):
-                model = models.get(static_target(line))
-                if model is not None:
-                    summary.base_cycles += instr.spec.cycles
-                    sym.apply_call_model(model)
-                    continue
+        summary.base_cycles += instr.spec.cycles
+        if key in ("call", "rcall"):
+            model = models.get(static_target(line))
+            if model is None:
                 raise UnsupportedInstruction(
                     line.byte_addr, key, "call to unmodelled target")
-            if index != last:
-                raise UnsupportedInstruction(
-                    line.byte_addr, key,
-                    "control transfer inside a straight-line block")
-            summary.base_cycles += instr.spec.cycles
-            summary.terminator = line
-            _apply_terminator(sym, summary, line, next_size_words)
-            break
-        summary.base_cycles += instr.spec.cycles
-        sym.exec_line(line)
+            state.call(line, model)
+            continue
+        if key in _INDIRECT:
+            raise UnsupportedInstruction(
+                line.byte_addr, key, "indirect control transfer")
+        state.run(line)
+        if summary.exit is not None and index != last:
+            raise UnsupportedInstruction(
+                line.byte_addr, key,
+                "control transfer inside a straight-line block")
     return summary
-
-
-def _apply_terminator(sym, summary, line, next_size_words):
-    key = line.instr.key
-    ops = line.instr.operands
-    if key in ("rjmp", "jmp", "ret", "break"):
-        return
-    if key == "reti":
-        summary.flags[_I] = 1
-        return
-    if key == "brbs":
-        summary.extras.append((sym.flag(ops[0]), 1))
-    elif key == "brbc":
-        summary.extras.append((_op("not1", sym.flag(ops[0])), 1))
-    elif key == "cpse":
-        cond = _op("eq", sym.reg(ops[0]), sym.reg(ops[1]))
-        summary.extras.append((cond, next_size_words))
-    elif key == "sbrc":
-        cond = _op("not1", _op("bit", sym.reg(ops[0]), ops[1]))
-        summary.extras.append((cond, next_size_words))
-    elif key == "sbrs":
-        cond = _op("bit", sym.reg(ops[0]), ops[1])
-        summary.extras.append((cond, next_size_words))
-    elif key in ("sbic", "sbis"):
-        sym._addr, sym._key = line.byte_addr, key
-        sym._check_io_plain(ops[0])
-        value = sym.read_mem(ops[0] + 0x20, "io")
-        cond = _op("bit", value, ops[1])
-        if key == "sbic":
-            cond = _op("not1", cond)
-        summary.extras.append((cond, next_size_words))
-    else:
-        raise UnsupportedInstruction(
-            line.byte_addr, key, "indirect control transfer")
 
 
 # ---------------------------------------------------------------------
@@ -966,9 +873,7 @@ def classify_lines(lines):
         return CLASS_UNTRANSLATABLE, exc.reason, exc.byte_addr
     if (not has_call and len(summaries) <= 1
             and all(not s.writes and not s.reads and s.sp_off == 0
-                    and (s.terminator is None
-                         or s.terminator.instr.key in
-                         ("rjmp", "jmp", "brbs", "brbc"))
+                    and s.exit in (None, "jump", "branch")
                     for s in summaries)):
         return CLASS_PURE, None, None
     return CLASS_TRANSLATABLE, None, None

@@ -37,8 +37,6 @@ from repro.analysis.static.cfg import RegionCFG, static_target
 from repro.analysis.static.diagnostics import DiagnosticsEngine
 from repro.analysis.static.elision import (
     ELIDED_CHECK_CYCLES,
-    STUB_EFFECTS,
-    _STUB_EA,
     verify_manifest,
 )
 from repro.analysis.static.symexec import (
@@ -53,7 +51,9 @@ from repro.analysis.static.symexec import (
     summarize,
 )
 from repro.asm.disassembler import disassemble, disassemble_flash
+from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
 from repro.isa.registers import IoReg
+from repro.sfi.rewriter import Rewriter
 from repro.sfi.runtime_asm import STORE_STUBS
 
 __all__ = [
@@ -62,28 +62,29 @@ __all__ = [
     "validate_translation",
 ]
 
-#: instructions with no sanctioned translation (mirrors
-#: ``Rewriter.FORBIDDEN``)
-_FORBIDDEN = frozenset(("break", "ijmp", "reti", "sleep", "wdr"))
+#: instructions with no sanctioned translation
+_FORBIDDEN = frozenset(Rewriter.FORBIDDEN)
 
 TRANSVAL_SCHEMA = 1
 
 
+#: store stub -> the store template it stands for: the stub of each
+#: pointer mode, and ``hb_st_sts``, which gets its address in X
+_STUB_KEYS = {"hb_st_sts": "st_x"}
+for _key in STORE_KEYS - {"sts"}:
+    _modes = SPEC_BY_KEY[_key].modes
+    _STUB_KEYS[STORE_STUBS[(_modes["ptr"], _modes["post_inc"],
+                            _modes["pre_dec"], _modes["disp"])]] = _key
+
+
 def stub_call_models(runtime_symbols):
     """:class:`CallModel` per store-stub entry address: the atomic
-    effect the Harbor runtime contract guarantees (one store at the
-    addressing mode's effective address, pointer bump, every other
+    effect the Harbor runtime contract guarantees (the store of the
+    addressing mode the stub checks, pointer bump included, every other
     register and SREG preserved, SP-neutral)."""
-    models = {}
-    for name, (ptr_lo, bias, uses_q) in _STUB_EA.items():
-        addr = runtime_symbols.get(name)
-        if addr is None:
-            continue
-        models[addr] = CallModel(
-            name, store=True, ptr_lo=ptr_lo, ea_bias=bias,
-            ea_uses_q=uses_q, delta=STUB_EFFECTS[name][1],
-            cycles=ELIDED_CHECK_CYCLES)
-    return models
+    return {runtime_symbols[name]: CallModel(name, key,
+                                             cycles=ELIDED_CHECK_CYCLES)
+            for name, key in _STUB_KEYS.items() if name in runtime_symbols}
 
 
 class _Mismatch(Exception):
@@ -273,7 +274,7 @@ class _Walker(object):
                 "source writes SP or a protection register at 0x{:04x} "
                 "— no sanctioned translation".format(old), old)
 
-        if instr.spec.kind == "store" or key == "sts":
+        if key in STORE_KEYS:
             self._match_store(line)
         elif key == "icall":
             got = self._take(old, "the hb_xdom_call translation")

@@ -413,6 +413,8 @@ def _build_machine(args):
     program = _assemble_arg(args.source)
     if args.entry:
         _require_labels([args.entry], program.symbols, args.source)
+    if args.domain is not None and not args.umpu:
+        raise CliError("--domain needs --umpu")
     if args.umpu:
         machine = UmpuMachine(program, layout=HarborLayout())
         if args.domain is not None:

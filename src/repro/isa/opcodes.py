@@ -356,6 +356,11 @@ for _s in SPECS:
     SPEC_BY_MNEMONIC.setdefault(_s.mnemonic, []).append(_s)
 
 
+#: every key that stores to data memory: ``sts`` and the nine ``st``/``std``
+#: pointer modes
+STORE_KEYS = frozenset(s.key for s in SPECS if s.kind == "store")
+
+
 def spec_for(key):
     """Return the :class:`InstrSpec` with unique *key* (raises KeyError)."""
     return SPEC_BY_KEY[key]

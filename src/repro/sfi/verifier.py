@@ -47,6 +47,7 @@ Accepted modules satisfy:
 from dataclasses import dataclass, field
 
 from repro.asm.disassembler import disassemble
+from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sfi.layout import SfiLayout
 from repro.sfi.runtime_asm import RUNTIME_ENTRIES
@@ -85,17 +86,10 @@ class VerifyReport:
 class Verifier:
     """Constant-state linear verifier for rewritten modules."""
 
-    FORBIDDEN_KEYS = frozenset({
-        "st_x", "st_xp", "st_mx", "st_yp", "st_my", "st_zp", "st_mz",
-        "std_y", "std_z", "sts",
+    #: keys a rewritten module may not contain; violations by one of
+    #: the STORE_KEYS are HL001, everything else HL005
+    FORBIDDEN_KEYS = STORE_KEYS | frozenset({
         "ijmp", "icall", "break", "reti", "sleep", "wdr",
-    })
-
-    #: store keys within FORBIDDEN_KEYS (their violations are HL001,
-    #: everything else HL005)
-    STORE_KEYS = frozenset({
-        "st_x", "st_xp", "st_mx", "st_yp", "st_my", "st_zp", "st_mz",
-        "std_y", "std_z", "sts",
     })
 
     #: keys after which execution cannot fall through to the next
@@ -360,7 +354,7 @@ class Verifier:
     # --- extension hooks (the verifier design space, see
     # repro.sfi.inline.TemplateVerifier) --------------------------------
     def _forbidden_key(self, key, line, branch_targets):
-        if key in self.STORE_KEYS:
+        if key in STORE_KEYS:
             site = getattr(self, "_manifest_sites", {}).get(line.byte_addr)
             if site is not None and site.key == key:
                 # proof-carrying image: the manifest (checksum-bound to

@@ -1,4 +1,4 @@
-"""One source template per AVR opcode, rendered two ways.
+"""One source template per AVR opcode, rendered three ways.
 
 Each template below is the only written-out copy of its opcode's effect
 on registers, SREG and data memory.  At import time :mod:`repro.sim.core`
@@ -9,10 +9,15 @@ function per region with the operands constant-folded
 (:func:`compile_region`); a region moves between its blocks without
 returning, and under :data:`PLAIN` keeps r0-r31, SPL, SPH and SREG in
 locals.  Only :data:`HANDLER_ONLY` opcodes never enter a block.  The
-two renderings differ only in the pseudo-ops, which are where the bus,
-the call hooks and the trace sink come in.  A block renders a pseudo-op
-in handler form only where its view (:data:`PLAIN`) says something may
-act on it (a *callout*), and directly everywhere else:
+third rendering (:func:`make_symbolic`) is the symbolic evaluator of
+:mod:`repro.analysis.static.symexec`: the handler's lines run over
+symbolic values, so the translation validator proves rewritten stores
+against these same templates.  The renderings differ only in the
+pseudo-ops, which are where the bus, the call hooks and the trace sink
+come in.  A block renders a pseudo-op in handler form only where its
+view (:data:`PLAIN`) says something may act on it (a *callout*), and
+directly everywhere else; the symbolic rendering makes each one a
+method call on the evaluator state, passed as ``core``:
 
 ``{d}``, ``{r}``, ``{K}``, ... (the spec's operand letters)
     the operand: a local of the handler, a literal in a block.
@@ -27,23 +32,30 @@ act on it (a *callout*), and directly everywhere else:
     adds the stall cycles it returns; so does a block where the view
     claims KIND.  Otherwise a block reads or writes ``data`` directly
     after a bounds check (and an I/O-device lookup, when the view has
-    devices).
+    devices).  Symbolically it goes to SREG or SP (an I/O access at
+    their constant address) or to the memory log.
 ``@push value, KIND`` / ``@pop v, KIND``
-    a stack transaction through SP, rendered the same two ways.
+    a stack transaction through SP, rendered like the two above.
+    Symbolically it logs the stack access and moves the net SP offset.
 ``@hook event, kwargs`` / ``@emit KIND, pc, kwargs``
     the call hooks and the trace event of a control transfer.  A block
     calls the hooks when the view has any; it never emits, because a
     core with a trace sink runs ``step()``.  The hook events are
-    :data:`HOOK_EVENTS`.
+    :data:`HOOK_EVENTS`.  Symbolically both are nothing.
 ``@goto target`` / ``@goto_if cond, target, cycles`` / ``@skip_if cond``
     the control transfer that ends the template.  ``@skip_if`` skips
     the next instruction; a handler reads its size when the skip is
-    taken, a block has it folded in at compile time.
+    taken, a block has it folded in at compile time.  Symbolically each
+    ends the block; a branch or skip adds its condition and extra
+    cycles to the summary.
 
 Every other line is Python over ``data`` (the unified data space, so
 registers and SREG are plain bytes of it; a region with the register
 cache renames their constant subscripts to locals) and the flag table
-:data:`NVSZ`.  Temporaries may be any name except ``core``, ``i``,
+:data:`NVSZ`; symbolically it runs verbatim over values whose operators
+build expression nodes, where ``data`` holds r0-r31 and SREG, an
+``NVSZ`` lookup is one node and ``core.memory.read_flash_byte`` a flash
+read.  Temporaries may be any name except ``core``, ``i``,
 ``data``, ``cycles``, ``hook``, ``NVSZ`` and the ``op_*`` operand
 locals; names ending in ``_`` belong to the renderers.
 
@@ -73,7 +85,7 @@ their own:
 import re
 from operator import itemgetter
 
-from repro.isa.opcodes import SPEC_BY_KEY
+from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sim.errors import InvalidAccess
 from repro.sim.events import AccessKind
@@ -331,8 +343,7 @@ for _key in ("ld_x", "ld_xp", "ld_mx", "ld_yp", "ld_my", "ld_zp", "ld_mz",
              "ldd_y", "ldd_z"):
     TEMPLATES[_key] = _pointer(_key) + \
         "@load v, ptr, DATA_LOAD\ndata[{d}] = v & 0xFF\n"
-for _key in ("st_x", "st_xp", "st_mx", "st_yp", "st_my", "st_zp", "st_mz",
-             "std_y", "std_z"):
+for _key in sorted(STORE_KEYS - {"sts"}):
     TEMPLATES[_key] = _pointer(_key) + "@store ptr, data[{r}], DATA_STORE\n"
 
 _CONTROL = ("@goto ", "@goto_if ", "@skip_if ")
@@ -438,16 +449,17 @@ def _handler_lines(line):
     raise AssertionError("unknown pseudo-op " + op)
 
 
-def handler_source(key):
+def handler_source(key, pseudo=_handler_lines):
     """Python source of the interpreter handler ``_exec_<key>(core, i)``:
     operands unpacked from ``i.operands``, returning the stall and
-    control-transfer cycles beyond the spec's base cost."""
+    control-transfer cycles beyond the spec's base cost.  *pseudo*
+    renders each line (:func:`_symbolic_lines` for rendering 3)."""
     letters = [op.letter for op in SPEC_BY_KEY[key].operands]
     names = dict(_ADDRS, next="core.pc",
                  **{letter: "op_" + letter for letter in letters})
     body, extra = [], False
     for line in _LINES[key]:
-        rendered, adds = _handler_lines(line.format(**names))
+        rendered, adds = pseudo(line.format(**names))
         body += rendered
         extra = extra or adds
     head = ["def _exec_{}(core, i):".format(key)]
@@ -468,6 +480,44 @@ def make_handler(key):
                  "NVSZ": NVSZ}
     exec(compile(handler_source(key), "<template {}>".format(key), "exec"),
          namespace)
+    return namespace["_exec_" + key]
+
+
+# ----------------------------------------------------------------------
+# rendering 3: symbolic evaluators
+# ----------------------------------------------------------------------
+def _symbolic_lines(line):
+    """One template line in symbolic form: ``@name args`` becomes
+    ``core.name(args)``, a call on the evaluator's state, with KIND an
+    :class:`AccessKind` member and a read's variable assigned the
+    result; a leading ``not`` of a condition becomes ``== 0`` (a
+    symbolic value has no truth value).  The hooks and the trace are
+    nothing."""
+    if not line.startswith("@"):
+        return [line], False
+    op, _, rest = line.partition(" ")
+    if op in ("@hook", "@emit"):
+        return [], False
+    var = ""
+    if op in _ACCESSES:
+        rest, _, kind = rest.rpartition(", ")
+        rest += ", AccessKind." + kind
+        if op in ("@load", "@pop"):
+            var, rest = rest.split(", ", 1)
+            var += " = "
+    elif rest.startswith("not "):
+        cond, sep, tail = rest.partition(", ")
+        rest = "({}) == 0".format(cond[4:]) + sep + tail
+    return ["{}core.{}({})".format(var, op[1:], rest)], False
+
+
+def make_symbolic(key, nvsz):
+    """The symbolic evaluator of *key*, compiled from its template: the
+    handler's signature and lines, run over the symbolic state passed
+    as ``core`` and the symbolic flag table *nvsz*."""
+    namespace = {"AccessKind": AccessKind, "NVSZ": nvsz}
+    exec(compile(handler_source(key, _symbolic_lines),
+                 "<symbolic {}>".format(key), "exec"), namespace)
     return namespace["_exec_" + key]
 
 

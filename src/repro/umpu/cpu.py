@@ -105,7 +105,11 @@ class UmpuMachine(Machine):
     # ------------------------------------------------------------------
     def enter_domain(self, domain, stack_bound=None):
         """Activate *domain* directly (as the kernel's dispatcher would
-        before jumping into module code in tests/benchmarks)."""
+        before jumping into module code in tests/benchmarks).  Raises
+        ValueError for a value the 3-bit domain register cannot hold."""
+        if not 0 <= domain <= TRUSTED_DOMAIN:
+            raise ValueError("domain {} is not a protection domain "
+                             "(0..{})".format(domain, TRUSTED_DOMAIN))
         self.regs.cur_domain = domain
         if stack_bound is not None:
             self.regs.stack_bound = stack_bound

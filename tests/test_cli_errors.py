@@ -31,6 +31,9 @@ CASES = (
        ["certify", "ok.s:nosuch"],
        ["run", "noentry.s"],
        ["run", "ok.s", "--max-cycles", "-1"],
+       ["run", "ok.s", "--entry", "main", "--umpu", "--domain", "99"],
+       ["run", "ok.s", "--entry", "main", "--umpu", "--domain", "-1"],
+       ["run", "ok.s", "--entry", "main", "--domain", "1"],
        ["lint", "ok.s", "-o", "/nonexistent/dir/r.txt"],
        ["lint", "ok.s", "--baseline", "arr.json"]])
 

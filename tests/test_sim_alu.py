@@ -1,6 +1,10 @@
 """ALU semantics: results and SREG flags, checked against a Python
-reference model for the arithmetic family (property-based) and against
-hand-picked datasheet cases."""
+reference model for the arithmetic family (property-based), against
+the datasheet's flag equations for every flag-setting key (the whole
+SREG, preserved bits included) and against hand-picked datasheet
+cases."""
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -296,3 +300,103 @@ def test_add_flag_cases(a, b, expect_r, expect):
     got = flags(sreg) - {"T", "I", "S"}
     assert got == expect or got - {"H"} == expect - {"H"}
     assert flags(sreg) >= expect
+
+
+# ---------------------------------------------------------------------
+# the whole SREG against the datasheet's flag equations
+# ---------------------------------------------------------------------
+#: flag-setting keys and their instruction on r16 (Rd), r17 (Rr) or K,
+#: or on the pair r27:r26 for the word ops
+_ALU_ASM = {
+    "add": "add r16, r17", "adc": "adc r16, r17", "sub": "sub r16, r17",
+    "sbc": "sbc r16, r17", "subi": "subi r16, {}", "sbci": "sbci r16, {}",
+    "cp": "cp r16, r17", "cpc": "cpc r16, r17", "cpi": "cpi r16, {}",
+    "and": "and r16, r17", "andi": "andi r16, {}", "or": "or r16, r17",
+    "ori": "ori r16, {}", "eor": "eor r16, r17", "com": "com r16",
+    "neg": "neg r16", "inc": "inc r16", "dec": "dec r16", "asr": "asr r16",
+    "lsr": "lsr r16", "ror": "ror r16", "mul": "mul r16, r17",
+    "adiw": "adiw r26, {}", "sbiw": "sbiw r26, {}",
+}
+
+
+def _bit(x, n):
+    return (x >> n) & 1
+
+
+def _datasheet(key, d, r, sreg):
+    """``(result, SREG)`` of *key* on Rd = *d* and Rr or K = *r*, from
+    the AVR instruction set manual's equations, one flag at a time
+    (``!x`` written ``1 - x``); a flag the key leaves alone keeps its
+    *sreg* bit."""
+    flag = {}
+    if key in ("adiw", "sbiw"):
+        res = (d + r if key == "adiw" else d - r) & 0xFFFF
+        dh7, r15 = _bit(d, 15), _bit(res, 15)
+        if key == "adiw":
+            flag[V], flag[C] = (1 - dh7) & r15, (1 - r15) & dh7
+        else:
+            flag[V], flag[C] = dh7 & (1 - r15), r15 & (1 - dh7)
+        flag[N], flag[Z] = r15, int(res == 0)
+        flag[S] = flag[N] ^ flag[V]
+    elif key == "mul":
+        res = d
+        flag[C], flag[Z] = _bit(d * r, 15), int(d * r == 0)
+    else:
+        carry = sreg & 1
+        if key in ("add", "adc"):
+            res = (d + r + (carry if key == "adc" else 0)) & 0xFF
+            d3, r3, n3 = _bit(d, 3), _bit(r, 3), 1 - _bit(res, 3)
+            d7, r7, n7 = _bit(d, 7), _bit(r, 7), 1 - _bit(res, 7)
+            flag[H] = d3 & r3 | r3 & n3 | n3 & d3
+            flag[V] = d7 & r7 & n7 | (1 - d7) & (1 - r7) & (1 - n7)
+            flag[C] = d7 & r7 | r7 & n7 | n7 & d7
+        elif key in ("sub", "subi", "cp", "cpi", "sbc", "sbci", "cpc"):
+            with_carry = key in ("sbc", "sbci", "cpc")
+            res = (d - r - (carry if with_carry else 0)) & 0xFF
+            n3, r3, R3 = 1 - _bit(d, 3), _bit(r, 3), _bit(res, 3)
+            n7, r7, R7 = 1 - _bit(d, 7), _bit(r, 7), _bit(res, 7)
+            flag[H] = n3 & r3 | r3 & R3 | R3 & n3
+            flag[V] = (1 - n7) & (1 - r7) & (1 - R7) | n7 & r7 & R7
+            flag[C] = n7 & r7 | r7 & R7 | R7 & n7
+        elif key in ("and", "andi", "or", "ori", "eor", "com"):
+            res = {"and": d & r, "andi": d & r, "or": d | r, "ori": d | r,
+                   "eor": d ^ r, "com": 0xFF - d}[key]
+            flag[V] = 0
+            if key == "com":
+                flag[C] = 1
+        elif key == "neg":
+            res = (0x100 - d) & 0xFF
+            flag[H] = _bit(res, 3) | _bit(d, 3)
+            flag[V], flag[C] = int(res == 0x80), int(res != 0)
+        elif key in ("inc", "dec"):
+            res = (d + 1 if key == "inc" else d - 1) & 0xFF
+            flag[V] = int(res == (0x80 if key == "inc" else 0x7F))
+        else:
+            res = {"asr": (d >> 1) | (d & 0x80), "lsr": d >> 1,
+                   "ror": (carry << 7) | (d >> 1)}[key]
+            flag[C] = _bit(d, 0)
+            flag[V] = _bit(res, 7) ^ flag[C]
+        flag[N] = _bit(res, 7)
+        flag[S] = flag[N] ^ flag[V]
+        flag[Z] = int(res == 0)
+        if key in ("sbc", "sbci", "cpc"):
+            flag[Z] &= _bit(sreg, Z)
+        if key in ("cp", "cpi", "cpc"):
+            res = d
+    for bit, value in flag.items():
+        sreg = sreg & ~(1 << bit) | (value << bit)
+    return res, sreg
+
+
+@pytest.mark.parametrize("key", sorted(_ALU_ASM))
+def test_sreg_matches_datasheet(key):
+    rng = random.Random(key)
+    for _ in range(48):
+        sreg = rng.randrange(256)
+        if key in ("adiw", "sbiw"):
+            d, r = rng.randrange(0x10000), rng.randrange(64)
+            got = run_word(_ALU_ASM[key].format(r), d, sreg=sreg)
+        else:
+            d, r = rng.randrange(256), rng.randrange(256)
+            got = run_alu(_ALU_ASM[key].format(r), d, r, sreg=sreg)
+        assert got == _datasheet(key, d, r, sreg), (d, r, sreg)
