@@ -41,7 +41,6 @@ from repro.analysis.static.elision import (
     StoreProver,
     build_manifest,
     image_checksum,
-    runtime_call_models,
     verify_manifest,
 )
 from repro.analysis.static.image import ImageModel, ModuleRegion

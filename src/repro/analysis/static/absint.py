@@ -22,6 +22,12 @@ memory stays near the verifier's "constant state" point (measured in
 ``benchmarks/bench_verifier_space.py``).
 """
 
+import operator
+
+from repro.analysis.static.cfg import static_target
+from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
+from repro.sim.semantics import registers_written
+
 TOP = None
 
 #: widen an interval beyond this many values straight to top — keeps the
@@ -41,9 +47,8 @@ WIDEN_DELAY = 3
 #: the entry seeds) and recovers precision widening threw away.
 NARROW_ROUNDS = 2
 
-#: registers an AVR callee may clobber (avr-gcc ABI call-clobbered set);
-#: joined to top across call instructions.
-CALL_CLOBBERED = (0, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 30, 31)
+#: low register of the X, Y and Z pointer pairs
+_PTR = {"X": 26, "Y": 28, "Z": 30}
 
 
 def _as_range(val):
@@ -172,147 +177,138 @@ def set_pair(state, lo_reg, value):
         state[lo_reg + 1] = hi_lo if hi_lo == hi_hi else (hi_lo, hi_hi)
 
 
-def _set(state, reg, value):
-    if value is TOP:
-        state.pop(reg, None)
-    else:
-        state[reg] = value
+_BINARY = {"add": operator.add, "and": operator.and_, "or": operator.or_,
+           "eor": operator.xor, "sub": operator.sub}
+#: pointer post-increment / pre-decrement: key -> (pointer low register,
+#: delta, whether it loads into a register)
+_BUMPS = {key: (_PTR[spec.modes["ptr"]], 1 if spec.modes["post_inc"] else -1,
+                spec.kind == "load")
+          for key, spec in SPEC_BY_KEY.items()
+          if spec.modes.get("post_inc") or spec.modes.get("pre_dec")}
 
 
-def _const_byte_op(state, d, k, fn):
+def _compute(state, key, ops, out):
+    """Put into *out* the registers an instruction of *key* computes,
+    with their values (or TOP), from the state before it."""
+    d = ops[0] if ops else None
     val = state.get(d)
-    if isinstance(val, int):
-        _set(state, d, fn(val, k) & 0xFF)
-    else:
-        _set(state, d, TOP)
+    if key == "ldi":
+        out[d] = ops[1]
+    elif key == "mov":
+        out[d] = state.get(ops[1])
+    elif key == "movw":
+        set_pair(out, d, get_pair(state, ops[1]))
+    elif key in ("eor", "sub") and d == ops[1]:
+        out[d] = 0          # clr idiom: eor/sub d,d always zeroes d
+    elif key in _BINARY:
+        other = state.get(ops[1])
+        if isinstance(val, int) and isinstance(other, int):
+            out[d] = _BINARY[key](val, other) & 0xFF
+        elif key == "add":
+            # interval add; TOP when the carry-out is possible (the
+            # wrapped result is no longer a contiguous byte interval)
+            out[d] = value_sum(val, other, bits=8)
+    elif key == "subi":
+        # interval subtract; TOP when a borrow is possible
+        out[d] = value_add(val, -ops[1], bits=8)
+    elif key == "andi":
+        # x & K is always within [0, K] whatever x was — the mask idiom
+        # that makes bounded-index stores provable
+        out[d] = val & ops[1] if isinstance(val, int) else \
+            (0, ops[1]) if ops[1] else 0
+    elif key == "ori" and isinstance(val, int):
+        out[d] = val | ops[1]
+    elif key in ("inc", "dec"):
+        out[d] = value_add(val, 1 if key == "inc" else -1, bits=8)
+    elif key in ("adiw", "sbiw"):
+        delta = ops[1] if key == "adiw" else -ops[1]
+        set_pair(out, d, value_add(get_pair(state, d), delta))
+    elif key in _BUMPS:
+        lo_reg, delta, load = _BUMPS[key]
+        if not (load and d in (lo_reg, lo_reg + 1)):   # else the load wins
+            set_pair(out, lo_reg, value_add(get_pair(state, lo_reg), delta))
 
 
 def transfer(state, line, call_models=None):
     """Apply one instruction to *state* in place.
 
-    Sound over-approximation: anything not modeled sets its destination
-    to top; memory is not modeled at all (loads always produce top).
+    Sound over-approximation: each register the template writes
+    (:func:`repro.sim.semantics.registers_written`) takes the value
+    :func:`_compute` gives it, or top.  Memory is not modeled (loads
+    give top), but a store that may land in the register file (data
+    addresses 0x00-0x1F) sends the registers it may hit to top.
 
-    *call_models* maps static call-target byte addresses to a
-    ``(ptr_lo_reg, delta)`` effect for callees with a stronger contract
-    than the avr-gcc clobber set — the Harbor store stubs preserve every
-    register except the architectural pointer side effect of their
-    addressing mode (see the :mod:`repro.sfi.runtime_asm` register
-    conventions).  An unmodeled call clobbers ``CALL_CLOBBERED``.
+    *call_models* maps static call-target byte addresses to the
+    :class:`~repro.analysis.static.symexec.CallModel` of a callee with a
+    contract, a runtime stub (see :func:`_effect`); a call without one
+    may write any register.
     """
     instr = line.instr
     if instr is None:
         return state
-    key = instr.key
-    kind = instr.spec.kind
-    ops = instr.operands
-    if key == "ldi":
-        state[ops[0]] = ops[1]
-    elif key == "mov":
-        _set(state, ops[0], state.get(ops[1], TOP))
-    elif key == "movw":
-        set_pair(state, ops[0], get_pair(state, ops[1]))
-    elif key in ("eor", "sub") and ops[0] == ops[1]:
-        state[ops[0]] = 0   # clr idiom: eor/sub d,d always zeroes d
-    elif key in ("add", "adc", "and", "or", "eor", "sub", "sbc"):
-        a, b = state.get(ops[0]), state.get(ops[1])
-        if isinstance(a, int) and isinstance(b, int) and \
-                key in ("add", "and", "or", "eor", "sub"):
-            fn = {"add": lambda x, y: x + y,
-                  "and": lambda x, y: x & y,
-                  "or": lambda x, y: x | y,
-                  "eor": lambda x, y: x ^ y,
-                  "sub": lambda x, y: x - y}[key]
-            state[ops[0]] = fn(a, b) & 0xFF
-        elif key == "add" and a is not TOP and b is not TOP:
-            # interval add; TOP when the carry-out is possible (the
-            # wrapped result is no longer a contiguous byte interval)
-            _set(state, ops[0], value_sum(a, b, bits=8))
-        else:
-            _set(state, ops[0], TOP)
-    elif key == "subi":
-        val = state.get(ops[0])
-        if isinstance(val, int):
-            state[ops[0]] = (val - ops[1]) & 0xFF
-        else:
-            # interval subtract; TOP when a borrow is possible
-            _set(state, ops[0], value_add(val, -ops[1], bits=8))
-    elif key == "andi":
-        val = state.get(ops[0])
-        if isinstance(val, int):
-            state[ops[0]] = val & ops[1]
-        else:
-            # x & K is always within [0, K] whatever x was — the mask
-            # idiom that makes bounded-index stores provable
-            state[ops[0]] = (0, ops[1]) if ops[1] else 0
-    elif key == "ori":
-        _const_byte_op(state, ops[0], ops[1], lambda x, k: x | k)
-    elif key == "sbci":
-        # carry not modeled: constant only if the preceding subi did not
-        # borrow is unknowable here, so the result is top unless K == 0
-        # and the register is already constant with no borrow possible —
-        # keep it simple and sound: top.
-        _set(state, ops[0], TOP)
-    elif key == "inc":
-        _set(state, ops[0], value_add(state.get(ops[0]), 1, bits=8))
-    elif key == "dec":
-        _set(state, ops[0], value_add(state.get(ops[0]), -1, bits=8))
-    elif key in ("com", "neg", "swap", "asr", "lsr", "ror", "bld"):
-        _set(state, ops[0], TOP)
-    elif key in ("adiw", "sbiw"):
-        delta = ops[1] if key == "adiw" else -ops[1]
-        set_pair(state, ops[0], value_add(get_pair(state, ops[0]), delta))
-    elif kind == "load" or key in ("lds", "in", "pop"):
-        if ops:
-            _set(state, ops[0], TOP)
-        else:
-            state.pop(0, None)   # lpm/elpm r0 forms
-        if key in ("lpm_zp", "elpm_zp"):
-            set_pair(state, 30, TOP)
-        _ptr_side_effect(state, instr)
-    elif kind == "store":
-        _ptr_side_effect(state, instr)
-    elif kind == "call":
-        model = _call_model(line, call_models)
-        if model is not None:
-            ptr_lo, delta = model
-            if ptr_lo is not None and delta:
-                set_pair(state, ptr_lo,
-                         value_add(get_pair(state, ptr_lo), delta))
-        else:
-            for reg in CALL_CLOBBERED:
+    if instr.key in STORE_KEYS:
+        ea = access_address(instr.spec, state, instr.operands)
+        lo, hi = (0, 0x1F) if ea is TOP else _as_range(ea)
+        for reg in range(lo, min(hi, 0x1F) + 1):
+            state.pop(reg, None)
+    effect = _effect(line, call_models)
+    if effect is None:
+        state.clear()
+        return state
+    key, ops = effect
+    written = registers_written(key, ops) if key else ()
+    if written:
+        known = {}
+        _compute(state, key, ops, known)
+        for reg in written:
+            if known.get(reg) is TOP:
                 state.pop(reg, None)
-    # everything else (cp/cpi/cpc, push, out, sbi/cbi, branches, nop,
-    # flag ops) leaves the register state unchanged
+            else:
+                state[reg] = known[reg]
     return state
 
 
-def _call_model(line, call_models):
-    """Effect model for a statically-resolved call target, or None."""
-    if not call_models:
-        return None
-    key = line.instr.key
-    ops = line.instr.operands
-    if key == "call":
-        target = ops[0] * 2
-    elif key == "rcall":
-        target = line.byte_addr + 2 + ops[0] * 2
-    else:
-        return None     # icall: target unknown, full clobber
-    return call_models.get(target)
+def _effect(line, call_models):
+    """``(key, operands)`` of the template whose register effect the
+    instruction at *line* has: its own or, for a call, its contract's
+    store template, which a stub applies to its caller's registers (key
+    None for a stub that stores nothing).  None for a call without a
+    contract, which may write any register."""
+    instr = line.instr
+    if instr.spec.kind != "call":
+        return instr.key, instr.operands
+    model = call_models.get(static_target(line)) \
+        if call_models and instr.key != "icall" else None
+    return None if model is None else (model.key, ())
 
 
-def _ptr_side_effect(state, instr):
-    """Post-increment / pre-decrement of the pointer pair."""
-    modes = instr.spec.modes
-    ptr = modes.get("ptr")
-    if ptr is None:
-        return
-    lo_reg = {"X": 26, "Y": 28, "Z": 30}[ptr]
-    if modes.get("post_inc"):
-        set_pair(state, lo_reg, value_add(get_pair(state, lo_reg), 1))
-    elif modes.get("pre_dec"):
-        set_pair(state, lo_reg, value_add(get_pair(state, lo_reg), -1))
+def clobbers(line, call_models=None):
+    """The registers the instruction at *line* may write (see
+    :func:`_effect`)."""
+    effect = _effect(line, call_models)
+    if effect is None:
+        return range(32)
+    key, ops = effect
+    return registers_written(key, ops) if key else ()
+
+
+def access_address(spec, state, operands=(), disp=TOP):
+    """Abstract data address a load or store (a key of
+    :data:`repro.sim.semantics.DATA_ACCESS`) accesses from *state*:
+    after a pre-decrement, before a post-increment.  *operands* give
+    the address of ``lds``/``sts`` and the displacement of
+    ``ldd``/``std``; a store stub has none and passes its displacement
+    register r19 as the abstract *disp*."""
+    modes = spec.modes
+    fields = {op.letter: value for op, value in zip(spec.operands, operands)}
+    if not modes:
+        return fields["k"]
+    ea = get_pair(state, _PTR[modes["ptr"]])
+    if modes["pre_dec"]:
+        return value_add(ea, -1)
+    if modes["disp"]:
+        return value_sum(ea, fields.get("q", disp))
+    return ea
 
 
 # =====================================================================

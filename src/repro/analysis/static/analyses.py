@@ -47,7 +47,7 @@ from repro.analysis.static.diagnostics import DiagnosticsEngine
 from repro.analysis.static.elision import (
     PROOF_IN_DOMAIN,
     StoreProver,
-    runtime_call_models,
+    stub_contracts,
     verify_manifest,
 )
 
@@ -277,8 +277,8 @@ class ImageAnalyzer:
         #: to_domain, site_addr)
         self.xdom_edges = []
         self.unresolved_sites = 0
-        #: absint models of the runtime stubs' pointer side effects
-        self.call_models = runtime_call_models(syms)
+        #: the runtime stubs' contracts, for absint
+        self.call_models = stub_contracts(syms)
         self._proofs = {}          # region name -> {pc: StoreProof}
 
     def region_proofs(self, region):
@@ -444,13 +444,8 @@ class ImageAnalyzer:
                     region=region.name, domain=region.domain)
 
     def _store_target_note(self, line, state):
-        modes = line.instr.spec.modes
-        value = None
-        if line.instr.key == "sts":
-            value = line.instr.operands[0]
-        elif modes.get("ptr"):
-            lo_reg = {"X": 26, "Y": 28, "Z": 30}[modes["ptr"]]
-            value = absint.get_pair(state, lo_reg)
+        instr = line.instr
+        value = absint.access_address(instr.spec, state, instr.operands)
         label = absint.classify_data_address(self.model.layout, value)
         if label == "unknown":
             return ""

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.encoding import decode_words
 from repro.sim.interrupts import IRQ_RESPONSE_CYCLES
+from repro.sim.semantics import DATA_ACCESS
 
 from repro.analysis.static import absint
 from repro.analysis.static.cfg import CALL_KEYS
@@ -395,39 +396,34 @@ class ConcurrencyAnalysis:
         key = instr.key
         ops = instr.operands
         if key == "bclr" and ops[0] == I_BIT:
-            return (I_OFF, saved)
-        if key == "bset" and ops[0] == I_BIT:
-            return (I_ON, saved)
-        if key == "in" and ops[1] == SREG_IO:
+            i = I_OFF
+        elif key == "bset" and ops[0] == I_BIT:
+            i = I_ON
+        elif key == "in" and ops[1] == SREG_IO:
             saved = dict(saved)
             saved[ops[0]] = i
             return (i, saved)
-        if key == "out" and ops[0] == SREG_IO:
-            return (saved.get(ops[1], I_UNKNOWN), saved)
-        if key in CALL_KEYS or key == "icall":
+        elif key == "out" and ops[0] == SREG_IO:
+            i = saved.get(ops[1], I_UNKNOWN)
+        elif key == "reti":
+            i = I_ON
+        elif key in CALL_KEYS or key == "icall":
             site = self._calls_by_addr.get(line.byte_addr)
             target = site.target if site else None
             if target is not None and target in self.cfg.blocks:
                 if self._touches_i(target):
-                    return (I_UNKNOWN, {})
-                return (i, saved)
-            if key == "icall" or target is None:
+                    i = I_UNKNOWN
+            elif key == "icall" or target is None:
                 return (I_UNKNOWN, {})     # unresolvable callee
             # a static call out of the region reaches the trusted
             # runtime, whose stubs never touch the I bit — preserve it
-            # (saved-SREG snapshots die with the clobbered registers)
-            saved = {reg: val for reg, val in saved.items()
-                     if reg not in absint.CALL_CLOBBERED}
-            return (i, saved)
-        if key == "reti":
-            return (I_ON, saved)
-        # any other register write invalidates a saved-SREG snapshot
-        if saved and ops and isinstance(ops[0], int) and ops[0] in saved \
-                and instr.spec.kind in ("alu", "load", "stack", "io") \
-                and key not in ("out", "push"):
-            saved = dict(saved)
-            saved.pop(ops[0], None)
-            return (i, saved)
+        # a register write invalidates a saved-SREG snapshot; a call
+        # writes what its contract says, without one every register
+        if saved:
+            written = absint.clobbers(line, self.call_models)
+            if not saved.keys().isdisjoint(written):
+                saved = {reg: val for reg, val in saved.items()
+                         if reg not in written}
         return (i, saved)
 
     @staticmethod
@@ -561,27 +557,10 @@ class ConcurrencyAnalysis:
         ``(None, None)`` otherwise.  Evaluated *before* the line's own
         pointer side effect."""
         instr = line.instr
-        key = instr.key
-        spec_kind = instr.spec.kind
-        if key == "sts":
-            return instr.operands[0], "write"
-        if key == "lds":
-            return instr.operands[1], "read"
-        if spec_kind not in ("store", "load"):
+        kind = DATA_ACCESS.get(instr.key)
+        if kind is None:
             return None, None
-        modes = instr.spec.modes
-        ptr = modes.get("ptr")
-        if ptr is None:
-            return None, None       # lpm/elpm: program memory
-        kind = "write" if spec_kind == "store" else "read"
-        value = absint.get_pair(state, {"X": 26, "Y": 28, "Z": 30}[ptr])
-        if modes.get("disp"):
-            q = instr.operands[0] if spec_kind == "store" \
-                else instr.operands[1]
-            value = absint.value_add(value, q)
-        elif modes.get("pre_dec"):
-            value = absint.value_add(value, -1)
-        return value, kind
+        return absint.access_address(instr.spec, state, instr.operands), kind
 
     # -- race detection ------------------------------------------------
     def _detect_races(self, mainline, isr_sets):

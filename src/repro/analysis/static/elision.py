@@ -35,7 +35,7 @@ Proof kinds
     The check is **kept** (the fault is architecturally required);
     the proof is reported so the analyzer can warn about it.
 ``unknown``
-    Anything else (heap pointers, call-clobbered registers, intervals
+    Anything else (heap pointers, registers a call clobbered, intervals
     that straddle regions).  The check is kept.
 """
 
@@ -46,6 +46,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.static import absint
 from repro.analysis.static.cfg import RegionCFG, static_target
+from repro.analysis.static.symexec import CallModel
+from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
+from repro.sfi.runtime_asm import STORE_STUBS
 
 MANIFEST_SCHEMA = 1
 
@@ -57,69 +60,36 @@ PROOF_UNKNOWN = "unknown"
 #: static model of ``hb_st_*``: marshal + call + hb_check + return).
 ELIDED_CHECK_CYCLES = 65
 
-#: Register-preservation contract of the runtime stubs (see the
-#: register conventions in :mod:`repro.sfi.runtime_asm`): every store /
-#: save / restore stub preserves all registers and SREG *except* the
-#: architectural pointer side effect of its addressing mode.  Values
-#: are ``(ptr_lo_reg, delta)``; ``(None, 0)`` is fully preserving.
-STUB_EFFECTS = {
-    "hb_st_x": (None, 0),
-    "hb_st_x_plus": (26, 1),
-    "hb_st_x_dec": (26, -1),
-    "hb_st_y_plus": (28, 1),
-    "hb_st_y_dec": (28, -1),
-    "hb_st_y_q": (None, 0),
-    "hb_st_z_plus": (30, 1),
-    "hb_st_z_dec": (30, -1),
-    "hb_st_z_q": (None, 0),
-    "hb_st_sts": (None, 0),
-    "hb_save_ret": (None, 0),
-    "hb_restore_ret": (None, 0),
-}
-
-#: Effective address of each store stub in terms of the abstract state
-#: at the call: ``(pointer_low_reg, bias, add_r19_displacement)``.
-#: Post-increment stubs store *before* bumping the pointer (EA = ptr);
-#: pre-decrement stubs store after (EA = ptr - 1).  ``hb_st_sts``
-#: receives its absolute address in X (materialized by the rewriter's
-#: ``ldi r26/r27`` pair).
-_STUB_EA = {
-    "hb_st_x": (26, 0, False),
-    "hb_st_x_plus": (26, 0, False),
-    "hb_st_x_dec": (26, -1, False),
-    "hb_st_y_plus": (28, 0, False),
-    "hb_st_y_dec": (28, -1, False),
-    "hb_st_y_q": (28, 0, True),
-    "hb_st_z_plus": (30, 0, False),
-    "hb_st_z_dec": (30, -1, False),
-    "hb_st_z_q": (30, 0, True),
-    "hb_st_sts": (26, 0, False),
-}
-
-#: raw store instruction keys and their EA recipe
-#: key -> (ptr_lo_reg or None, bias, displacement_operand_index or None)
-_RAW_EA = {
-    "st_x": (26, 0, None),
-    "st_xp": (26, 0, None),
-    "st_mx": (26, -1, None),
-    "st_yp": (28, 0, None),
-    "st_my": (28, -1, None),
-    "st_zp": (30, 0, None),
-    "st_mz": (30, -1, None),
-    "std_y": (28, 0, 0),
-    "std_z": (30, 0, 0),
-    "sts": (None, 0, None),
-}
+#: The runtime stubs' contract, the one table of it: stub -> the store
+#: template it stands for, its value in r18 and a displacement in r19
+#: (the stub of each pointer mode, and ``hb_st_sts``, which gets its
+#: address in X), or None for a stub that stores nothing a module sees.
+#: Every stub preserves every register and SREG except the pointer its
+#: template moves (see the register conventions in
+#: :mod:`repro.sfi.runtime_asm`).
+STUB_KEYS = {"hb_st_sts": "st_x", "hb_save_ret": None,
+             "hb_restore_ret": None}
+for _key in STORE_KEYS - {"sts"}:
+    _modes = SPEC_BY_KEY[_key].modes
+    STUB_KEYS[STORE_STUBS[(_modes["ptr"], _modes["post_inc"],
+                           _modes["pre_dec"], _modes["disp"])]] = _key
 
 
-def runtime_call_models(runtime_symbols):
-    """absint call models (addr -> effect) for the runtime stubs."""
-    models = {}
-    for name, effect in STUB_EFFECTS.items():
-        addr = runtime_symbols.get(name)
-        if addr is not None:
-            models[addr] = effect
-    return models
+def stub_contracts(runtime_symbols):
+    """:class:`CallModel` per runtime-stub entry address, for every stub
+    of :data:`STUB_KEYS` the runtime has."""
+    return {runtime_symbols[name]: CallModel(
+        name, key, cycles=ELIDED_CHECK_CYCLES if key else 0)
+        for name, key in STUB_KEYS.items() if name in runtime_symbols}
+
+
+def stub_call_models(runtime_symbols):
+    """The store stubs' :class:`CallModel` per entry address: the atomic
+    effect the Harbor runtime contract guarantees (the store of the
+    addressing mode the stub checks, pointer bump included, every other
+    register and SREG preserved, SP-neutral)."""
+    return {addr: model for addr, model
+            in stub_contracts(runtime_symbols).items() if model.store}
 
 
 @dataclass
@@ -179,12 +149,7 @@ class StoreProver:
     def __init__(self, layout, runtime_symbols, domain):
         self.layout = layout
         self.domain = domain
-        self.call_models = runtime_call_models(runtime_symbols)
-        self.stub_by_addr = {}
-        for name in _STUB_EA:
-            addr = runtime_symbols.get(name)
-            if addr is not None:
-                self.stub_by_addr[addr] = name
+        self.call_models = stub_contracts(runtime_symbols)
 
     # ------------------------------------------------------------------
     def prove_cfg(self, cfg, entries=(), stats=None):
@@ -214,35 +179,19 @@ class StoreProver:
 
     def prove_line(self, line, state):
         """Classify one line given the abstract state before it."""
-        key = line.instr.key
-        if key in ("call", "rcall"):
-            stub = self.stub_by_addr.get(static_target(line))
-            if stub is None:
-                return None
-            ea = self._stub_ea(stub, state)
-            return self._classify(line.byte_addr, "stub:" + stub, ea)
-        if key in _RAW_EA:
-            return self._classify(line.byte_addr, key,
-                                  self._raw_ea(line, state))
+        instr = line.instr
+        if instr.key in STORE_KEYS:
+            return self._classify(line.byte_addr, instr.key,
+                                  absint.access_address(
+                                      instr.spec, state, instr.operands))
+        if instr.key in ("call", "rcall"):
+            model = self.call_models.get(static_target(line))
+            if model is not None and model.store:
+                ea = absint.access_address(SPEC_BY_KEY[model.key], state,
+                                           disp=state.get(19))
+                return self._classify(line.byte_addr, "stub:" + model.name,
+                                      ea)
         return None
-
-    def _stub_ea(self, stub, state):
-        ptr_lo, bias, uses_q = _STUB_EA[stub]
-        ea = absint.value_add(absint.get_pair(state, ptr_lo), bias)
-        if uses_q:
-            ea = absint.value_sum(ea, state.get(19, absint.TOP))
-        return ea
-
-    def _raw_ea(self, line, state):
-        key = line.instr.key
-        ops = line.instr.operands
-        if key == "sts":
-            return ops[0]
-        ptr_lo, bias, disp_idx = _RAW_EA[key]
-        ea = absint.value_add(absint.get_pair(state, ptr_lo), bias)
-        if disp_idx is not None:
-            ea = absint.value_sum(ea, ops[disp_idx])
-        return ea
 
     def _classify(self, pc, key, ea):
         layout = self.layout

@@ -317,7 +317,9 @@ class CallModel(object):
     and SREG.  Its own frame is balanced, so it is SP-neutral from the
     caller's perspective (the ``call``'s return push is consumed by the
     stub's ``ret`` and is not logged).  *cycles* is charged on top of
-    the ``call``.
+    the ``call``.  A stub with *key* None stores nothing a module sees
+    and preserves every register and SREG (``hb_save_ret``,
+    ``hb_restore_ret``); only the abstract interpreter applies it.
     """
 
     __slots__ = ("name", "key", "cycles")

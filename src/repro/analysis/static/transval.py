@@ -36,14 +36,13 @@ JIT-readiness report.
 from repro.analysis.static.cfg import RegionCFG, static_target
 from repro.analysis.static.diagnostics import DiagnosticsEngine
 from repro.analysis.static.elision import (
-    ELIDED_CHECK_CYCLES,
+    stub_call_models,
     verify_manifest,
 )
 from repro.analysis.static.symexec import (
     CLASS_PURE,
     CLASS_TRANSLATABLE,
     CLASS_UNTRANSLATABLE,
-    CallModel,
     UnsupportedInstruction,
     block_effect,
     classify_lines,
@@ -51,7 +50,7 @@ from repro.analysis.static.symexec import (
     summarize,
 )
 from repro.asm.disassembler import disassemble, disassemble_flash
-from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
+from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sfi.rewriter import Rewriter
 from repro.sfi.runtime_asm import STORE_STUBS
@@ -66,25 +65,6 @@ __all__ = [
 _FORBIDDEN = frozenset(Rewriter.FORBIDDEN)
 
 TRANSVAL_SCHEMA = 1
-
-
-#: store stub -> the store template it stands for: the stub of each
-#: pointer mode, and ``hb_st_sts``, which gets its address in X
-_STUB_KEYS = {"hb_st_sts": "st_x"}
-for _key in STORE_KEYS - {"sts"}:
-    _modes = SPEC_BY_KEY[_key].modes
-    _STUB_KEYS[STORE_STUBS[(_modes["ptr"], _modes["post_inc"],
-                            _modes["pre_dec"], _modes["disp"])]] = _key
-
-
-def stub_call_models(runtime_symbols):
-    """:class:`CallModel` per store-stub entry address: the atomic
-    effect the Harbor runtime contract guarantees (the store of the
-    addressing mode the stub checks, pointer bump included, every other
-    register and SREG preserved, SP-neutral)."""
-    return {runtime_symbols[name]: CallModel(name, key,
-                                             cycles=ELIDED_CHECK_CYCLES)
-            for name, key in _STUB_KEYS.items() if name in runtime_symbols}
 
 
 class _Mismatch(Exception):

@@ -24,9 +24,10 @@ Register conventions (documented for the rewriter):
   *except* the architectural pointer side effect of the addressed mode:
   ``hb_st_*_plus`` leaves the pointer pair incremented and
   ``hb_st_*_dec`` leaves it decremented, exactly as the raw instruction
-  would have.  The static analyzer's call models
-  (:data:`repro.analysis.static.elision.STUB_EFFECTS`) encode this
-  contract; keep them in sync when touching stub bodies.
+  would have.  The static analyzer's one stub table
+  (:data:`repro.analysis.static.elision.STUB_KEYS`) encodes this
+  contract as the store template each stub stands for; keep it in sync
+  when touching stub bodies.
 * the allocator entry points follow the avr-gcc ABI (args/result in
   r24:25, r22; r18-r27/r30/r31 caller-saved)
 """

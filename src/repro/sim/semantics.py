@@ -80,9 +80,14 @@ their own:
     transaction through the bus, or the hook through the unit's
     ``on_event``, so that the unit's own handler raises the fault or
     does the work.
+
+What a template assigns is read off its text as well: the registers
+each key writes (:func:`registers_written`), which the abstract
+interpreter of :mod:`repro.analysis.static.absint` builds on.
 """
 
 import re
+from functools import lru_cache
 from operator import itemgetter
 
 from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
@@ -582,6 +587,44 @@ _HOOKED = frozenset(key for key in TEMPLATES
 HOOK_EVENTS = frozenset(line[6:].split(",", 1)[0].strip('"')
                         for key in _HOOKED for line in _LINES[key]
                         if line.startswith("@hook "))
+#: template keys that load from or store to data memory -> ``"read"``
+#: or ``"write"`` (``lpm``/``elpm`` read flash)
+DATA_ACCESS = {key: "write" if AccessKind.DATA_STORE in kinds else "read"
+               for key, kinds in _KINDS.items()
+               if kinds & {AccessKind.DATA_LOAD, AccessKind.DATA_STORE}}
+
+
+def _write_set(key):
+    """The registers *key*'s template assigns, as ``(operand index,
+    offset)`` for a byte an operand names (``{d} + 1`` is ``(0, 1)``)
+    and ``(None, n)`` for the fixed register rn."""
+    letters = [op.letter for op in SPEC_BY_KEY[key].operands]
+    names = dict(_ADDRS, **{letter: "0" for letter in letters})
+    out = []
+    for line in _LINES[key]:
+        assigned = _ASSIGNED.match(line)
+        if assigned is None:
+            continue
+        subscript = assigned.group(1)
+        index = next((n for n, letter in enumerate(letters)
+                      if "{" + letter + "}" in subscript), None)
+        byte = (index, _constant(subscript.format(**names)))
+        if (index is not None or byte[1] < 32) and byte not in out:
+            out.append(byte)
+    return tuple(out)
+
+
+#: template key -> its :func:`_write_set`
+_WRITES = {key: _write_set(key) for key in TEMPLATES}
+
+
+@lru_cache(maxsize=4096)     # absint asks once per instruction it steps
+def registers_written(key, operands):
+    """The registers (0-31) the template of *key* assigns with these
+    *operands* (a tuple).  Its other writes are SREG, SP, RAMPZ and data
+    memory, which also holds the register file at 0x00-0x1F."""
+    return tuple(offset if index is None else operands[index] + offset
+                 for index, offset in _WRITES[key])
 
 
 def calls_out(key, view):

@@ -183,6 +183,26 @@ def test_sreg_save_restore_idiom_keeps_region_atomic():
         program.symbols["f"] + 10
 
 
+@pytest.mark.parametrize("clobber", ["mul r24, r25", "mov r0, r24"])
+def test_sreg_snapshot_dies_with_any_write_of_its_register(clobber):
+    """A saved-SREG snapshot in r0 is gone once an instruction writes
+    r0, whichever operand names it: ``mul`` writes r1:r0 without naming
+    them.  The restore then leaves I unknown and both stores race."""
+    src = ("f:\n"
+           "    cli\n"
+           "    in r0, 0x3f\n"
+           "    {}\n"
+           "    out 0x3f, r0\n"
+           "    sts 0x0700, r24\n"
+           "    sts 0x0701, r24\n"
+           "    ret\n"
+           "isr_tick:\n"
+           "    sts 0x0700, r25\n"
+           "    sts 0x0701, r25\n"
+           "    reti\n").format(clobber)
+    assert len(analyze(src, mainline=["f"]).races) == 2
+
+
 def test_counted_loop_wcet_is_bounded():
     src = ("__vector_1:\n"
            "    ldi r20, 5\n"

@@ -36,7 +36,7 @@ from repro.analysis.static.elision import (
     verify_manifest,
 )
 from repro.asm import assemble
-from repro.core.faults import MemMapFault
+from repro.core.faults import MemMapFault, UntrustedAccessFault
 from repro.sfi.layout import SfiLayout
 from repro.sfi.system import SfiSystem
 from repro.sfi.verifier import VerifyError
@@ -345,3 +345,57 @@ def test_kept_check_still_faults_in_elided_build():
         _load(system, MIXED_MODULE, elide=elide)
         with pytest.raises(MemMapFault):
             system.call_export("mod", "fill")
+
+
+# =====================================================================
+# Escapes through register facts absint once got wrong
+# =====================================================================
+# mul writes r1:r0: a span address parked there before it is gone after
+MUL_MODULE = """
+fill:
+    ldi r24, lo8({SDATA_D0})
+    ldi r25, hi8({SDATA_D0})
+    mov r0, r24
+    mov r1, r25
+    ldi r17, 0x10
+    ldi r18, 0x10
+    mul r17, r18               ; r1:r0 = 0x0100, the memory-map table
+    mov r26, r0
+    mov r27, r1
+    ldi r24, 0xEE
+    st X, r24
+    clr r1
+    ret
+"""
+
+# a callee without a contract may write any register, Y included
+CALLEE_MODULE = """
+fill:
+    ldi r28, lo8({SDATA_D0})
+    ldi r29, hi8({SDATA_D0})
+    rcall move_y
+    ldi r24, 0xEE
+    st Y, r24
+    ret
+move_y:
+    ldi r28, 0x00
+    ldi r29, 0x01              ; Y = 0x0100, the memory-map table
+    ret
+"""
+
+
+@pytest.mark.parametrize("source, key", [(MUL_MODULE, "st_x"),
+                                         (CALLEE_MODULE, "std_y")],
+                         ids=["mul", "uncontracted-call"])
+def test_clobbered_pointer_keeps_its_check(source, key):
+    layout = _layout()
+    (proof,) = _by_key(_prove(source, layout), key)
+    assert proof.kind == PROOF_UNKNOWN
+    system = SfiSystem(layout=layout)
+    module = _load(system, source)
+    assert module.manifest is None
+    assert module.rewrite_stats["elided_stores"] == 0
+    with pytest.raises(UntrustedAccessFault) as info:
+        system.call_export("mod", "fill")
+    assert info.value.addr == layout.memmap_table == 0x0100
+    assert system.machine.read_bytes(0x0100, 1) != b"\xee"

@@ -241,6 +241,32 @@ def test_lint_text_output_golden():
            "targeting safe-stack (0xADDR)" in masked
 
 
+def test_store_target_note_uses_the_effective_address():
+    """The HL001 note classifies where the store lands: Y plus the
+    displacement, X after its pre-decrement, not the pointer itself."""
+    src = """
+crossing:
+    ldi r28, 0xFC
+    ldi r29, 0x0B          ; Y -> 0x0BFC, the top of the heap
+    std Y+6, r24           ; lands at 0x0C02, in the safe stack
+    ldi r26, 0x00
+    ldi r27, 0x0C          ; X -> 0x0C00, the safe-stack base
+    st -X, r24             ; lands at 0x0BFF, in the heap
+    ret
+"""
+    system = SfiSystem()
+    assert system.layout.heap_end == system.layout.safe_stack_base == 0x0C00
+    region, _prog = place_raw(system, src, name="crossing")
+    _model, report = lint_system(system, extra_modules=[region])
+    notes = [d.message for d in report.diagnostics.findings
+             if d.rule.code == "HL001"]
+    assert notes == [
+        "raw store (std Y+6, r24) not routed through a check stub "
+        "targeting safe-stack (0x0c02)",
+        "raw store (st -X, r24) not routed through a check stub "
+        "targeting heap (0x0bff)"]
+
+
 def test_lint_json_export_shape(tmp_path):
     report = _lint_broken()
     path = str(tmp_path / "lint.json")
