@@ -26,9 +26,18 @@ region is compiled from scratch (the best of ``--cold`` processes).
 ``benchmarks/BENCH_blocks.json`` and ``benchmarks/BENCH_umpu.json``
 record these figures next to the perfbench throughput pairs.
 
+With ``--bytecodes`` it prints only, for each of the three workloads,
+the bytecodes executed per op in region functions (an opcode tracer on
+``<avr block>`` frames, so a deterministic count) and the share of them
+that went to SREG statements: statements assigning SREG (``sreg_``, or
+``data[95]`` in a region without the register cache) a computed value,
+continuation lines included.  ``benchmarks/BENCH_flags.json`` records
+these figures.
+
 Run from the repository root::
 
     python benchmarks/bench_blocks.py --seed 1
+    python benchmarks/bench_blocks.py --seed 1 --bytecodes
 """
 
 import argparse
@@ -131,6 +140,64 @@ def block_share(name, seed):
             moves[0] / max(moves[0] + inside[1], 1))
 
 
+#: the bytecodes that end a statement of a region function
+_STATEMENT_END = ("STORE_", "POP_", "JUMP_", "RETURN_", "RAISE_", "RERAISE")
+
+
+def _sreg_offsets(code):
+    """Offsets of the bytecodes of *code*'s SREG statements."""
+    found, statement = set(), []
+    instrs = list(dis.get_instructions(code))
+    for n, instr in enumerate(instrs):
+        statement.append(instr)
+        if not instr.opname.startswith(_STATEMENT_END):
+            continue
+        to_sreg = (instr.opname == "STORE_FAST" and instr.argval == "sreg_"
+                   or instr.opname == "STORE_SUBSCR"
+                   and instrs[n - 1].argval == 95)
+        if to_sreg and any(x.opname.startswith("BINARY_")
+                           for x in statement):
+            found.update(x.offset for x in statement)
+        statement = []
+    return found
+
+
+def region_bytecodes(name, seed):
+    """Bytecodes executed per op in region functions over one pass after
+    the set-up, and the share of them in SREG statements."""
+    import workloads
+    w = workloads.make(name, seed)
+    for _ in w.setup_steps():
+        pass
+    counts = [0, 0]
+    sreg = {}
+
+    def tracer(frame, _event, _arg):
+        code = frame.f_code
+        if code.co_filename != "<avr block>":
+            return None
+        if code not in sreg:
+            sreg[code] = _sreg_offsets(code)
+        mine = sreg[code]
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+
+        def local(frame_, event_, _arg_):
+            if event_ == "opcode":
+                counts[0] += 1
+                counts[1] += frame_.f_lasti in mine
+            return local
+        return local
+    sys.settrace(tracer)
+    try:
+        for i in range(w.pass_len):
+            if not w.check_op(i, w.run_op(i)):
+                raise RuntimeError("{}: {}".format(name, w.failures))
+    finally:
+        sys.settrace(None)
+    return counts[0] / w.pass_len, counts[1] / max(counts[0], 1)
+
+
 def unit_entries(seed):
     """Unit handler entries per op over one node_umpu pass after its
     set-up: calls of ``DataBus.write``, ``DataBus.read`` and the
@@ -175,9 +242,22 @@ def main(argv=None):
                         help="fresh processes timing the cold set-up")
     parser.add_argument("--cold-once", metavar="WORKLOAD",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--bytecodes", action="store_true",
+                        help="print only the region bytecodes per op")
     args = parser.parse_args(argv)
     if args.cold_once:
         print(cold_setup(args.cold_once, args.seed))
+        return 0
+    if args.bytecodes:
+        result = {"seed": args.seed, "region_bytecodes_per_op": {},
+                  "sreg_bytecode_share": {}}
+        for name in WORKLOADS:
+            per_op, share = region_bytecodes(name, args.seed)
+            result["region_bytecodes_per_op"][name] = round(per_op, 1)
+            result["sreg_bytecode_share"][name] = round(share, 4)
+            print("{:10s} {:9.1f} region bytecodes per op, {:.1%} in SREG "
+                  "statements".format(name, per_op, share))
+        print(json.dumps(result))
         return 0
     result = {"seed": args.seed, "block_share": {}, "entries_per_op": {},
               "instructions_per_entry": {}, "moves_inside": {}}

@@ -322,7 +322,9 @@ def analyze_cfg(cfg, entry_states=None, call_models=None, stats=None):
     both by fallthrough and by branches get the join.  Function entries
     reached by calls start at top (the caller's registers are not the
     callee's contract — except that this also keeps the analysis sound
-    without an interprocedural pass).
+    without an interprocedural pass).  A region with an ``ijmp`` or an
+    ``icall`` also starts every labelled block (``cfg.entries``) at top,
+    since the indirect transfer may land on any of them.
 
     Loop-carried register updates terminate through widening: once a
     block's in-state has been re-joined :data:`WIDEN_DELAY` times, the
@@ -343,10 +345,14 @@ def analyze_cfg(cfg, entry_states=None, call_models=None, stats=None):
     if not seeds:        # nothing declared: seed every block at top
         for addr in cfg.blocks:
             seeds[addr] = {}
-    # call targets are entered with top state (callers vary)
-    for site in cfg.calls:
-        if site.target in cfg.blocks:
-            seeds[site.target] = {}
+    # call targets are entered with top state (callers vary); an ijmp
+    # or icall may enter any labelled block
+    targets = [site.target for site in cfg.calls]
+    if cfg.indirect_jumps or None in targets:
+        targets += cfg.entries
+    for addr in targets:
+        if addr in cfg.blocks:
+            seeds[addr] = {}
     for addr in sorted(seeds):
         in_states[addr] = dict(seeds[addr])
         worklist.append(addr)

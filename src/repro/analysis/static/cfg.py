@@ -80,6 +80,7 @@ class RegionCFG:
         self.boundaries = set()  # instruction-start byte addresses
         self.calls = []          # CallSite list (static + indirect)
         self.indirect_jumps = []  # byte addrs of ijmp
+        self.entries = ()        # the extra leaders inside the region
         self.undecodable = []    # byte addrs of .dw words
         self.bad_targets = []    # (target, from_addr) not on a boundary
         self.data_spans = ()     # (lo, hi) byte ranges excluded as data
@@ -126,6 +127,7 @@ class RegionCFG:
         for addr in extra_leaders:
             if internal(addr):
                 leaders.add(addr)
+        cfg.entries = tuple(sorted(leaders - {start}))
         for i, line in enumerate(cfg.lines):
             if line.instr is None:
                 continue

@@ -81,14 +81,16 @@ their own:
     ``on_event``, so that the unit's own handler raises the fault or
     does the work.
 
-What a template assigns is read off its text as well: the registers
-each key writes (:func:`registers_written`), which the abstract
-interpreter of :mod:`repro.analysis.static.absint` builds on.
+What a template does is read off its text as well: the registers each
+key writes (:func:`registers_written`), which the abstract interpreter
+of :mod:`repro.analysis.static.absint` builds on, and the SREG bits it
+reads and writes (:func:`sreg_effects`), with the value of each written
+bit on its own, which compiled regions build their lazy flags on.
 """
 
 import re
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 
 from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
 from repro.isa.registers import IoReg
@@ -355,7 +357,16 @@ _CONTROL = ("@goto ", "@goto_if ", "@skip_if ")
 
 
 def _lines(key):
-    lines = [line for line in TEMPLATES[key].split("\n") if line.strip()]
+    """The template's logical lines: a line whose parentheses are still
+    open takes the next one."""
+    lines = []
+    for line in TEMPLATES[key].split("\n"):
+        if not line.strip():
+            continue
+        if lines and lines[-1].count("(") > lines[-1].count(")"):
+            lines[-1] += " " + line.strip()
+        else:
+            lines.append(line)
     for line in lines[:-1]:
         if line.startswith(_CONTROL):
             raise AssertionError(
@@ -627,6 +638,402 @@ def registers_written(key, operands):
                  for index, offset in _WRITES[key])
 
 
+# ----------------------------------------------------------------------
+# SREG effects, read off the template text
+# ----------------------------------------------------------------------
+#: every SREG bit
+_ALL = 0xFF
+_NUMBER = r"(0x[0-9A-Fa-f]+|\d+)"
+#: a rendered line's SREG, and the three ways a line assigns it
+_SREG_AT = "data[{}]".format(_ADDRS["SREG"])
+_SREG_FORMS = tuple(_SREG_AT + op for op in (" = ", " |= ", " &= "))
+
+
+def _uses(ref):
+    """A pattern matching each use of *ref* (SREG, or a name holding a
+    copy of it): ``(ref >> b) & 1`` and ``(ref & 1)`` read one bit on
+    its own, ``(ref & m)`` the bits of m, ``(ref | m)`` the bits m
+    leaves clear, and any other use every bit."""
+    return re.compile(r"\({0} >> (\d+)\) & 1|\({0} & {1}\)|\({0} \| {1}\)"
+                      r"|(?<!\w){0}(?!\w)".format(re.escape(ref), _NUMBER))
+
+
+_SREG_USES = _uses(_SREG_AT)
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _read(match):
+    """The bits one :func:`_uses` match reads, and the bit when it reads
+    one bit on its own (else None)."""
+    shift, mask, clear = match.groups()
+    if shift is not None:
+        return 1 << int(shift), int(shift)
+    if mask is not None:
+        bits = _constant(mask)
+        return bits, 0 if bits == 1 else None
+    if clear is not None:
+        return ~_constant(clear) & _ALL, None
+    return _ALL, None
+
+
+def _split(text):
+    """*text* cut at each ``|`` outside brackets."""
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(text):
+        depth += (char in "([") - (char in ")]")
+        if char == "|" and not depth and text[i - 1] == " ":
+            parts.append(text[start:i - 1])
+            start = i + 2
+    return parts + [text[start:]]
+
+
+def _unwrap(text):
+    """*text* without the parentheses around all of it."""
+    while text.startswith("("):
+        depth = 0
+        for i, char in enumerate(text):
+            depth += (char in "([") - (char in ")]")
+            if not depth:
+                break
+        if i != len(text) - 1:
+            break
+        text = text[1:-1]
+    return text
+
+
+def _kept(rhs):
+    """``(kept bits, the keep term)`` of the right-hand side of an SREG
+    assignment: its first top-level term when that is ``(SREG & m)``,
+    with SREG or a name holding a copy of it; ``(0, None)`` otherwise."""
+    term = _split(_unwrap(rhs))[0]
+    keep = re.fullmatch(r"\((\S+) & " + _NUMBER + r"\)", term)
+    if keep and (keep.group(1) == _SREG_AT or keep.group(1).isidentifier()):
+        return _constant(keep.group(2)), term
+    return 0, None
+
+
+class _Bound:
+    """What the flag derivation knows of a template value: the bits it
+    may have set (-1 when it may be negative) and, when it cannot be
+    negative, its largest value."""
+
+    __slots__ = ("bits", "hi")
+
+    def __init__(self, bits, hi=None):
+        self.bits, self.hi = bits, hi
+
+    @staticmethod
+    def of(value):
+        if isinstance(value, _Bound):
+            return value
+        return _Bound(value, value) if value >= 0 else _Bound(-1)
+
+    @staticmethod
+    def upto(hi):
+        return _Bound((1 << hi.bit_length()) - 1, hi)
+
+    def __and__(self, other):
+        other = _Bound.of(other)
+        bits = self.bits & other.bits
+        if bits < 0:
+            return _Bound(-1)
+        return _Bound(bits, min([bits] + [x.hi for x in (self, other)
+                                          if x.hi is not None]))
+    __rand__ = __and__
+
+    def __or__(self, other):
+        bits = self.bits | _Bound.of(other).bits
+        return _Bound(bits, bits if bits >= 0 else None)
+    __ror__ = __xor__ = __rxor__ = __or__
+
+    def _grow(self, other, op):
+        other = _Bound.of(other)
+        if self.hi is None or other.hi is None:
+            return _Bound(-1)
+        return _Bound.upto(op(self.hi, other.hi))
+
+    def __add__(self, other):
+        return self._grow(other, int.__add__)
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return self._grow(other, int.__mul__)
+    __rmul__ = __mul__
+
+    def __sub__(self, _other=None):
+        return _Bound(-1)
+    __rsub__ = __neg__ = __invert__ = __rlshift__ = __sub__
+
+    def __lshift__(self, n):
+        if isinstance(n, _Bound) or self.hi is None:
+            return _Bound(-1)
+        return _Bound(self.bits << n, self.hi << n)
+
+    def __rshift__(self, n):
+        if self.hi is None:
+            return self
+        if isinstance(n, _Bound):
+            return _Bound.upto(self.hi)
+        return _Bound(self.bits >> n, self.hi >> n)
+
+    def __eq__(self, _other):
+        return _Bound(1, 1)
+    __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__
+    __hash__ = None
+
+
+class _Table:
+    """``data`` or ``NVSZ`` to the flag derivation: any entry is *value*."""
+
+    def __init__(self, bits):
+        self.value = _Bound(bits, bits)
+
+    def __getitem__(self, _index):
+        return self.value
+
+
+def _flag_writer(key):
+    """How the template of *key* assigns SREG with ``=``: ``(index of
+    the line, terms)``, each term of the right-hand side except the keep
+    term as ``(text, the bits it may set, {bit: text of that bit's 0/1
+    value})``.  None when no line assigns SREG so, or a term reads SREG
+    itself or shares a bit with another (a block then renders the line
+    as written).  The bits come from running the lines before it over
+    :class:`_Bound` values."""
+    letters = [op.letter for op in SPEC_BY_KEY[key].operands]
+    names = dict(_ADDRS, next="op_next", **{x: "op_" + x for x in letters})
+    env = {"data": _Table(0xFF), "NVSZ": _Table(reduce(or_, NVSZ))}
+    env.update({"op_" + x: _Bound(0xFF, 0xFF) for x in letters + ["next"]})
+
+    def bound(text):
+        return _Bound.of(eval(text.format(**names), {"__builtins__": {}},
+                              env))
+
+    prefix = "data[{SREG}] = "
+    for index, line in enumerate(_LINES[key]):
+        if line.startswith(prefix):
+            break
+        assigned = re.match(r"(\w+) = (.*)", line)
+        if assigned:
+            env[assigned.group(1)] = bound(assigned.group(2))
+        elif line.startswith(("@load ", "@pop ")):
+            env[line.split()[1].rstrip(",")] = _Bound(0xFF, 0xFF)
+    else:
+        return None
+    rhs = line[len(prefix):]
+    kept, keep = _kept(rhs.replace("data[{SREG}]", _SREG_AT))
+    terms, seen = [], kept
+    for term in _split(_unwrap(rhs)):
+        if term.replace("data[{SREG}]", _SREG_AT) == keep:
+            continue
+        if "{SREG}" in term:
+            return None
+        bits = bound(term).bits
+        if bits < 0 or bits & seen:
+            return None
+        seen |= bits
+        terms.append((term, bits, _ones(term, bits, bound)))
+    return index, tuple(terms)
+
+
+def _ones(term, bits, bound):
+    """``{bit: text of its 0/1 value}`` for each bit *term* may set.  Z
+    and N of ``NVSZ[res | ...]`` (*res* a byte) come from *res*; a
+    one-bit term ``(x << b)`` with x 0 or 1 is x."""
+    out = {}
+    index = re.fullmatch(r"NVSZ\[(.*)\]", term)
+    if index:
+        res, *rest = _split(index.group(1))
+        if bound(res).hi is not None and bound(res).hi <= 0xFF and \
+                not any(bound(part).bits & 0xFF for part in rest):
+            out = {1: "({} == 0)".format(res), 2: "({} >> 7)".format(res)}
+    for bit in range(8):
+        if not (bits >> bit) & 1 or bit in out:
+            continue
+        inner = re.fullmatch(r"\((.*) << {}\)".format(bit), term)
+        if bits != 1 << bit:
+            out[bit] = "((({}) >> {}) & 1)".format(term, bit)
+        elif inner and bound(inner.group(1)).bits == 1:
+            out[bit] = inner.group(1)
+        else:
+            out[bit] = term if not bit else "(({}) >> {})".format(term, bit)
+    return out
+
+
+#: template key -> its :func:`_flag_writer`
+_FLAG_WRITER = {key: _flag_writer(key) for key in TEMPLATES}
+_COPY = re.compile(r"(\w+) = " + re.escape(_SREG_AT))
+
+
+def _lazy_lines(key):
+    """The lines of *key*'s template with each read of C through a copy
+    of SREG (``sbc``'s borrow), outside the line assigning SREG, made a
+    read of SREG itself, which holds the same value until that line."""
+    lines, copies = [], []
+    for line in _LINES[key]:
+        copy = re.fullmatch(r"(\w+) = data\[\{SREG\}\]", line)
+        if copy:
+            copies.append(copy.group(1))
+        elif not line.startswith("data[{SREG}]"):
+            for name in copies:
+                line = line.replace("({} & 1)".format(name),
+                                    "(data[{SREG}] & 1)")
+        lines.append(line)
+    return lines
+
+
+#: template key -> its :func:`_lazy_lines`, which regions under
+#: :data:`PLAIN` render so that a pending bit can stand in for the read
+_LAZY_LINES = {key: _lazy_lines(key) for key in TEMPLATES}
+
+
+def _copy_reads(key):
+    """The SREG bits the :func:`_lazy_lines` of *key* read through a
+    name holding a copy of SREG, kept bits included."""
+    names = dict(_ADDRS, next="0", **{
+        op.letter: "0" for op in SPEC_BY_KEY[key].operands})
+    bits, uses = 0, []
+    for line in _LAZY_LINES[key]:
+        line = line.format(**names)
+        copy = _COPY.fullmatch(line)
+        if copy:
+            uses.append(_uses(copy.group(1)))
+            continue
+        for pattern in uses:
+            for match in pattern.finditer(line):
+                bits |= _read(match)[0]
+    return bits
+
+
+#: template key -> its :func:`_copy_reads`
+_COPY_READS = {key: _copy_reads(key) for key in TEMPLATES}
+
+
+class _Flags:
+    """What one template line, its operands filled in, does with SREG in
+    a region over a data space ending at *data_end*:
+
+    ``reads``
+        the bits it reads: ``singles`` lists ``(start, end, bit)`` of
+        each read of one bit on its own, which a block may replace with
+        the bit's value; ``partial`` holds the bits of every other read.
+    ``kills``
+        the bits it must write (``writer`` is the form of a line
+        assigning SREG, else None).
+    ``barrier``
+        a data access that may fault or alias the register locals: every
+        bit is live before it.  ``runtime`` is ``"load"`` or ``"store"``
+        for such an access at an address computed at run time.
+    ``assigned``
+        the locals it assigns.
+    ``copy``
+        it copies SREG into a temporary, which later lines read
+        (:data:`_COPY_READS`)."""
+
+    __slots__ = ("reads", "singles", "partial", "kills", "writer",
+                 "barrier", "runtime", "assigned", "copy")
+
+    def __init__(self, text, data_end):
+        self.singles, self.partial, self.kills = [], 0, 0
+        self.writer, self.barrier, self.runtime = None, False, None
+        self.assigned = set()
+        self.copy = bool(_COPY.fullmatch(text))
+        body = text
+        if text.startswith("@"):
+            self._pseudo(text, data_end)
+        elif self.copy:
+            # its reads are those of the lines using the copy
+            self.assigned.add(text.split(" ", 1)[0])
+            body = ""
+        else:
+            self._assign(text)
+            self.writer = next((form for form in _SREG_FORMS
+                                if text.startswith(form)), None)
+        if self.writer is not None:
+            body = text[len(self.writer):]
+            if self.writer == _SREG_FORMS[0]:
+                kept, keep = _kept(body)
+                self.kills = ~kept & _ALL
+                body = body.replace(keep, "0", 1) if keep else body
+            else:
+                value = _constant(body)
+                self.kills = value if "|" in self.writer else ~value & _ALL
+                body = ""
+        for match in _SREG_USES.finditer(body):
+            bits, bit = _read(match)
+            if bit is None or self.writer is not None:
+                self.partial |= bits
+            else:
+                self.singles.append((match.start(), match.end(), bit))
+        self.reads = self.partial
+        for _start, _end, bit in self.singles:
+            self.reads |= 1 << bit
+
+    def _assign(self, text):
+        assigned = _ASSIGNED.match(text)
+        if assigned:
+            addr = _constant(assigned.group(1))
+            if addr in _LOCALS:
+                self.assigned.add(_LOCALS[addr])
+        else:
+            self.assigned.update(re.findall(r"^(\w+) = ", text))
+
+    def _pseudo(self, text, data_end):
+        op, _, rest = text.partition(" ")
+        if op not in _ACCESSES:
+            return
+        args = _args(rest, 3 if op in ("@load", "@store") else 2)
+        write = op in ("@store", "@push")
+        if not write:
+            self.assigned.add(args[0])
+        if op in ("@push", "@pop"):
+            self.assigned.update(("sp_", "spl_", "sph_"))
+            addr = None
+        else:
+            addr = _constant(args[1] if op == "@load" else args[0])
+        if addr is None:
+            self.barrier, self.runtime = True, "store" if write else "load"
+        elif not 0 <= addr <= data_end:
+            self.barrier = True
+        elif addr == _ADDRS["SREG"]:
+            if write:
+                self.kills = _ALL
+            else:
+                self.partial = _ALL
+        elif write and addr in _LOCALS:
+            self.assigned.add(_LOCALS[addr])
+
+
+@lru_cache(maxsize=8192)
+def _flags(text, data_end):
+    return _Flags(text, data_end)
+
+
+@lru_cache(maxsize=4096)
+def sreg_effects(key, operands):
+    """``(reads, writes)``: masks of the SREG bits the template of *key*
+    may read and may write with these *operands* (a tuple), read off its
+    text.  A line ``data[{SREG}] = (data[{SREG}] & m) | ...`` writes the
+    bits m clears and keeps the rest; ``|=`` and ``&=`` write the bits
+    of their constant; ``(data[{SREG}] >> b) & 1``, ``(data[{SREG}] &
+    m)`` and ``(data[{SREG}] | m)`` read bit b, the bits of m and the
+    bits m leaves clear, the same forms on a name holding a copy of SREG
+    read through it (:data:`_COPY_READS`), and any other use reads every
+    bit.  A data access
+    at SREG's address reads or writes every bit, and so may one at an
+    address computed at run time."""
+    names = dict(_ADDRS, next="0", **{
+        op.letter: str(value)
+        for op, value in zip(SPEC_BY_KEY[key].operands, operands)})
+    reads = writes = 0
+    for line in _LAZY_LINES[key]:
+        flags = _flags(line.format(**names), 0xFFFF)
+        reads |= flags.reads | (_ALL if flags.runtime == "load" else 0)
+        writes |= flags.kills | (_ALL if flags.runtime == "store" else 0)
+    # the bits kept through a copy are not read
+    return reads | (_COPY_READS[key] & writes), writes
+
+
 def calls_out(key, view):
     """Whether an instruction of *key* makes a callout under *view*: a
     block ends after it."""
@@ -697,7 +1104,16 @@ class _BlockWriter:
     ``finally`` on every exit and fault.  A direct access whose address
     is computed at run time writes the locals back first when the
     address is below ``_LOCALS_END``, and reloads them after a store
-    there."""
+    there.
+
+    Under :data:`PLAIN` the flags are lazy (``docs/performance.md``,
+    "Lazy flags"): an SREG assignment is rendered only for the bits a
+    later line may need before they are overwritten, and then held as
+    its terms (*pending*) until something needs the whole byte: a read
+    of more than one bit on its own, a fault, the write-back before an
+    access that may alias the locals, a ``break`` out of the region, or
+    a move to a member that may need the bit before it writes it.  A
+    read of one pending bit uses that bit's value directly."""
 
     def __init__(self, data_end, view, members, cache):
         self.data_end = data_end
@@ -716,8 +1132,13 @@ class _BlockWriter:
             self.hook_units = [(len(bus_units) + n, owner.fragments)
                                for n, owner in enumerate(owners)]
             self.units = len(bus_units) + len(owners)
-        self.members = members
+        self.members = members  # start -> body of each member, or None
         self.cache = cache
+        self.prepared = {}     # start -> :meth:`prepare` of that member
+        #: the SREG bits whose value is held as terms instead of in
+        #: ``sreg_``: ``[bits, terms]`` per writer, each term ``(text,
+        #: its bits, {bit: text of its 0/1 value}, the names it reads)``
+        self.pending = []
         self.used = set()      # cached bytes the region names
         self.written = set()   # cached bytes it assigns
         self.start = None      # first word of the current block
@@ -752,8 +1173,90 @@ class _BlockWriter:
 
     def fault(self, addr):
         return (["if {} > {}:".format(addr, self.data_end)]
-                + _indent(self.publish()
+                + _indent(self.flags() + self.publish()
                           + ["raise InvalidAccess({})".format(addr)]))
+
+    def flags(self, bits=_ALL):
+        """The line giving ``sreg_`` the pending values of *bits* (the
+        pending state itself does not change)."""
+        parts, mask = [], 0
+        for pending, terms in self.pending:
+            take = pending & bits
+            mask |= take
+            for text, term_bits, ones, _names in terms if take else ():
+                part = term_bits & take
+                if part == term_bits:
+                    parts.append(text)
+                elif part & (part - 1):
+                    parts.append("(({}) & {:#04x})".format(text, part))
+                elif part:
+                    bit = part.bit_length() - 1
+                    parts.append("({} << {})".format(ones[bit], bit)
+                                 if bit else ones[0])
+        if not mask:
+            return []
+        if mask != _ALL:
+            parts.insert(0, "(sreg_ & {:#04x})".format(~mask & _ALL))
+        return [self.local(_ADDRS["SREG"], True) + " = "
+                + (" | ".join(parts) or "0")]
+
+    def settle(self, bits):
+        """Forget the pending values of *bits*."""
+        for entry in self.pending:
+            entry[0] &= ~bits
+        self.pending = [entry for entry in self.pending if entry[0]]
+
+    def one(self, bit):
+        """The text of pending *bit*'s 0/1 value, or None."""
+        for pending, terms in self.pending:
+            if (pending >> bit) & 1:
+                return next((ones[bit] for _text, _bits, ones, _names in terms
+                             if bit in ones), "0")
+        return None
+
+    def lazy(self, key, index, text, live):
+        """Line *index* of *key*'s template, formatted as *text*, with
+        *live* the bits that may be needed after it: the lines making
+        ``sreg_`` exact where it must be before the line, and the line
+        with its reads of one pending bit replaced, or None when it is
+        an SREG assignment held as pending (or dead)."""
+        flags = _flags(text, self.data_end)
+        before = []
+        if self.pending:
+            need = _COPY_READS[key] if flags.copy else \
+                _ALL if flags.runtime == "store" else flags.partial
+            before = self.flags(need)
+            self.settle(need)
+            if flags.singles:
+                parts, last = [], 0
+                for start, end, bit in flags.singles:
+                    value = self.one(bit)
+                    if value is not None:
+                        parts += [text[last:start], "(" + value + ")"]
+                        last = end
+                text = "".join(parts) + text[last:]
+            clobbered = 0
+            for pending, terms in self.pending:
+                for _text, bits, _ones, names in terms:
+                    if names & flags.assigned:
+                        clobbered |= pending & bits
+            before += self.flags(clobbered & live)
+            self.settle(clobbered | flags.kills)
+        if flags.writer is None:
+            return before, text
+        held = flags.kills & live
+        writer = _FLAG_WRITER[key]
+        if held and writer is not None and writer[0] == index:
+            terms = []
+            for term, bits, ones in writer[1]:
+                term = self.cached(term.format(**self.names))
+                ones = {bit: self.cached(one.format(**self.names))
+                        for bit, one in ones.items()}
+                terms.append((term, bits, ones, set(_NAME.findall(
+                    " ".join([term] + list(ones.values())))) - {"NVSZ"}))
+            self.pending.append([held, terms])
+            return before, None
+        return before, text if held else None
 
     def local(self, addr, write):
         """The local holding the cached byte at *addr*."""
@@ -801,7 +1304,8 @@ class _BlockWriter:
             line = "{} = data[{}]".format(value, at)
             device = "{} = d_.io_read({})".format(value, at)
         if self.cache and constant is None:
-            alias = [_WRITE_BACK, line] + ([_RELOAD] if write else [])
+            alias = self.flags() + [_WRITE_BACK, line] + (
+                [_RELOAD] if write else [])
             return (setup + ["if {} < {}:".format(at, _LOCALS_END)]
                     + _indent(alias) + ["else:"] + _indent(check + [line]))
         if not self.io:
@@ -874,16 +1378,19 @@ class _BlockWriter:
         publish after it or moves."""
         stall = " + x_" if self.stalls else ""
         if self.members is None:
-            lines = ["core.pc = " + target,
-                     "core.cycles = cycles + {}{}".format(cycles, stall)]
+            lines = self.flags() + [
+                "core.pc = " + target,
+                "core.cycles = cycles + {}{}".format(cycles, stall)]
             return lines + [self.retire(count), "return"] if leave else lines
         to = _constant(target)
         lines = ["cycles += {}{}".format(cycles, stall),
                  "i_ += {}".format(count),
                  "p_ = {}".format(target if to is None else to)]
         if self.terminal or to not in self.members:
-            return lines + ["break"]
-        return (lines + ["if cycles >= s_:", "    break"]
+            return lines + self.flags() + ["break"]
+        return (lines + ["if cycles >= s_:"]
+                + _indent(self.flags() + ["break"])
+                + self.flags(self.prepare(self.members[to])[2])
                 + (["continue"] if to <= self.start else []))
 
     def render(self, line):
@@ -939,17 +1446,26 @@ class _BlockWriter:
                 + _indent(self.exit(target, total + cost, count))
                 + ["else:"] + _indent(self.exit(self.next, total, count)))
 
-    def add(self, pc, instr, skip):
-        """Append one instruction."""
+    def add(self, pc, instr, skip, names, texts, live):
+        """Append one instruction: *texts* are its template's lines
+        formatted with *names*, *live* the SREG bits live after each
+        (None outside :data:`PLAIN`)."""
         self.next = str(pc + instr.size_words)
         self.skip = skip
         self.base = instr.spec.cycles
         self.target = None
-        names = _names(instr, self.next)
+        self.names = names
         self.stalls = self.published = self.device = False
         lines = []
-        for line in _LINES[instr.key]:
-            lines += self.render(line.format(**names))
+        for index, text in enumerate(texts):
+            if live is not None:
+                before, text = self.lazy(instr.key, index, text, live[index])
+                lines += before
+                if text is None:
+                    continue
+            lines += self.render(text)
+            if live is not None:
+                self.settle(~live[index])
         if self.device and not self.stalls and CONTROL[instr.key] is None:
             # a device was reached: exit after this instruction
             lines += ["if o_:"] + _indent(self.exit(
@@ -967,14 +1483,48 @@ class _BlockWriter:
         self.start = body[0][0]
         self.terminal = terminal
         self.lines, self.cycles, self.count = [], 0, 0
-        prefix = 0
-        for pc, instr, skip in body:
+        self.pending = []
+        instrs, live, _entry = self.prepare(body)
+        prefix = at = 0
+        for (pc, instr, skip), (names, texts) in zip(body, instrs):
             prefix = self.cycles
-            self.add(pc, instr, skip)
+            self.add(pc, instr, skip, names, texts,
+                     None if live is None else live[at:at + len(texts)])
+            at += len(texts)
         after = pc + instr.size_words
         if CONTROL[instr.key] is None:
             self.lines += self.exit(str(after), self.cycles, self.count)
         return self.lines, prefix, pc, after + skip
+
+    def prepare(self, body):
+        """The block *body*'s template lines formatted, per instruction
+        as ``(names, lines)``; under :data:`PLAIN` the SREG bits live
+        after each line and at the block's entry (every bit is live at
+        an exit, a fault and an access that may alias the locals), else
+        None and every bit.  Memoised per member."""
+        start = body[0][0]
+        if start in self.prepared:
+            return self.prepared[start]
+        instrs = []
+        lines = _LAZY_LINES if self.plain else _LINES
+        for pc, instr, _skip in body:
+            names = _names(instr, str(pc + instr.size_words))
+            instrs.append((names, [line.format(**names)
+                                   for line in lines[instr.key]]))
+        live, after = _ALL, None
+        if self.plain:
+            after = []
+            for key, text in reversed([
+                    (instr.key, text) for (_pc, instr, _skip), (_names, texts)
+                    in zip(body, instrs) for text in texts]):
+                after.append(live)
+                flags = _flags(text, self.data_end)
+                reads = _COPY_READS[key] if flags.copy else flags.reads
+                live = _ALL if flags.barrier else \
+                    (live & ~flags.kills) | reads
+            after.reverse()
+        self.prepared[start] = instrs, after, live
+        return instrs, after, live
 
     def stores(self):
         return ["data[{}] = {}".format(addr, _LOCALS[addr])
@@ -1080,7 +1630,7 @@ def compile_region(flash, members, data_end, view):
     first = order[0]
     looping = len(order) > 1 or (
         not terminal[first] and first in successors(members[first]))
-    writer = _BlockWriter(data_end, view, set(order) if looping else None,
+    writer = _BlockWriter(data_end, view, members if looping else None,
                           view == PLAIN)
     entries, cover, body = {}, [], []
     for start in order:

@@ -638,6 +638,33 @@ def test_widening_terminates_and_overapproximates(data):
                 reg, machine.core.reg(reg), vlo, vhi)
 
 
+def test_ijmp_may_land_on_any_labelled_block():
+    """``target`` is reached by fall-through from ``other`` (r16 = 7)
+    and by the ijmp from ``f`` (r16 = 5): absint must not report 7."""
+    prog = assemble(
+        ".org 0x100\n"
+        "f:\n"
+        "    ldi r16, 5\n"
+        "    ldi r30, lo8(pm(target))\n"
+        "    ldi r31, hi8(pm(target))\n"
+        "    ijmp\n"
+        "other:\n"
+        "    ldi r16, 7\n"
+        "target:\n"
+        "    mov r17, r16\n"
+        "    ret\n", "h")
+    lo, hi = prog.extent()
+    labels = [prog.symbol(name) for name in ("f", "other", "target")]
+    cfg = RegionCFG.build(lambda i: prog.words.get(i, 0xFFFF), lo * 2,
+                          (hi + 1) * 2, name="h", extra_leaders=labels)
+    in_states = absint.analyze_cfg(
+        cfg, entry_states={labels[0]: {}, labels[1]: {}})
+    assert in_states[labels[2]].get(16) is None       # top
+    machine = Machine(prog)
+    machine.call("f", max_cycles=1000)
+    assert machine.core.reg(17) == 5
+
+
 # =====================================================================
 # Rule metadata: full descriptions, doc anchors, SARIF export
 # =====================================================================
