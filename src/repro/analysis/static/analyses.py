@@ -38,7 +38,9 @@ from repro.analysis.static.cfg import (
     CALL_KEYS,
     JUMP_KEYS,
     build_call_graph,
+    depth_first,
     find_cycles,
+    longest_paths,
     max_call_depth,
     partition_functions,
     static_target,
@@ -73,6 +75,17 @@ XDOM_FRAME_BYTES = 5
 #: bytes a function activation parks on the safe stack: the 2-byte
 #: return address (hb_save_ret in SFI, the redirected RET_PUSH on UMPU)
 LOCAL_FRAME_BYTES = 2
+
+
+class _Events(tuple):
+    """(checked stores, provable stores, xdom calls, activations) on a
+    path: added elementwise, compared in that order."""
+
+    def __add__(self, other):
+        return _Events(a + b for a, b in zip(self, other))
+
+
+_NO_EVENTS = _Events((0, 0, 0, 0))
 
 
 # =====================================================================
@@ -769,35 +782,21 @@ class ImageAnalyzer:
         def local(domain):
             return report.per_domain[domain].local_bytes
 
-        best = {"bytes": -1, "chain": []}
-
-        def walk(domain, visited, total, chain):
-            if best["bytes"] is None:
-                return
-            if total > best["bytes"]:
-                best["bytes"] = total
-                best["chain"] = list(chain)
-            for succ in sorted(edges.get(domain, ())):
-                if succ in visited:
-                    # a cross-domain cycle: unbounded nesting is
-                    # possible (each round trip pushes fresh frames),
-                    # so give up soundly
-                    best["bytes"] = None
-                    return
-                walk(succ, visited | {succ},
-                     total + XDOM_FRAME_BYTES + local(succ),
-                     chain + [succ])
-                if best["bytes"] is None:
-                    return
-
-        for start in domains:
-            walk(start, {start}, XDOM_FRAME_BYTES + local(start), [start])
-            if best["bytes"] is None:
-                report.bound_bytes = None
-                report.worst_chain = []
-                return
-        report.bound_bytes = max(best["bytes"], 0)
-        report.worst_chain = best["chain"]
+        # a cross-domain cycle makes the bound None: unbounded nesting
+        # is possible (each round trip pushes fresh frames)
+        totals, _walk = longest_paths(
+            domains, lambda domain: sorted(edges.get(domain, ())),
+            lambda domain: XDOM_FRAME_BYTES + local(domain))
+        if any(totals[domain] is None for domain in domains):
+            report.bound_bytes = None
+            report.worst_chain = []
+            return
+        chain, nexts = [], domains
+        while nexts:
+            chain.append(max(nexts, key=totals.__getitem__))
+            nexts = sorted(edges.get(chain[-1], ()))
+        report.bound_bytes = totals[chain[0]] if chain else 0
+        report.worst_chain = chain
 
     # ------------------------------------------------------------------
     # Analysis 3: static protection-overhead estimation
@@ -828,82 +827,56 @@ class ImageAnalyzer:
                                         self.model.region_entries(region))
         graph = build_call_graph(functions)
         cyclic = {n for scc in find_cycles(graph) for n in scc}
-        memo = {}
-        for name, entry in sorted(region.entries.items()):
-            stores, prov, xdoms, acts, loops = self._worst_path(
-                cfg, functions, graph, cyclic, entry, memo, provable)
+        exports = sorted(region.entries.items())
+        # callees before callers: a call-graph postorder
+        walk = depth_first(
+            [entry for _name, entry in exports],
+            lambda entry: () if entry in cyclic
+            else sorted(graph.get(entry, ())))
+        worst = {}
+        for entry in walk.postorder:
+            worst[entry] = self._worst_path(cfg, functions, cyclic, entry,
+                                            worst, provable)
+        for name, entry in exports:
+            stores, prov, xdoms, acts, loops = worst[entry]
             over.exports.append(ExportOverhead(
                 name=name, checked_stores=stores, provable_stores=prov,
                 xdom_calls=xdoms, activations=acts, has_loops=loops))
         return over
 
-    def _worst_path(self, cfg, functions, graph, cyclic, entry, memo,
+    def _worst_path(self, cfg, functions, cyclic, entry, worst,
                     provable=frozenset()):
         """Worst-case (checked stores, provable stores, xdom calls,
         activations, loops?) over any acyclic CFG path of the function
-        at *entry*, callee totals included (memoized; call-graph cycles
-        contribute their own HL008 and are skipped here).  *provable*
-        holds the byte addresses of check-stub sites the prover showed
-        elidable."""
-        if entry in memo:
-            return memo[entry]
+        at *entry*, the totals *worst* holds for its callees included
+        (call-graph cycles contribute their own HL008 and are skipped
+        here).  *provable* holds the byte addresses of check-stub sites
+        the prover showed elidable."""
         if entry in cyclic or entry not in functions:
-            memo[entry] = (0, 0, 0, 1, True)
-            return memo[entry]
-        memo[entry] = (0, 0, 0, 1, True)   # placeholder for safety
+            return (0, 0, 0, 1, True)
         info = functions[entry]
-        sites_by_block = {}
+        weights = {}
+        loops = False
         for site in info.calls:
-            sites_by_block.setdefault(site.block, []).append(site)
-        visited = set()
-        loops = [False]
-
-        def block_weight(block_start):
-            stores = prov = xdoms = acts = 0
-            for site in sites_by_block.get(block_start, ()):
-                if site.target in self.store_stub_addrs:
-                    stores += 1
-                    if site.byte_addr in provable:
-                        prov += 1
-                elif site.target == self.xdom_addr:
-                    xdoms += 1
-                elif site.target in functions:
-                    sub = self._worst_path(cfg, functions, graph, cyclic,
-                                           site.target, memo, provable)
-                    stores += sub[0]
-                    prov += sub[1]
-                    xdoms += sub[2]
-                    acts += sub[3]
-                    loops[0] = loops[0] or sub[4]
-            return stores, prov, xdoms, acts
-
-        block_memo = {}
-
-        def walk(block_start):
-            if block_start in block_memo:
-                return block_memo[block_start]
-            if block_start in visited:
-                loops[0] = True         # back edge: elide the cycle
-                return (0, 0, 0, 0)
-            block = cfg.blocks.get(block_start)
-            if block is None or block_start not in info.blocks:
-                return (0, 0, 0, 0)
-            visited.add(block_start)
-            stores, prov, xdoms, acts = block_weight(block_start)
-            best = (0, 0, 0, 0)
-            for succ in block.succs:
-                sub = walk(succ)
-                if sub > best:
-                    best = sub
-            visited.discard(block_start)
-            result = (stores + best[0], prov + best[1], xdoms + best[2],
-                      acts + best[3])
-            block_memo[block_start] = result
-            return result
-
-        stores, prov, xdoms, acts = walk(entry)
-        memo[entry] = (stores, prov, xdoms, acts + 1, loops[0])
-        return memo[entry]
+            if site.target in self.store_stub_addrs:
+                counts = (1, int(site.byte_addr in provable), 0, 0)
+            elif site.target == self.xdom_addr:
+                counts = (0, 0, 1, 0)
+            elif site.target in functions:
+                counts = worst[site.target][:4]
+                loops = loops or worst[site.target][4]
+            else:
+                continue
+            weights[site.block] = weights.get(site.block, _NO_EVENTS) + \
+                _Events(counts)
+        totals, walk = longest_paths(
+            [entry],
+            lambda block: [succ for succ in cfg.blocks[block].succs
+                           if succ in info.blocks],
+            lambda block: weights.get(block, _NO_EVENTS), cut=True)
+        stores, prov, xdoms, acts = totals[entry]
+        return (stores, prov, xdoms, acts + 1,
+                loops or bool(walk.back_edges))
 
     # ------------------------------------------------------------------
     # Analysis 4: dead code

@@ -12,8 +12,14 @@ Calls do **not** terminate blocks (they return); each ``call``/``rcall``
 /``icall`` becomes a :class:`CallSite` record attached to the walk, from
 which :func:`build_call_graph` derives the function-level graph used by
 the depth/occupancy analysis.
+
+Every graph question the analyses ask of a CFG, call graph or domain
+graph goes through one iterative depth-first walk (:func:`depth_first`)
+and one longest path over it (:func:`longest_paths`), so neither module
+size nor call depth is limited by the host's recursion limit.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from repro.asm.disassembler import disassemble_flash
@@ -330,10 +336,13 @@ def partition_functions(cfg, entries):
                 if succ in cfg.blocks and succ not in starts:
                     work.append(succ)
         functions[entry] = FunctionInfo(entry=entry, blocks=blocks)
+    owners = {}
+    for info in functions.values():
+        for addr in info.blocks:
+            owners.setdefault(addr, []).append(info)
     for site in cfg.calls:
-        for info in functions.values():
-            if site.block in info.blocks:
-                info.calls.append(site)
+        for info in owners.get(site.block, ()):
+            info.calls.append(site)
     return functions
 
 
@@ -402,39 +411,92 @@ def find_cycles(graph):
 
 def max_call_depth(graph, entry, cyclic_nodes=frozenset()):
     """Longest call chain (in function activations, >= 1) starting at
-    *entry*.  Nodes in *cyclic_nodes* poison the result to ``None``
-    (unbounded)."""
-    memo = {}
-    # depths in reverse topological order (iterative DFS, so deep call
-    # chains cannot hit the host recursion limit)
-    order = []
-    seen = set()
-    work = [(entry, iter(sorted(graph.get(entry, ()))))]
-    seen.add(entry)
-    while work:
-        node, it = work[-1]
-        advanced = False
-        for succ in it:
-            if succ not in seen:
-                seen.add(succ)
-                work.append((succ, iter(sorted(graph.get(succ, ())))))
-                advanced = True
-                break
-        if not advanced:
-            order.append(node)
-            work.pop()
-    for node in order:
-        if node in cyclic_nodes:
-            memo[node] = None
+    *entry*.  Nodes in *cyclic_nodes*, and any cycle the walk meets,
+    poison the result to ``None`` (unbounded)."""
+    totals, _walk = longest_paths(
+        [entry], lambda node: sorted(graph.get(node, ())),
+        lambda node: None if node in cyclic_nodes else 1)
+    return totals[entry]
+
+
+# =====================================================================
+# Depth-first walk and longest paths
+# =====================================================================
+Walk = namedtuple("Walk", "preorder postorder back_edges")
+
+
+def depth_first(roots, successors):
+    """Iterative depth-first walk from each of *roots* in turn (a root
+    already reached is skipped).  ``successors(node)`` is iterated
+    lazily, in its own order: the next successor is drawn only once the
+    walk has finished with the one before, so a generator may decide
+    what comes next from what the walk has done so far.  Returns a
+    :class:`Walk`: the nodes in preorder and postorder, and the back
+    edges ``(tail, head)`` — edges into a node still on the walk's
+    stack — in the order the walk meets them.  No recursion, so graph
+    depth is not bounded by the host's recursion limit."""
+    preorder, postorder, back_edges = [], [], []
+    state = {}                      # node -> True on stack, False done
+    for root in roots:
+        if root in state:
             continue
-        best = 1
-        for callee in graph.get(node, ()):
-            # a callee not yet finished is a back edge (cycle that the
-            # caller did not flag): treat as unbounded, never undercount
-            sub = memo.get(callee)
-            if sub is None or callee in cyclic_nodes:
-                best = None
+        state[root] = True
+        preorder.append(root)
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            node, succs = stack[-1]
+            for succ in succs:
+                seen = state.get(succ)
+                if seen is None:
+                    state[succ] = True
+                    preorder.append(succ)
+                    stack.append((succ, iter(successors(succ))))
+                    break
+                if seen:
+                    back_edges.append((node, succ))
+            else:
+                stack.pop()
+                state[node] = False
+                postorder.append(node)
+    return Walk(preorder, postorder, back_edges)
+
+
+def longest_paths(roots, successors, weight, cut=False):
+    """Heaviest path from every node reachable from *roots*.
+
+    A node's total is ``weight(node)`` plus the largest total among its
+    successors.  A ``None`` weight makes the node's total ``None``, and
+    so does any successor whose total is ``None``.  A cycle makes the
+    totals of the nodes that reach it ``None``, unless *cut*: then the
+    walk's back edges are dropped (on a reducible graph, the loops).
+    Weights are added with ``+`` and compared with ``>``, so any such
+    values work.
+    Returns ``(totals, walk)``, *walk* being the :func:`depth_first`
+    walk the totals were computed over."""
+    edges = {}
+
+    def recorded(node):
+        edges[node] = list(successors(node))
+        return edges[node]
+
+    walk = depth_first(roots, recorded)
+    cut_edges = set(walk.back_edges) if cut else frozenset()
+    totals = {}
+    for node in walk.postorder:
+        total = weight(node)
+        best = None
+        for succ in edges[node]:
+            if total is None:
                 break
-            best = max(best, 1 + sub)
-        memo[node] = best
-    return memo.get(entry, 1)
+            if (node, succ) in cut_edges:
+                continue
+            # a successor without a total is still on the walk's stack:
+            # the edge closes a cycle
+            sub = totals.get(succ)
+            if sub is None:
+                total = None
+            elif best is None or sub > best:
+                best = sub
+        totals[node] = total if total is None or best is None \
+            else total + best
+    return totals, walk

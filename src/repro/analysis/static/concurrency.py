@@ -43,7 +43,7 @@ from repro.sim.interrupts import IRQ_RESPONSE_CYCLES
 from repro.sim.semantics import DATA_ACCESS
 
 from repro.analysis.static import absint
-from repro.analysis.static.cfg import CALL_KEYS
+from repro.analysis.static.cfg import CALL_KEYS, depth_first, longest_paths
 
 #: SREG's I/O-space address (``in``/``out`` operand).
 SREG_IO = 0x3F
@@ -339,9 +339,13 @@ class ConcurrencyAnalysis:
         self.symbols_by_addr = symbols_by_addr or {}
         self._line_at = {line.byte_addr: line for line in cfg.lines}
         self._calls_by_addr = {site.byte_addr: site for site in cfg.calls}
+        self._calls_by_block = {}
+        for site in cfg.calls:
+            self._calls_by_block.setdefault(site.block, []).append(site)
+        self._preds = cfg.predecessors()
         self.pre_i = {}          # byte addr -> I state before execution
         self.in_states = None    # absint fixpoint
-        self._touches_memo = {}
+        self._touching = None    # blocks that may reach an I-bit write
         self._wcet_memo = {}
 
     # -- public entry --------------------------------------------------
@@ -439,13 +443,23 @@ class ConcurrencyAnalysis:
 
     def _touches_i(self, entry):
         """Does the function at *entry* (transitively) write the I bit?"""
-        memo = self._touches_memo
-        if entry in memo:
-            return memo[entry]
-        memo[entry] = True      # cycles: assume the worst
-        touches = False
-        for addr in self.cfg.reachable_from([entry]):
-            for line in self.cfg.blocks[addr]:
+        if self._touching is None:
+            self._touching = self._reaching_i_writes()
+        return entry in self._touching
+
+    def _reaching_i_writes(self):
+        """The blocks that reach, along block and internal call edges, a
+        block writing the I bit or calling an unknown callee (assumed
+        to write it): one walk backwards from those blocks."""
+        cfg = self.cfg
+        preds = {addr: list(addrs)
+                 for addr, addrs in self._preds.items()}
+        for site in cfg.calls:
+            if site.target in preds and cfg.start <= site.target < cfg.end:
+                preds[site.target].append(site.block)
+        writers = []
+        for addr, block in cfg.blocks.items():
+            for line in block:
                 instr = line.instr
                 if instr is None:
                     continue
@@ -453,19 +467,13 @@ class ConcurrencyAnalysis:
                 ops = instr.operands
                 if (key in ("bset", "bclr") and ops[0] == I_BIT) or \
                         (key == "out" and ops[0] == SREG_IO) or \
-                        key == "reti":
-                    touches = True
+                        key in ("reti", "icall") or (
+                            key in CALL_KEYS and
+                            self._calls_by_addr[line.byte_addr].target
+                            not in cfg.blocks):
+                    writers.append(addr)
                     break
-                if key == "icall" or (
-                        key in CALL_KEYS and
-                        (self._calls_by_addr[line.byte_addr].target
-                         not in self.cfg.blocks)):
-                    touches = True   # unknown callee: assume it does
-                    break
-            if touches:
-                break
-        memo[entry] = touches
-        return touches
+        return set(depth_first(writers, preds.__getitem__).preorder)
 
     def _ibit_fixpoint(self):
         cfg = self.cfg
@@ -674,129 +682,81 @@ class ConcurrencyAnalysis:
             total += len(skipped.words) if skipped is not None else 2
         return total
 
-    def _block_call_cost(self, addr, stack):
-        """Worst-case callee cycles contributed by the block's calls."""
-        total = 0
-        for site in self.cfg.calls:
-            if site.block != addr:
-                continue
-            if site.key == "icall" or site.target is None:
-                return None, "indirect call at 0x{:04x}".format(
-                    site.byte_addr)
-            if site.target not in self.cfg.blocks:
-                return None, "call outside the region at 0x{:04x}" \
-                    .format(site.byte_addr)
-            wcet, reason = self._wcet(site.target, stack)
-            if wcet is None:
-                return None, reason
-            total += wcet
-        return total, None
+    def _block_succs(self, addr):
+        blocks = self.cfg.blocks
+        return [succ for succ in blocks[addr].succs if succ in blocks]
 
-    def _wcet(self, entry, stack=()):
+    def _wcet(self, entry):
         """Worst-case execution cycles from *entry* to any ret/reti,
         with counted loops bounded through absint.  ``(None, reason)``
         when unbounded."""
-        if entry in self._wcet_memo:
-            return self._wcet_memo[entry]
-        if entry in stack:
-            result = (None, "recursive call through 0x{:04x}"
-                      .format(entry))
-            self._wcet_memo[entry] = result
-            return result
-        stack = stack + (entry,)
-        cfg = self.cfg
-        # function body: blocks reachable along succ edges only
-        body = set()
-        work = [entry]
-        while work:
-            addr = work.pop()
-            if addr in body or addr not in cfg.blocks:
-                continue
-            body.add(addr)
-            work.extend(cfg.blocks[addr].succs)
-        back_edges = self._back_edges(entry, body)
-        loop_extra = 0
-        loops = set()
-        for tail, head in back_edges:
-            bound, loop_body = self._loop_bound(tail, head, body)
+        if entry not in self._wcet_memo:
+            depth_first([entry], self._wcet_callees)
+        return self._wcet_memo[entry]
+
+    def _wcet_callees(self, entry):
+        """The successors of *entry* in the call-graph walk of
+        :meth:`_wcet`: each callee without a WCET yet, in the order the
+        bound of *entry* needs it.  When the walk hands control back, a
+        callee it finished has its WCET; one without is still on the
+        walk's stack (recursion).  The first need that fails decides the
+        result; otherwise the WCET is recorded here, after every callee
+        (a call-graph postorder)."""
+        memo = self._wcet_memo
+        walk = depth_first([entry], self._block_succs)
+        body = set(walk.preorder)
+        loops = [(head,) + self._loop_bound(tail, head, body)
+                 for tail, head in walk.back_edges]
+        for need in self._wcet_needs(walk, loops):
+            if isinstance(need, str):
+                memo[entry] = (None, need)
+                return
+            if need not in memo:
+                yield need
+            result = memo.get(need) or (
+                None, "recursive call through 0x{:04x}".format(need))
+            if result[0] is None:
+                memo[entry] = result
+                return
+        cost = {addr: self._block_cost(addr) + sum(
+                    memo[site.target][0]
+                    for site in self._calls_by_block.get(addr, ()))
+                for addr in walk.preorder}
+        extra = sum(max(bound - 1, 0) * sum(cost[a] for a in loop_body)
+                    for _head, bound, loop_body in loops)
+        totals, _walk = longest_paths([entry], self._block_succs,
+                                      cost.__getitem__, cut=True)
+        memo[entry] = (totals[entry] + extra, None)
+
+    def _wcet_needs(self, walk, loops):
+        """What bounding a function takes, in the order it is checked:
+        each loop's trip count and the blocks of its body, then every
+        block in preorder.  Yields a callee entry for each call whose
+        WCET counts, and a reason for anything that cannot be bounded."""
+        for head, bound, loop_body in loops:
             if bound is None:
-                result = (None, "unbounded loop at 0x{:04x}"
-                          .format(head))
-                self._wcet_memo[entry] = result
-                return result
-            body_cost = 0
+                yield "unbounded loop at 0x{:04x}".format(head)
             for addr in loop_body:
-                cost = self._block_cost(addr)
-                calls, reason = self._block_call_cost(addr, stack)
-                if cost is None or calls is None:
-                    result = (None, reason or
-                              "undecodable word in loop at 0x{:04x}"
-                              .format(addr))
-                    self._wcet_memo[entry] = result
-                    return result
-                body_cost += cost + calls
-            loop_extra += max(bound - 1, 0) * body_cost
-            loops.add((tail, head))
-        # longest acyclic path over the DAG (back edges removed)
-        memo = {}
-        failure = []
-
-        def longest(addr, trail):
-            if addr in memo:
-                return memo[addr]
-            if addr in trail:       # irreducible cycle not caught above
-                failure.append("irreducible loop at 0x{:04x}"
-                               .format(addr))
-                return None
-            cost = self._block_cost(addr)
-            calls, reason = self._block_call_cost(addr, stack)
-            if cost is None or calls is None:
-                failure.append(reason or "undecodable word at 0x{:04x}"
-                               .format(addr))
-                return None
-            block = cfg.blocks[addr]
+                yield from self._block_needs(
+                    addr, "undecodable word in loop at 0x{:04x}")
+        for addr in walk.preorder:
+            yield from self._block_needs(addr, "undecodable word at 0x{:04x}")
+            block = self.cfg.blocks[addr]
             if block.terminator == "ijmp":
-                failure.append("indirect jump at 0x{:04x}"
-                               .format(block.lines[-1].byte_addr))
-                return None
-            best = 0
-            trail = trail | {addr}
-            for succ in block.succs:
-                if (addr, succ) in loops or succ not in cfg.blocks:
-                    continue
-                sub = longest(succ, trail)
-                if sub is None:
-                    return None
-                best = max(best, sub)
-            memo[addr] = cost + calls + best
-            return memo[addr]
+                yield "indirect jump at 0x{:04x}".format(
+                    block.lines[-1].byte_addr)
 
-        path = longest(entry, frozenset())
-        if path is None:
-            result = (None, failure[0] if failure else "unbounded")
-        else:
-            result = (path + loop_extra, None)
-        self._wcet_memo[entry] = result
-        return result
-
-    def _back_edges(self, entry, body):
-        """DFS back edges of the function *body* rooted at *entry*."""
-        edges = []
-        color = {}
-
-        def visit(addr):
-            color[addr] = 1
-            for succ in self.cfg.blocks[addr].succs:
-                if succ not in body:
-                    continue
-                if color.get(succ) == 1:
-                    edges.append((addr, succ))
-                elif succ not in color:
-                    visit(succ)
-            color[addr] = 2
-
-        visit(entry)
-        return edges
+    def _block_needs(self, addr, undecodable):
+        for site in self._calls_by_block.get(addr, ()):
+            if site.key == "icall" or site.target is None:
+                yield "indirect call at 0x{:04x}".format(site.byte_addr)
+            elif site.target not in self.cfg.blocks:
+                yield "call outside the region at 0x{:04x}".format(
+                    site.byte_addr)
+            else:
+                yield site.target
+        if self._block_cost(addr) is None:
+            yield undecodable.format(addr)
 
     def _loop_bound(self, tail, head, body):
         """Trip count of the ``ldi rN, K ... dec rN; brne head`` counted
@@ -809,10 +769,8 @@ class ConcurrencyAnalysis:
             addr = work.pop()
             if addr == head:
                 continue
-            for pred, block in cfg.blocks.items():
-                if pred in loop_body or pred not in body:
-                    continue
-                if addr in block.succs:
+            for pred in self._preds[addr]:
+                if pred not in loop_body and pred in body:
                     loop_body.add(pred)
                     work.append(pred)
         last = cfg.blocks[tail].lines[-1]
@@ -832,11 +790,11 @@ class ConcurrencyAnalysis:
             return None, loop_body
         # initial counter value: join of the entry predecessors' exits
         bound = None
-        for pred, block in cfg.blocks.items():
-            if pred in loop_body or head not in block.succs:
+        for pred in self._preds[head]:
+            if pred in loop_body:
                 continue
             state = dict(self.in_states.get(pred) or {})
-            for line in block:
+            for line in cfg.blocks[pred]:
                 absint.transfer(state, line, self.call_models)
             value = state.get(counter, absint.TOP)
             if not isinstance(value, int) or value <= 0:
@@ -936,31 +894,18 @@ class ConcurrencyAnalysis:
         succs = {}
         for a, b in edges:
             succs.setdefault(a, []).append(b)
-        memo = {}
-
-        def longest(run, trail):
-            if run in memo:
-                return memo[run]
-            if run in trail:
-                return None
-            best = 0
-            for nxt in succs.get(run, ()):
-                sub = longest(nxt, trail | {run})
-                if sub is None:
-                    return None
-                best = max(best, sub)
-            memo[run] = runs[run][0] + best
-            return memo[run]
-
+        totals, _walk = longest_paths(
+            list(runs), lambda run: succs.get(run, ()),
+            lambda run: runs[run][0])
         best, site = 0, None
-        for run in runs:
-            total = longest(run, frozenset())
+        for run, (_cycles, start) in runs.items():
+            total = totals[run]
             if total is None:
-                return (None, runs[run][1],
+                return (None, start,
                         "loop inside an interrupt-disabled region "
-                        "(0x{:04x})".format(runs[run][1]))
+                        "(0x{:04x})".format(start))
             if total > best:
-                best, site = total, runs[run][1]
+                best, site = total, start
         return best, site, None
 
     # -- diagnostics ---------------------------------------------------

@@ -242,12 +242,6 @@ class ElisionManifest:
     sites: list = field(default_factory=list)   # StoreProof list
     schema: int = MANIFEST_SCHEMA
 
-    def site_at(self, pc):
-        for site in self.sites:
-            if site.pc == pc:
-                return site
-        return None
-
     @property
     def elided_checks(self):
         return len(self.sites)

@@ -222,14 +222,6 @@ class ImageModel:
                 taken.add(isr.entry)
         return sorted(explicit, key=lambda i: i.line)
 
-    def vector_isrs(self, nvectors, stride_words=2):
-        """Interrupt handlers parsed from a hardware vector table at
-        flash word 0 (see
-        :func:`repro.analysis.static.concurrency.vector_table_isrs`)."""
-        from repro.analysis.static.concurrency import vector_table_isrs
-        return vector_table_isrs(self.read_word, nvectors,
-                                 stride_words=stride_words)
-
     # ------------------------------------------------------------------
     def jt_target(self, entry_addr):
         """The jmp destination of the jump-table slot at *entry_addr*

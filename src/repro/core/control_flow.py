@@ -130,9 +130,6 @@ class CrossDomainManager:
         """Record where *domain*'s code lives in flash (load time)."""
         self.code_regions[domain] = (start_byte, end_byte)
 
-    def is_cross_domain_target(self, target_byte_addr):
-        return self.jump_table.contains(target_byte_addr)
-
     def classify_call(self, target_byte_addr):
         """Classify a call target for the current domain.
 

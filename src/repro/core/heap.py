@@ -152,10 +152,6 @@ class HarborHeap:
     def free_bytes(self):
         return sum(fr.nbytes for fr in self.free_list)
 
-    @property
-    def largest_free(self):
-        return max((fr.nbytes for fr in self.free_list), default=0)
-
     def check_invariants(self):
         """Assert allocator/memmap consistency (used by property tests).
 

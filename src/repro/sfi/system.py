@@ -130,6 +130,9 @@ class SfiSystem(ProtectedSystem):
         published, and the load is rolled back with an HL017
         :class:`VerifyError` on any mismatch.  The report lands on
         ``module.certification``.
+
+        Whatever either gate raises, a rejection or a crash, unloads the
+        module before it propagates.
         """
         domain = self._pick_domain()
         rewritten = self.rewriter.rewrite(program, self._next_load,
@@ -150,10 +153,14 @@ class SfiSystem(ProtectedSystem):
                          rewrite_stats=rewritten.stats,
                          verify_report=None, manifest=manifest),
             {export: rewritten.exports[export] for export in exports})
-        if lint if lint is not None else self.strict_lint:
-            self._lint_gate(name)
-        if certify:
-            self._certify_gate(name, program, exports, entries)
+        try:
+            if lint if lint is not None else self.strict_lint:
+                self._lint_gate(name)
+            if certify:
+                self._certify_gate(name, program, exports, entries)
+        except BaseException:
+            self.unload_module(name)
+            raise
         return module
 
     # ------------------------------------------------------------------
@@ -247,15 +254,14 @@ class SfiSystem(ProtectedSystem):
                                 manifest.elided_cycles_saved)
 
     def _lint_gate(self, name):
-        """Strict-mode admission: run the whole-image analyzer and back
-        the load out on any error-severity finding."""
+        """Strict-mode admission: run the whole-image analyzer and
+        reject the load on any error-severity finding."""
         from repro.analysis.static import lint_system
         _model, report = lint_system(self)
         if report.diagnostics.has_errors:
             codes = sorted({d.rule.code
                             for d in report.diagnostics.errors})
             first = report.diagnostics.errors[0]
-            self.unload_module(name)
             raise VerifyError(
                 "whole-image lint rejected module {!r} ({}): {}".format(
                     name, ", ".join(codes), first.message),
@@ -264,7 +270,7 @@ class SfiSystem(ProtectedSystem):
     def _certify_gate(self, name, program, exports, entries):
         """Translation validation admission: prove the installed flash
         is a sanctioned translation of the source, publish the
-        JIT-readiness gauges, and back the load out on any HL017."""
+        JIT-readiness gauges, and reject the load on any HL017."""
         from repro.analysis.static.transval import validate_translation
         module = self.modules[name]
         export_targets = {
@@ -288,7 +294,6 @@ class SfiSystem(ProtectedSystem):
         if not report.ok:
             first = next(f for f in report.engine.findings
                          if f.rule.code == "HL017")
-            self.unload_module(name)
             raise VerifyError(
                 "translation validation rejected module {!r}: "
                 "{}".format(name, first.message),

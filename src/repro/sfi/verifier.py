@@ -121,8 +121,9 @@ class Verifier:
         of stopping at the first — returns a
         :class:`~repro.analysis.static.diagnostics.DiagnosticsEngine`
         (empty when the module verifies).  The fail-fast :meth:`verify`
-        stays the admission default; this mode serves toolchain
-        diagnostics (``harbor-lint``)."""
+        stays the admission default, and ``harbor-lint`` runs its own
+        whole-image analyses rather than this mode; it shows every rule
+        a module breaks, including ones fail-fast stops before."""
         from repro.analysis.static.diagnostics import DiagnosticsEngine
         engine = DiagnosticsEngine()
         self._collector = engine

@@ -327,18 +327,6 @@ class AvrCore:
             data[_SPL_ADDR], data[_SPH_ADDR] = sp & 0xFF, sp >> 8
         return extra
 
-    def pop_return_address(self):
-        """Pop a return address as ``ret`` does: high byte first, SP
-        moving before each read."""
-        data = self.memory.data
-        value = extra = 0
-        for _ in range(2):
-            sp = ((data[_SPL_ADDR] | (data[_SPH_ADDR] << 8)) + 1) & 0xFFFF
-            data[_SPL_ADDR], data[_SPH_ADDR] = sp & 0xFF, sp >> 8
-            byte, stall = self.bus.read(sp, AccessKind.RET_POP)
-            value, extra = (value << 8) | byte, extra + stall
-        return value, extra
-
     # --- execution -------------------------------------------------------------
     def step(self):
         """Execute one instruction; returns cycles it consumed.

@@ -93,14 +93,6 @@ class CrossDomainLinker:
                 write_word(entry, w0)
                 write_word(entry + 1, w1)
 
-    def emit_into_program(self, program):
-        self.emit(program.set_word)
-        for (domain, _i), rec in self._exports.items():
-            program.symbols.setdefault(
-                rec.entry_label, self.jump_table.entry_addr(domain,
-                                                            rec.index))
-        return program
-
     def symbols(self):
         """Entry-address symbols (for assembling subscriber modules)."""
         return {rec.entry_label: self.jump_table.entry_addr(d, rec.index)

@@ -218,12 +218,6 @@ class Timeline:
             return None
         return self._keyframes[self.faults[0][0]].cycles
 
-    @property
-    def fault_instret(self):
-        if not self.faults:
-            return None
-        return self._keyframes[self.faults[0][0]].instret
-
     def can_replay(self):
         return bool(self._keyframes)
 

@@ -121,13 +121,21 @@ def test_patched_image_fails_certification():
     assert report.engine.findings[0].rule.code == "HL017"
 
 
-def test_certify_gate_rolls_back_on_mismatch():
-    system, program, module, exports = _load()
-    word = module.start // 2 + 5
-    value = system.machine.memory.read_flash_word(word)
-    system.machine.memory.write_flash_word(word, value ^ 1)
+def test_certify_gate_rolls_back_on_mismatch(monkeypatch):
+    system = SfiSystem()
+    program = _assemble(system, "examples/modules/clean_sensor.s")
+    exports = _exports(program)
+    install = system._install
+
+    def install_tampered(words, offset=0):
+        install(words, offset)
+        word = min(words) + offset + 5
+        value = system.machine.memory.read_flash_word(word)
+        system.machine.memory.write_flash_word(word, value ^ 1)
+
+    monkeypatch.setattr(system, "_install", install_tampered)
     with pytest.raises(VerifyError) as exc_info:
-        system._certify_gate("mod", program, exports, ())
+        system.load_module(program, "mod", exports=exports, certify=True)
     assert exc_info.value.rule == "HL017"
     assert "mod" not in system.modules   # load rolled back
 
