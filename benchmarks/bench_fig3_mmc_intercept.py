@@ -1,14 +1,15 @@
 """Figure 3 (paper Figure `mmcramcpu`): the MMC sits between CPU and
 data memory.
 
-Executable reproduction: run one store on the UMPU machine with a bus
-tracer attached and show that the transaction flowed CPU -> MMC (check)
+Executable reproduction: run one store on the UMPU machine with a trace
+sink attached and show that the transaction flowed CPU -> MMC (check)
 -> RAM, and that a failing check never reaches RAM.
 """
 
 from repro.analysis.tables import render_table
 from repro.asm import assemble
 from repro.core.faults import MemMapFault
+from repro.trace import TraceEventKind
 from repro.umpu import HarborLayout, UmpuMachine
 
 SRC = """
@@ -23,7 +24,7 @@ def build_figure():
     layout = HarborLayout()
     machine = UmpuMachine(assemble(SRC), layout=layout)
     machine.memmap.set_segment(0x0400, 8, 0)
-    machine.attach_tracer()
+    machine.attach_trace()
     lines = []
 
     machine.enter_domain(0)
@@ -58,6 +59,16 @@ def test_fig3_mmc_interception(benchmark, show):
     assert machine.mmc.faults == 1
     assert machine.memory.read_data(0x0400) == 0x5A
     assert machine.memory.read_data(0x0500) == 0x00
+    # the trace shows the path: the owned store's one MMC table stall,
+    # then its bus transaction; the vetoed store never reaches the bus
+    sink = machine.bus.trace
+    stores = [e for e in sink.of(TraceEventKind.BUS_ACCESS)
+              if e.get("access") == "data_store"]
+    assert [(e.get("addr"), e.get("value"), e.get("stall"))
+            for e in stores] == [(0x0400, 0x5A, 1)]
+    assert [e.get("addr") for e in sink.of(TraceEventKind.MMC_STALL)] \
+        == [0x0400]
+    assert len(sink.of(TraceEventKind.PROTECTION_FAULT)) == 1
 
 
 if __name__ == "__main__":

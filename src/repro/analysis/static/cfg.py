@@ -22,27 +22,16 @@ size nor call depth is limited by the host's recursion limit.
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from repro.asm.disassembler import disassemble_flash
+from repro.asm.disassembler import (
+    BRANCH_KEYS,
+    CALL_KEYS,
+    JUMP_KEYS,
+    RET_KEYS,
+    disassemble_flash,
+    static_target,
+)
 
-#: keys that transfer control without returning
-JUMP_KEYS = frozenset({"jmp", "rjmp"})
-BRANCH_KEYS = frozenset({"brbs", "brbc"})
-CALL_KEYS = frozenset({"call", "rcall"})
-RET_KEYS = frozenset({"ret", "reti"})
 SKIP_KINDS = frozenset({"skip"})
-
-
-def static_target(line):
-    """Resolve the static byte target of a call/jump/branch line."""
-    instr = line.instr
-    key = instr.key
-    if key in ("rcall", "rjmp"):
-        return line.byte_addr + 2 + 2 * instr.operands[0]
-    if key in ("call", "jmp"):
-        return instr.operands[0] * 2
-    if key in BRANCH_KEYS:
-        return line.byte_addr + 2 + 2 * instr.operands[-1]
-    raise ValueError("no static target for {!r}".format(key))
 
 
 @dataclass

@@ -442,7 +442,7 @@ class _Walker(object):
         instr = line.instr
         old = line.byte_addr
         s = instr.operands[0]
-        src_target = old + 2 + 2 * instr.operands[1]
+        src_target = static_target(line)
         got = self._take(old, "the translated branch")
         inverted = "brbc" if instr.key == "brbs" else "brbs"
         if got.instr.key == instr.key and got.instr.operands[0] == s:

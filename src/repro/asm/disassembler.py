@@ -26,6 +26,26 @@ class Line:
         return len(self.words)
 
 
+#: keys that transfer control without returning
+JUMP_KEYS = frozenset({"jmp", "rjmp"})
+BRANCH_KEYS = frozenset({"brbs", "brbc"})
+CALL_KEYS = frozenset({"call", "rcall"})
+RET_KEYS = frozenset({"ret", "reti"})
+
+
+def static_target(line):
+    """Resolve the static byte target of a call/jump/branch line."""
+    instr = line.instr
+    key = instr.key
+    if key in ("rcall", "rjmp"):
+        return line.byte_addr + 2 + 2 * instr.operands[0]
+    if key in ("call", "jmp"):
+        return instr.operands[0] * 2
+    if key in BRANCH_KEYS:
+        return line.byte_addr + 2 + 2 * instr.operands[-1]
+    raise ValueError("no static target for {!r}".format(key))
+
+
 _PTR_SUFFIX = {
     (False, False): "{p}",
     (True, False): "{p}+",

@@ -21,6 +21,7 @@ from that layout and its fault codes.
 from repro.core.control_flow import JumpTable
 from repro.core.encoding import TRUSTED_DOMAIN
 from repro.core.faults import ProtectionFault, fault_from_code
+from repro.isa.encoding import DecodeError, decode_words, encode
 from repro.sfi.layout import FAULT_NAMES
 from repro.sos.linker import CrossDomainLinker
 
@@ -144,10 +145,31 @@ class ProtectedSystem:
     def place(self, program):
         """Write *program* at the next load address (its origin moved
         there) and advance the load address to the next 256-byte
-        boundary; returns the placed ``(start, end)`` byte span."""
+        boundary; returns the placed ``(start, end)`` byte span.
+
+        The move relocates every absolute ``jmp``/``call`` whose target
+        lies inside the image's own extent.  Relative transfers survive
+        it unchanged, and targets outside the image (the jump table,
+        the runtime) are absolute and stay put."""
         lo, hi = program.extent()
         start = self._next_load
-        self._install(program.words, start // 2 - lo)
+        delta = start // 2 - lo
+        words = dict(program.words)
+        idx = lo
+        while idx <= hi:
+            try:
+                instr = decode_words(
+                    program.word(idx),
+                    program.word(idx + 1) if idx < hi else None)
+            except DecodeError:     # a data word
+                idx += 1
+                continue
+            if instr.key in ("jmp", "call") and \
+                    lo <= instr.operands[0] <= hi:
+                words[idx], words[idx + 1] = encode(
+                    instr.key, (instr.operands[0] + delta,))
+            idx += instr.size_words
+        self._install(words, delta)
         end = start + (hi - lo + 1) * 2
         self._next_load = (end + 0xFF) & ~0xFF
         return start, end
@@ -190,12 +212,11 @@ class ProtectedSystem:
         self._free_domains.append(module.domain)
         return module
 
-    def attach_timeline(self, interval=None, keep_flash=True):
+    def attach_timeline(self, interval=None):
         """Attach a :class:`~repro.trace.timeline.Timeline` recorder to
         the node (keyframes span every subsequent ``call_export`` /
         kernel-call run; see ``docs/observability.md``)."""
-        return self.machine.attach_timeline(interval=interval,
-                                            keep_flash=keep_flash)
+        return self.machine.attach_timeline(interval=interval)
 
     # --- snapshot/restore ---------------------------------------------
     def snapshot(self):

@@ -32,7 +32,7 @@ the verifier and the Harbor runtime, and not on the rewriter".
 
 from dataclasses import dataclass, field
 
-from repro.asm.disassembler import disassemble
+from repro.asm.disassembler import disassemble, static_target
 from repro.asm.program import Program
 from repro.isa.encoding import encode
 from repro.isa.registers import IoReg
@@ -198,11 +198,8 @@ class Rewriter:
                         "module would pop its caller's frame"
                         .format(addr))
                 depth -= 1
-            elif key in ("brbs", "brbc"):
-                target = addr + 2 + 2 * line.instr.operands[1]
-                edges.append((target, addr, depth))
-            elif key in ("jmp", "rjmp"):
-                edges.append((self._static_target(line), addr, depth))
+            elif key in ("brbs", "brbc", "jmp", "rjmp"):
+                edges.append((static_target(line), addr, depth))
             elif key == "ret" and depth != 0:
                 raise RewriteError(
                     "ret at 0x{:04x} with {} unmatched push(es)"
@@ -226,19 +223,10 @@ class Rewriter:
                 continue
             key = line.instr.key
             if key in ("call", "rcall"):
-                target = self._static_target(line)
+                target = static_target(line)
                 if lo <= target <= hi:
                     addrs.add(target)
         return addrs
-
-    @staticmethod
-    def _static_target(line):
-        instr = line.instr
-        if instr.key in ("rcall", "rjmp"):
-            return line.byte_addr + 2 + 2 * instr.operands[0]
-        if instr.key in ("call", "jmp"):
-            return instr.operands[0] * 2
-        raise ValueError(instr.key)
 
     # ------------------------------------------------------------------
     def _transform(self, line, stats):
@@ -269,14 +257,14 @@ class Rewriter:
             stats["icalls"] += 1
             return [_Item("call", (("sym", "hb_xdom_call"),), old_addr=old)]
         if key in ("call", "rcall"):
-            target = self._static_target(line)
+            target = static_target(line)
             if self.layout.jt_base <= target < self.layout.jt_end:
                 stats["cross_calls"] += 1
                 return self._rewrite_cross_call(target, old)
             # internal (or runtime) call: map the target at layout time
             return [_Item("call", (("old", target),), old_addr=old)]
         if key in ("jmp", "rjmp"):
-            target = self._static_target(line)
+            target = static_target(line)
             return [_Item("rjmp", (("oldbody", target),), old_addr=old)]
         if key == "ret":
             stats["rets"] += 1
@@ -285,7 +273,7 @@ class Rewriter:
                 _Item("ret", ()),
             ]
         if key in ("brbs", "brbc"):
-            target = old + 2 + 2 * instr.operands[1]
+            target = static_target(line)
             return [_Item(key, (instr.operands[0], ("oldbody", target)),
                           old_addr=old)]
         # everything else is safe and position-independent

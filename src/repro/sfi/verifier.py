@@ -46,7 +46,7 @@ Accepted modules satisfy:
 
 from dataclasses import dataclass, field
 
-from repro.asm.disassembler import disassemble
+from repro.asm.disassembler import disassemble, static_target
 from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sfi.layout import SfiLayout
@@ -213,7 +213,7 @@ class Verifier:
             was_restore = saw_restore_call
             saw_restore_call = False
             if key in ("call", "rcall"):
-                target = self._static_target(line)
+                target = static_target(line)
                 if target in self.entry_addrs:
                     report.calls_to_runtime += 1
                     if target == self.restore_addr:
@@ -238,7 +238,7 @@ class Verifier:
                         "call escapes the sandbox (target 0x{:04x})"
                         .format(target), addr)
             elif key in ("jmp", "rjmp"):
-                target = self._static_target(line)
+                target = static_target(line)
                 if target in self._allowed_jump_exits():
                     pass  # e.g. the fault entry inside an inline check
                 elif not start <= target < end:
@@ -251,7 +251,7 @@ class Verifier:
                     branch_targets.append((target, addr))
                     jump_targets.append((target, addr, depth))
             elif key in ("brbs", "brbc"):
-                target = addr + 2 + 2 * line.instr.operands[-1]
+                target = static_target(line)
                 if not start <= target < end:
                     self._violation(
                         "HL006",
@@ -404,10 +404,3 @@ class Verifier:
                     "HL007",
                     "bit write to unapproved I/O register 0x{:02x}"
                     .format(io), addr)
-
-    @staticmethod
-    def _static_target(line):
-        instr = line.instr
-        if instr.key in ("rcall", "rjmp"):
-            return line.byte_addr + 2 + 2 * instr.operands[0]
-        return instr.operands[0] * 2

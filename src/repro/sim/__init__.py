@@ -9,7 +9,7 @@ from repro.sim.errors import (
     SimError,
 )
 from repro.sim.devices import OutputPort, PeriodicTimer
-from repro.sim.events import AccessKind, BusEvent, BusTracer
+from repro.sim.events import AccessKind
 from repro.sim.interrupts import InterruptController
 from repro.sim.machine import CALL_SENTINEL_WORD, Machine
 from repro.sim.memory import Memory
@@ -26,8 +26,6 @@ __all__ = [
     "InvalidAccess",
     "SimError",
     "AccessKind",
-    "BusEvent",
-    "BusTracer",
     "OutputPort",
     "PeriodicTimer",
     "InterruptController",

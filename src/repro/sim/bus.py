@@ -80,7 +80,6 @@ class DataBus:
     def __init__(self, memory):
         self.memory = memory
         self.interposers = []
-        self.tracer = None
         self.cycle_hook = None  # callable returning current CPU cycle
         #: optional repro.trace.TraceSink; interposers read it off the
         #: bus at emission time (they receive the bus on every call)
@@ -123,7 +122,7 @@ class DataBus:
                 device.io_write(target, value)
             else:
                 self.memory.write_data(target, value)
-        if self.tracer is not None or self.trace is not None:
+        if self.trace is not None:
             self._observe(kind, addr, value, target, extra, True)
         return extra
 
@@ -149,19 +148,14 @@ class DataBus:
                 value = device.io_read(target)
             else:
                 value = self.memory.read_data(target)
-        if self.tracer is not None or self.trace is not None:
+        if self.trace is not None:
             self._observe(kind, addr, value, target, extra, False)
         return value, extra
 
     def _observe(self, kind, addr, value, target, extra, write):
-        """Hand one transaction to the bus tracer and the trace sink."""
-        if self.tracer is not None:
-            note = "" if target == addr else "redirected->0x{:04x}".format(
-                target)
-            self.tracer.record(self._now(), kind, addr, value, note)
-        if self.trace is not None:
-            self.trace.emit(self._now(), TraceEventKind.BUS_ACCESS,
-                            addr=addr, value=value, access=kind.value,
-                            write=write, stall=extra,
-                            **({"target": target} if target != addr
-                               else {}))
+        """Emit one transaction as a ``BUS_ACCESS`` trace event; a
+        redirected one carries its final address as ``target``."""
+        self.trace.emit(self._now(), TraceEventKind.BUS_ACCESS,
+                        addr=addr, value=value, access=kind.value,
+                        write=write, stall=extra,
+                        **({"target": target} if target != addr else {}))

@@ -423,8 +423,8 @@ class AvrCore:
 
     def _block_view(self):
         """This run's view (:data:`repro.sim.semantics.PLAIN`): the
-        kinds the bus units claim (all under a bus tracer or trace sink,
-        or a unit without ``kinds``), whether there are call hooks,
+        kinds the bus units claim (all under a bus trace sink, or a unit
+        without ``kinds``), whether there are call hooks,
         whether any I/O device is mapped, and the units whose fragments
         blocks render (:meth:`_fragment_units`)."""
         bus = self.bus
@@ -433,7 +433,7 @@ class AvrCore:
             kinds = getattr(unit, "kinds", None)
             claimed = _ALL_KINDS if kinds is None else claimed.union(kinds)
         units = None
-        if bus.tracer is not None or bus.trace is not None:
+        if bus.trace is not None:
             claimed = _ALL_KINDS
         elif bus.profiler is None and bus.metrics is None:
             units = self._fragment_units()

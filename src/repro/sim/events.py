@@ -1,4 +1,4 @@
-"""Bus access classification and trace events.
+"""Bus access classification.
 
 The UMPU functional units attach to the data bus and need to know *why*
 an access happens: the Memory Map Controller checks data stores, the
@@ -9,7 +9,6 @@ here they are the :class:`AccessKind` tag on each bus transaction.
 """
 
 import enum
-from dataclasses import dataclass
 
 
 class AccessKind(enum.Enum):
@@ -26,38 +25,3 @@ class AccessKind(enum.Enum):
     def is_write(self):
         return self in (AccessKind.DATA_STORE, AccessKind.STACK_PUSH,
                         AccessKind.RET_PUSH, AccessKind.IO_WRITE)
-
-
-@dataclass(frozen=True)
-class BusEvent:
-    """One bus transaction, as recorded by a :class:`BusTracer`."""
-
-    cycle: int
-    kind: AccessKind
-    addr: int
-    value: int
-    note: str = ""
-
-
-class BusTracer:
-    """Collects :class:`BusEvent` records; attach via ``bus.tracer``."""
-
-    def __init__(self, limit=100000):
-        self.events = []
-        self.limit = limit
-
-    def record(self, cycle, kind, addr, value, note=""):
-        if len(self.events) < self.limit:
-            self.events.append(BusEvent(cycle, kind, addr, value, note))
-
-    def clear(self):
-        self.events.clear()
-
-    def writes(self):
-        return [e for e in self.events if e.kind.is_write]
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self):
-        return len(self.events)

@@ -16,7 +16,6 @@ from repro.core.faults import ProtectionFault
 from repro.isa.registers import ATMEGA103
 from repro.sim.core import AvrCore
 from repro.sim.bus import DataBus
-from repro.sim.events import BusTracer
 from repro.sim.memory import Memory
 
 #: Sentinel return address (word addr) used by Machine.call: running code
@@ -60,11 +59,6 @@ class Machine:
         self.memory.sp = self.geometry.ramend if sp is None else sp
         self.memory.sreg = 0
         return self
-
-    def attach_tracer(self, limit=100000):
-        tracer = BusTracer(limit)
-        self.bus.tracer = tracer
-        return tracer
 
     def attach_trace(self, sink=None, capacity=65536):
         """Attach a structured :class:`repro.trace.TraceSink`."""
@@ -114,7 +108,7 @@ class Machine:
             Debugger(self)
         return self.core.debug
 
-    def attach_timeline(self, interval=None, keep_flash=True):
+    def attach_timeline(self, interval=None):
         """Attach a :class:`repro.trace.timeline.Timeline` recorder:
         keyframe :class:`~repro.sim.snapshot.MachineSnapshot`\\ s are
         captured every *interval* cycles during :meth:`run`/:meth:`call`
@@ -124,7 +118,7 @@ class Machine:
         Re-attaching returns the existing timeline."""
         from repro.trace.timeline import Timeline
         if self.timeline is None:
-            Timeline(self, interval=interval, keep_flash=keep_flash)
+            Timeline(self, interval=interval)
         return self.timeline
 
     def record_fault(self, fault):

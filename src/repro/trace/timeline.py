@@ -66,15 +66,11 @@ class Timeline:
     recording from the machine's current state.
     """
 
-    def __init__(self, machine, interval=None, keep_flash=True):
+    def __init__(self, machine, interval=None):
         self.machine = machine
         self.interval = int(interval) if interval else DEFAULT_INTERVAL
         if self.interval < 1:
             raise ValueError("keyframe interval must be >= 1 cycle")
-        #: share one immutable flash tuple across keyframes until a
-        #: flash write dirties it (runtime flash writes are rare; a
-        #: 64Ki-word copy per keyframe is not)
-        self.keep_flash = keep_flash
         self.recording = False
         self.finalized = False
         self._keyframes = []      # MachineSnapshots, position-ordered
@@ -86,12 +82,14 @@ class Timeline:
         self.seeks = 0
         self.reexec_cycles = 0    # total replayed cycles across seeks
         self.last_replay_fault = None
+        #: one immutable flash tuple shared across keyframes until a
+        #: flash write dirties it (runtime flash writes are rare; a
+        #: 64Ki-word copy per keyframe is not)
         self._flash_cache = None
         self._flash_dirty = True
         self._suspend_depth = 0
         machine.timeline = self
-        if keep_flash:
-            machine.memory.flash_listeners.append(self._on_flash_write)
+        machine.memory.flash_listeners.append(self._on_flash_write)
         self.record()
 
     # -- recording ------------------------------------------------------
@@ -147,15 +145,11 @@ class Timeline:
         machine = self.machine
         core = machine.core
         mem = machine.memory
-        if self.keep_flash:
-            if self._flash_dirty or self._flash_cache is None:
-                self._flash_cache = tuple(mem.flash)
-                self._flash_dirty = False
-            flash = self._flash_cache
-        else:
-            flash = tuple(mem.flash)
+        if self._flash_dirty:
+            self._flash_cache = tuple(mem.flash)
+            self._flash_dirty = False
         snap = MachineSnapshot(
-            data=bytes(mem.data), flash=flash, pc=core.pc,
+            data=bytes(mem.data), flash=self._flash_cache, pc=core.pc,
             cycles=core.cycles, instret=core.instret, halted=core.halted,
             extra=machine._snapshot_extra())
         self._keyframes.append(snap)
@@ -356,8 +350,7 @@ class Timeline:
         bus = machine.bus
         saved = (core.trace, core.profiler, core.metrics, core.debug,
                  core.watermark, core.watermark_hook, core.devices,
-                 bus.trace, bus.profiler, bus.metrics, bus.tracer,
-                 machine.forensics)
+                 bus.trace, bus.profiler, bus.metrics, machine.forensics)
         watch_unit = getattr(core.debug, "watch_unit", None)
         if watch_unit is not None and watch_unit in bus.interposers:
             bus.interposers.remove(watch_unit)
@@ -366,7 +359,7 @@ class Timeline:
         core.trace = core.profiler = core.metrics = core.debug = None
         core.watermark = core.watermark_hook = None
         core.devices = []
-        bus.trace = bus.profiler = bus.metrics = bus.tracer = None
+        bus.trace = bus.profiler = bus.metrics = None
         machine.forensics = None
         self._suspend_depth = 1
         try:
@@ -375,8 +368,7 @@ class Timeline:
             self._suspend_depth = 0
             (core.trace, core.profiler, core.metrics, core.debug,
              core.watermark, core.watermark_hook, core.devices,
-             bus.trace, bus.profiler, bus.metrics, bus.tracer,
-             machine.forensics) = saved
+             bus.trace, bus.profiler, bus.metrics, machine.forensics) = saved
             if watch_unit is not None:
                 bus.interposers.insert(0, watch_unit)
 

@@ -128,17 +128,16 @@ if fk_ and {u}.regs.enabled:
         """A cross-domain transition happened: trace the switch and
         attribute the frame-sequencing stall to the *old* domain (its
         state is what the safe stack is moving)."""
-        # getattr: unit tests drive the tracker with minimal core stubs
-        trace = getattr(core, "trace", None)
+        trace = core.trace
         if trace is not None:
             trace.emit(core.cycles, TraceEventKind.DOMAIN_SWITCH,
                        pc=core.pc * 2, domain=self.regs.cur_domain,
                        via=via, from_domain=old_domain,
                        to_domain=self.regs.cur_domain)
-        profiler = getattr(core, "profiler", None)
+        profiler = core.profiler
         if profiler is not None:
             profiler.charge(CAT_SAFE_STACK, stall, domain=old_domain)
-        metrics = getattr(core, "metrics", None)
+        metrics = core.metrics
         if metrics is not None:
             metrics.counter("cross_domain_transfers", via=via).inc()
             metrics.histogram("cross_domain_depth",

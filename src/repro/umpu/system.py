@@ -102,42 +102,8 @@ class UmpuSystem(ProtectedSystem):
                              "(they are placed by the loader)")
         offsets = {export: program.symbol(export) for export in exports}
         start, end = self.place(program)
-        # NOTE: modules must be position-independent w.r.t. absolute
-        # jumps; relative branches and jump-table calls survive the move
-        self._relocate_absolute(program, start // 2)
         self.machine.tracker.register_code_region(domain, start, end)
         return self._admit(
             UmpuModule(name=name, domain=domain, start=start, end=end,
                        exports={}),
             {export: start + offset for export, offset in offsets.items()})
-
-    def _relocate_absolute(self, program, base_word):
-        """Patch module-internal jmp/call targets for the load address
-        (the linker's relocation step; jump-table targets are absolute
-        and stay put)."""
-        from repro.isa.encoding import decode_words, encode
-        lo, hi = program.extent()
-        mem = self.machine.memory
-        idx = lo
-        while idx <= hi:
-            w0 = program.word(idx)
-            w1 = program.word(idx + 1) if idx + 1 <= hi else None
-            try:
-                instr = decode_words(w0, w1)
-            except Exception:
-                idx += 1
-                continue
-            if instr.key in ("jmp", "call"):
-                target_byte = instr.operands[0] * 2
-                if lo * 2 <= target_byte <= hi * 2 + 1:
-                    new = encode(instr.key,
-                                 ((base_word * 2 + target_byte) // 2,))
-                    mem.write_flash_word(base_word + (idx - lo), new[0])
-                    mem.write_flash_word(base_word + (idx - lo) + 1,
-                                         new[1])
-            idx += instr.size_words
-        # the patched words may sit at addresses the core has already
-        # executed (a reload at a reused base); never let it run stale
-        # decodes (write_flash_word also notifies the core per word)
-        self.machine.core.invalidate_decode_cache()
-        return program

@@ -18,8 +18,8 @@ Blocks call out to the bus for the access kinds its units claim, to
 the call hooks and to I/O devices.  The second half runs an
 ``UmpuMachine`` in an untrusted domain (MMC stalls and faults, the
 safe stack, cross-domain calls through the jump table, UMPU register
-writes) and plain machines with a bus tracer, an interposer claiming
-every kind and a device that raises an interrupt.  Every test also
+writes) and plain machines with an interposer claiming every kind and
+a device that raises an interrupt.  Every test also
 checks that blocks were entered, so none can pass vacuously.
 """
 
@@ -927,20 +927,6 @@ class Recorder(BusInterposer):
         core = self.core
         self.log.append(("r", kind, addr, core.pc, core.cycles,
                          core.instret))
-
-
-def test_bus_tracer_sees_the_step_loop_transactions():
-    src = looped_program(7)
-    fast, ref = Machine(assemble(src)), Machine(assemble(src))
-    entered = count_block_entries(fast.core)
-    tracers = [machine.attach_tracer() for machine in (fast, ref)]
-    fast.run()
-    ref.core.run = step_driven_run(ref.core)
-    ref.run()
-    assert entered
-    assert len(tracers[0]) > 200
-    assert tracers[0].events == tracers[1].events
-    assert_states_identical(fast, ref)
 
 
 def test_recorder_claiming_every_kind_sees_every_transaction():

@@ -27,6 +27,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 
@@ -94,8 +95,8 @@ class _Writer:
                 if low >= self.nfuncs:
                     return ["nop"]
                 callee = rng.randrange(low, self.nfuncs)
-            # a raw image is placed without relocation: only rcall
-            # keeps its intra-module edges under harbor-lint --unchecked
+            # raw modules keep rcall so their pinned bounds stay as
+            # they were; test_call_twin_lints_like_rcall covers call
             op = "rcall" if self.raw else rng.choice(["call", "rcall"])
             return ["{} f{}".format(op, callee)]
         if kind == "extern":
@@ -276,6 +277,44 @@ def test_bounds_match_golden(case, collected):
 
 def test_golden_covers_every_case(collected):
     assert sorted(collected) == sorted(_golden())
+
+
+def _unchecked_lint(argv):
+    """Finding codes and ``stack`` section of ``harbor-lint
+    --unchecked``."""
+    _status, doc = _cli_json(["lint", "--unchecked"] + argv +
+                             ["--format", "json"])
+    return ({f["code"] for f in doc["findings"]},
+            doc["analysis"]["stack"])
+
+
+@pytest.mark.parametrize("system", [[], ["--umpu"]], ids=["sfi", "umpu"])
+def test_call_twin_lints_like_rcall(system, tmp_path):
+    """Placing a raw image relocates its absolute calls: the ``call``
+    twin of each raw seeded module (``rcall fN`` -> ``call fN``) keeps
+    every internal call inside the module (no HL006) and has the same
+    stack bounds as the ``rcall`` form."""
+    twins = 0
+    for seed in SEEDS:
+        source, functions, handlers = structured_module(
+            seed, externs=("KERNEL_NOOP",) if seed % 2 else ())
+        twin = re.sub(r"\brcall (f\d+)", r"call \1", source)
+        if twin == source:
+            continue
+        twins += 1
+        bounds = []
+        for form, text in (("rcall", source), ("call", twin)):
+            # one file name for both forms: it names the region
+            path = tmp_path / form / "s{}.s".format(seed)
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+            codes, stack = _unchecked_lint(
+                system + ["{}:{}".format(path, ",".join(functions +
+                                                        handlers))])
+            assert "HL006" not in codes, (seed, form)
+            bounds.append(stack)
+        assert bounds[0] == bounds[1], seed
+    assert twins > len(SEEDS) // 2
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
 """Bus interposer mechanics and tracing."""
 
-import pytest
-
 from repro.sim import (
     AccessKind,
     BusInterposer,
-    BusTracer,
     DataBus,
     Memory,
     ReadAction,
     WriteAction,
 )
+from repro.trace import TraceEventKind, TraceSink
 
 
 class Recorder(BusInterposer):
@@ -114,30 +112,24 @@ def test_remove_interposer():
     assert not rec.writes
 
 
-def test_tracer_records_and_limits():
-    bus = DataBus(Memory())
-    tracer = BusTracer(limit=2)
-    bus.tracer = tracer
-    bus.write(0x200, 1)
-    bus.write(0x201, 2)
-    bus.write(0x202, 3)  # beyond limit, dropped
-    assert len(tracer) == 2
-    assert tracer.writes()[0].addr == 0x200
-    tracer.clear()
-    assert len(tracer) == 0
-
-
-def test_tracer_notes_redirects():
+def test_trace_sink_records_redirect_target():
     class Redirect(BusInterposer):
         def on_write(self, bus, addr, value, kind):
             return WriteAction(redirect=0x400)
 
-    bus = DataBus(Memory())
+    mem = Memory()
+    bus = DataBus(mem)
     bus.add_interposer(Redirect())
-    tracer = BusTracer()
-    bus.tracer = tracer
-    bus.write(0x200, 1)
-    assert "redirected" in tracer.events[0].note
+    bus.trace = TraceSink()
+    bus.write(0x200, 7)
+    bus.read(0x300)
+    write, read = bus.trace.of(TraceEventKind.BUS_ACCESS)
+    assert write.data == {"addr": 0x200, "value": 7, "access": "data_store",
+                          "write": True, "stall": 0, "target": 0x400}
+    assert mem.read_data(0x400) == 7
+    # an access that stays put carries no target
+    assert read.get("addr") == 0x300 and "target" not in read.data
+    assert read.get("write") is False
 
 
 def test_access_kind_is_write():

@@ -178,6 +178,7 @@ def make_tracker():
 
 class FakeCore:
     sp = 0xF80
+    trace = profiler = metrics = None
 
 
 def tracker_decision(tracker, target):

@@ -11,6 +11,7 @@ from repro.core.faults import (
 )
 from repro.core.encoding import TRUSTED_DOMAIN
 from repro.sim import Machine
+from repro.trace import TraceEventKind
 from repro.umpu import HarborLayout, UmpuMachine
 
 
@@ -196,11 +197,17 @@ def test_mmc_stall_is_exactly_one_cycle(machine):
 def test_safe_stack_holds_return_addresses(machine):
     """Return addresses live in the safe-stack region, not at SP."""
     machine.enter_trusted()
-    tracer = machine.attach_tracer()
+    sink = machine.attach_trace()
     machine.call("pusher")
-    ret_pushes = [e for e in tracer.events
-                  if e.kind.name == "RET_PUSH"]
+    ret_pushes = [e for e in sink.of(TraceEventKind.BUS_ACCESS)
+                  if e.get("access") == "ret_push"]
     assert ret_pushes, "no return-address traffic seen"
+    # the unit handles each byte itself and says where it went
+    landed = [e.get("target")
+              for e in sink.of(TraceEventKind.SAFE_STACK_REDIRECT)
+              if e.get("write")]
+    assert len(landed) == len(ret_pushes)
+    assert min(landed) >= LAYOUT.safe_stack_base
     # redirected writes actually landed in the safe-stack region: the
     # final safe_stack_ptr returned to base (balanced), and the bytes
     # below it hold the sentinel return address

@@ -268,6 +268,8 @@ def test_disabled_unit_passes_through():
 # domain tracker
 # ---------------------------------------------------------------------
 class FakeCore:
+    trace = profiler = metrics = None
+
     def __init__(self, sp=0xF80):
         self.sp = sp
 
