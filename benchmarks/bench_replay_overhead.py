@@ -2,11 +2,12 @@
 """Record-mode overhead of the time-travel timeline.
 
 The timeline recorder (``repro.trace.timeline``) keeps the core on the
-threaded-dispatch fast loop: the keyframe check rides the run loop's
-existing budget comparison (``bound = min(limit, watermark)``), so the
+threaded-dispatch fast loop: it is a ticked device, so its next
+keyframe joins the run loop's existing event horizon
+(``bound = min(limit, synced + cycles_to_event)``), the
 per-instruction cost of an armed recorder is zero and the only overhead
 is the keyframe capture itself (one data-space copy every *interval*
-cycles; flash is shared between keyframes until a flash write).
+cycles; flash is shared between keyframes until a flash change).
 
 This harness measures wall-clock instructions/sec of representative
 workloads bare vs. with a recording timeline attached at the default

@@ -13,7 +13,7 @@ measures, on the real runtime:
 from repro.analysis.tables import render_table
 from repro.asm import Assembler
 from repro.sfi.layout import FAULT_SS_OVERFLOW, SfiLayout
-from repro.sfi.runtime_asm import build_runtime, runtime_source
+from repro.sfi.runtime_asm import runtime_source
 from repro.sim import Machine
 
 LAYOUT = SfiLayout()

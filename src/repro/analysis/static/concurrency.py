@@ -6,7 +6,8 @@ over one :class:`~repro.analysis.static.cfg.RegionCFG`:
 
 1. **I-bit dataflow** — a forward fixpoint tracking the SREG
    interrupt-enable bit (``cli``/``sei``/``reti`` and the
-   ``in rX, SREG`` / ``out SREG, rX`` save-restore idiom) through every
+   ``in rX, SREG`` / ``out SREG, rX`` save-restore idiom, or its
+   ``lds``/``sts`` form at SREG's data address) through every
    block, partitioning instructions into *interrupt-atomic* (I provably
    clear before the instruction executes — the simulator polls pending
    lines before each fetch) and *interruptible* ones.
@@ -45,8 +46,10 @@ from repro.sim.semantics import DATA_ACCESS
 from repro.analysis.static import absint
 from repro.analysis.static.cfg import CALL_KEYS, depth_first, longest_paths
 
-#: SREG's I/O-space address (``in``/``out`` operand).
+#: SREG's I/O-space address (``in``/``out`` operand) and data-space
+#: address (``lds``/``sts`` operand).
 SREG_IO = 0x3F
+SREG_DATA = SREG_IO + 0x20
 #: bit 7 of SREG: the global interrupt enable.
 I_BIT = 7
 
@@ -390,6 +393,18 @@ class ConcurrencyAnalysis:
         return report
 
     # -- I-bit dataflow ------------------------------------------------
+    @staticmethod
+    def _sreg_move(key, ops):
+        """``("save", r)`` for ``in r, 0x3F`` / ``lds r, 0x5F``,
+        ``("restore", r)`` for ``out 0x3F, r`` / ``sts 0x5F, r``."""
+        if (key == "in" and ops[1] == SREG_IO) or \
+                (key == "lds" and ops[1] == SREG_DATA):
+            return ("save", ops[0])
+        if (key == "out" and ops[0] == SREG_IO) or \
+                (key == "sts" and ops[0] == SREG_DATA):
+            return ("restore", ops[1])
+        return None
+
     def _ibit_transfer(self, state, line):
         """One instruction over ``(i, saved)``; *saved* maps registers
         holding an ``in rX, SREG`` snapshot to the I value they hold."""
@@ -399,16 +414,17 @@ class ConcurrencyAnalysis:
             return (I_UNKNOWN, {})
         key = instr.key
         ops = instr.operands
+        move = self._sreg_move(key, ops)
         if key == "bclr" and ops[0] == I_BIT:
             i = I_OFF
         elif key == "bset" and ops[0] == I_BIT:
             i = I_ON
-        elif key == "in" and ops[1] == SREG_IO:
+        elif move is not None and move[0] == "save":
             saved = dict(saved)
-            saved[ops[0]] = i
+            saved[move[1]] = i
             return (i, saved)
-        elif key == "out" and ops[0] == SREG_IO:
-            i = saved.get(ops[1], I_UNKNOWN)
+        elif move is not None:
+            i = saved.get(move[1], I_UNKNOWN)
         elif key == "reti":
             i = I_ON
         elif key in CALL_KEYS or key == "icall":
@@ -465,8 +481,9 @@ class ConcurrencyAnalysis:
                     continue
                 key = instr.key
                 ops = instr.operands
+                move = self._sreg_move(key, ops)
                 if (key in ("bset", "bclr") and ops[0] == I_BIT) or \
-                        (key == "out" and ops[0] == SREG_IO) or \
+                        (move is not None and move[0] == "restore") or \
                         key in ("reti", "icall") or (
                             key in CALL_KEYS and
                             self._calls_by_addr[line.byte_addr].target

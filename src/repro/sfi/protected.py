@@ -91,7 +91,6 @@ class ProtectedSystem:
 
     def _flush_jump_table(self):
         self.linker.emit(self.machine.memory.write_flash_word)
-        self.machine.core.invalidate_decode_cache()
 
     # ------------------------------------------------------------------
     def kernel_symbols(self):
@@ -136,11 +135,10 @@ class ProtectedSystem:
 
     def _install(self, words, offset=0):
         """Write ``word address -> value`` *words* (shifted by *offset*
-        words) into flash and drop stale decodes."""
+        words) into flash; the flash listener drops stale decodes."""
         write = self.machine.memory.write_flash_word
         for word_addr, value in words.items():
             write(word_addr + offset, value)
-        self.machine.core.invalidate_decode_cache()
 
     def place(self, program):
         """Write *program* at the next load address (its origin moved

@@ -21,11 +21,11 @@ base_cycles)``, so the steady-state step is a dict probe plus one
 indirect call.
 
 :meth:`run` has one fast loop for runs with no trace sink, profiler
-or debugger.  It folds device events and timeline keyframes into its
-budget comparison and runs hot code as regions compiled from the same
-templates: one function per hot loop, holding a hot block and the
-blocks reachable from it by compile-time-known exits, which moves
-between them without returning to the loop.  A region reads and writes
+or debugger.  It folds device events into its budget comparison and
+runs hot code as regions compiled from the same templates: one
+function per hot loop, holding a hot block and the blocks reachable
+from it by compile-time-known exits, which moves between them without
+returning to the loop.  A region reads and writes
 ``memory.data`` directly except where something may act: a bus access
 of a kind some unit claims (:attr:`BusInterposer.kinds`), a call hook,
 a mapped I/O device.  There it calls out in handler form, or renders
@@ -34,6 +34,9 @@ the rest) when the run's units all supply them, and returns after that
 instruction.  When nothing may act at all it keeps r0-r31, SP and SREG
 in Python locals.  Both paths are cycle-for-cycle identical to
 :meth:`step` (asserted by the differential tests).
+
+Cycle events reach the core only from its devices (the timeline
+recorder among them), and flash changes only as flash-listener calls.
 """
 
 from repro.isa.encoding import DecodeError, decode_words, is_32bit_opcode
@@ -98,29 +101,16 @@ def _tick(devices, elapsed):
             device.tick(elapsed)
 
 
-def _next_event(devices, synced):
-    """Absolute cycle of the soonest device event, given devices synced
-    up to cycle *synced*; None when no device has one.  An event already
-    due fires at the end of the next step, as it would from ``step()``."""
-    due = None
+def _horizon(devices, synced, limit):
+    """The run loop's bound: the budget *limit*, or the absolute cycle
+    of the soonest device event when that is nearer, given devices
+    synced up to cycle *synced*.  An event already due fires at the end
+    of the next step, as it would from ``step()``."""
     for device in devices:
         left = device.cycles_to_event()
-        if left is not None:
-            at = synced + max(left, 1)
-            if due is None or at < due:
-                due = at
-    return due
-
-
-def _nearest(limit, watermark, due):
-    """The run loop's bound: the nearest of the budget limit, the
-    timeline watermark and the next device event."""
-    bound = limit
-    if watermark is not None and watermark < bound:
-        bound = watermark
-    if due is not None and due < bound:
-        bound = due
-    return bound
+        if left is not None and synced + max(left, 1) < limit:
+            limit = synced + max(left, 1)
+    return limit
 
 
 class AvrCore:
@@ -157,14 +147,6 @@ class AvrCore:
         self.debug = None
         #: optional repro.trace.metrics.MetricsRegistry
         self.metrics = None
-        #: cycle watermark (absolute cycle count) at which
-        #: ``watermark_hook(core)`` fires, at instruction boundaries on
-        #: both run paths; the timeline recorder drops keyframes with it.
-        #: The fast loop folds it into its bound, so it costs nothing
-        #: per step.  The hook must advance (or clear) ``watermark``
-        #: past the current cycle before returning.
-        self.watermark = None
-        self.watermark_hook = None
         #: callable returning the active protection domain (set by
         #: UmpuMachine); None on cores without protection hardware
         self.domain_provider = None
@@ -268,8 +250,9 @@ class AvrCore:
         return entry
 
     def invalidate_decode_cache(self):
-        """Call after rewriting flash at runtime.  Drops the compiled
-        blocks as well."""
+        """Drop every decode and compiled block.  Flash writes through
+        :class:`~repro.sim.memory.Memory` need no call: the flash
+        listener drops what they make stale."""
         self._decode_cache.clear()
         self._drop_blocks()
 
@@ -284,7 +267,11 @@ class AvrCore:
         covers the word (a 32-bit instruction starting one word earlier
         spans it too), and every region that read it, at all of its
         entries.  The cached entry carries the bound handler, so
-        dropping it unbinds the stale executor as well."""
+        dropping it unbinds the stale executor as well.  A *word_addr*
+        of None (all of flash changed) drops everything."""
+        if word_addr is None:
+            self.invalidate_decode_cache()
+            return
         cache = self._decode_cache
         if cache:
             cache.pop(word_addr, None)
@@ -415,9 +402,6 @@ class AvrCore:
             if spent >= max_cycles:
                 raise CycleLimitExceeded(max_cycles,
                                          overshoot=spent - max_cycles)
-            watermark = self.watermark
-            if watermark is not None and self.cycles >= watermark:
-                self.watermark_hook(self)
             self.step()
         return self.cycles - start
 
@@ -480,14 +464,14 @@ class AvrCore:
         as repeated :meth:`step` calls.
 
         One comparison per iteration guards every loop event: ``bound``
-        is the nearest of the budget limit, the timeline watermark and
-        the next device event (``cycles_to_event()``).  At the first
-        boundary on or past it the loop ticks every device with the
-        cycles since the last sync (the boundary where :meth:`step`
-        would have fired it), checks the budget, fires the watermark
-        hook and recomputes the bound; the remainder is synced on every
-        exit.  A step that raises ticks none of its cycles, an interrupt
-        entry it began with included.  A pending interrupt line costs
+        is the nearer of the budget limit and the next device event
+        (``cycles_to_event()``; the timeline recorder is a device too).
+        At the first boundary on or past it the loop ticks every device
+        with the cycles since the last sync (the boundary where
+        :meth:`step` would have fired it), checks the budget and
+        recomputes the bound; the remainder is synced on every exit.
+        A step that raises ticks none of its cycles, an interrupt entry
+        it began with included.  A pending interrupt line costs
         one truthiness check on the controller's pending-set.
 
         A PC gets its entry on its ``_HOT``-th visit: into the region of
@@ -511,11 +495,9 @@ class AvrCore:
         blocks = self._blocks
         data = self.memory.data
         limit = start + max_cycles
-        watermark = self.watermark
         devices = self.devices
         synced = start  # cycle the devices were last ticked up to
-        due = _next_event(devices, synced) if devices else None
-        bound = _nearest(limit, watermark, due)
+        bound = _horizon(devices, synced, limit)
         outer, self._bound = self._bound, bound
         interrupts = self.interrupts
         pending = interrupts.pending if interrupts is not None else None
@@ -530,19 +512,14 @@ class AvrCore:
                     break
                 cycles = self.cycles
                 if cycles >= bound:
-                    if due is not None and cycles >= due:
-                        elapsed, synced = cycles - synced, cycles
-                        _tick(devices, elapsed)
-                        due = _next_event(devices, synced)
+                    # sync the devices (no event lies before bound, so
+                    # none fires early), then check the budget
+                    _tick(devices, cycles - synced)
+                    synced = cycles
                     if cycles >= limit:
                         raise CycleLimitExceeded(
                             max_cycles, overshoot=cycles - limit)
-                    if watermark is not None and cycles >= watermark:
-                        # fire the hook (a snapshot capture — read-only)
-                        # and re-derive the bound from the new watermark
-                        self.watermark_hook(self)
-                        watermark = self.watermark
-                    bound = self._bound = _nearest(limit, watermark, due)
+                    bound = self._bound = _horizon(devices, synced, limit)
                     continue
                 if pending:
                     # same boundary step() polls at: after the budget

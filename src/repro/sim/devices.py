@@ -12,10 +12,10 @@ has none.  ``AvrCore.step`` ticks after every instruction; the fast
 run loop ticks only at the boundary where the nearest event falls due
 (and on exit), so a device must produce the same result from one large
 tick as from many small ones summing to it.  Devices do not stall the
-CPU.
+CPU.  Devices tick in install order, so a keyframe of the timeline
+recorder (a device too) sees the effects of the devices installed
+before it: install peripherals first.
 """
-
-from repro.sim.events import AccessKind
 
 
 class PeriodicTimer:

@@ -49,7 +49,6 @@ class Machine:
             raise TypeError("expected an assembled Program")
         self.program = program
         self.memory.load_program(program)
-        self.core.invalidate_decode_cache()
         return self
 
     def reset(self, sp=None):
@@ -112,8 +111,8 @@ class Machine:
         """Attach a :class:`repro.trace.timeline.Timeline` recorder:
         keyframe :class:`~repro.sim.snapshot.MachineSnapshot`\\ s are
         captured every *interval* cycles during :meth:`run`/:meth:`call`
-        (fast path included — the check rides the run loop's existing
-        budget comparison), enabling ``seek``/``window``/replay,
+        (fast path included — the recorder is a device; install
+        peripherals first), enabling ``seek``/``window``/replay,
         reverse-step in the debugger and replay-backed forensics.
         Re-attaching returns the existing timeline."""
         from repro.trace.timeline import Timeline
@@ -158,7 +157,7 @@ class Machine:
     def restore(self, snap):
         """Restore a state captured by :meth:`snapshot`.  Attached
         observers (trace/profiler/metrics/debugger) are left in place;
-        the decode cache is invalidated."""
+        the flash listeners learn that all of flash changed."""
         snap.apply(self)
         return self
 

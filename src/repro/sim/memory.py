@@ -22,9 +22,9 @@ class Memory:
         #: registers, which live in the I/O window).
         self.io_devices = {}
         #: callables notified with the word address of every flash
-        #: write; the core registers one to drop stale decode-cache
-        #: entries, so runtime flash patching (relocation, jump-table
-        #: flushes, self-modification) can never execute stale decodes.
+        #: write, or with None when all of flash changed; the core
+        #: registers one to drop stale decode-cache entries, so no flash
+        #: change can leave a stale decode behind.
         self.flash_listeners = []
 
     # --- data space --------------------------------------------------
@@ -120,6 +120,13 @@ class Memory:
         self.flash[word_addr] = value & 0xFFFF
         for listener in self.flash_listeners:
             listener(word_addr)
+
+    def replace_flash(self, words):
+        """Replace all of flash with *words* (one value per flash word)
+        and tell each listener once that all of flash changed."""
+        self.flash[:] = words
+        for listener in self.flash_listeners:
+            listener(None)
 
     def read_flash_byte(self, byte_addr):
         word = self.read_flash_word(byte_addr >> 1)

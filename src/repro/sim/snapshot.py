@@ -16,8 +16,9 @@ Guarantees (pinned by ``tests/test_soundness.py``):
 * ``restore(snapshot(m))`` followed by N steps is state- and
   write-log-identical to running the N steps directly, on both the
   instrumented ``step()`` path and the threaded-dispatch fast loop;
-* restore invalidates the decode cache, so a snapshot taken before a
-  flash write can never replay stale decodes;
+* restore tells every flash listener that all of flash changed, so a
+  snapshot taken before a flash write can never replay stale decodes
+  or leave a recorder with stale flash;
 * observers (trace sinks, profilers, debuggers, metrics) are *not*
   part of the snapshot — they are measurement equipment, not machine
   state, and survive a restore unchanged.
@@ -102,15 +103,11 @@ class MachineSnapshot:
     def apply(self, machine):
         mem = machine.memory
         mem.data[:] = self.data
-        mem.flash[:] = self.flash
+        mem.replace_flash(self.flash)
         core = machine.core
         core.pc = self.pc
         core.cycles = self.cycles
         core.instret = self.instret
         core.halted = self.halted
-        # flash was replaced wholesale without per-word listener
-        # notification; dropping the whole decode cache restores the
-        # same no-stale-decode invariant
-        core.invalidate_decode_cache()
         machine._restore_extra(self.extra)
         return machine

@@ -18,7 +18,7 @@ default) or **unprotected** (stores go straight to memory) — the latter
 demonstrates what the paper's Surge bug does to a node without Harbor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.encoding import TRUSTED_DOMAIN
 from repro.core.faults import ProtectionFault

@@ -18,7 +18,7 @@ Message ABI for module handlers (an exported function, by default
 * r25:r24 on return = handler result (0 if unused)
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.faults import ProtectionFault
 from repro.sos.messaging import KERNEL_PID, Message, MessageQueue

@@ -26,8 +26,9 @@ Six pieces:
 * :class:`Debugger` — data watchpoints and PC breakpoints; attaching
   one moves the core off the fast loop (cycle counts unchanged).
 * :class:`Timeline` / :class:`BlockHeat` — cycle-indexed record/replay:
-  keyframe snapshots every N cycles (fast path included, via the core's
-  cycle watermark), ``seek``/``window``/full replay, reverse-step,
+  keyframe snapshots every N cycles (fast path included: the recorder
+  is a ticked device of the core), ``seek``/``window``/full replay,
+  reverse-step,
   replay-backed forensic windows and per-basic-block heat profiles
   (speedscope export).  Attach with ``Machine.attach_timeline()``.
 

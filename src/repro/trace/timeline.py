@@ -1,11 +1,11 @@
 """Time-travel execution timeline: cycle-indexed record/replay.
 
 A :class:`Timeline` turns a run into a seekable recording.  While
-attached it drops keyframe :class:`~repro.sim.snapshot.MachineSnapshot`
-captures every *interval* cycles — on the threaded-dispatch fast loop
-as well as the instrumented ``step()`` path, via the core's cycle
-watermark, which rides the run loop's existing budget comparison and
-therefore costs nothing per instruction.  Afterwards (or mid-fault)
+recording it is a device in ``core.devices`` that drops keyframe
+:class:`~repro.sim.snapshot.MachineSnapshot` captures every *interval*
+cycles, at the same boundaries on the threaded-dispatch fast loop (whose
+event horizon it joins, at no cost per instruction) as on the
+instrumented ``step()`` path.  Afterwards (or mid-fault)
 :meth:`Timeline.seek` restores the nearest keyframe at-or-before the
 target cycle and deterministically re-executes up to it, giving
 
@@ -59,11 +59,14 @@ class Timeline:
     """Keyframe recorder + replay engine for one machine.
 
     Construction attaches immediately (``machine.timeline`` is set and
-    the core watermark is armed); use ``Machine.attach_timeline()``.
-    The first :meth:`seek`/:meth:`window`/:meth:`replay` finalizes the
-    recording: the current state is pinned as the end keyframe and the
-    watermark is disarmed.  Call :meth:`record` to start a fresh
-    recording from the machine's current state.
+    :meth:`record` joins ``core.devices``); use
+    ``Machine.attach_timeline()``.  The first
+    :meth:`seek`/:meth:`window`/:meth:`replay` finalizes the recording:
+    the current state is pinned as the end keyframe and the recorder
+    leaves ``core.devices``.  As a device it counts the cycles ticked
+    since the last interval keyframe, :meth:`record` or
+    :meth:`begin_run`, as :class:`~repro.sim.devices.PeriodicTimer`
+    counts since its last fire.
     """
 
     def __init__(self, machine, interval=None):
@@ -83,11 +86,12 @@ class Timeline:
         self.reexec_cycles = 0    # total replayed cycles across seeks
         self.last_replay_fault = None
         #: one immutable flash tuple shared across keyframes until a
-        #: flash write dirties it (runtime flash writes are rare; a
+        #: flash change dirties it (runtime flash writes are rare; a
         #: 64Ki-word copy per keyframe is not)
         self._flash_cache = None
         self._flash_dirty = True
         self._suspend_depth = 0
+        self._elapsed = 0         # cycles ticked toward the next keyframe
         machine.timeline = self
         machine.memory.flash_listeners.append(self._on_flash_write)
         self.record()
@@ -95,14 +99,15 @@ class Timeline:
     # -- recording ------------------------------------------------------
     def record(self):
         """(Re-)arm recording from the machine's current state."""
-        core = self.machine.core
+        devices = self.machine.core.devices
         self.recording = True
         self.finalized = False
         self._kf_cycles = self._kf_instrets = None
-        self._capture("begin" if not self._keyframes else "record")
-        self._segment_starts.append(len(self._keyframes) - 1)
-        core.watermark = core.cycles + self.interval
-        core.watermark_hook = self._on_watermark
+        self._segment_starts.append(
+            self._capture("begin" if not self._keyframes else "record"))
+        self._elapsed = 0
+        if self not in devices:
+            devices.append(self)
         return self
 
     def begin_run(self):
@@ -116,14 +121,20 @@ class Timeline:
         """
         if not self.recording:
             return
-        core = self.machine.core
-        self._capture("run")
-        self._segment_starts.append(len(self._keyframes) - 1)
-        core.watermark = core.cycles + self.interval
+        self._segment_starts.append(self._capture("run"))
+        self._elapsed = 0
 
-    def _on_watermark(self, core):
-        self._capture("interval")
-        core.watermark = core.cycles + self.interval
+    def tick(self, cycles):
+        """Device contract: keyframe once *interval* cycles have passed."""
+        if not self.recording:
+            return
+        self._elapsed += cycles
+        if self._elapsed >= self.interval:
+            self._capture("interval")
+            self._elapsed = 0
+
+    def cycles_to_event(self):
+        return self.interval - self._elapsed if self.recording else None
 
     def note_fault(self, fault):
         """Pin the at-fault state (called by ``Machine.record_fault``
@@ -171,9 +182,9 @@ class Timeline:
         if self.recording:
             self._capture("end")
             self.recording = False
-            core = self.machine.core
-            core.watermark = None
-            core.watermark_hook = None
+            devices = self.machine.core.devices
+            if self in devices:
+                devices.remove(self)
         self.finalized = True
         self._kf_cycles = [kf.cycles for kf in self._keyframes]
         self._kf_instrets = [kf.instret for kf in self._keyframes]
@@ -222,48 +233,33 @@ class Timeline:
         stopped there by a cycle budget.  Targets at-or-past the end of
         the recording clamp to the recorded end state; targets before
         the recording raise ``ValueError``.  Returns the machine."""
+        return self._seek("cycle", cycle)
+
+    def seek_instret(self, n):
+        """Like :meth:`seek` but indexed by retired-instruction count."""
+        return self._seek("instret", n)
+
+    def _seek(self, axis, target):
         self.finalize()
         kfs = self._keyframes
         if not kfs:
             raise RuntimeError("timeline holds no keyframes")
-        if cycle < kfs[0].cycles:
+        positions = self._kf_cycles if axis == "cycle" else self._kf_instrets
+        if target < positions[0]:
             raise ValueError(
-                "cycle {} predates the recording (starts at {})".format(
-                    cycle, kfs[0].cycles))
+                "{} {} predates the recording (starts at {})".format(
+                    axis, target, positions[0]))
         self.seeks += 1
-        if cycle >= kfs[-1].cycles:
+        if target >= positions[-1]:
             # nothing recorded past the end; there is nothing
             # deterministic to re-execute beyond it
             kfs[-1].apply(self.machine)
             return self.machine
-        idx = bisect_right(self._kf_cycles, cycle) - 1
-        kf = kfs[idx]
-        kf.apply(self.machine)
-        if kf.cycles < cycle:
-            self._reexec(target_cycle=cycle,
-                         end_instret=self._segment_end_instret(idx))
-        return self.machine
-
-    def seek_instret(self, n):
-        """Like :meth:`seek` but indexed by retired-instruction count."""
-        self.finalize()
-        kfs = self._keyframes
-        if not kfs:
-            raise RuntimeError("timeline holds no keyframes")
-        if n < kfs[0].instret:
-            raise ValueError(
-                "instret {} predates the recording (starts at {})".format(
-                    n, kfs[0].instret))
-        self.seeks += 1
-        if n >= kfs[-1].instret:
-            kfs[-1].apply(self.machine)
-            return self.machine
-        idx = bisect_right(self._kf_instrets, n) - 1
-        kf = kfs[idx]
-        kf.apply(self.machine)
-        if kf.instret < n:
-            self._reexec(target_instret=n,
-                         end_instret=self._segment_end_instret(idx))
+        idx = bisect_right(positions, target) - 1
+        kfs[idx].apply(self.machine)
+        if positions[idx] < target:
+            self._reexec(end_instret=self._segment_end_instret(idx),
+                         **{"target_" + axis: target})
         return self.machine
 
     def _segment_end_instret(self, kf_index):
@@ -349,15 +345,14 @@ class Timeline:
         core = machine.core
         bus = machine.bus
         saved = (core.trace, core.profiler, core.metrics, core.debug,
-                 core.watermark, core.watermark_hook, core.devices,
-                 bus.trace, bus.profiler, bus.metrics, machine.forensics)
+                 core.devices, bus.trace, bus.profiler, bus.metrics,
+                 machine.forensics)
         watch_unit = getattr(core.debug, "watch_unit", None)
         if watch_unit is not None and watch_unit in bus.interposers:
             bus.interposers.remove(watch_unit)
         else:
             watch_unit = None
         core.trace = core.profiler = core.metrics = core.debug = None
-        core.watermark = core.watermark_hook = None
         core.devices = []
         bus.trace = bus.profiler = bus.metrics = None
         machine.forensics = None
@@ -367,8 +362,8 @@ class Timeline:
         finally:
             self._suspend_depth = 0
             (core.trace, core.profiler, core.metrics, core.debug,
-             core.watermark, core.watermark_hook, core.devices,
-             bus.trace, bus.profiler, bus.metrics, machine.forensics) = saved
+             core.devices, bus.trace, bus.profiler, bus.metrics,
+             machine.forensics) = saved
             if watch_unit is not None:
                 bus.interposers.insert(0, watch_unit)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm import AsmError, Assembler, assemble
 from repro.asm.assembler import parse_register
-from repro.isa.encoding import decode_words, encode
+from repro.isa.encoding import decode_words
 
 
 def words_of(program):

@@ -9,7 +9,7 @@ are the fast-path fuzz generators of
 past the hotness count, plus a hand-written loop over the opcodes the
 generators do not emit.  Each scenario stops, interrupts or faults a
 run inside a block's span: a cycle budget, ``until_pc`` on an interior
-PC, a watermark hook, a timer interrupt, a store past the data space,
+PC, a recording device, a timer interrupt, a store past the data space,
 a flash write into a block and a snapshot restore.  A second set
 repeats these on a loop of several blocks, landing each event on a move
 into a block that is not the region's entry.
@@ -29,6 +29,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.core.faults import ConfigFault, MemMapFault
+from repro.sfi import SfiSystem
 from repro.sim import (
     BusInterposer,
     CycleLimitExceeded,
@@ -239,23 +240,47 @@ def test_until_pc_on_an_interior_pc(src):
         assert_states_identical(fast, ref)
 
 
+class Probe:
+    """A ticked device that records ``snap()`` at each of its events:
+    every *interval* cycles since the last one (relative, as
+    :class:`PeriodicTimer` counts), or at each cycle of *marks*."""
+
+    def __init__(self, core, snap, interval=None, marks=()):
+        self.snap, self.interval = snap, interval
+        self.marks = list(marks)
+        self.now = self.elapsed = 0
+        self.seen = []
+        core.devices.append(self)
+
+    def tick(self, cycles):
+        self.now += cycles
+        self.elapsed += cycles
+        left = self.cycles_to_event()
+        if left is not None and left <= 0:
+            self.seen.append(self.snap())
+            self.elapsed = 0
+            while self.marks and self.marks[0] <= self.now:
+                self.marks.pop(0)
+
+    def cycles_to_event(self):
+        if self.interval is not None:
+            return self.interval - self.elapsed
+        return self.marks[0] - self.now if self.marks else None
+
+
+def core_state(core):
+    return (core.cycles, core.instret, core.pc, bytes(core.memory.data))
+
+
 @pytest.mark.parametrize("interval", [7, 23, 61])
 def test_watermark_hook_inside_block_spans(interval):
-    """The hook fires at the same boundaries, seeing the same state, as
-    on the instrumented path."""
+    """A device's events fall at the same boundaries, seeing the same
+    state, as on the instrumented path."""
     src = looped_program(11)
 
     def watched(machine):
-        seen = []
         core = machine.core
-
-        def hook(core_):
-            seen.append((core_.cycles, core_.instret, core_.pc,
-                         bytes(core_.memory.data)))
-            core_.watermark = core_.cycles + interval
-        core.watermark = interval
-        core.watermark_hook = hook
-        return seen
+        return Probe(core, lambda: core_state(core), interval).seen
 
     fast = Machine(assemble(src))
     entered = count_block_entries(fast.core)
@@ -515,24 +540,14 @@ def test_budget_ending_on_a_move_between_blocks(pick):
 
 
 def test_watermark_on_moves_between_blocks():
-    """A watermark at every tenth such boundary: the hook sees what it
-    sees on the instrumented path."""
+    """A device event at every tenth such boundary: the device sees
+    what it sees on the instrumented path."""
     program = region_loop()
     marks = [at for at, _pc in member_boundaries(program, 6000)][::10]
 
     def watched(machine):
-        seen, pending = [], list(marks)
         core = machine.core
-
-        def hook(core_):
-            seen.append((core_.cycles, core_.instret, core_.pc,
-                         bytes(core_.memory.data)))
-            while pending and pending[0] <= core_.cycles:
-                pending.pop(0)
-            core_.watermark = pending[0] if pending else None
-        core.watermark = pending[0]
-        core.watermark_hook = hook
-        return seen
+        return Probe(core, lambda: core_state(core), marks=marks).seen
 
     fast, ref = Machine(program), Machine(program)
     entered = count_block_entries(fast.core)
@@ -889,15 +904,9 @@ def test_umpu_until_pc_on_an_interior_pc():
 @pytest.mark.parametrize("interval", [5, 19, 47])
 def test_umpu_watermark_hook_inside_block_spans(interval):
     def watched(machine):
-        seen = []
-
-        def hook(core):
-            seen.append((core.cycles, core.instret, core.pc,
-                         machine.regs.cur_domain, bytes(core.memory.data)))
-            core.watermark = core.cycles + interval
-        machine.core.watermark = interval
-        machine.core.watermark_hook = hook
-        return seen
+        core = machine.core
+        return Probe(core, lambda: core_state(core) + (
+            machine.regs.cur_domain,), interval).seen
 
     fast, ref, entered, _runs = umpu_pair()
     fast_seen, ref_seen = watched(fast), watched(ref)
@@ -1050,3 +1059,56 @@ def test_device_write_raising_an_interrupt_ends_its_block():
     assert entered
     assert fast_irq.taken == ref_irq.taken == 20
     assert_states_identical(fast, ref)
+
+
+CHECKSUM_MODULE = """
+checksum:                   ; r24 = trips -> r24 = checksum
+    mov r18, r24
+    clr r24
+loop:
+    add r24, r18
+    eor r24, r18
+    swap r24
+    dec r18
+    brne loop
+    ret
+"""
+
+
+def test_second_module_load_keeps_the_first_modules_blocks():
+    """A load writes only its own words and the jump table, so the
+    flash listener leaves the first module's compiled entries in place,
+    and the first module then runs as it does from step()."""
+    def node(fast):
+        system = SfiSystem()
+        system.load_module(assemble(CHECKSUM_MODULE, "first"), "first",
+                           exports=("checksum",))
+        if not fast:
+            system.machine.core.run = step_driven_run(system.machine.core)
+        return system
+
+    fast, ref = node(True), node(False)
+    core = fast.machine.core
+    entered = count_block_entries(core)
+    module = fast.modules["first"]
+    words = range(module.start // 2, module.end // 2)
+
+    def first_module_entries():
+        return {pc for pc, block in core._blocks.items()
+                if block[0] is not None and pc in words}
+
+    for system in (fast, ref):
+        for _ in range(2):  # the second call compiles the entry block
+            system.call_export("first", "checksum", ("u8", 60))
+    compiled = first_module_entries()
+    assert compiled
+    for system in (fast, ref):
+        system.load_module(assemble(CHECKSUM_MODULE, "second"), "second",
+                           exports=("checksum",))
+    assert first_module_entries() == compiled
+    entered.clear()
+    results = [system.call_export("first", "checksum", ("u8", 60))
+               for system in (fast, ref)]
+    assert compiled & set(entered)
+    assert results[0] == results[1]
+    assert_states_identical(fast.machine, ref.machine)

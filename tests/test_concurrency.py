@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.analysis.static.cfg import RegionCFG
 from repro.analysis.static.concurrency import (
     ConcurrencyAnalysis,
-    IsrInfo,
     find_isr_labels,
     publish_gauges,
     vector_table_isrs,
@@ -159,28 +158,62 @@ def test_vector_table_discovery():
 # =====================================================================
 # I-bit partition and the latency certificate
 # =====================================================================
-def test_sreg_save_restore_idiom_keeps_region_atomic():
-    """in/cli/.../out SREG restore: the region stays atomic through the
-    restore because the saved I value flows back out of the register."""
+@pytest.mark.parametrize("save,restore,racing", [
+    ("in r18, 0x3f", "out 0x3f, r18", 10),
+    ("lds r18, 0x5f", "sts 0x5f, r18", 14),
+], ids=["in-out", "lds-sts"])
+def test_sreg_save_restore_idiom_keeps_region_atomic(save, restore, racing):
+    """save/cli/.../restore SREG, through its I/O address or its data
+    address: the region stays atomic through the restore because the
+    saved I value flows back out of the register."""
     src = ("f:\n"
-           "    in r18, 0x3f\n"
+           "    {}\n"
            "    cli\n"
            "    sts 0x0700, r24\n"
-           "    out 0x3f, r18\n"
+           "    {}\n"
            "    sts 0x0701, r24\n"
            "    ret\n"
            "isr_tick:\n"
            "    sts 0x0700, r25\n"
            "    sts 0x0701, r25\n"
-           "    reti\n")
+           "    reti\n").format(save, restore)
     program = assemble(src)
     report = analyze(src, mainline=["f"])
-    # f is a mainline entry, so I is ON when `in r18` snapshots it; the
-    # store inside cli/out is protected, while the store after the
+    # f is a mainline entry, so I is ON when the save snapshots it; the
+    # store inside cli/restore is protected, while the store after the
     # restore runs with I back ON and is the single racing site
     assert len(report.races) == 1
     assert report.races[0].mainline.byte_addr == \
-        program.symbols["f"] + 10
+        program.symbols["f"] + racing
+
+
+def test_sts_to_sreg_ends_the_atomic_region():
+    """``sts 0x5F`` writes SREG as ``out 0x3F`` does: storing a constant
+    with I set re-enables interrupts, so the counter update after it
+    races the ISR (HL019) and tears (HL020)."""
+    src = ("f:\n"
+           "    cli\n"
+           "    lds r24, 0x0700\n"
+           "    lds r25, 0x0701\n"
+           "    adiw r24, 1\n"
+           "    ldi r23, 0x80\n"
+           "    sts 0x5f, r23\n"
+           "    sts 0x0700, r24\n"
+           "    sts 0x0701, r25\n"
+           "    ret\n"
+           "isr_tick:\n"
+           "    lds r24, 0x0700\n"
+           "    inc r24\n"
+           "    sts 0x0700, r24\n"
+           "    reti\n")
+    program = assemble(src)
+    engine = DiagnosticsEngine()
+    report = analyze(src, engine=engine, mainline=["f"])
+    store = program.symbols["f"] + 18
+    assert [race.mainline.byte_addr for race in report.races] == [store]
+    assert not report.races[0].mainline.atomic
+    assert len(report.torn) == 1
+    assert {d.code for d in engine.findings} == {"HL019", "HL020"}
 
 
 @pytest.mark.parametrize("clobber", ["mul r24, r25", "mov r0, r24"])

@@ -233,12 +233,13 @@ def _timeline_rig(recorded, instrumented=False, period=50):
     if recorded:
         timeline = machine.attach_timeline(interval=period)
         marks = []
-        hook = machine.core.watermark_hook
+        capture = timeline._capture
 
-        def recording_hook(core):
-            marks.append(core.cycles)
-            hook(core)
-        machine.core.watermark_hook = recording_hook
+        def recording_capture(tag):
+            if tag == "interval":
+                marks.append(machine.core.cycles)
+            return capture(tag)
+        timeline._capture = recording_capture
     if instrumented:
         machine.attach_trace()
     return machine, timer, timeline, fires, marks

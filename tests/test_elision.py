@@ -31,7 +31,6 @@ from repro.analysis.static.elision import (
     PROOF_IN_DOMAIN,
     PROOF_UNKNOWN,
     StoreProver,
-    build_manifest,
     image_checksum,
     verify_manifest,
 )

@@ -10,7 +10,7 @@ from repro.core.memmap import MemMapConfig
 from repro.sfi import SfiSystem
 from repro.sfi.layout import SfiLayout
 from repro.sim import Machine
-from repro.sos import SosKernel, SosModule, Subscription
+from repro.sos import SosKernel, SosModule
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,6 @@ space the paper leaves as future work)."""
 import pytest
 
 from repro.asm import assemble, disassemble
-from repro.core.faults import MemMapFault
 from repro.sfi.inline import InlineRewriter, TemplateVerifier, build_core
 from repro.sfi.layout import FAULT_NAMES, SfiLayout
 from repro.sfi.rewriter import Rewriter

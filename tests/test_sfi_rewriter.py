@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.asm import Assembler, assemble, disassemble
+from repro.asm import assemble, disassemble
 from repro.sfi.layout import SfiLayout
 from repro.sfi.rewriter import RewriteError, Rewriter
 from repro.sfi.runtime_asm import build_runtime

@@ -20,7 +20,6 @@ from repro.sfi.runtime_asm import (
     build_runtime,
     runtime_source,
 )
-from repro.sim import Machine
 
 LAYOUT = SfiLayout()
 

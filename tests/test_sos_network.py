@@ -1,12 +1,9 @@
 """Multi-node collection network: topology, forwarding, and the
 network-level impact of the Surge bug (the paper's motivation)."""
 
-import pytest
-
 from repro.sos import (
     FixedSurgeModule,
     SensorNetwork,
-    SurgeModule,
 )
 
 

@@ -6,8 +6,6 @@ a failed function call to the Tree routing module was being used to
 determine an offset into a buffer."
 """
 
-import pytest
-
 from repro.core.faults import MemMapFault, ProtectionFault
 from repro.sos import (
     FixedSurgeModule,

@@ -127,6 +127,22 @@ def test_seek_bounds():
     assert state_of(machine) == end_state
 
 
+def test_keyframe_after_a_restore_holds_the_restored_flash():
+    """A restore replaces all of flash through the flash listeners, so
+    the recorder's next keyframe re-reads flash instead of reusing the
+    copy it cached before the restore."""
+    machine = Machine(assemble("break\n"))
+    old = machine.snapshot()
+    timeline = machine.attach_timeline()
+    machine.memory.write_flash_word(0x100, 0x1234)
+    timeline.mark()
+    machine.restore(old)
+    timeline.mark()
+    written, restored = timeline.keyframes[-2:]
+    assert written.flash[0x100] == 0x1234
+    assert restored.flash[0x100] == machine.memory.flash[0x100] == 0xFFFF
+
+
 # ---------------------------------------------------------------------
 # scripted multi-run scenario with a mid-sequence protection fault,
 # on both system configurations

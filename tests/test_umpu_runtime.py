@@ -8,7 +8,7 @@ from repro.core.encoding import TRUSTED_DOMAIN
 from repro.core.faults import MemMapFault
 from repro.core.memmap import MemMapConfig, MemoryBackedStorage, MemoryMap
 from repro.isa.registers import IoReg
-from repro.sim import AccessKind, DataBus, Machine, Memory
+from repro.sim import AccessKind, DataBus, Memory
 from repro.umpu import (
     HarborLayout,
     MemMapController,
