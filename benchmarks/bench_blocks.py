@@ -28,11 +28,13 @@ record these figures next to the perfbench throughput pairs.
 
 With ``--bytecodes`` it prints only, for each of the three workloads,
 the bytecodes executed per op in region functions (an opcode tracer on
-``<avr block>`` frames, so a deterministic count) and the share of them
-that went to SREG statements: statements assigning SREG (``sreg_``, or
-``data[95]`` in a region without the register cache) a computed value,
-continuation lines included.  ``benchmarks/BENCH_flags.json`` records
-these figures.
+``<avr block>`` frames, so a deterministic count) and the shares of
+them that went to SREG statements, statements assigning SREG
+(``sreg_``, or ``data[95]`` in a region without the register cache) a
+computed value, continuation lines included, and to SP statements,
+statements assigning ``sp_``, ``spl_`` or ``sph_`` and the tests of an
+``if`` that starts with ``sp_``.  ``benchmarks/BENCH_flags.json`` and
+``benchmarks/BENCH_sp.json`` record these figures.
 
 Run from the repository root::
 
@@ -144,9 +146,14 @@ def block_share(name, seed):
 _STATEMENT_END = ("STORE_", "POP_", "JUMP_", "RETURN_", "RAISE_", "RERAISE")
 
 
-def _sreg_offsets(code):
-    """Offsets of the bytecodes of *code*'s SREG statements."""
-    found, statement = set(), []
+#: the locals holding SP in a region with the register cache
+_SP_NAMES = ("sp_", "spl_", "sph_")
+
+
+def _statement_offsets(code):
+    """Offsets of the bytecodes of *code*'s SREG statements, and of its
+    SP statements."""
+    sreg, sp, statement = set(), set(), []
     instrs = list(dis.get_instructions(code))
     for n, instr in enumerate(instrs):
         statement.append(instr)
@@ -157,35 +164,42 @@ def _sreg_offsets(code):
                    and instrs[n - 1].argval == 95)
         if to_sreg and any(x.opname.startswith("BINARY_")
                            for x in statement):
-            found.update(x.offset for x in statement)
+            sreg.update(x.offset for x in statement)
+        to_sp = instr.opname == "STORE_FAST" and instr.argval in _SP_NAMES
+        tests_sp = (instr.opname.startswith("POP_JUMP")
+                    and statement[0].opname == "LOAD_FAST"
+                    and statement[0].argval == "sp_")
+        if to_sp or tests_sp:
+            sp.update(x.offset for x in statement)
         statement = []
-    return found
+    return sreg, sp
 
 
 def region_bytecodes(name, seed):
     """Bytecodes executed per op in region functions over one pass after
-    the set-up, and the share of them in SREG statements."""
+    the set-up, and the shares of them in SREG and in SP statements."""
     import workloads
     w = workloads.make(name, seed)
     for _ in w.setup_steps():
         pass
-    counts = [0, 0]
-    sreg = {}
+    counts = [0, 0, 0]
+    offsets = {}
 
     def tracer(frame, _event, _arg):
         code = frame.f_code
         if code.co_filename != "<avr block>":
             return None
-        if code not in sreg:
-            sreg[code] = _sreg_offsets(code)
-        mine = sreg[code]
+        if code not in offsets:
+            offsets[code] = _statement_offsets(code)
+        sreg, sp = offsets[code]
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
 
         def local(frame_, event_, _arg_):
             if event_ == "opcode":
                 counts[0] += 1
-                counts[1] += frame_.f_lasti in mine
+                counts[1] += frame_.f_lasti in sreg
+                counts[2] += frame_.f_lasti in sp
             return local
         return local
     sys.settrace(tracer)
@@ -195,7 +209,8 @@ def region_bytecodes(name, seed):
                 raise RuntimeError("{}: {}".format(name, w.failures))
     finally:
         sys.settrace(None)
-    return counts[0] / w.pass_len, counts[1] / max(counts[0], 1)
+    total = max(counts[0], 1)
+    return counts[0] / w.pass_len, counts[1] / total, counts[2] / total
 
 
 def unit_entries(seed):
@@ -250,13 +265,15 @@ def main(argv=None):
         return 0
     if args.bytecodes:
         result = {"seed": args.seed, "region_bytecodes_per_op": {},
-                  "sreg_bytecode_share": {}}
+                  "sreg_bytecode_share": {}, "sp_bytecode_share": {}}
         for name in WORKLOADS:
-            per_op, share = region_bytecodes(name, args.seed)
+            per_op, sreg, sp = region_bytecodes(name, args.seed)
             result["region_bytecodes_per_op"][name] = round(per_op, 1)
-            result["sreg_bytecode_share"][name] = round(share, 4)
+            result["sreg_bytecode_share"][name] = round(sreg, 4)
+            result["sp_bytecode_share"][name] = round(sp, 4)
             print("{:10s} {:9.1f} region bytecodes per op, {:.1%} in SREG "
-                  "statements".format(name, per_op, share))
+                  "statements, {:.1%} in SP statements".format(
+                      name, per_op, sreg, sp))
         print(json.dumps(result))
         return 0
     result = {"seed": args.seed, "block_share": {}, "entries_per_op": {},

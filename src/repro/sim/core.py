@@ -164,8 +164,10 @@ class AvrCore:
         self._units = ()
         #: visits of PCs not yet in ``_blocks``
         self._heat = {}
-        #: flash word -> block starts (one collection per region) whose
-        #: entries go when the word is written
+        #: flash word -> ``(spans, starts)`` of each region (or PC
+        #: without a block) that read it: the ``(first, end)`` words it
+        #: read and the block starts whose entries go when one of them
+        #: is written
         self._block_cover = {}
         #: the run loop's bound, read by a region at entry
         self._bound = 0
@@ -267,8 +269,9 @@ class AvrCore:
         covers the word (a 32-bit instruction starting one word earlier
         spans it too), and every region that read it, at all of its
         entries.  The cached entry carries the bound handler, so
-        dropping it unbinds the stale executor as well.  A *word_addr*
-        of None (all of flash changed) drops everything."""
+        dropping it unbinds the stale executor as well; a dropped
+        region leaves the cover lists of all the words it read.  A
+        *word_addr* of None (all of flash changed) drops everything."""
         if word_addr is None:
             self.invalidate_decode_cache()
             return
@@ -276,13 +279,22 @@ class AvrCore:
         if cache:
             cache.pop(word_addr, None)
             cache.pop(word_addr - 1, None)
-        stale = self._block_cover.pop(word_addr, None)
+        cover = self._block_cover
+        stale = cover.pop(word_addr, None)
         if stale:
             blocks, regions = self._blocks, self._regions
-            for starts in stale:
+            for entry in stale:
+                spans, starts = entry
                 for start in starts:
                     blocks.pop(start, None)
                     regions.pop(start, None)
+                for first, end in spans:
+                    for word in range(first, end):
+                        listed = cover.get(word)
+                        if listed is not None:
+                            listed.remove(entry)
+                            if not listed:
+                                del cover[word]
 
     def _instr_size_at(self, word_addr):
         """Word size of the instruction at *word_addr* (for skips).
@@ -596,9 +608,10 @@ class AvrCore:
         """Drop the entries at *starts* when a word of *spans* is
         written."""
         cover = self._block_cover
+        entry = spans, starts
         for first, end in spans:
             for word in range(first, end):
-                cover.setdefault(word, []).append(starts)
+                cover.setdefault(word, []).append(entry)
 
     def _form_region(self, pc):
         """The blocks of a new region at *pc*, start word -> body: the

@@ -157,8 +157,9 @@ class Machine:
     def restore(self, snap):
         """Restore a state captured by :meth:`snapshot`.  Attached
         observers (trace/profiler/metrics/debugger) are left in place;
-        the flash listeners learn that all of flash changed."""
-        snap.apply(self)
+        the flash listeners learn that all of flash changed, unless the
+        snapshot's flash equals live flash."""
+        snap.apply(self, cold=False)
         return self
 
     def _snapshot_extra(self):

@@ -121,9 +121,15 @@ class Memory:
         for listener in self.flash_listeners:
             listener(word_addr)
 
-    def replace_flash(self, words):
+    def replace_flash(self, words, force=False):
         """Replace all of flash with *words* (one value per flash word)
-        and tell each listener once that all of flash changed."""
+        and tell each listener once that all of flash changed.  When
+        the words equal the live ones nothing changed, and only *force*
+        tells them (restoring the same image keeps every decode and
+        compiled region)."""
+        words = list(words)
+        if words == self.flash and not force:
+            return
         self.flash[:] = words
         for listener in self.flash_listeners:
             listener(None)

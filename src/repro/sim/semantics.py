@@ -7,9 +7,9 @@ renders every template into the interpreter's ``_exec_<key>`` handler
 blocks (runs of templates ending at a control transfer) into one Python
 function per region with the operands constant-folded
 (:func:`compile_region`); a region moves between its blocks without
-returning, and under :data:`PLAIN` keeps r0-r31, SPL, SPH and SREG in
-locals.  Only :data:`HANDLER_ONLY` opcodes never enter a block.  The
-third rendering (:func:`make_symbolic`) is the symbolic evaluator of
+returning, and under :data:`PLAIN` keeps r0-r31, SREG and SP (one
+16-bit local) in locals.  Only :data:`HANDLER_ONLY` opcodes never
+enter a block.  The third rendering (:func:`make_symbolic`) is the symbolic evaluator of
 :mod:`repro.analysis.static.symexec`: the handler's lines run over
 symbolic values, so the translation validator proves rewritten stores
 against these same templates.  The renderings differ only in the
@@ -576,11 +576,17 @@ PLAIN = (frozenset(), False, False, None)
 #: most blocks one region holds
 REGION_MAX = 16
 #: the bytes a region under :data:`PLAIN` keeps in locals (r0-r31, SPL,
-#: SPH, SREG), and the first data address past them
+#: SPH, SREG) -> the local holding each: SPL and SPH are the two bytes
+#: of the 16-bit ``sp_``; and the first data address past them
 _LOCALS = {n: "r{}_".format(n) for n in range(32)}
-_LOCALS.update({_ADDRS["SPL"]: "spl_", _ADDRS["SPH"]: "sph_",
+_LOCALS.update({_ADDRS["SPL"]: "sp_", _ADDRS["SPH"]: "sp_",
                 _ADDRS["SREG"]: "sreg_"})
 _LOCALS_END = _ADDRS["SREG"] + 1
+_SP_BYTES = (_ADDRS["SPL"], _ADDRS["SPH"])
+#: cached byte -> the expression reading it
+_LOCAL_READS = dict(_LOCALS)
+_LOCAL_READS.update({_ADDRS["SPL"]: "(sp_ & 0xFF)",
+                     _ADDRS["SPH"]: "(sp_ >> 8)"})
 _SUBSCRIPT = re.compile(r"data\[([^\[\]]+)\]")
 _ASSIGNED = re.compile(r"data\[([^\[\]]+)\] *[|&]?= ")
 #: placeholder lines for what only the whole region knows: write its
@@ -987,7 +993,7 @@ class _Flags:
         if not write:
             self.assigned.add(args[0])
         if op in ("@push", "@pop"):
-            self.assigned.update(("sp_", "spl_", "sph_"))
+            self.assigned.add("sp_")
             addr = None
         else:
             addr = _constant(args[1] if op == "@load" else args[0])
@@ -1101,19 +1107,27 @@ class _BlockWriter:
 
     With *cache* every constant subscript of r0-r31, SPL, SPH or SREG is
     a local, loaded at entry and written back by the function's
-    ``finally`` on every exit and fault.  A direct access whose address
-    is computed at run time writes the locals back first when the
-    address is below ``_LOCALS_END``, and reloads them after a store
-    there.
+    ``finally`` on every exit and fault.  SPL and SPH are the two bytes
+    of one 16-bit local, ``sp_``: ``in``/``out`` read and write a byte
+    of it.  A direct access whose address is computed at run time
+    writes the locals back first when the address is below
+    ``_LOCALS_END``, and reloads them after a store there.  A push or
+    pop is one bounds test on ``sp_`` whose branch takes both the
+    access that may alias the locals and the fault (:meth:`stack`);
+    past it, a push is ``data[sp_] = r`` and ``sp_ -= 1``.
 
     Under :data:`PLAIN` the flags are lazy (``docs/performance.md``,
     "Lazy flags"): an SREG assignment is rendered only for the bits a
     later line may need before they are overwritten, and then held as
     its terms (*pending*) until something needs the whole byte: a read
-    of more than one bit on its own, a fault, the write-back before an
-    access that may alias the locals, a ``break`` out of the region, or
-    a move to a member that may need the bit before it writes it.  A
-    read of one pending bit uses that bit's value directly."""
+    of more than one bit on its own, a fault, the write-back on the
+    branch of an access that may alias the locals, a ``break`` out of
+    the region, or a move to a member that may need the bit before it
+    writes it.  A read of one pending bit uses that bit's value
+    directly.  A store on that branch may hit SREG or a local a term
+    reads, so with bits pending the branch finishes the instruction
+    with nothing pending and leaves the region (:meth:`finish`): the
+    terms never merge across the two branches."""
 
     def __init__(self, data_end, view, members, cache):
         self.data_end = data_end
@@ -1143,6 +1157,7 @@ class _BlockWriter:
         self.written = set()   # cached bytes it assigns
         self.start = None      # first word of the current block
         self.terminal = False  # the current block ends its region
+        self.leaving = False   # every exit leaves the region
         self.lines = []
         self.cycles = 0      # base cycles of the block's instructions
         self.count = 0       # instructions added to the block
@@ -1150,6 +1165,10 @@ class _BlockWriter:
         self.skip = 0        # words the current instruction may skip
         self.base = 0        # base cycles of the current instruction
         self.target = None   # the current instruction's constant target
+        self.key = None      # the current instruction's template key,
+        self.texts = None    # ... its lines formatted,
+        self.live = None     # ... the SREG bits live after each
+        self.index = 0       # ... and the line being rendered
         self.stalls = False  # the current instruction adds to x_
         self.published = False  # ... and has published its state
         self.device = False  # the current instruction may reach a device
@@ -1223,8 +1242,7 @@ class _BlockWriter:
         flags = _flags(text, self.data_end)
         before = []
         if self.pending:
-            need = _COPY_READS[key] if flags.copy else \
-                _ALL if flags.runtime == "store" else flags.partial
+            need = _COPY_READS[key] if flags.copy else flags.partial
             before = self.flags(need)
             self.settle(need)
             if flags.singles:
@@ -1259,11 +1277,11 @@ class _BlockWriter:
         return before, text if held else None
 
     def local(self, addr, write):
-        """The local holding the cached byte at *addr*."""
+        """The expression reading the cached byte at *addr*."""
         self.used.add(addr)
         if write:
             self.written.add(addr)
-        return _LOCALS[addr]
+        return _LOCAL_READS[addr]
 
     def _rename(self, match):
         addr = _constant(match.group(1))
@@ -1291,8 +1309,15 @@ class _BlockWriter:
             check = [] if 0 <= constant <= self.data_end else self.fault(at)
             if not check and self.cache and constant in _LOCALS:
                 name = self.local(constant, write)
-                return [name + " = " + value] if write else \
-                    [value + " = " + name]
+                if not write:
+                    return [value + " = " + name]
+                if constant in _SP_BYTES:
+                    value = value if value.isidentifier() else \
+                        "(" + value + ")"
+                    return ["sp_ = (sp_ & 0xFF00) | " + value
+                            if constant == _ADDRS["SPL"] else
+                            "sp_ = (sp_ & 0xFF) | ({} << 8)".format(value)]
+                return [name + " = " + value]
         elif addr.isidentifier():
             setup, at, check = [], addr, self.fault(addr)
         else:
@@ -1304,8 +1329,11 @@ class _BlockWriter:
             line = "{} = data[{}]".format(value, at)
             device = "{} = d_.io_read({})".format(value, at)
         if self.cache and constant is None:
-            alias = self.flags() + [_WRITE_BACK, line] + (
-                [_RELOAD] if write else [])
+            alias = self.flags() + [_WRITE_BACK, line]
+            if write:
+                alias.append(_RELOAD)
+                if self.pending:
+                    alias += self.finish()
             return (setup + ["if {} < {}:".format(at, _LOCALS_END)]
                     + _indent(alias) + ["else:"] + _indent(check + [line]))
         if not self.io:
@@ -1314,6 +1342,48 @@ class _BlockWriter:
         return (setup + ["d_ = io_.get({})".format(at), "if d_ is None:"]
                 + _indent(check + [line]) + ["else:"]
                 + _indent(self.publish() + [device, "o_ = 1"]))
+
+    def stack(self, push, operand):
+        """A push of *operand*, or a pop into the variable *operand*, on
+        ``sp_`` (with the cache): one bounds test, whose branch takes
+        the access that may alias the locals (the write-back first, the
+        reload after a push) and the fault."""
+        self.local(_ADDRS["SPL"], True)
+        self.local(_ADDRS["SPH"], True)
+        if push:
+            test = "sp_ < {} or sp_ > {}".format(_LOCALS_END, self.data_end)
+            # SP moves after the store, over whatever it wrote there
+            slow = self.fault("sp_") + self.flags() + [
+                _WRITE_BACK, "data[sp_] = " + operand,
+                "a_ = (sp_ - 1) & 0xFFFF", _RELOAD, "sp_ = a_"]
+            if self.pending:
+                slow += self.finish()
+            fast = ["data[sp_] = " + operand, "sp_ -= 1"]
+        else:
+            test = "sp_ < {} or sp_ > {}".format(_LOCALS_END - 1,
+                                                 self.data_end - 1)
+            slow = (["sp_ = (sp_ + 1) & 0xFFFF"] + self.fault("sp_")
+                    + self.flags() + [_WRITE_BACK, operand + " = data[sp_]"])
+            fast = ["sp_ += 1", operand + " = data[sp_]"]
+        return ["if " + test + ":"] + _indent(slow) + ["else:"] + \
+            _indent(fast)
+
+    def finish(self):
+        """The rest of the current instruction on the branch of a store
+        that may have hit the locals, every pending bit already in
+        ``sreg_`` and written back: its lines after the store rendered
+        with nothing pending, then, unless one of them transfers
+        control, an exit after it.  Every exit on the branch leaves the
+        region, so the pending terms, which the store may have made
+        stale, never reach the code after the branch."""
+        pending, leaving = self.pending, self.leaving
+        self.pending, self.leaving = [], True
+        lines = self.rest(self.index + 1)
+        if CONTROL[self.key] is None:
+            lines += self.exit(self.next, self.cycles + self.base,
+                               self.count + 1)
+        self.pending, self.leaving = pending, leaving
+        return lines
 
     def callout(self, lines):
         """A claimed access or a call hook, in handler form."""
@@ -1373,10 +1443,11 @@ class _BlockWriter:
     def exit(self, target, cycles, count, leave=False):
         """Lines leaving the block for *target* with *cycles* base cycles
         and *count* instructions charged.  A straight-line block's exit
-        returns only when *leave*.  A region's charges ``cycles`` and
-        ``i_``, sets ``p_`` and either breaks out of the loop to the
-        publish after it or moves."""
+        returns only when *leave* (or :attr:`leaving`).  A region's
+        charges ``cycles`` and ``i_``, sets ``p_`` and either breaks out
+        of the loop to the publish after it or, unless leaving, moves."""
         stall = " + x_" if self.stalls else ""
+        leave = leave or self.leaving
         if self.members is None:
             lines = self.flags() + [
                 "core.pc = " + target,
@@ -1386,7 +1457,7 @@ class _BlockWriter:
         lines = ["cycles += {}{}".format(cycles, stall),
                  "i_ += {}".format(count),
                  "p_ = {}".format(target if to is None else to)]
-        if self.terminal or to not in self.members:
+        if self.terminal or leave or to not in self.members:
             return lines + self.flags() + ["break"]
         return (lines + ["if cycles >= s_:"]
                 + _indent(self.flags() + ["break"])
@@ -1405,6 +1476,8 @@ class _BlockWriter:
             kind = AccessKind[kind]
             if kind in self.claimed and kind not in self.fragments:
                 return self.callout(_callout(op, rest))
+            if self.cache and op in ("@push", "@pop"):
+                return self.stack(op == "@push", args[0])
             head = tail = []
             if op == "@push":
                 addr, write, operand = "sp_", True, args[0]
@@ -1456,16 +1529,8 @@ class _BlockWriter:
         self.target = None
         self.names = names
         self.stalls = self.published = self.device = False
-        lines = []
-        for index, text in enumerate(texts):
-            if live is not None:
-                before, text = self.lazy(instr.key, index, text, live[index])
-                lines += before
-                if text is None:
-                    continue
-            lines += self.render(text)
-            if live is not None:
-                self.settle(~live[index])
+        self.key, self.texts, self.live = instr.key, texts, live
+        lines = self.rest(0)
         if self.device and not self.stalls and CONTROL[instr.key] is None:
             # a device was reached: exit after this instruction
             lines += ["if o_:"] + _indent(self.exit(
@@ -1473,6 +1538,23 @@ class _BlockWriter:
         self.lines += lines
         self.cycles += self.base
         self.count += 1
+
+    def rest(self, first):
+        """The current instruction's lines from line *first* on."""
+        lines = []
+        live = self.live
+        for index in range(first, len(self.texts)):
+            text = self.texts[index]
+            if live is not None:
+                before, text = self.lazy(self.key, index, text, live[index])
+                lines += before
+                if text is None:
+                    continue
+            self.index = index
+            lines += self.render(text)
+            if live is not None:
+                self.settle(~live[index])
+        return lines
 
     def block(self, body, terminal):
         """Render the block *body*, a run of ``(pc, decoded instr, skip
@@ -1527,28 +1609,36 @@ class _BlockWriter:
         return instrs, after, live
 
     def stores(self):
-        return ["data[{}] = {}".format(addr, _LOCALS[addr])
+        return ["data[{}] = {}".format(addr, _LOCAL_READS[addr])
                 for addr in sorted(self.written)] or ["pass"]
 
+    def _bytes(self):
+        """The cached bytes loaded one by one (all but SP's)."""
+        return [addr for addr in sorted(self.used) if addr not in _SP_BYTES]
+
     def loads(self):
-        """One line loading every local (``g_`` gets them all)."""
-        names = [_LOCALS[addr] for addr in sorted(self.used)]
-        if len(names) < 2:
-            return ["{} = data[{}]".format(name, addr)
-                    for name, addr in zip(names, sorted(self.used))]
-        return ["{}, = g_(data)".format(", ".join(names))]
+        """One line loading every local but ``sp_`` (``g_`` gets them
+        all), and one loading ``sp_``."""
+        used = self._bytes()
+        names = [_LOCALS[addr] for addr in used]
+        lines = ["{}, = g_(data)".format(", ".join(names))] \
+            if len(names) > 1 else ["{} = data[{}]".format(name, addr)
+                                    for name, addr in zip(names, used)]
+        if self.used.intersection(_SP_BYTES):
+            lines.append("sp_ = " + _SP)
+        return lines
 
     def namespace(self):
         """The globals :meth:`loads` and :meth:`expand` refer to."""
-        used, written = sorted(self.used), sorted(self.written)
+        used = self._bytes()
         return {"g_": itemgetter(*used) if len(used) > 1 else None,
-                "w_": tuple(written), "put_": _put}
+                "w_": tuple(sorted(self.written)), "put_": _put}
 
     def expand(self, lines):
         """*lines* with the write-back and reload placeholders filled in
         from the whole region's locals."""
         stores = ["put_(data, w_, ({},))".format(", ".join(
-            _LOCALS[addr] for addr in sorted(self.written)))] \
+            _LOCAL_READS[addr] for addr in sorted(self.written)))] \
             if self.written else ["pass"]
         loads = self.loads() or ["pass"]
         out = []

@@ -18,7 +18,10 @@ Guarantees (pinned by ``tests/test_soundness.py``):
   instrumented ``step()`` path and the threaded-dispatch fast loop;
 * restore tells every flash listener that all of flash changed, so a
   snapshot taken before a flash write can never replay stale decodes
-  or leave a recorder with stale flash;
+  or leave a recorder with stale flash; ``Machine.restore`` (and the
+  timeline's seeks) tell them only when the snapshot's flash differs
+  from live flash, so restoring the same image keeps the decodes and
+  compiled regions;
 * observers (trace sinks, profilers, debuggers, metrics) are *not*
   part of the snapshot — they are measurement equipment, not machine
   state, and survive a restore unchanged.
@@ -89,7 +92,7 @@ class MachineSnapshot:
     def apply_system(self, system):
         if self.system is None:
             raise ValueError("not a system snapshot (use Machine.restore)")
-        self.apply(system.machine)
+        self.apply(system.machine, cold=False)
         state = self.system
         system.modules = dict(state["modules"])
         system._next_load = state["next_load"]
@@ -100,10 +103,14 @@ class MachineSnapshot:
         linker._by_name = dict(state["linker_by_name"])
         return system
 
-    def apply(self, machine):
+    def apply(self, machine, cold=True):
+        """Put *machine* in this state.  With *cold* the flash listeners
+        learn that all of flash changed even when the words are the
+        same, so every decode and compiled region goes; without, a
+        restore of the image flash already holds keeps them."""
         mem = machine.memory
         mem.data[:] = self.data
-        mem.replace_flash(self.flash)
+        mem.replace_flash(self.flash, force=cold)
         core = machine.core
         core.pc = self.pc
         core.cycles = self.cycles

@@ -253,10 +253,10 @@ class Timeline:
         if target >= positions[-1]:
             # nothing recorded past the end; there is nothing
             # deterministic to re-execute beyond it
-            kfs[-1].apply(self.machine)
+            self.machine.restore(kfs[-1])
             return self.machine
         idx = bisect_right(positions, target) - 1
-        kfs[idx].apply(self.machine)
+        self.machine.restore(kfs[idx])
         if positions[idx] < target:
             self._reexec(end_instret=self._segment_end_instret(idx),
                          **{"target_" + axis: target})
@@ -379,7 +379,7 @@ class Timeline:
         try:
             yield self
         finally:
-            snap.apply(self.machine)
+            self.machine.restore(snap)
             if was_recording and not self.recording:
                 self.record()
 
@@ -419,7 +419,7 @@ class Timeline:
             # seek_instret at a run boundary tie-breaks into the NEXT
             # segment's start keyframe (host recovery applied); pin the
             # exact pre-fault state directly instead
-            self._keyframes[fault_kf].apply(self.machine)
+            self.machine.restore(self._keyframes[fault_kf])
         else:
             self.seek_instret(start)
         core = self.machine.core
@@ -484,7 +484,7 @@ class Timeline:
                            if i + 1 < len(starts) else kfs[-1].instret)
             if end_instret <= kf.instret:
                 continue  # empty segment (no instruction retired in it)
-            kf.apply(self.machine)
+            self.machine.restore(kf)
             total += self._reexec(target_cycle=to_cycle,
                                   end_instret=end_instret,
                                   on_step=on_step)

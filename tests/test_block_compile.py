@@ -1112,3 +1112,57 @@ def test_second_module_load_keeps_the_first_modules_blocks():
     assert compiled & set(entered)
     assert results[0] == results[1]
     assert_states_identical(fast.machine, ref.machine)
+
+
+def test_restoring_unchanged_flash_keeps_the_compiled_regions():
+    """A restore whose flash equals live flash tells no flash listener
+    anything: the decodes and regions stay, and the run after it still
+    matches step()."""
+    program = region_loop()
+    fast, ref = Machine(program), Machine(program)
+    snap = fast.snapshot()
+    for _ in range(2):
+        run_until_stop(fast.core.run, max_cycles=3000)
+    blocks = dict(fast.core._blocks)
+    assert any(block[0] is not None for block in blocks.values())
+    fast.restore(snap)
+    assert fast.core._blocks == blocks
+    entered = count_block_entries(fast.core)
+    got = run_until_stop(fast.core.run, max_cycles=3000)
+    want = run_until_stop(step_driven_run(ref.core), max_cycles=3000)
+    assert got == want
+    assert_states_identical(fast, ref)
+    assert fast.core._blocks.keys() >= blocks.keys()
+    assert program.symbol("loop") // 2 not in entered, \
+        "the loop's region is kept, not compiled again"
+
+
+def test_module_loads_keep_the_cover_lists_to_the_live_regions():
+    """A region dropped through one flash word leaves the cover lists of
+    all its words, so repeated module loads (each writing the jump
+    table the kernel's regions read) do not grow them: the entries stay
+    one per word of each live region."""
+    system = SfiSystem()
+    core = system.machine.core
+
+    def listed():
+        return sum(len(entries) for entries in core._block_cover.values())
+
+    def live():
+        regions = {id(region): region for region in core._regions.values()}
+        blockless = sum(1 for block in core._blocks.values()
+                        if block[0] is None)
+        return 2 * blockless + sum(end - start
+                                   for region in regions.values()
+                                   for start, end in region.cover)
+
+    counts = []
+    for n in range(7):
+        name = "m{}".format(n)
+        system.load_module(assemble(CHECKSUM_MODULE, name), name,
+                           exports=("checksum",))
+        system.call_export(name, "checksum", ("u8", 60))
+        system.call_export("m0", "checksum", ("u8", 60))
+        assert listed() <= live()
+        counts.append(listed())
+    assert counts[-1] < 3 * counts[0]

@@ -483,3 +483,30 @@ def test_timeline_json_index(tmp_path):
     assert len(doc["segments"]) >= 3     # record + one per call
     assert doc["faults"] and doc["faults"][0]["code"]
     assert doc["stats"]["keyframes"] == len(timeline.keyframes)
+
+
+REPLAY_FAULT = """
+entry:
+    ldi r18, 0x55
+    ldi r16, 40
+warm:
+    inc r17
+    dec r16
+    brne warm
+    sts 0x0700, r18
+    break
+"""
+
+
+def test_replay_re_recording_keeps_one_flash_copy(tmp_path):
+    """``harbor-replay --to-fault`` seeks inside ``preserving()`` and
+    then records again; restoring the image it already holds is no
+    flash change, so every keyframe shares one flash tuple."""
+    from repro.cli import main
+    source, out = tmp_path / "faulty.s", tmp_path / "timeline.json"
+    source.write_text(REPLAY_FAULT)
+    main(["replay", str(source), "--entry", "entry", "--umpu", "--domain",
+          "0", "--to-fault", "--window", "6", "-o", str(out)])
+    keyframes = json.loads(out.read_text())["keyframes"]
+    assert "record" in [kf["tag"] for kf in keyframes]
+    assert {kf["flash_id"] for kf in keyframes} == {0}
