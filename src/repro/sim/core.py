@@ -283,7 +283,9 @@ class AvrCore:
         stale = cover.pop(word_addr, None)
         if stale:
             blocks, regions = self._blocks, self._regions
-            for entry in stale:
+            # a region whose member spans overlap (a skipped instruction
+            # that starts a member) is listed once per span
+            for entry in {id(entry): entry for entry in stale}.values():
                 spans, starts = entry
                 for start in starts:
                     blocks.pop(start, None)

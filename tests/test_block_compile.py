@@ -1166,3 +1166,54 @@ def test_module_loads_keep_the_cover_lists_to_the_live_regions():
         assert listed() <= live()
         counts.append(listed())
     assert counts[-1] < 3 * counts[0]
+
+
+TWO_LOOPS_SHARING_A_SKIP = """
+    ldi r16, 40
+    ldi r17, 1
+one:
+    inc r18
+    sbrs r17, 0
+skipped:
+    lds r19, 0x0900
+    inc r19
+    dec r16
+    brne one
+    ldi r16, 40
+two:
+    inc r21
+    sbrs r17, 0
+    lds r19, 0x0900
+    rjmp skipped
+"""
+
+
+def test_flash_write_into_a_skipped_member_start_shared_by_two_regions():
+    """The skipped instruction of ``sbrs`` starts a member too, so a
+    region holding it lists it under both member spans, and the two
+    loops' regions list it both; rewriting it drops those regions from
+    every word they read, and the run then matches step()."""
+    program = assemble(TWO_LOOPS_SHARING_A_SKIP)
+    skipped = program.symbol("skipped") // 2
+    patch = assemble("    inc r20\n    inc r22\n").words
+    fast, ref = Machine(program), Machine(program)
+    entered = count_block_entries(fast.core)
+    runs = ((fast, fast.core.run), (ref, step_driven_run(ref.core)))
+    for _machine, run in runs:
+        run_until_stop(run, max_cycles=2000)
+    core = fast.core
+    listed = core._block_cover[skipped]
+    assert entered and 2 <= len({id(entry) for entry in listed}) < len(listed)
+    for machine, _run in runs:
+        for offset, word in patch.items():
+            machine.memory.write_flash_word(skipped + offset, word)
+    regions = {id(region): region for region in core._regions.values()}
+    assert skipped not in core._block_cover
+    blockless = sum(block[0] is None for block in core._blocks.values())
+    assert sum(map(len, core._block_cover.values())) == 2 * blockless + sum(
+        end - first for region in regions.values()
+        for first, end in region.cover)
+    got, want = (run_until_stop(run, max_cycles=3000) for _m, run in runs)
+    assert got == want
+    assert fast.core.reg(22) > 0
+    assert_states_identical(fast, ref)
