@@ -159,7 +159,7 @@ class Machine:
         observers (trace/profiler/metrics/debugger) are left in place;
         the flash listeners learn that all of flash changed, unless the
         snapshot's flash equals live flash."""
-        snap.apply(self, cold=False)
+        snap.apply(self)
         return self
 
     def _snapshot_extra(self):

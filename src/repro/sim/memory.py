@@ -121,14 +121,14 @@ class Memory:
         for listener in self.flash_listeners:
             listener(word_addr)
 
-    def replace_flash(self, words, force=False):
+    def replace_flash(self, words):
         """Replace all of flash with *words* (one value per flash word)
         and tell each listener once that all of flash changed.  When
-        the words equal the live ones nothing changed, and only *force*
-        tells them (restoring the same image keeps every decode and
+        the words equal the live ones nothing changed and no listener
+        hears of it (restoring the same image keeps every decode and
         compiled region)."""
         words = list(words)
-        if words == self.flash and not force:
+        if words == self.flash:
             return
         self.flash[:] = words
         for listener in self.flash_listeners:

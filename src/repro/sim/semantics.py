@@ -1481,13 +1481,11 @@ class _BlockWriter:
             head = tail = []
             if op == "@push":
                 addr, write, operand = "sp_", True, args[0]
-                head = ["sp_ = " + self.cached(_SP)]
-                tail = ["sp_ = (sp_ - 1) & 0xFFFF"] + [
-                    self.cached(x) for x in _SET_SP]
+                head = ["sp_ = " + _SP]
+                tail = ["sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP
             elif op == "@pop":
                 addr, write, operand = "sp_", False, args[0]
-                head = ["sp_ = (({}) + 1) & 0xFFFF".format(
-                    self.cached(_SP))] + [self.cached(x) for x in _SET_SP]
+                head = ["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
             elif op == "@load":
                 addr, write, operand = args[1], False, args[0]
             else:

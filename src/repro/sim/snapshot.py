@@ -92,7 +92,7 @@ class MachineSnapshot:
     def apply_system(self, system):
         if self.system is None:
             raise ValueError("not a system snapshot (use Machine.restore)")
-        self.apply(system.machine, cold=False)
+        self.apply(system.machine)
         state = self.system
         system.modules = dict(state["modules"])
         system._next_load = state["next_load"]
@@ -103,14 +103,12 @@ class MachineSnapshot:
         linker._by_name = dict(state["linker_by_name"])
         return system
 
-    def apply(self, machine, cold=True):
-        """Put *machine* in this state.  With *cold* the flash listeners
-        learn that all of flash changed even when the words are the
-        same, so every decode and compiled region goes; without, a
-        restore of the image flash already holds keeps them."""
+    def apply(self, machine):
+        """Put *machine* in this state.  Restoring the image flash
+        already holds keeps every decode and compiled region."""
         mem = machine.memory
         mem.data[:] = self.data
-        mem.replace_flash(self.flash, force=cold)
+        mem.replace_flash(self.flash)
         core = machine.core
         core.pc = self.pc
         core.cycles = self.cycles
