@@ -16,11 +16,11 @@ pass of the workload after its set-up:
 
 ``node_umpu``'s blocks render the common case of the MMC, the
 safe-stack unit and the domain tracker inline and call out to them for
-the rest; a region never moves on from a block with a unit transaction,
-so its regions stay short.  For ``node_umpu`` the script also prints the
-unit handler entries per op: calls of ``DataBus.write``,
-``DataBus.read`` and the core's call hooks, counted with a profile
-hook (a deterministic count).  Last it prints the wall time of the first
+the rest; a region moves on from a block whose unit transactions took
+their common case, and leaves only after one that called out.  For
+``node_umpu`` the script also prints the unit handler entries per op:
+calls of ``DataBus.write``, ``DataBus.read`` and the core's call hooks,
+counted with a profile hook (a deterministic count).  Last it prints the wall time of the first
 ``node_sfi`` and ``node_umpu`` set-up in a fresh process, where every
 region is compiled from scratch (the best of ``--cold`` processes).
 ``benchmarks/BENCH_blocks.json`` and ``benchmarks/BENCH_umpu.json``

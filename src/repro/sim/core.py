@@ -28,12 +28,14 @@ from it by compile-time-known exits, which moves between them without
 returning to the loop.  A region reads and writes
 ``memory.data`` directly except where something may act: a bus access
 of a kind some unit claims (:attr:`BusInterposer.kinds`), a call hook,
-a mapped I/O device.  There it calls out in handler form, or renders
-the claiming unit's fragment (its common case inline, the callout for
-the rest) when the run's units all supply them, and returns after that
-instruction.  When nothing may act at all it keeps r0-r31, SP and SREG
-in Python locals.  Both paths are cycle-for-cycle identical to
-:meth:`step` (asserted by the differential tests).
+a mapped I/O device.  There it calls out in handler form and returns
+after that instruction, or, when the run's units all supply fragments,
+renders the claiming unit's fragment (its common case inline, the
+callout for the rest) and returns only after an instruction that
+called out or reached a device.  When nothing may act at all, or every
+unit renders fragments, it keeps r0-r31, SP and SREG in Python locals.
+Both paths are cycle-for-cycle identical to :meth:`step` (asserted by
+the differential tests).
 
 Cycle events reach the core only from its devices (the timeline
 recorder among them), and flash changes only as flash-listener calls.
@@ -422,9 +424,10 @@ class AvrCore:
     def _block_view(self):
         """This run's view (:data:`repro.sim.semantics.PLAIN`): the
         kinds the bus units claim (all under a bus trace sink, or a unit
-        without ``kinds``), whether there are call hooks,
-        whether any I/O device is mapped, and the units whose fragments
-        blocks render (:meth:`_fragment_units`)."""
+        without ``kinds``), whether there are call hooks, where I/O
+        devices are mapped (:func:`~repro.sim.semantics.io_level`), and
+        the units whose fragments blocks render
+        (:meth:`_fragment_units`)."""
         bus = self.bus
         claimed = _NO_KINDS
         for unit in bus.interposers:
@@ -435,8 +438,8 @@ class AvrCore:
             claimed = _ALL_KINDS
         elif bus.profiler is None and bus.metrics is None:
             units = self._fragment_units()
-        return (claimed, bool(self.call_hooks), bool(self.memory.io_devices),
-                units)
+        return (claimed, bool(self.call_hooks),
+                semantics.io_level(self.memory.io_devices), units)
 
     def _fragment_units(self):
         """The classes of the bus units and hook owners whose fragments
@@ -488,22 +491,24 @@ class AvrCore:
         it began with included.  A pending interrupt line costs
         one truthiness check on the controller's pending-set.
 
-        A PC gets its entry on its ``_HOT``-th visit: into the region of
-        this core that already holds a block starting there, else into a
-        new region formed there (:meth:`_form_region`), compiled for the
-        run's view.  A block ends at and includes a control transfer or
-        skip, ends after an instruction that calls out to the bus or the
-        call hooks, and ends before an opcode without a template or at
+        A PC gets its entry on its ``_HOT``-th visit, if the loop could
+        enter it then (:meth:`_warm`): into the region of this core that
+        already holds a block starting there, else into a new region
+        formed there (:meth:`_form_region`), compiled for the run's
+        view.  A block ends at and includes a control transfer or skip,
+        ends after an instruction that calls out to the bus or the call
+        hooks, and ends before an opcode without a template or at
         ``BLOCK_MAX`` instructions.  A region is entered only where
         interpreting its entry block would cross no loop event on the
         way: no interrupt is pending (none can become pending inside:
-        devices tick only at ``bound``, and a callout or device call
-        ends the region), every boundary before the block's last
-        instruction lies before ``bound``, and ``until_pc`` lies outside
-        the region's word span.  Inside, the region moves to another of
-        its blocks only while that block's entry rule holds too, reading
-        ``bound`` from ``_bound``.  Stall cycles therefore fall past
-        those checks.  ``docs/performance.md`` has the details."""
+        devices tick only at ``bound``, and the region leaves after an
+        instruction that called out or reached a device), every
+        boundary before the block's last instruction lies before
+        ``bound``, and ``until_pc`` lies outside the region's word span.
+        Inside, the region moves to another of its blocks only while
+        that block's entry rule holds too, reading ``bound`` from
+        ``_bound``.  Stall cycles therefore fall past those checks.
+        ``docs/performance.md`` has the details."""
         cache = self._decode_cache
         decode = self._decode_and_cache
         blocks = self._blocks
@@ -549,7 +554,7 @@ class AvrCore:
                 else:
                     block = blocks.get(pc)
                     if block is None:
-                        block = self._warm(pc)
+                        block = self._warm(pc, bound - cycles)
                     if cycles + block[1] < bound \
                             and not block[3] <= stop_pc <= block[4]:
                         block[0](self, data, cycles)
@@ -573,13 +578,24 @@ class AvrCore:
             _tick(devices, self.cycles - synced)
         return self.cycles - start
 
-    def _warm(self, pc):
-        """Count a visit to *pc*; on the ``_HOT``-th, compile its entry."""
+    def _warm(self, pc, room):
+        """Count a visit to *pc*; on the ``_HOT``-th, enter its entry,
+        unless that needs a region compiled that the run loop could not
+        enter now: the cycles before the last instruction of the block
+        at *pc* (the region's entry prefix) reach *room*, the cycles
+        left before the bound.  Then the heat stays one below ``_HOT``
+        and the next visit tries again."""
         heat = self._heat.pop(pc, 0) + 1
-        if heat < _HOT:
-            self._heat[pc] = heat
-            return _NO_BLOCK
-        return self._compile_block(pc)
+        if heat >= _HOT:
+            if pc in self._regions:
+                return self._compile_block(pc)
+            body = self._block_body(pc)
+            if sum(instr.spec.cycles for _pc, instr, _skip in body[:-1]) \
+                    < room:
+                return self._compile_block(pc)
+            heat = _HOT - 1
+        self._heat[pc] = heat
+        return _NO_BLOCK
 
     def _compile_block(self, pc):
         """Enter into ``_blocks`` the entry of *pc* into the region

@@ -175,9 +175,13 @@ class Machine:
         return extra
 
     def _restore_extra(self, extra):
+        """The pending lines are refilled in place: a run loop holds the
+        set, and a restore from inside a run (a device, a hook) must
+        leave it polling the restored lines."""
         interrupts = self.core.interrupts
         if interrupts is not None and "irq_pending" in extra:
-            interrupts.pending = set(extra["irq_pending"])
+            interrupts.pending.clear()
+            interrupts.pending.update(extra["irq_pending"])
             interrupts._raised_at = dict(extra["irq_raised_at"])
 
     # ------------------------------------------------------------------

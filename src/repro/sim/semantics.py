@@ -7,9 +7,9 @@ renders every template into the interpreter's ``_exec_<key>`` handler
 blocks (runs of templates ending at a control transfer) into one Python
 function per region with the operands constant-folded
 (:func:`compile_region`); a region moves between its blocks without
-returning, and under :data:`PLAIN` keeps r0-r31, SREG and SP (one
-16-bit local) in locals.  Only :data:`HANDLER_ONLY` opcodes never
-enter a block.  The third rendering (:func:`make_symbolic`) is the symbolic evaluator of
+returning, and under a view :func:`inline` accepts keeps r0-r31, SREG
+and SP (one 16-bit local) in locals.  Only :data:`HANDLER_ONLY`
+opcodes never enter a block.  The third rendering (:func:`make_symbolic`) is the symbolic evaluator of
 :mod:`repro.analysis.static.symexec`: the handler's lines run over
 symbolic values, so the translation validator proves rewritten stores
 against these same templates.  The renderings differ only in the
@@ -564,14 +564,41 @@ def _indent(lines):
 #: the view of a run nothing observes, where every access is direct.
 #: A view is ``(claimed, hooks, io, units)``, computed once per
 #: :meth:`AvrCore.run`: the :class:`AccessKind` members some bus unit or
-#: observer claims, whether the core has call hooks, whether any I/O
-#: device is mapped, and the units whose fragments blocks render: None
-#: (every claimed access and hook calls out), or ``(bus unit classes,
-#: hook owner classes)`` in bus and hook order, whose instances a
-#: region binds from ``core._units`` at entry.  A region runs only
-#: under the view it was compiled for, and keeps registers in locals
-#: only under this one.
+#: observer claims, whether the core has call hooks, where I/O devices
+#: are mapped (False: nowhere; :data:`IO_LOW`: only in the I/O space
+#: below SP and SREG; :data:`IO_ANY`: elsewhere too), and the units
+#: whose fragments blocks render: None (every claimed access and hook
+#: calls out), or ``(bus unit classes, hook owner classes)`` in bus and
+#: hook order, whose instances a region binds from ``core._units`` at
+#: entry.  A region runs only under the view it was compiled for, and
+#: keeps registers in locals only under a view :func:`inline` accepts.
 PLAIN = (frozenset(), False, False, None)
+#: the view's io entry when every device is mapped at 0x20-0x5C, and
+#: when some device is mapped anywhere else
+IO_LOW, IO_ANY = 1, 2
+
+
+def io_level(addresses):
+    """The view's io entry for I/O devices mapped at the data-space
+    *addresses*: False for none, :data:`IO_LOW` when all lie between
+    the register file and SP, where no local holds a byte and every
+    address is below 0x60, else :data:`IO_ANY`."""
+    if not addresses:
+        return False
+    return IO_LOW if 32 <= min(addresses) and \
+        max(addresses) < _ADDRS["SPL"] else IO_ANY
+
+
+def inline(view):
+    """Whether regions under *view* keep r0-r31, SREG and SP in locals,
+    with lazy flags: every callout is rendered as a fragment (under
+    :data:`PLAIN` there are none), a hook has at most one owner (a
+    call path finishes its instruction, and would skip the fragments
+    of the owners after its own), and no device is mapped at a byte a
+    local holds or at a run-time address past the I/O space."""
+    units = view[3]
+    return view == PLAIN or (units is not None and len(units[1]) <= 1
+                             and view[2] != IO_ANY)
 
 #: most blocks one region holds
 REGION_MAX = 16
@@ -592,6 +619,9 @@ _ASSIGNED = re.compile(r"data\[([^\[\]]+)\] *[|&]?= ")
 #: placeholder lines for what only the whole region knows: write its
 #: written locals back to ``data``, reload all its locals from ``data``
 _WRITE_BACK, _RELOAD = "\0w", "\0r"
+#: ... the same write-back as one store per local: less than half the
+#: time of the ``put_`` call, in more source, for a callout's path
+_SPILL = "\0s"
 
 #: template key -> the access kinds of its pseudo-ops
 _KINDS = {key: frozenset(AccessKind[line.rsplit(", ", 1)[1]]
@@ -917,7 +947,8 @@ _COPY_READS = {key: _copy_reads(key) for key in TEMPLATES}
 
 class _Flags:
     """What one template line, its operands filled in, does with SREG in
-    a region over a data space ending at *data_end*:
+    a region over a data space ending at *data_end* under a view whose
+    first three entries are *context* (claimed kinds, hooks, io):
 
     ``reads``
         the bits it reads: ``singles`` lists ``(start, end, bit)`` of
@@ -927,9 +958,10 @@ class _Flags:
         the bits it must write (``writer`` is the form of a line
         assigning SREG, else None).
     ``barrier``
-        a data access that may fault or alias the register locals: every
-        bit is live before it.  ``runtime`` is ``"load"`` or ``"store"``
-        for such an access at an address computed at run time.
+        a data access that may fault, alias the register locals or reach
+        a device, a claimed access or a hook under a view with hooks:
+        every bit is live before it.  ``runtime`` is ``"load"`` or
+        ``"store"`` for an access at an address computed at run time.
     ``assigned``
         the locals it assigns.
     ``copy``
@@ -939,14 +971,14 @@ class _Flags:
     __slots__ = ("reads", "singles", "partial", "kills", "writer",
                  "barrier", "runtime", "assigned", "copy")
 
-    def __init__(self, text, data_end):
+    def __init__(self, text, data_end, context):
         self.singles, self.partial, self.kills = [], 0, 0
         self.writer, self.barrier, self.runtime = None, False, None
         self.assigned = set()
         self.copy = bool(_COPY.fullmatch(text))
         body = text
         if text.startswith("@"):
-            self._pseudo(text, data_end)
+            self._pseudo(text, data_end, context)
         elif self.copy:
             # its reads are those of the lines using the copy
             self.assigned.add(text.split(" ", 1)[0])
@@ -984,11 +1016,14 @@ class _Flags:
         else:
             self.assigned.update(re.findall(r"^(\w+) = ", text))
 
-    def _pseudo(self, text, data_end):
+    def _pseudo(self, text, data_end, context):
+        claimed, hooks, io = context
         op, _, rest = text.partition(" ")
         if op not in _ACCESSES:
+            self.barrier = hooks and op == "@hook"
             return
         args = _args(rest, 3 if op in ("@load", "@store") else 2)
+        self.barrier = AccessKind[args[-1]] in claimed
         write = op in ("@store", "@push")
         if not write:
             self.assigned.add(args[0])
@@ -999,7 +1034,8 @@ class _Flags:
             addr = _constant(args[1] if op == "@load" else args[0])
         if addr is None:
             self.barrier, self.runtime = True, "store" if write else "load"
-        elif not 0 <= addr <= data_end:
+        elif not 0 <= addr <= data_end or (
+                io and addr < _LOCALS_END and addr not in _LOCALS):
             self.barrier = True
         elif addr == _ADDRS["SREG"]:
             if write:
@@ -1011,8 +1047,8 @@ class _Flags:
 
 
 @lru_cache(maxsize=8192)
-def _flags(text, data_end):
-    return _Flags(text, data_end)
+def _flags(text, data_end, context=PLAIN[:3]):
+    return _Flags(text, data_end, context)
 
 
 @lru_cache(maxsize=4096)
@@ -1048,11 +1084,14 @@ def calls_out(key, view):
 
 
 def ends_region(body, view):
-    """Whether a block calls out or may reach an I/O device under
-    *view*: every exit of such a block leaves its region."""
+    """Whether a block calls out or may reach an I/O device under a
+    view :func:`inline` does not accept: every exit of such a block
+    leaves its region.  Under an inline view only the path that calls
+    out or reaches a device leaves."""
     io = view[2]
-    return any(calls_out(instr.key, view) or (io and _KINDS[instr.key])
-               for _pc, instr, _skip in body)
+    return not inline(view) and any(
+        calls_out(instr.key, view) or (io and _KINDS[instr.key])
+        for _pc, instr, _skip in body)
 
 
 def successors(body):
@@ -1091,48 +1130,58 @@ class _BlockWriter:
     exit of a block that does not end its region (:func:`ends_region`)
     to a constant member start: that *moves* there, as long as
     ``cycles`` stays below ``s_`` (the run loop's bound less the largest
-    entry prefix).
+    entry prefix) and no call was made (``o_``).
 
     An access of a kind the view claims, and a call hook when the view
     has hooks, is a *callout* in handler form (:func:`_callout`), or
     the claiming unit's fragment when the view names the units: its
     stalls add to the block's charge and the block ends after its
     instruction.  Other accesses read or write ``data`` directly; under
-    a view with I/O devices they look up ``io_devices`` first, and a
-    block exits after an instruction that reached a device.  Before a
+    a view with I/O devices they look up ``io_devices`` first.  Before a
     callout or device call, and on a bounds fault, the block publishes
     the ``pc``, ``cycles`` and ``instret`` that :meth:`AvrCore.step`
     shows the instruction's handler: PC past it, its cycles not
-    charged, only the instructions before it retired.
+    charged, only the instructions before it retired.  Under a view
+    :func:`inline` does not accept, a block that calls out or may reach
+    a device ends its region, and a block exits after an instruction
+    that reached a device.  Under an inline view only the path that
+    makes the call sets ``o_``, and the block leaves the region after
+    that instruction only when ``o_`` is set (:meth:`calling`): a
+    fragment's common case moves on like any other block.
 
-    With *cache* every constant subscript of r0-r31, SPL, SPH or SREG is
-    a local, loaded at entry and written back by the function's
-    ``finally`` on every exit and fault.  SPL and SPH are the two bytes
-    of one 16-bit local, ``sp_``: ``in``/``out`` read and write a byte
-    of it.  A direct access whose address is computed at run time
-    writes the locals back first when the address is below
-    ``_LOCALS_END``, and reloads them after a store there.  A push or
-    pop is one bounds test on ``sp_`` whose branch takes both the
-    access that may alias the locals and the fault (:meth:`stack`);
-    past it, a push is ``data[sp_] = r`` and ``sp_ -= 1``.
+    With *cache* (an inline view) every constant subscript of r0-r31,
+    SPL, SPH or SREG is a local, loaded at entry and written back by
+    the function's ``finally`` on every exit and fault.  SPL and SPH
+    are the two bytes of one 16-bit local, ``sp_``: ``in``/``out`` read
+    and write a byte of it.  A direct access whose address is computed
+    at run time writes the locals back first when the address is below
+    ``_LOCALS_END`` (where it also looks up a device), and reloads them
+    after a store there; a call writes them back before and reloads
+    them after (should it raise, the ``finally`` leaves ``data`` as the
+    call left it).  An unclaimed push or pop is one
+    bounds test on ``sp_`` whose branch takes both the access that may
+    alias the locals and the fault (:meth:`stack`); past it, a push is
+    ``data[sp_] = r`` and ``sp_ -= 1``.  A claimed one runs the claiming
+    fragment on ``sp_``.
 
-    Under :data:`PLAIN` the flags are lazy (``docs/performance.md``,
+    With *cache* the flags are lazy (``docs/performance.md``,
     "Lazy flags"): an SREG assignment is rendered only for the bits a
     later line may need before they are overwritten, and then held as
     its terms (*pending*) until something needs the whole byte: a read
     of more than one bit on its own, a fault, the write-back on the
-    branch of an access that may alias the locals, a ``break`` out of
-    the region, or a move to a member that may need the bit before it
-    writes it.  A read of one pending bit uses that bit's value
-    directly.  A store on that branch may hit SREG or a local a term
-    reads, so with bits pending the branch finishes the instruction
-    with nothing pending and leaves the region (:meth:`finish`): the
-    terms never merge across the two branches."""
+    branch of an access that may alias the locals or of a call, a
+    ``break`` out of the region, or a move to a member that may need
+    the bit before it writes it.  A read of one pending bit uses that
+    bit's value directly.  A store or call on that branch may change
+    SREG or a local a term reads, so with bits pending the branch
+    finishes the instruction with nothing pending and leaves the region
+    (:meth:`finish`): the terms never merge across the two branches."""
 
     def __init__(self, data_end, view, members, cache):
         self.data_end = data_end
         self.plain = view == PLAIN
         self.claimed, self.hooks, self.io, units = view
+        self.context = view[:3]  # what :func:`_flags` reads of the view
         #: claimed kind -> (unit index, its fragment); hook owners as
         #: (unit index, their fragments), or None to call the hooks
         self.fragments, self.hook_units = {}, None
@@ -1169,10 +1218,12 @@ class _BlockWriter:
         self.texts = None    # ... its lines formatted,
         self.live = None     # ... the SREG bits live after each
         self.index = 0       # ... and the line being rendered
+        self.tail = []       # ... that line's lines after its access
         self.stalls = False  # the current instruction adds to x_
         self.published = False  # ... and has published its state
-        self.device = False  # the current instruction may reach a device
         self.devices = False  # some instruction may reach a device
+        self.signal = False  # the current instruction may set o_
+        self.signals = False  # ... and some instruction may
 
     def retire(self, count):
         """The line charging *count* retired instructions in all (``i_``
@@ -1239,7 +1290,7 @@ class _BlockWriter:
         ``sreg_`` exact where it must be before the line, and the line
         with its reads of one pending bit replaced, or None when it is
         an SREG assignment held as pending (or dead)."""
-        flags = _flags(text, self.data_end)
+        flags = _flags(text, self.data_end, self.context)
         before = []
         if self.pending:
             need = _COPY_READS[key] if flags.copy else flags.partial
@@ -1329,27 +1380,82 @@ class _BlockWriter:
             line = "{} = data[{}]".format(value, at)
             device = "{} = d_.io_read({})".format(value, at)
         if self.cache and constant is None:
-            alias = self.flags() + [_WRITE_BACK, line]
-            if write:
-                alias.append(_RELOAD)
-                if self.pending:
-                    alias += self.finish()
             return (setup + ["if {} < {}:".format(at, _LOCALS_END)]
-                    + _indent(alias) + ["else:"] + _indent(check + [line]))
-        if not self.io:
+                    + _indent(self.low(at, write, line, device))
+                    + ["else:"] + _indent(check + [line]))
+        if not self.io or self.cache and constant >= _LOCALS_END:
             return setup + check + [line]
-        self.device = self.devices = True
+        if self.cache:
+            # a constant address in the I/O space, where no local is
+            return setup + self.lookup(at, [line], device)
+        self.signal = self.devices = self.signals = True
         return (setup + ["d_ = io_.get({})".format(at), "if d_ is None:"]
                 + _indent(check + [line]) + ["else:"]
                 + _indent(self.publish() + [device, "o_ = 1"]))
 
-    def stack(self, push, operand):
+    def low(self, at, write, line, device):
+        """The branch of a direct access at a run-time address *at* below
+        ``_LOCALS_END`` (with the cache): *line* over the locals written
+        back, which a store reloads, or *device* when one is mapped
+        there."""
+        alias = self.flags() + [_WRITE_BACK, line]
+        if write:
+            alias += self.reload()
+            if self.pending:
+                alias += self.finish()
+        return self.lookup(at, alias, device) if self.io else alias
+
+    def lookup(self, at, lines, device):
+        """*lines*, or the call of the device mapped at *at* (with the
+        cache)."""
+        self.devices = True
+        return (["d_ = io_.get({})".format(at), "if d_ is None:"]
+                + _indent(lines) + ["else:"]
+                + _indent(self.calling([device])))
+
+    def reload(self):
+        """Lines reloading the locals after a store or call that may have
+        written them.  On the paths of a claimed push SP keeps its value:
+        it moves after the access, over whatever the access wrote."""
+        if self.tail:
+            return ["k_ = sp_", _RELOAD, "sp_ = k_"]
+        return [_RELOAD]
+
+    def calling(self, call):
+        """The path of a callout or a device call with the cache: the
+        pending flags and the locals written back, the publish, *call*
+        with ``o_`` at 2 (``data`` holds the state: should the call
+        raise, the ``finally`` keeps what it wrote), the locals reloaded
+        after it, and ``o_`` at 1: the block leaves the region after the
+        instruction.  With bits pending the path finishes the
+        instruction itself (:meth:`finish`)."""
+        self.signal = self.signals = True
+        lines = (self.flags() + [_SPILL] + self.publish() + ["o_ = 2"]
+                 + call + self.reload() + ["o_ = 1"])
+        if self.pending:
+            lines += self.finish()
+        return lines
+
+    def stack(self, kind, push, operand):
         """A push of *operand*, or a pop into the variable *operand*, on
-        ``sp_`` (with the cache): one bounds test, whose branch takes
-        the access that may alias the locals (the write-back first, the
-        reload after a push) and the fault."""
+        ``sp_`` (with the cache).  Unclaimed and with no device mapped:
+        one bounds test, whose branch takes the access that may alias the
+        locals (the write-back first, the reload after a push) and the
+        fault.  Otherwise SP moves before a pop and after a push, around
+        the claiming unit's fragment or :meth:`near`."""
         self.local(_ADDRS["SPL"], True)
         self.local(_ADDRS["SPH"], True)
+        claimed = kind in self.claimed
+        if claimed or self.io:
+            if push:
+                self.tail = ["sp_ = (sp_ - 1) & 0xFFFF"]
+            lines = self.access(kind, "sp_", push, operand) if claimed \
+                else self.near(push, operand)
+            if not push:
+                return ["sp_ = (sp_ + 1) & 0xFFFF"] + lines
+            lines += self.tail
+            self.tail = []
+            return lines
         if push:
             test = "sp_ < {} or sp_ > {}".format(_LOCALS_END, self.data_end)
             # SP moves after the store, over whatever it wrote there
@@ -1368,21 +1474,40 @@ class _BlockWriter:
         return ["if " + test + ":"] + _indent(slow) + ["else:"] + \
             _indent(fast)
 
+    def near(self, write, operand):
+        """The direct access at ``sp_`` of a push (before SP moves) or a
+        pop (after): one bounds test whose branch takes the fault, the
+        access that may alias the locals and a device."""
+        if write:
+            line = "data[sp_] = " + operand
+            device = "d_.io_write(sp_, {})".format(operand)
+        else:
+            line = operand + " = data[sp_]"
+            device = "{} = d_.io_read(sp_)".format(operand)
+        return (["if sp_ < {} or sp_ > {}:".format(_LOCALS_END,
+                                                  self.data_end)]
+                + _indent(self.fault("sp_")
+                          + self.low("sp_", write, line, device))
+                + ["else:", "    " + line])
+
     def finish(self):
         """The rest of the current instruction on the branch of a store
-        that may have hit the locals, every pending bit already in
-        ``sreg_`` and written back: its lines after the store rendered
-        with nothing pending, then, unless one of them transfers
-        control, an exit after it.  Every exit on the branch leaves the
-        region, so the pending terms, which the store may have made
-        stale, never reach the code after the branch."""
-        pending, leaving = self.pending, self.leaving
-        self.pending, self.leaving = [], True
-        lines = self.rest(self.index + 1)
+        or call that may have changed the locals, every pending bit
+        already in ``sreg_`` and written back: the rest of its line
+        (:attr:`tail`) and its lines after it rendered with nothing
+        pending, then, unless one of them transfers control, an exit
+        after it.  Every exit on the branch leaves the region, so the
+        pending terms, which the store may have made stale, never reach
+        the code after the branch."""
+        saved = (self.pending, self.leaving, self.tail, self.index,
+                 self.stalls, self.published, self.signal)
+        self.pending, self.leaving, self.tail = [], True, []
+        lines = saved[2] + self.rest(self.index + 1)
         if CONTROL[self.key] is None:
             lines += self.exit(self.next, self.cycles + self.base,
                                self.count + 1)
-        self.pending, self.leaving = pending, leaving
+        (self.pending, self.leaving, self.tail, self.index, self.stalls,
+         self.published, self.signal) = saved
         return lines
 
     def callout(self, lines):
@@ -1400,7 +1525,10 @@ class _BlockWriter:
         self.binds = True
         head = [] if self.stalls else ["x_ = 0"]
         self.stalls = True
-        slow = callout if self.published else self.publish() + callout
+        if self.cache:
+            slow = self.calling(callout)
+        else:
+            slow = callout if self.published else self.publish() + callout
         source = source.format(u="u{}_".format(index),
                                data_end=self.data_end, **names)
         lines = []
@@ -1426,6 +1554,9 @@ class _BlockWriter:
         else:
             names = {"addr": addr, "var": operand}
             call = _bus_read(operand, addr, kind.name)
+        if self.cache and addr == "sp_":
+            return self.fragment(index, source, names,
+                                 lambda: self.near(write, operand), call)
         return self.fragment(index, source, names,
                              lambda: self.direct(addr, write, operand), call)
 
@@ -1459,7 +1590,8 @@ class _BlockWriter:
                  "p_ = {}".format(target if to is None else to)]
         if self.terminal or leave or to not in self.members:
             return lines + self.flags() + ["break"]
-        return (lines + ["if cycles >= s_:"]
+        return (lines + ["if cycles >= s_{}:".format(
+                    " or o_" if self.signal else "")]
                 + _indent(self.flags() + ["break"])
                 + self.flags(self.prepare(self.members[to])[2])
                 + (["continue"] if to <= self.start else []))
@@ -1477,7 +1609,7 @@ class _BlockWriter:
             if kind in self.claimed and kind not in self.fragments:
                 return self.callout(_callout(op, rest))
             if self.cache and op in ("@push", "@pop"):
-                return self.stack(op == "@push", args[0])
+                return self.stack(kind, op == "@push", args[0])
             head = tail = []
             if op == "@push":
                 addr, write, operand = "sp_", True, args[0]
@@ -1517,20 +1649,24 @@ class _BlockWriter:
                 + _indent(self.exit(target, total + cost, count))
                 + ["else:"] + _indent(self.exit(self.next, total, count)))
 
-    def add(self, pc, instr, skip, names, texts, live):
-        """Append one instruction: *texts* are its template's lines
-        formatted with *names*, *live* the SREG bits live after each
-        (None outside :data:`PLAIN`)."""
+    def add(self, pc, instr, skip, names, texts, live, last):
+        """Append one instruction, the block's *last*: *texts* are its
+        template's lines formatted with *names*, *live* the SREG bits
+        live after each (None without the cache)."""
         self.next = str(pc + instr.size_words)
         self.skip = skip
         self.base = instr.spec.cycles
         self.target = None
         self.names = names
-        self.stalls = self.published = self.device = False
+        self.stalls = self.published = self.signal = False
         self.key, self.texts, self.live = instr.key, texts, live
         lines = self.rest(0)
-        if self.device and not self.stalls and CONTROL[instr.key] is None:
-            # a device was reached: exit after this instruction
+        # with the cache the exits after a block's last instruction test
+        # o_; without it a device instruction that made no callout tests
+        # o_ itself, last or not
+        called = self.signal and not (last if self.cache else self.stalls)
+        if called and CONTROL[instr.key] is None:
+            # a call was made: exit after this instruction
             lines += ["if o_:"] + _indent(self.exit(
                 self.next, self.cycles + self.base, self.count + 1, True))
         self.lines += lines
@@ -1566,10 +1702,12 @@ class _BlockWriter:
         self.pending = []
         instrs, live, _entry = self.prepare(body)
         prefix = at = 0
-        for (pc, instr, skip), (names, texts) in zip(body, instrs):
+        for n, ((pc, instr, skip), (names, texts)) in enumerate(
+                zip(body, instrs)):
             prefix = self.cycles
             self.add(pc, instr, skip, names, texts,
-                     None if live is None else live[at:at + len(texts)])
+                     None if live is None else live[at:at + len(texts)],
+                     n == len(body) - 1)
             at += len(texts)
         after = pc + instr.size_words
         if CONTROL[instr.key] is None:
@@ -1578,27 +1716,27 @@ class _BlockWriter:
 
     def prepare(self, body):
         """The block *body*'s template lines formatted, per instruction
-        as ``(names, lines)``; under :data:`PLAIN` the SREG bits live
-        after each line and at the block's entry (every bit is live at
-        an exit, a fault and an access that may alias the locals), else
-        None and every bit.  Memoised per member."""
+        as ``(names, lines)``; with the cache the SREG bits live after
+        each line and at the block's entry (every bit is live at an
+        exit, a fault, an access that may alias the locals and a call),
+        else None and every bit.  Memoised per member."""
         start = body[0][0]
         if start in self.prepared:
             return self.prepared[start]
         instrs = []
-        lines = _LAZY_LINES if self.plain else _LINES
+        lines = _LAZY_LINES if self.cache else _LINES
         for pc, instr, _skip in body:
             names = _names(instr, str(pc + instr.size_words))
             instrs.append((names, [line.format(**names)
                                    for line in lines[instr.key]]))
         live, after = _ALL, None
-        if self.plain:
+        if self.cache:
             after = []
             for key, text in reversed([
                     (instr.key, text) for (_pc, instr, _skip), (_names, texts)
                     in zip(body, instrs) for text in texts]):
                 after.append(live)
-                flags = _flags(text, self.data_end)
+                flags = _flags(text, self.data_end, self.context)
                 reads = _COPY_READS[key] if flags.copy else flags.reads
                 live = _ALL if flags.barrier else \
                     (live & ~flags.kills) | reads
@@ -1635,17 +1773,16 @@ class _BlockWriter:
     def expand(self, lines):
         """*lines* with the write-back and reload placeholders filled in
         from the whole region's locals."""
-        stores = ["put_(data, w_, ({},))".format(", ".join(
-            _LOCAL_READS[addr] for addr in sorted(self.written)))] \
-            if self.written else ["pass"]
-        loads = self.loads() or ["pass"]
+        fill = {_WRITE_BACK: ["put_(data, w_, ({},))".format(", ".join(
+                    _LOCAL_READS[addr] for addr in sorted(self.written)))]
+                if self.written else ["pass"],
+                _SPILL: self.stores(), _RELOAD: self.loads() or ["pass"]}
         out = []
         for line in lines:
             code = line.lstrip(" ")
-            if code in (_WRITE_BACK, _RELOAD):
+            if code in fill:
                 pad = line[:len(line) - len(code)]
-                out += [pad + x
-                        for x in (stores if code == _WRITE_BACK else loads)]
+                out += [pad + x for x in fill[code]]
             else:
                 out.append(line)
         return out
@@ -1719,7 +1856,7 @@ def compile_region(flash, members, data_end, view):
     looping = len(order) > 1 or (
         not terminal[first] and first in successors(members[first]))
     writer = _BlockWriter(data_end, view, members if looping else None,
-                          view == PLAIN)
+                          inline(view))
     entries, cover, body = {}, [], []
     for start in order:
         lines, prefix, last, end = writer.block(members[start],
@@ -1734,7 +1871,9 @@ def compile_region(flash, members, data_end, view):
         head.append("{}, = core._units".format(", ".join(
             "u{}_".format(index) for index in range(writer.units))))
     if writer.devices:
-        head += ["io_ = core.memory.io_devices", "o_ = 0"]
+        head.append("io_ = core.memory.io_devices")
+    if writer.signals:
+        head.append("o_ = 0")
     if looping:
         head.append("s_ = core._bound - {}".format(
             max(prefix for prefix, _last in entries.values())))
@@ -1745,10 +1884,13 @@ def compile_region(flash, members, data_end, view):
     else:
         body += [writer.retire(writer.count)]
     if writer.cache:
-        # every exit and fault leaves through the write-back
+        # every exit and fault leaves through the write-back, but for a
+        # call that raised
         head += writer.loads()
-        body = ["try:"] + _indent(body) + ["finally:"] + _indent(
-            writer.stores())
+        stores = writer.stores()
+        if writer.signals:
+            stores = ["if o_ < 2:"] + _indent(stores)
+        body = ["try:"] + _indent(body) + ["finally:"] + _indent(stores)
     source = "def block(core, data, cycles):\n" + "\n".join(
         _indent(writer.expand(head + body)))
     namespace = dict(writer.namespace(), InvalidAccess=InvalidAccess,

@@ -49,13 +49,14 @@ class SafeStackUnit(BusInterposer):
     #: the common case compiled regions render (repro.sim.semantics):
     #: an enabled unit whose push stays below SP (a return-address push
     #: goes to SP) and whose pop stays at or above the floor, inside the
-    #: data space.  An overflow, an underflow or a disabled unit calls
-    #: out to on_write/on_read.
+    #: data space past the I/O space (0x60 on), where a region may hold
+    #: no byte in a local.  An overflow, an underflow, a pointer below
+    #: 0x60 or a disabled unit calls out to on_write/on_read.
     fragments = {
         AccessKind.RET_PUSH: """
 fr_ = {u}.regs
 fp_ = fr_.safe_stack_ptr
-if fr_.enabled and fp_ < {addr} and fp_ <= {data_end}:
+if fr_.enabled and 0x60 <= fp_ < {addr} and fp_ <= {data_end}:
     data[fp_] = {value}
     fp_ += 1
     fr_.safe_stack_ptr = fp_
@@ -68,7 +69,7 @@ else:
         AccessKind.RET_POP: """
 fr_ = {u}.regs
 fp_ = fr_.safe_stack_ptr - 1
-if fr_.enabled and 0 <= fp_ <= {data_end} and ({u}.floor or 0) <= fp_:
+if fr_.enabled and 0x60 <= fp_ <= {data_end} and ({u}.floor or 0) <= fp_:
     {var} = data[fp_]
     fr_.safe_stack_ptr = fp_
     {u}.redirected_pops += 1

@@ -8,7 +8,9 @@ differential tests pin it over generated programs; this harness pins it
 over the regions that the perfbench workloads, the examples and the
 fuzz corpus actually form, and over those of the register-cache test
 programs, which take the aliasing and stack-fault branches the others
-never take.
+never take.  The UMPU fuzz corpus runs twice: with its write oracle on
+the bus, whose view calls out, and without it, whose regions render the
+units' fragments.
 
 It wraps each region function that ``AvrCore._compile_block`` installs.
 On every entry the wrapper captures the machine's state (data space,
@@ -77,20 +79,14 @@ def _state(machine):
 
 
 def _restore(machine, state):
-    """Put *state* back.  The pending-line set is refilled in place: the
-    run loop holds on to it."""
+    """Put *state* back (``_restore_extra`` refills the pending-line set
+    in place, which the run loop holds on to)."""
     data, pc, cycles, instret, halted, extra = state
     machine.memory.data[:] = data
     core = machine.core
     core.pc, core.cycles, core.instret, core.halted = \
         pc, cycles, instret, halted
-    interrupts = core.interrupts
-    pending = None if interrupts is None else interrupts.pending
     machine._restore_extra(extra)
-    if pending is not None:
-        pending.clear()
-        pending.update(interrupts.pending)
-        interrupts.pending = pending
 
 
 _FIELDS = ("data", "pc", "cycles", "instret", "halted", "extra")
@@ -285,9 +281,17 @@ def run_register_cache_programs():
                 break
 
 
-def run_fuzz(kind, count):
+def run_fuzz(kind, count, fragments=False):
+    """The fuzz campaign; with *fragments* the write oracle is off the
+    bus, so that the UMPU view names the units and regions render their
+    fragments (the oracle is a third interposer, and makes the whole
+    view call out).  The campaign's own fast/step differential still
+    judges each candidate."""
     from repro.soundness.fuzzer import Campaign
-    stats = Campaign(kind, seed=FUZZ_SEED).run(count)
+    campaign = Campaign(kind, seed=FUZZ_SEED)
+    if fragments:
+        campaign.machine.bus.remove_interposer(campaign.oracle)
+    stats = campaign.run(count)
     if stats.escapes:
         raise Mismatch("fuzz {}: {} escapes".format(kind, len(stats.escapes)))
 
@@ -302,6 +306,8 @@ def jobs(ops, fuzz_count, only=None):
     out += [("fuzz {} seed {}".format(kind, FUZZ_SEED),
              lambda kind=kind: run_fuzz(kind, fuzz_count))
             for kind in ("sfi", "umpu")]
+    out.append(("fuzz umpu seed {}, fragments".format(FUZZ_SEED),
+                lambda: run_fuzz("umpu", fuzz_count, fragments=True)))
     if only:
         out = [job for job in out if job[0].startswith(only)]
     return out

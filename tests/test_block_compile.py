@@ -1210,7 +1210,9 @@ def test_flash_write_into_a_skipped_member_start_shared_by_two_regions():
     entered = count_block_entries(fast.core)
     runs = ((fast, fast.core.run), (ref, step_driven_run(ref.core)))
     for _machine, run in runs:
-        run_until_stop(run, max_cycles=2000)
+        # the second run forms a region at the PC the first stopped at
+        for _ in range(2):
+            run_until_stop(run, max_cycles=2000)
     core = fast.core
     listed = core._block_cover[skipped]
     assert entered and 2 <= len({id(entry) for entry in listed}) < len(listed)
@@ -1226,4 +1228,36 @@ def test_flash_write_into_a_skipped_member_start_shared_by_two_regions():
     got, want = (run_until_stop(run, max_cycles=3000) for _m, run in runs)
     assert got == want
     assert fast.core.reg(22) > 0
+    assert_states_identical(fast, ref)
+
+
+#: a hot loop whose one block holds 11 one-cycle instructions before its
+#: ``rjmp``: from reset ``loop`` is first visited at cycle 1, again at 14
+LONG_BLOCK_LOOP = """
+main:
+    ldi r16, 0
+loop:
+    inc r16
+""" + "    nop\n" * 10 + """    rjmp loop
+"""
+
+
+def test_budget_ending_at_a_second_visit_compiles_nothing():
+    """At ``loop``'s second visit (cycle 14) the budget ends at 20,
+    before the block's last instruction (14 + 11): the run loop could
+    not enter a region there, so none is compiled and the visit counts
+    one below the hotness count.  The next run compiles it at its next
+    visit and enters it, ending as the ``step()`` loop ends."""
+    fast = Machine(assemble(LONG_BLOCK_LOOP))
+    ref = Machine(assemble(LONG_BLOCK_LOOP))
+    loop = fast.program.symbol("loop") // 2
+    entered = count_block_entries(fast.core)
+    for run in (fast.core.run, step_driven_run(ref.core)):
+        assert run_until_stop(run, max_cycles=20)[0] == "limit"
+    assert loop not in fast.core._blocks and not fast.core._regions
+    assert not entered
+    assert_states_identical(fast, ref)
+    for run in (fast.core.run, step_driven_run(ref.core)):
+        assert run_until_stop(run, max_cycles=300)[0] == "limit"
+    assert entered and loop in region_members(fast.core, entered)
     assert_states_identical(fast, ref)

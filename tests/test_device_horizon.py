@@ -323,3 +323,61 @@ def test_device_without_cycles_to_event_is_a_type_error(instrumented):
     with pytest.raises(TypeError, match="TickOnlyDevice"):
         machine.run()
     assert machine.core.cycles == 0 and machine.core.instret == 0
+
+
+# ---------------------------------------------------------------------
+# a restore from inside a run
+# ---------------------------------------------------------------------
+class RestoreThenRaise:
+    """At its event, *at* cycles in: restores a snapshot of the machine
+    taken right then (a restore from inside the run), then raises
+    interrupt line 1."""
+
+    def __init__(self, machine, controller, at):
+        self.machine, self.controller, self.left = machine, controller, at
+
+    def cycles_to_event(self):
+        return self.left
+
+    def tick(self, elapsed):
+        if self.left is None:
+            return
+        self.left -= elapsed
+        if self.left <= 0:
+            self.left = None
+            self.machine.restore(self.machine.snapshot())
+            self.controller.raise_irq(1)
+
+
+RESTORE_LOOP = """
+    jmp main
+    jmp isr
+main:
+    sei
+loop:
+    inc r21
+    rjmp loop
+isr:
+    inc r20
+    reti
+"""
+
+
+def test_interrupt_raised_after_a_restore_inside_a_run_is_taken():
+    """The run loop holds the controller's pending set: a restore from
+    inside the run refills it, so a line raised after the restore is
+    taken in that same run, where ``step()`` takes it."""
+    def build():
+        machine = Machine(assemble(RESTORE_LOOP))
+        controller = InterruptController(machine.core, nvectors=2)
+        machine.core.devices.append(RestoreThenRaise(machine, controller,
+                                                     200))
+        return machine
+
+    fast, slow = build(), build()
+    for run in (fast.core.run, step_driven_run(slow.core)):
+        with pytest.raises(CycleLimitExceeded):
+            run(max_cycles=400)
+    assert fast.memory.data[20] == 1, "the ISR ran in the same run"
+    assert fast.core.interrupts.taken == 1
+    assert_states_identical(fast, slow)

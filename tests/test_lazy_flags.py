@@ -225,3 +225,39 @@ def test_snapshot_restore_with_flags_pending():
             "limit"
     assert entered, "regions are formed again after the restore"
     assert_states_identical(fast, ref)
+
+
+#: N and Z of ALU results held pending and each read on its own by a
+#: branch, over results whose bits 6 and 7 differ as often as not
+SIGN_LOOP = """
+    ldi r20, 200
+    ldi r24, 0
+loop:
+    subi r24, -0x25
+    brmi negative
+    inc r16
+negative:
+    mov r25, r24
+    andi r25, 0xC0
+    brpl positive
+    inc r17
+positive:
+    breq zero
+    inc r18
+zero:
+    dec r20
+    brne loop
+    break
+"""
+
+
+def test_branches_on_one_pending_bit_match_step():
+    """``brmi``/``brpl`` read N, ``breq`` Z, straight from the pending
+    terms of ``subi`` and ``andi``: the counts of each branch taken
+    equal ``step()``'s."""
+    fast, ref, entered = pair(assemble(SIGN_LOOP))
+    for machine in (fast, ref):
+        assert run_until_stop(machine.core.run) == ("halt",)
+    assert entered
+    assert fast.core.reg(16) and fast.core.reg(17) and fast.core.reg(18)
+    assert_states_identical(fast, ref)

@@ -37,7 +37,7 @@ from repro.soundness.fuzzer import Campaign
 from repro.soundness.oracle import UmpuWriteOracle
 from repro.umpu import HarborLayout, UmpuMachine
 from repro.umpu.domain_tracker import DomainTracker
-from tests.test_block_compile import count_block_entries
+from tests.test_block_compile import Doorbell, count_block_entries
 from tests.test_fastpath_differential import step_driven_run
 
 LAYOUT = HarborLayout()
@@ -541,3 +541,206 @@ def test_faulting_pop_past_the_data_space_keeps_the_pointer():
     with pytest.raises(InvalidAccess):
         unit.pop_byte()
     assert machine.regs.safe_stack_ptr == machine.geometry.data_end + 2
+
+
+# ----------------------------------------------------------------------
+# the unit paths inside a region
+# ----------------------------------------------------------------------
+def module_program(m0, m1="    ldi r30, 0x10\n    ldi r31, 0x05\n"
+                          "    st Z, r20\n    ret\n", kernel=None):
+    """The trusted kernel calls domain 0's *m0* once through the jump
+    table (or runs *kernel* itself); domain 1's *m1* is reachable
+    through its own page."""
+    return """
+    jmp kmain
+    jmp isr
+kmain:
+{kernel}isr:
+    reti
+.org {jt0:#x}
+    jmp m0
+.org {jt1:#x}
+    jmp m1
+.org {m0_at:#x}
+m0:
+{m0}.org {m1_at:#x}
+m1:
+{m1}""".format(kernel=kernel or "    call {:#x}\n    ret\n".format(JT0),
+               jt0=JT0, jt1=JT1, m0_at=CODE[0][0], m1_at=CODE[1][0],
+               m0=m0, m1=m1)
+
+
+def low_safe_stack(machine):
+    """The sentinel's frame moved to 0x1A-0x1B (r26, r27) with the
+    floor under it: the return addresses the program pushes land on
+    r28 and r29, below 0x60."""
+    regs, data = machine.regs, machine.memory.data
+    ptr = regs.safe_stack_ptr
+    data[0x1A], data[0x1B] = data[ptr - 2], data[ptr - 1]
+    regs.safe_stack_ptr = 0x1C
+    machine.safe_stack_unit.floor = 0x1A
+
+
+def install_doorbell(machine):
+    """A device at I/O 0x10 whose every write raises interrupt line 1."""
+    bell = Doorbell(InterruptController(machine.core, nvectors=2))
+    machine.memory.io_devices[bell.io_addr + 0x20] = bell
+
+
+#: name -> (program, prepare, the keys whose boundaries budgets land on)
+UNIT_PATHS = {
+    # own-block stores, each stalled and each ending its block: every
+    # trip moves three times right after a stall
+    "stalled_stores": (module_program("""
+    ldi r20, 14
+    ldi r26, 0x00
+    ldi r27, 0x04
+stores:
+    st X+, r20
+    inc r21
+    st X+, r21
+    subi r22, 3
+    st X+, r22
+    dec r20
+    brne stores
+    ret
+"""), None, ("st_xp",)),
+    # a cross-domain call with Z pending from the dec (read by the brne
+    # after the return), and the cross-domain return, both taken after
+    # a stalled store and a move
+    "cross_domain_calls": (module_program("""
+    ldi r20, 14
+calls:
+    inc r21
+    sts 0x0410, r21
+    dec r20
+    call {:#x}
+    brne calls
+    ret
+""".format(JT1)), None, ("sts", "call", "ret")),
+    # X walks up into domain 1's block: on the 16th trip the second
+    # store faults with subi's flags pending, after several moves
+    "foreign_fault": (module_program("""
+    ldi r20, 30
+    ldi r26, 0xF0
+    ldi r27, 0x04
+walk:
+    st X, r20
+    adiw r26, 1
+    inc r21
+    sts 0x0420, r21
+    subi r22, 1
+    st X, r22
+    dec r20
+    brne walk
+    ret
+"""), None, ("st_x", "sts")),
+    # safe_stack_ptr below 0x60: every return address is pushed onto
+    # r28/r29 and popped back by the unit (inc's flags pending at the
+    # ret), and the leaf reads it through the registers; the two call
+    # sites push different addresses
+    "low_safe_stack": (module_program("", kernel="""
+    ldi r20, 14
+leafs:
+    rcall leaf
+    sts 0x0600, r18
+    rcall leaf
+    sts 0x0601, r18
+    dec r20
+    brne leafs
+    ret
+leaf:
+    mov r18, r28
+    eor r18, r29
+    inc r19
+    ret
+"""), low_safe_stack, ("rcall", "ret")),
+    # an in from the cur_domain register mid-block with inc's flags
+    # pending, then a stalled store of what it read
+    "register_read": (module_program("""
+    ldi r20, 14
+reads:
+    inc r21
+    in r17, {:#x}
+    sts 0x0430, r17
+    dec r20
+    brne reads
+    ret
+""".format(IoReg.CUR_DOMAIN)), None, ("in", "sts")),
+    # a device at I/O 0x10 whose every write raises interrupt line 1,
+    # written with no flag pending (so the call path goes on to the
+    # block's end): the ISR runs right after the out, before the mov
+    # reads r2
+    "doorbell": ("""
+    jmp kmain
+    jmp isr
+kmain:
+    sei
+    ldi r20, 20
+bells:
+    mov r16, r20
+    out 0x10, r16
+    inc r17
+    add r18, r17
+    mov r21, r2
+    sts 0x0600, r21
+    dec r20
+    brne bells
+    ret
+isr:
+    inc r2
+    reti
+""", install_doorbell, ("out",)),
+}
+
+
+def boundaries(source, prepare, keys):
+    """The cycles, from the start, of the boundary after each
+    instruction of *keys* that a ``step()`` run retires, past the
+    first six (by then the loop runs compiled)."""
+    machine = build(source)
+    if prepare is not None:
+        prepare(machine)
+    core = machine.core
+    start, out = core.cycles, []
+    try:
+        while core.pc != CALL_SENTINEL_WORD:
+            key = core._fetch()[0].key
+            core.step()
+            if key in keys:
+                out.append(core.cycles - start)
+    except (ProtectionFault, SimError):
+        pass
+    return out[6:]
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_PATHS))
+def test_unit_paths_inside_regions_match_step(name):
+    """Each program to its end, then budgets landing on, one before and
+    one past the boundaries after its unit and device instructions: the
+    fast loop ends every run as the ``step()`` loop does, field for
+    field."""
+    source, prepare, keys = UNIT_PATHS[name]
+    got, fast = assert_pair(source, prepare=prepare)
+    assert fast.core._view[3] is not None, "fragments must be rendered"
+    if name == "foreign_fault":
+        assert got[0] == "MemMapFault"
+    else:
+        assert got is None
+    stops = boundaries(source, prepare, keys)
+    assert len(stops) >= 8
+    entered = 0
+    for budget in sorted({b + d for b in stops[:12] for d in (-1, 0, 1)}):
+        fast, ref = build(source), build(source)
+        if prepare is not None:
+            prepare(fast)
+            prepare(ref)
+        count = count_block_entries(fast.core)
+        got = outcome(lambda **kw: fast.core.run(
+            **dict(kw, max_cycles=budget)))
+        want = outcome(lambda **kw: step_driven_run(ref.core)(
+            **dict(kw, max_cycles=budget)))
+        assert got == want
+        assert unit_state(fast) == unit_state(ref)
+        entered += bool(count)
+    assert entered
