@@ -37,7 +37,7 @@ from repro.soundness.fuzzer import Campaign
 from repro.soundness.oracle import UmpuWriteOracle
 from repro.umpu import HarborLayout, UmpuMachine
 from repro.umpu.domain_tracker import DomainTracker
-from tests.test_block_compile import Doorbell, count_block_entries
+from tests.test_block_compile import count_block_entries
 from tests.test_fastpath_differential import step_driven_run
 
 LAYOUT = HarborLayout()
@@ -583,6 +583,7 @@ def low_safe_stack(machine):
 
 def install_doorbell(machine):
     """A device at I/O 0x10 whose every write raises interrupt line 1."""
+    from tests.test_block_compile import Doorbell
     bell = Doorbell(InterruptController(machine.core, nvectors=2))
     machine.memory.io_devices[bell.io_addr + 0x20] = bell
 
