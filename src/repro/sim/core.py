@@ -166,6 +166,9 @@ class AvrCore:
         self._units = ()
         #: visits of PCs not yet in ``_blocks``
         self._heat = {}
+        #: hot PCs whose entry the run loop could not enter at their
+        #: last visit -> the entry prefix of the block there
+        self._prefixes = {}
         #: flash word -> ``(spans, starts)`` of each region (or PC
         #: without a block) that read it: the ``(first, end)`` words it
         #: read and the block starts whose entries go when one of them
@@ -264,6 +267,7 @@ class AvrCore:
         self._blocks.clear()
         self._regions.clear()
         self._heat.clear()
+        self._prefixes.clear()
         self._block_cover.clear()
 
     def _on_flash_write(self, word_addr):
@@ -272,11 +276,14 @@ class AvrCore:
         spans it too), and every region that read it, at all of its
         entries.  The cached entry carries the bound handler, so
         dropping it unbinds the stale executor as well; a dropped
-        region leaves the cover lists of all the words it read.  A
-        *word_addr* of None (all of flash changed) drops everything."""
+        region leaves the cover lists of all the words it read, and the
+        kept entry prefixes (:meth:`_warm`) go.  A *word_addr* of None
+        (all of flash changed) drops everything."""
         if word_addr is None:
             self.invalidate_decode_cache()
             return
+        if self._prefixes:
+            self._prefixes.clear()
         cache = self._decode_cache
         if cache:
             cache.pop(word_addr, None)
@@ -580,19 +587,30 @@ class AvrCore:
 
     def _warm(self, pc, room):
         """Count a visit to *pc*; on the ``_HOT``-th, enter its entry,
-        unless that needs a region compiled that the run loop could not
-        enter now: the cycles before the last instruction of the block
-        at *pc* (the region's entry prefix) reach *room*, the cycles
-        left before the bound.  Then the heat stays one below ``_HOT``
-        and the next visit tries again."""
+        unless that needs a region compiled (neither this core nor the
+        code cache holds one) that the run loop could not enter now:
+        the cycles before the last instruction of the block at *pc*
+        (the region's entry prefix) reach *room*, the cycles left
+        before the bound.  Then the heat stays one below ``_HOT``, the
+        prefix is kept (until the next flash write) and the next visit
+        tries again."""
         heat = self._heat.pop(pc, 0) + 1
         if heat >= _HOT:
             if pc in self._regions:
                 return self._compile_block(pc)
-            body = self._block_body(pc)
-            if sum(instr.spec.cycles for _pc, instr, _skip in body[:-1]) \
-                    < room:
+            prefix = self._prefixes.get(pc)
+            if prefix is None:
+                if semantics.cached_region(
+                        self.memory.flash, pc, self.geometry.data_end,
+                        self._view) is not None:
+                    return self._compile_block(pc)
+                body = self._block_body(pc)
+                prefix = sum(instr.spec.cycles
+                             for _pc, instr, _skip in body[:-1])
+            if prefix < room:
+                self._prefixes.pop(pc, None)
                 return self._compile_block(pc)
+            self._prefixes[pc] = prefix
             heat = _HOT - 1
         self._heat[pc] = heat
         return _NO_BLOCK

@@ -619,9 +619,6 @@ _ASSIGNED = re.compile(r"data\[([^\[\]]+)\] *[|&]?= ")
 #: placeholder lines for what only the whole region knows: write its
 #: written locals back to ``data``, reload all its locals from ``data``
 _WRITE_BACK, _RELOAD = "\0w", "\0r"
-#: ... the same write-back as one store per local: less than half the
-#: time of the ``put_`` call, in more source, for a callout's path
-_SPILL = "\0s"
 
 #: template key -> the access kinds of its pseudo-ops
 _KINDS = {key: frozenset(AccessKind[line.rsplit(", ", 1)[1]]
@@ -1158,7 +1155,8 @@ class _BlockWriter:
     ``_LOCALS_END`` (where it also looks up a device), and reloads them
     after a store there; a call writes them back before and reloads
     them after (should it raise, the ``finally`` leaves ``data`` as the
-    call left it).  An unclaimed push or pop is one
+    call left it).  Both write-backs call the region's ``put_``
+    (:meth:`put`).  An unclaimed push or pop is one
     bounds test on ``sp_`` whose branch takes both the access that may
     alias the locals and the fault (:meth:`stack`); past it, a push is
     ``data[sp_] = r`` and ``sp_ -= 1``.  A claimed one runs the claiming
@@ -1430,7 +1428,7 @@ class _BlockWriter:
         instruction.  With bits pending the path finishes the
         instruction itself (:meth:`finish`)."""
         self.signal = self.signals = True
-        lines = (self.flags() + [_SPILL] + self.publish() + ["o_ = 2"]
+        lines = (self.flags() + [_WRITE_BACK] + self.publish() + ["o_ = 2"]
                  + call + self.reload() + ["o_ = 1"])
         if self.pending:
             lines += self.finish()
@@ -1748,6 +1746,21 @@ class _BlockWriter:
         return ["data[{}] = {}".format(addr, _LOCAL_READS[addr])
                 for addr in sorted(self.written)] or ["pass"]
 
+    def _written_names(self):
+        """The locals holding the written bytes, each once."""
+        return ", ".join(dict.fromkeys(
+            _LOCALS[addr] for addr in sorted(self.written)))
+
+    def put(self):
+        """The region's write-back function ``put_``: :meth:`stores` on
+        its arguments, the written locals.  One call writes them back
+        before an access that may alias them or a call, as fast as the
+        stores in place and in one line of source."""
+        if not self.written:
+            return []
+        return (["def put_(data, {}):".format(self._written_names())]
+                + _indent(self.stores()))
+
     def _bytes(self):
         """The cached bytes loaded one by one (all but SP's)."""
         return [addr for addr in sorted(self.used) if addr not in _SP_BYTES]
@@ -1765,18 +1778,16 @@ class _BlockWriter:
         return lines
 
     def namespace(self):
-        """The globals :meth:`loads` and :meth:`expand` refer to."""
+        """The global :meth:`loads` refers to."""
         used = self._bytes()
-        return {"g_": itemgetter(*used) if len(used) > 1 else None,
-                "w_": tuple(sorted(self.written)), "put_": _put}
+        return {"g_": itemgetter(*used) if len(used) > 1 else None}
 
     def expand(self, lines):
         """*lines* with the write-back and reload placeholders filled in
         from the whole region's locals."""
-        fill = {_WRITE_BACK: ["put_(data, w_, ({},))".format(", ".join(
-                    _LOCAL_READS[addr] for addr in sorted(self.written)))]
-                if self.written else ["pass"],
-                _SPILL: self.stores(), _RELOAD: self.loads() or ["pass"]}
+        fill = {_WRITE_BACK: ["put_(data, {})".format(
+                    self._written_names())] if self.written else ["pass"],
+                _RELOAD: self.loads() or ["pass"]}
         out = []
         for line in lines:
             code = line.lstrip(" ")
@@ -1786,13 +1797,6 @@ class _BlockWriter:
             else:
                 out.append(line)
         return out
-
-
-def _put(data, addrs, values):
-    """Write a region's written locals back before an access that may
-    alias them."""
-    for addr, value in zip(addrs, values):
-        data[addr] = value
 
 
 class Region:
@@ -1891,8 +1895,8 @@ def compile_region(flash, members, data_end, view):
         if writer.signals:
             stores = ["if o_ < 2:"] + _indent(stores)
         body = ["try:"] + _indent(body) + ["finally:"] + _indent(stores)
-    source = "def block(core, data, cycles):\n" + "\n".join(
-        _indent(writer.expand(head + body)))
+    source = "\n".join(writer.put() + ["def block(core, data, cycles):"]
+                       + _indent(writer.expand(head + body)))
     namespace = dict(writer.namespace(), InvalidAccess=InvalidAccess,
                      NVSZ=NVSZ, AccessKind=AccessKind)
     exec(compile(source, "<avr block>", "exec"), namespace)
