@@ -25,17 +25,17 @@ or debugger.  It folds device events into its budget comparison and
 runs hot code as regions compiled from the same templates: one
 function per hot loop, holding a hot block and the blocks reachable
 from it by compile-time-known exits, which moves between them without
-returning to the loop.  A region reads and writes
-``memory.data`` directly except where something may act: a bus access
-of a kind some unit claims (:attr:`BusInterposer.kinds`), a call hook,
-a mapped I/O device.  There it calls out in handler form and returns
-after that instruction, or, when the run's units all supply fragments,
-renders the claiming unit's fragment (its common case inline, the
-callout for the rest) and returns only after an instruction that
-called out or reached a device.  When nothing may act at all, or every
-unit renders fragments, it keeps r0-r31, SP and SREG in Python locals.
-Both paths are cycle-for-cycle identical to :meth:`step` (asserted by
-the differential tests).
+returning to the loop, with r0-r31, SP and SREG in Python locals.  A
+region reads and writes ``memory.data`` directly except where
+something may act: a bus access of a kind some unit claims
+(:attr:`BusInterposer.kinds`), a call hook, a mapped I/O device.  When
+the run's units all supply fragments it renders the claiming unit's
+fragment there (its common case inline, the callout for the rest),
+else the callout alone, and it returns only after an instruction that
+called out or reached a device.  A device mapped outside 0x20-0x5C
+(over a register, SP or SREG, or past the I/O space) keeps the run
+interpreted.  Both paths are cycle-for-cycle identical to :meth:`step`
+(asserted by the differential tests).
 
 Cycle events reach the core only from its devices (the timeline
 recorder among them), and flash changes only as flash-listener calls.
@@ -76,10 +76,12 @@ _RENDERABLE = {}
 def _renderable(bus_units, owners):
     """Whether blocks may render the fragments of units of these classes
     in place of their callouts: every bus unit claims kinds no other
-    claims and has a fragment for each, every hook owner has one for
-    each of :data:`~repro.sim.semantics.HOOK_EVENTS`, and every
-    instance has a ``__dict__`` for :meth:`AvrCore._fragment_units` to
-    check for overrides."""
+    claims and has a fragment for each, there is at most one hook owner
+    (a call path finishes its instruction, and would skip the fragments
+    of the owners after its own) and it has one for each of
+    :data:`~repro.sim.semantics.HOOK_EVENTS`, and every instance has a
+    ``__dict__`` for :meth:`AvrCore._fragment_units` to check for
+    overrides."""
     claimed = set()
     for unit in bus_units:
         fragments = getattr(unit, "fragments", None)
@@ -92,7 +94,8 @@ def _renderable(bus_units, owners):
         fragments = getattr(owner, "fragments", None)
         if fragments is None or not semantics.HOOK_EVENTS <= fragments.keys():
             return False
-    return all(unit.__dictoffset__ for unit in bus_units + owners)
+    return len(owners) <= 1 and all(unit.__dictoffset__
+                                    for unit in bus_units + owners)
 
 
 def _tick(devices, elapsed):
@@ -395,7 +398,9 @@ class AvrCore:
         :meth:`_run_fast`, cycle-for-cycle identical to it.  For that
         loop's compiled blocks the run computes its view of the bus and
         the call path (:meth:`_block_view`) and drops the blocks it
-        compiled under another.  Attach instrumentation, interposers
+        compiled under another.  A bus profiler or metrics registry
+        leaves the view as it is: the units' fragments call out for
+        what those observe.  Attach instrumentation, interposers
         and hooks *before* calling ``run`` (as ``Machine.attach_*``
         do) — the path and the view are chosen once per call.
 
@@ -434,16 +439,16 @@ class AvrCore:
         without ``kinds``), whether there are call hooks, where I/O
         devices are mapped (:func:`~repro.sim.semantics.io_level`), and
         the units whose fragments blocks render
-        (:meth:`_fragment_units`)."""
+        (:meth:`_fragment_units`; none under a bus trace sink, which
+        sees every transaction)."""
         bus = self.bus
         claimed = _NO_KINDS
         for unit in bus.interposers:
             kinds = getattr(unit, "kinds", None)
             claimed = _ALL_KINDS if kinds is None else claimed.union(kinds)
-        units = None
         if bus.trace is not None:
-            claimed = _ALL_KINDS
-        elif bus.profiler is None and bus.metrics is None:
+            claimed, units = _ALL_KINDS, None
+        else:
             units = self._fragment_units()
         return (claimed, bool(self.call_hooks),
                 semantics.io_level(self.memory.io_devices), units)
@@ -451,11 +456,12 @@ class AvrCore:
     def _fragment_units(self):
         """The classes of the bus units and hook owners whose fragments
         this run's blocks render, as the view names them, or None when
-        any of them cannot be rendered: then they all call out, because
-        their order matters.  The classes must pass :func:`_renderable`,
-        each call hook must be its owner's own ``on_event``, and no
-        instance may override its class's claims, fragments or
-        handlers.  Sets :attr:`_units` to the instances."""
+        any of them cannot be rendered: then every claimed access and
+        hook is a bare callout, because their order matters.  The
+        classes must pass :func:`_renderable`, each call hook must be
+        its owner's own ``on_event``, and no instance may override its
+        class's claims, fragments or handlers.  Sets :attr:`_units` to
+        the instances."""
         units = list(self.bus.interposers)
         bus_units = len(units)
         for hook in self.call_hooks:
@@ -653,9 +659,11 @@ class AvrCore:
         """The blocks of a new region at *pc*, start word -> body: the
         block at *pc* and, breadth first, those reachable from it by
         compile-time-known exits (:func:`semantics.successors`), at most
-        ``REGION_MAX``.  A block that ends its region adds no
-        successors."""
-        view = self._view
+        ``REGION_MAX``; none under a view with a device mapped outside
+        0x20-0x5C (:data:`semantics.IO_ANY`), where a region may hold
+        the byte in a local or not look the device up."""
+        if self._view[2] == semantics.IO_ANY:
+            return {}
         members = {}
         queue = [pc]
         for start in queue:
@@ -667,8 +675,7 @@ class AvrCore:
             members[start] = body
             if len(members) == semantics.REGION_MAX:
                 break
-            if not semantics.ends_region(body, view):
-                queue += semantics.successors(body)
+            queue += semantics.successors(body)
         return members
 
     def _block_body(self, pc):

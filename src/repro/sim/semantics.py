@@ -7,17 +7,18 @@ renders every template into the interpreter's ``_exec_<key>`` handler
 blocks (runs of templates ending at a control transfer) into one Python
 function per region with the operands constant-folded
 (:func:`compile_region`); a region moves between its blocks without
-returning, and under a view :func:`inline` accepts keeps r0-r31, SREG
-and SP (one 16-bit local) in locals.  Only :data:`HANDLER_ONLY`
-opcodes never enter a block.  The third rendering (:func:`make_symbolic`) is the symbolic evaluator of
+returning and keeps r0-r31, SREG and SP (one 16-bit local) in locals.
+Only :data:`HANDLER_ONLY` opcodes never enter a block.  The third
+rendering (:func:`make_symbolic`) is the symbolic evaluator of
 :mod:`repro.analysis.static.symexec`: the handler's lines run over
 symbolic values, so the translation validator proves rewritten stores
 against these same templates.  The renderings differ only in the
 pseudo-ops, which are where the bus, the call hooks and the trace sink
-come in.  A block renders a pseudo-op in handler form only where its
-view (:data:`PLAIN`) says something may act on it (a *callout*), and
-directly everywhere else; the symbolic rendering makes each one a
-method call on the evaluator state, passed as ``core``:
+come in.  A block calls out only where its view (:data:`PLAIN`) says
+something may act on a pseudo-op (a *callout*), through the acting
+unit's fragment where it has one, and renders it directly everywhere
+else; the symbolic rendering makes each one a method call on the
+evaluator state, passed as ``core``:
 
 ``{d}``, ``{r}``, ``{K}``, ... (the spec's operand letters)
     the operand: a local of the handler, a literal in a block.
@@ -30,7 +31,8 @@ method call on the evaluator state, passed as ``core``:
 ``@load v, addr, KIND`` / ``@store addr, value, KIND``
     a data-space transaction.  A handler runs it through the bus and
     adds the stall cycles it returns; so does a block where the view
-    claims KIND.  Otherwise a block reads or writes ``data`` directly
+    claims KIND, unless the claiming unit's fragment takes its common
+    case.  Otherwise a block reads or writes ``data`` directly
     after a bounds check (and an I/O-device lookup, when the view has
     devices).  Symbolically it goes to SREG or SP (an I/O access at
     their constant address) or to the memory log.
@@ -413,10 +415,10 @@ def _bus_write(addr, value, kind):
 
 
 def _callout(op, rest):
-    """An access or ``@hook`` in handler form, shared by both
-    renderings: through ``core.bus`` and ``core.call_hooks``, adding
-    stall cycles to ``x_``.  A stack write lands (or faults) before SP
-    moves; SP moves before a stack read."""
+    """An access or ``@hook`` in handler form: through ``core.bus`` and
+    ``core.call_hooks``, adding stall cycles to ``x_`` (a region calls
+    the hooks so when they have no fragments).  A stack write lands (or
+    faults) before SP moves; SP moves before a stack read."""
     if op == "@load":
         return _bus_read(*_args(rest, 3))
     if op == "@store":
@@ -570,8 +572,8 @@ def _indent(lines):
 #: whose fragments blocks render: None (every claimed access and hook
 #: calls out), or ``(bus unit classes, hook owner classes)`` in bus and
 #: hook order, whose instances a region binds from ``core._units`` at
-#: entry.  A region runs only under the view it was compiled for, and
-#: keeps registers in locals only under a view :func:`inline` accepts.
+#: entry.  A region runs only under the view it was compiled for; the
+#: core forms none under a view whose io entry is :data:`IO_ANY`.
 PLAIN = (frozenset(), False, False, None)
 #: the view's io entry when every device is mapped at 0x20-0x5C, and
 #: when some device is mapped anywhere else
@@ -589,22 +591,11 @@ def io_level(addresses):
         max(addresses) < _ADDRS["SPL"] else IO_ANY
 
 
-def inline(view):
-    """Whether regions under *view* keep r0-r31, SREG and SP in locals,
-    with lazy flags: every callout is rendered as a fragment (under
-    :data:`PLAIN` there are none), a hook has at most one owner (a
-    call path finishes its instruction, and would skip the fragments
-    of the owners after its own), and no device is mapped at a byte a
-    local holds or at a run-time address past the I/O space."""
-    units = view[3]
-    return view == PLAIN or (units is not None and len(units[1]) <= 1
-                             and view[2] != IO_ANY)
-
 #: most blocks one region holds
 REGION_MAX = 16
-#: the bytes a region under :data:`PLAIN` keeps in locals (r0-r31, SPL,
-#: SPH, SREG) -> the local holding each: SPL and SPH are the two bytes
-#: of the 16-bit ``sp_``; and the first data address past them
+#: the bytes a region keeps in locals (r0-r31, SPL, SPH, SREG) -> the
+#: local holding each: SPL and SPH are the two bytes of the 16-bit
+#: ``sp_``; and the first data address past them
 _LOCALS = {n: "r{}_".format(n) for n in range(32)}
 _LOCALS.update({_ADDRS["SPL"]: "sp_", _ADDRS["SPH"]: "sp_",
                 _ADDRS["SREG"]: "sreg_"})
@@ -619,6 +610,9 @@ _ASSIGNED = re.compile(r"data\[([^\[\]]+)\] *[|&]?= ")
 #: placeholder lines for what only the whole region knows: write its
 #: written locals back to ``data``, reload all its locals from ``data``
 _WRITE_BACK, _RELOAD = "\0w", "\0r"
+#: ``(unit index, fragment)`` of a claimed kind no unit renders: every
+#: case calls out
+_CALLOUT = None, "@callout"
 
 #: template key -> the access kinds of its pseudo-ops
 _KINDS = {key: frozenset(AccessKind[line.rsplit(", ", 1)[1]]
@@ -915,8 +909,8 @@ def _lazy_lines(key):
     return lines
 
 
-#: template key -> its :func:`_lazy_lines`, which regions under
-#: :data:`PLAIN` render so that a pending bit can stand in for the read
+#: template key -> its :func:`_lazy_lines`, which regions render so
+#: that a pending bit can stand in for the read
 _LAZY_LINES = {key: _lazy_lines(key) for key in TEMPLATES}
 
 
@@ -1076,19 +1070,7 @@ def sreg_effects(key, operands):
 def calls_out(key, view):
     """Whether an instruction of *key* makes a callout under *view*: a
     block ends after it."""
-    claimed, hooks, _io, _units = view
-    return bool(_KINDS[key] & claimed) or (hooks and key in _HOOKED)
-
-
-def ends_region(body, view):
-    """Whether a block calls out or may reach an I/O device under a
-    view :func:`inline` does not accept: every exit of such a block
-    leaves its region.  Under an inline view only the path that calls
-    out or reaches a device leaves."""
-    io = view[2]
-    return not inline(view) and any(
-        calls_out(instr.key, view) or (io and _KINDS[instr.key])
-        for _pc, instr, _skip in body)
+    return bool(_KINDS[key] & view[0]) or (view[1] and key in _HOOKED)
 
 
 def successors(body):
@@ -1124,50 +1106,48 @@ class _BlockWriter:
     tail.  With them, every exit charges the block's cycles and
     instructions to the locals ``cycles`` and ``i_``, sets ``p_`` and
     leaves the region's loop for the one publish after it, except an
-    exit of a block that does not end its region (:func:`ends_region`)
-    to a constant member start: that *moves* there, as long as
+    exit to a constant member start: that *moves* there, as long as
     ``cycles`` stays below ``s_`` (the run loop's bound less the largest
     entry prefix) and no call was made (``o_``).
 
     An access of a kind the view claims, and a call hook when the view
-    has hooks, is a *callout* in handler form (:func:`_callout`), or
-    the claiming unit's fragment when the view names the units: its
-    stalls add to the block's charge and the block ends after its
+    has hooks, renders the claiming unit's fragment, or the bare
+    fragment ``@callout`` where no unit renders one (:meth:`fragment`):
+    its stalls add to the block's charge and the block ends after its
     instruction.  Other accesses read or write ``data`` directly; under
-    a view with I/O devices they look up ``io_devices`` first.  Before a
+    a view with I/O devices they look up ``io_devices`` first.  Only
+    the path that calls out or reaches a device sets ``o_``
+    (:meth:`calling`), and the block leaves the region after that
+    instruction only then: a fragment's common case moves on like any
+    other block.  Before a
     callout or device call, and on a bounds fault, the block publishes
     the ``pc``, ``cycles`` and ``instret`` that :meth:`AvrCore.step`
     shows the instruction's handler: PC past it, its cycles not
-    charged, only the instructions before it retired.  Under a view
-    :func:`inline` does not accept, a block that calls out or may reach
-    a device ends its region, and a block exits after an instruction
-    that reached a device.  Under an inline view only the path that
-    makes the call sets ``o_``, and the block leaves the region after
-    that instruction only when ``o_`` is set (:meth:`calling`): a
-    fragment's common case moves on like any other block.
+    charged, only the instructions before it retired.
 
-    With *cache* (an inline view) every constant subscript of r0-r31,
-    SPL, SPH or SREG is a local, loaded at entry and written back by
-    the function's ``finally`` on every exit and fault.  SPL and SPH
-    are the two bytes of one 16-bit local, ``sp_``: ``in``/``out`` read
-    and write a byte of it.  A direct access whose address is computed
-    at run time writes the locals back first when the address is below
-    ``_LOCALS_END`` (where it also looks up a device), and reloads them
-    after a store there; a call writes them back before and reloads
-    them after (should it raise, the ``finally`` leaves ``data`` as the
-    call left it).  Both write-backs call the region's ``put_``
-    (:meth:`put`).  An unclaimed push or pop is one
-    bounds test on ``sp_`` whose branch takes both the access that may
-    alias the locals and the fault (:meth:`stack`); past it, a push is
-    ``data[sp_] = r`` and ``sp_ -= 1``.  A claimed one runs the claiming
-    fragment on ``sp_``.
+    Every constant subscript of r0-r31, SPL, SPH or SREG is a local,
+    loaded at entry and written back by the function's ``finally`` on
+    every exit and fault.  SPL and SPH are the two bytes of one 16-bit
+    local, ``sp_``: ``in``/``out`` read and write a byte of it.  A
+    direct access whose address is computed at run time writes the
+    locals back first when the address is below ``_LOCALS_END`` (where
+    it also looks up a device), and reloads them after a store there; a
+    call writes them back before and reloads them after (should it
+    raise, the ``finally`` leaves ``data`` as the call left it).  Both
+    write-backs call the region's ``put_`` (:meth:`put`).  An unclaimed
+    push or pop is one bounds test on ``sp_`` whose branch takes both
+    the access that may alias the locals and the fault
+    (:meth:`stack`); past it, a push is ``data[sp_] = r`` and ``sp_ -=
+    1``.  A claimed one runs the claiming fragment on ``sp_``.  The
+    view must map no device at a byte a local holds or past the I/O
+    space (:data:`IO_ANY`): the core forms no region under such a view.
 
-    With *cache* the flags are lazy (``docs/performance.md``,
-    "Lazy flags"): an SREG assignment is rendered only for the bits a
-    later line may need before they are overwritten, and then held as
-    its terms (*pending*) until something needs the whole byte: a read
-    of more than one bit on its own, a fault, the write-back on the
-    branch of an access that may alias the locals or of a call, a
+    The flags are lazy (``docs/performance.md``, "Lazy flags"): an SREG
+    assignment is rendered only for the bits a later line may need
+    before they are overwritten, and then held as its terms (*pending*)
+    until something needs the whole byte: a read of more than one bit
+    on its own, a fault, the write-back on the branch of an access that
+    may alias the locals or of a call, a claimed write of SREG, a
     ``break`` out of the region, or a move to a member that may need
     the bit before it writes it.  A read of one pending bit uses that
     bit's value directly.  A store or call on that branch may change
@@ -1175,7 +1155,7 @@ class _BlockWriter:
     finishes the instruction with nothing pending and leaves the region
     (:meth:`finish`): the terms never merge across the two branches."""
 
-    def __init__(self, data_end, view, members, cache):
+    def __init__(self, data_end, view, members):
         self.data_end = data_end
         self.plain = view == PLAIN
         self.claimed, self.hooks, self.io, units = view
@@ -1194,7 +1174,6 @@ class _BlockWriter:
                                for n, owner in enumerate(owners)]
             self.units = len(bus_units) + len(owners)
         self.members = members  # start -> body of each member, or None
-        self.cache = cache
         self.prepared = {}     # start -> :meth:`prepare` of that member
         #: the SREG bits whose value is held as terms instead of in
         #: ``sreg_``: ``[bits, terms]`` per writer, each term ``(text,
@@ -1203,7 +1182,6 @@ class _BlockWriter:
         self.used = set()      # cached bytes the region names
         self.written = set()   # cached bytes it assigns
         self.start = None      # first word of the current block
-        self.terminal = False  # the current block ends its region
         self.leaving = False   # every exit leaves the region
         self.lines = []
         self.cycles = 0      # base cycles of the block's instructions
@@ -1218,7 +1196,6 @@ class _BlockWriter:
         self.index = 0       # ... and the line being rendered
         self.tail = []       # ... that line's lines after its access
         self.stalls = False  # the current instruction adds to x_
-        self.published = False  # ... and has published its state
         self.devices = False  # some instruction may reach a device
         self.signal = False  # the current instruction may set o_
         self.signals = False  # ... and some instruction may
@@ -1292,6 +1269,10 @@ class _BlockWriter:
         before = []
         if self.pending:
             need = _COPY_READS[key] if flags.copy else flags.partial
+            if flags.barrier and flags.kills:
+                # a claimed write of SREG, which a unit may keep from
+                # landing: its callout needs every bit in sreg_
+                need = _ALL
             before = self.flags(need)
             self.settle(need)
             if flags.singles:
@@ -1339,9 +1320,7 @@ class _BlockWriter:
 
     def cached(self, line):
         """*line* with its constant subscripts of cached bytes renamed
-        to their locals (no-op without the cache)."""
-        if not self.cache:
-            return line
+        to their locals."""
         assigned = _ASSIGNED.match(line)
         addr = assigned and _constant(assigned.group(1))
         if addr in _LOCALS:
@@ -1356,7 +1335,7 @@ class _BlockWriter:
         if constant is not None:
             setup, at = [], str(constant)
             check = [] if 0 <= constant <= self.data_end else self.fault(at)
-            if not check and self.cache and constant in _LOCALS:
+            if not check and constant in _LOCALS:
                 name = self.local(constant, write)
                 if not write:
                     return [value + " = " + name]
@@ -1377,25 +1356,19 @@ class _BlockWriter:
         else:
             line = "{} = data[{}]".format(value, at)
             device = "{} = d_.io_read({})".format(value, at)
-        if self.cache and constant is None:
+        if constant is None:
             return (setup + ["if {} < {}:".format(at, _LOCALS_END)]
                     + _indent(self.low(at, write, line, device))
                     + ["else:"] + _indent(check + [line]))
-        if not self.io or self.cache and constant >= _LOCALS_END:
+        if not self.io or constant >= _LOCALS_END:
             return setup + check + [line]
-        if self.cache:
-            # a constant address in the I/O space, where no local is
-            return setup + self.lookup(at, [line], device)
-        self.signal = self.devices = self.signals = True
-        return (setup + ["d_ = io_.get({})".format(at), "if d_ is None:"]
-                + _indent(check + [line]) + ["else:"]
-                + _indent(self.publish() + [device, "o_ = 1"]))
+        # a constant address in the I/O space, where no local is
+        return setup + self.lookup(at, [line], device)
 
     def low(self, at, write, line, device):
         """The branch of a direct access at a run-time address *at* below
-        ``_LOCALS_END`` (with the cache): *line* over the locals written
-        back, which a store reloads, or *device* when one is mapped
-        there."""
+        ``_LOCALS_END``: *line* over the locals written back, which a
+        store reloads, or *device* when one is mapped there."""
         alias = self.flags() + [_WRITE_BACK, line]
         if write:
             alias += self.reload()
@@ -1404,8 +1377,7 @@ class _BlockWriter:
         return self.lookup(at, alias, device) if self.io else alias
 
     def lookup(self, at, lines, device):
-        """*lines*, or the call of the device mapped at *at* (with the
-        cache)."""
+        """*lines*, or the call of the device mapped at *at*."""
         self.devices = True
         return (["d_ = io_.get({})".format(at), "if d_ is None:"]
                 + _indent(lines) + ["else:"]
@@ -1420,13 +1392,13 @@ class _BlockWriter:
         return [_RELOAD]
 
     def calling(self, call):
-        """The path of a callout or a device call with the cache: the
-        pending flags and the locals written back, the publish, *call*
-        with ``o_`` at 2 (``data`` holds the state: should the call
-        raise, the ``finally`` keeps what it wrote), the locals reloaded
-        after it, and ``o_`` at 1: the block leaves the region after the
-        instruction.  With bits pending the path finishes the
-        instruction itself (:meth:`finish`)."""
+        """The path of a callout or a device call: the pending flags and
+        the locals written back, the publish, *call* with ``o_`` at 2
+        (``data`` holds the state: should the call raise, the ``finally``
+        keeps what it wrote), the locals reloaded after it, and ``o_`` at
+        1: the block leaves the region after the instruction.  With bits
+        pending the path finishes the instruction itself
+        (:meth:`finish`)."""
         self.signal = self.signals = True
         lines = (self.flags() + [_WRITE_BACK] + self.publish() + ["o_ = 2"]
                  + call + self.reload() + ["o_ = 1"])
@@ -1436,11 +1408,12 @@ class _BlockWriter:
 
     def stack(self, kind, push, operand):
         """A push of *operand*, or a pop into the variable *operand*, on
-        ``sp_`` (with the cache).  Unclaimed and with no device mapped:
-        one bounds test, whose branch takes the access that may alias the
-        locals (the write-back first, the reload after a push) and the
-        fault.  Otherwise SP moves before a pop and after a push, around
-        the claiming unit's fragment or :meth:`near`."""
+        ``sp_``.  Unclaimed and with no device mapped: one bounds test,
+        whose branch takes the access that may alias the locals (the
+        write-back first, the reload after a push) and the fault.
+        Otherwise SP moves before a pop and after a push, around the
+        claiming unit's fragment (the bare ``@callout`` where no unit
+        renders one) or :meth:`near`."""
         self.local(_ADDRS["SPL"], True)
         self.local(_ADDRS["SPH"], True)
         claimed = kind in self.claimed
@@ -1498,35 +1471,26 @@ class _BlockWriter:
         pending terms, which the store may have made stale, never reach
         the code after the branch."""
         saved = (self.pending, self.leaving, self.tail, self.index,
-                 self.stalls, self.published, self.signal)
+                 self.stalls, self.signal)
         self.pending, self.leaving, self.tail = [], True, []
         lines = saved[2] + self.rest(self.index + 1)
         if CONTROL[self.key] is None:
             lines += self.exit(self.next, self.cycles + self.base,
                                self.count + 1)
         (self.pending, self.leaving, self.tail, self.index, self.stalls,
-         self.published, self.signal) = saved
+         self.signal) = saved
         return lines
-
-    def callout(self, lines):
-        """A claimed access or a call hook, in handler form."""
-        head = [] if self.published else self.publish()
-        if not self.stalls:
-            head.append("x_ = 0")
-        self.stalls = self.published = True
-        return head + lines
 
     def fragment(self, index, source, names, direct, callout):
         """Unit *index*'s fragment *source* with *names* filled in, its
         ``@direct`` lines replaced by ``direct()`` (an access fragment's
-        only) and its ``@callout`` lines by the publish and *callout*."""
-        self.binds = True
+        only) and its ``@callout`` lines by the path making *callout*
+        (:meth:`calling`).  A claimed kind or hook no unit renders is
+        the bare fragment ``@callout`` (*index* None)."""
+        self.binds = self.binds or index is not None
         head = [] if self.stalls else ["x_ = 0"]
         self.stalls = True
-        if self.cache:
-            slow = self.calling(callout)
-        else:
-            slow = callout if self.published else self.publish() + callout
+        slow = self.calling(callout)
         source = source.format(u="u{}_".format(index),
                                data_end=self.data_end, **names)
         lines = []
@@ -1545,21 +1509,23 @@ class _BlockWriter:
         """A claimed access by the claiming unit's fragment: a write of
         *operand* to, or a read of the variable *operand* from,
         *addr*."""
-        index, source = self.fragments[kind]
+        index, source = self.fragments.get(kind, _CALLOUT)
         if write:
             names = {"addr": addr, "value": operand}
             call = _bus_write(addr, operand, kind.name)
         else:
             names = {"addr": addr, "var": operand}
             call = _bus_read(operand, addr, kind.name)
-        if self.cache and addr == "sp_":
-            return self.fragment(index, source, names,
-                                 lambda: self.near(write, operand), call)
-        return self.fragment(index, source, names,
-                             lambda: self.direct(addr, write, operand), call)
+        return self.fragment(index, source, names, lambda: (
+            self.near(write, operand) if addr == "sp_" else
+            self.direct(addr, write, operand)), call)
 
     def hook(self, rest):
-        """A ``@hook`` by each hook owner's fragment, in hook order."""
+        """A ``@hook`` by each hook owner's fragment, in hook order, or
+        through every call hook when they have no fragments."""
+        if self.hook_units is None:
+            return self.fragment(None, "@callout", {}, None,
+                                 _callout("@hook", rest))
         event, *kwargs = rest.split(", ")
         names = dict(kwarg.split("=", 1) for kwarg in kwargs)
         lines = []
@@ -1586,7 +1552,7 @@ class _BlockWriter:
         lines = ["cycles += {}{}".format(cycles, stall),
                  "i_ += {}".format(count),
                  "p_ = {}".format(target if to is None else to)]
-        if self.terminal or leave or to not in self.members:
+        if leave or to not in self.members:
             return lines + self.flags() + ["break"]
         return (lines + ["if cycles >= s_{}:".format(
                     " or o_" if self.signal else "")]
@@ -1604,32 +1570,17 @@ class _BlockWriter:
         if op in _ACCESSES:
             *args, kind = _args(rest, 3 if op in ("@load", "@store") else 2)
             kind = AccessKind[kind]
-            if kind in self.claimed and kind not in self.fragments:
-                return self.callout(_callout(op, rest))
-            if self.cache and op in ("@push", "@pop"):
+            if op in ("@push", "@pop"):
                 return self.stack(kind, op == "@push", args[0])
-            head = tail = []
-            if op == "@push":
-                addr, write, operand = "sp_", True, args[0]
-                head = ["sp_ = " + _SP]
-                tail = ["sp_ = (sp_ - 1) & 0xFFFF"] + _SET_SP
-            elif op == "@pop":
-                addr, write, operand = "sp_", False, args[0]
-                head = ["sp_ = (({}) + 1) & 0xFFFF".format(_SP)] + _SET_SP
-            elif op == "@load":
+            if op == "@load":
                 addr, write, operand = args[1], False, args[0]
             else:
                 addr, write, operand = args[0], True, args[1]
-            body = self.access(kind, addr, write, operand) \
-                if kind in self.claimed else \
-                self.direct(addr, write, operand)
-            return head + body + tail
+            if kind in self.claimed:
+                return self.access(kind, addr, write, operand)
+            return self.direct(addr, write, operand)
         if op == "@hook":
-            if not self.hooks:
-                return []
-            if self.hook_units is None:
-                return self.callout(_callout(op, rest))
-            return self.hook(rest)
+            return self.hook(rest) if self.hooks else []
         if op == "@emit":
             return []
         total, count = self.cycles + self.base, self.count + 1
@@ -1656,14 +1607,11 @@ class _BlockWriter:
         self.base = instr.spec.cycles
         self.target = None
         self.names = names
-        self.stalls = self.published = self.signal = False
+        self.stalls = self.signal = False
         self.key, self.texts, self.live = instr.key, texts, live
         lines = self.rest(0)
-        # with the cache the exits after a block's last instruction test
-        # o_; without it a device instruction that made no callout tests
-        # o_ itself, last or not
-        called = self.signal and not (last if self.cache else self.stalls)
-        if called and CONTROL[instr.key] is None:
+        # the exits after a block's last instruction test o_ themselves
+        if self.signal and not last and CONTROL[instr.key] is None:
             # a call was made: exit after this instruction
             lines += ["if o_:"] + _indent(self.exit(
                 self.next, self.cycles + self.base, self.count + 1, True))
@@ -1674,28 +1622,24 @@ class _BlockWriter:
     def rest(self, first):
         """The current instruction's lines from line *first* on."""
         lines = []
-        live = self.live
         for index in range(first, len(self.texts)):
-            text = self.texts[index]
-            if live is not None:
-                before, text = self.lazy(self.key, index, text, live[index])
-                lines += before
-                if text is None:
-                    continue
+            before, text = self.lazy(self.key, index, self.texts[index],
+                                     self.live[index])
+            lines += before
+            if text is None:
+                continue
             self.index = index
             lines += self.render(text)
-            if live is not None:
-                self.settle(~live[index])
+            self.settle(~self.live[index])
         return lines
 
-    def block(self, body, terminal):
+    def block(self, body):
         """Render the block *body*, a run of ``(pc, decoded instr, skip
         words)`` in which only the last may transfer control.  Returns
         its lines, the cycles before its last instruction, that
         instruction's word, and one past the last flash word it read
         (the skipped instruction of a final skip included)."""
         self.start = body[0][0]
-        self.terminal = terminal
         self.lines, self.cycles, self.count = [], 0, 0
         self.pending = []
         instrs, live, _entry = self.prepare(body)
@@ -1703,8 +1647,7 @@ class _BlockWriter:
         for n, ((pc, instr, skip), (names, texts)) in enumerate(
                 zip(body, instrs)):
             prefix = self.cycles
-            self.add(pc, instr, skip, names, texts,
-                     None if live is None else live[at:at + len(texts)],
+            self.add(pc, instr, skip, names, texts, live[at:at + len(texts)],
                      n == len(body) - 1)
             at += len(texts)
         after = pc + instr.size_words
@@ -1722,23 +1665,19 @@ class _BlockWriter:
         if start in self.prepared:
             return self.prepared[start]
         instrs = []
-        lines = _LAZY_LINES if self.cache else _LINES
         for pc, instr, _skip in body:
             names = _names(instr, str(pc + instr.size_words))
             instrs.append((names, [line.format(**names)
-                                   for line in lines[instr.key]]))
-        live, after = _ALL, None
-        if self.cache:
-            after = []
-            for key, text in reversed([
-                    (instr.key, text) for (_pc, instr, _skip), (_names, texts)
-                    in zip(body, instrs) for text in texts]):
-                after.append(live)
-                flags = _flags(text, self.data_end, self.context)
-                reads = _COPY_READS[key] if flags.copy else flags.reads
-                live = _ALL if flags.barrier else \
-                    (live & ~flags.kills) | reads
-            after.reverse()
+                                   for line in _LAZY_LINES[instr.key]]))
+        live, after = _ALL, []
+        for key, text in reversed([
+                (instr.key, text) for (_pc, instr, _skip), (_names, texts)
+                in zip(body, instrs) for text in texts]):
+            after.append(live)
+            flags = _flags(text, self.data_end, self.context)
+            reads = _COPY_READS[key] if flags.copy else flags.reads
+            live = _ALL if flags.barrier else (live & ~flags.kills) | reads
+        after.reverse()
         self.prepared[start] = instrs, after, live
         return instrs, after, live
 
@@ -1853,18 +1792,17 @@ def compile_region(flash, members, data_end, view):
     retired instructions to *core*.  A region of one block that cannot
     move to itself is rendered as straight-line code; every other
     region dispatches on the local ``p_`` in a loop, reading the bound
-    its moves must stay under from ``core._bound``."""
+    its moves must stay under from ``core._bound``.  Every region keeps
+    r0-r31, SP and SREG in locals with lazy flags
+    (:class:`_BlockWriter`), written back to ``data`` by a ``finally``
+    on every exit and fault but a call that raised."""
     order = sorted(members)
-    terminal = {start: ends_region(members[start], view) for start in order}
     first = order[0]
-    looping = len(order) > 1 or (
-        not terminal[first] and first in successors(members[first]))
-    writer = _BlockWriter(data_end, view, members if looping else None,
-                          inline(view))
+    looping = len(order) > 1 or first in successors(members[first])
+    writer = _BlockWriter(data_end, view, members if looping else None)
     entries, cover, body = {}, [], []
     for start in order:
-        lines, prefix, last, end = writer.block(members[start],
-                                                terminal[start])
+        lines, prefix, last, end = writer.block(members[start])
         entries[start] = (prefix, last)
         cover.append((start, end))
         if len(order) > 1:
@@ -1887,14 +1825,13 @@ def compile_region(flash, members, data_end, view):
             "core.pc = p_", "core.cycles = cycles", "core.instret = i_"]
     else:
         body += [writer.retire(writer.count)]
-    if writer.cache:
-        # every exit and fault leaves through the write-back, but for a
-        # call that raised
-        head += writer.loads()
-        stores = writer.stores()
-        if writer.signals:
-            stores = ["if o_ < 2:"] + _indent(stores)
-        body = ["try:"] + _indent(body) + ["finally:"] + _indent(stores)
+    # every exit and fault leaves through the write-back, but for a call
+    # that raised
+    head += writer.loads()
+    stores = writer.stores()
+    if writer.signals:
+        stores = ["if o_ < 2:"] + _indent(stores)
+    body = ["try:"] + _indent(body) + ["finally:"] + _indent(stores)
     source = "\n".join(writer.put() + ["def block(core, data, cycles):"]
                        + _indent(writer.expand(head + body)))
     namespace = dict(writer.namespace(), InvalidAccess=InvalidAccess,

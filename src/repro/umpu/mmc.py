@@ -53,9 +53,10 @@ class MemMapController(BusInterposer):
     #: trusted domain or a disabled MMC writes directly; an untrusted
     #: store within the stack bound writes to the stack window with no
     #: stall, or, to a block the domain owns, counts a checked store
-    #: and stalls.  A fault, a recorded waveform or a table below 0x60
-    #: (where a region may hold its bytes in locals) calls out to
-    #: on_write.
+    #: and stalls.  A fault, a recorded waveform, a checked store while
+    #: the bus carries metrics or a profiler (on_write counts and
+    #: charges it there) or a table below 0x60 (where a region may hold
+    #: its bytes in locals) calls out to on_write.
     fragments = dict.fromkeys(kinds, """
 fr_ = {u}.regs
 fd_ = fr_.cur_domain
@@ -65,7 +66,9 @@ if fd_ != """ + str(TRUSTED_DOMAIN) + """ and fr_.enabled:
             or not fr_.mem_prot_bot <= {addr} <= fr_.stack_bound):
         fc_ = True
     elif {addr} <= fr_.mem_prot_top:
-        fc_ = fr_.mem_map_base < 0x60 or {u}.owner({addr}) != fd_
+        fc_ = (fr_.mem_map_base < 0x60 or core.bus.metrics is not None
+               or core.bus.profiler is not None
+               or {u}.owner({addr}) != fd_)
         if not fc_:
             {u}.checked_stores += 1
             x_ += """ + str(MMC_STALL_CYCLES) + """

@@ -9,8 +9,10 @@ over the regions that the perfbench workloads, the examples and the
 fuzz corpus actually form, and over those of the register-cache test
 programs, which take the aliasing and stack-fault branches the others
 never take.  The UMPU fuzz corpus runs twice: with its write oracle on
-the bus, whose view calls out, and without it, whose regions render the
-units' fragments.
+the bus, whose view makes every access a callout, and without it, whose
+regions render the units' fragments.  ``node_umpu`` runs a second time
+with a metrics registry attached, under which the MMC's fragment calls
+out for every checked store.
 
 It wraps each region function that ``AvrCore._compile_block`` installs.
 On every entry the wrapper captures the machine's state (data space,
@@ -38,8 +40,9 @@ enter it (its budget or a device event may be near).  Run from the repository ro
     python tests/shadow_regions.py            # everything, about a minute
     python tests/shadow_regions.py --only node_sfi --ops 50
 
-It exits 1 on a mismatch, an output-check failure or an unchecked
-region.
+It exits 1 on a mismatch, an output-check failure, an unchecked region
+or any other exception a job raises (a failed workload set-up, say);
+a job that fails is reported and the remaining jobs still run.
 """
 
 import argparse
@@ -50,6 +53,7 @@ import os
 import runpy
 import sys
 import time
+import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -63,6 +67,8 @@ from repro.sim.machine import Machine  # noqa: E402
 
 #: perfbench workloads and the seeds they run on
 WORKLOADS = ("node_sfi", "node_umpu", "irq_node")
+#: ... and those run a second time with a metrics registry attached
+METRICS_WORKLOADS = ("node_umpu",)
 SEEDS = (1, 7919)
 #: fuzz campaign seed and candidates per system
 FUZZ_SEED, FUZZ_COUNT = 2007, 2000
@@ -232,11 +238,15 @@ class Shadow:
         return not self.mismatches and self.formed <= self.checked
 
 
-def run_workload(name, seed, ops):
+def run_workload(name, seed, ops, metrics=False):
+    """*ops* ops of a perfbench workload after its set-up; with *metrics*
+    a registry is attached after the set-up."""
     import workloads
     w = workloads.make(name, seed)
     for _ in w.setup_steps():
         pass
+    if metrics:
+        w.machine.attach_metrics()
     for i in range(ops):
         index = i % w.pass_len
         if not w.check_op(index, w.run_op(index)):
@@ -301,6 +311,10 @@ def jobs(ops, fuzz_count, only=None):
     out = [("{} seed {}".format(name, seed),
             lambda name=name, seed=seed: run_workload(name, seed, ops))
            for name in WORKLOADS for seed in SEEDS]
+    out += [("{} seed {}, metrics".format(name, seed),
+             lambda name=name, seed=seed: run_workload(name, seed, ops,
+                                                       metrics=True))
+            for name in METRICS_WORKLOADS for seed in SEEDS]
     out.append(("examples", run_examples))
     out.append(("register-cache programs", run_register_cache_programs))
     out += [("fuzz {} seed {}".format(kind, FUZZ_SEED),
@@ -329,6 +343,9 @@ def main(argv=None):
             thunk()
         except Mismatch as exc:
             shadow.mismatches.append(str(exc))
+        except Exception:  # this job's failure; the others still run
+            shadow.mismatches.append("job raised " + traceback.format_exc()
+                                     .rstrip().replace("\n", "\n    "))
         finally:
             shadow.uninstall()
         print("{} ({:.1f} s)".format(shadow.report(name),

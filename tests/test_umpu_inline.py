@@ -15,11 +15,14 @@ two-domain encoding, the domain count), ``jt_base`` and
 ``safe_stack_ptr`` (overflow, underflow, a pop past the data space)
 between the module calls of its hot loop.
 
-The second half pins the fallback rule: a patched handler, a bus
-profiler or metrics, a recorded MMC waveform and a third interposer
-each make the whole view call out, with results identical to
-``step()``, and the fuzzer reaches the same verdicts with fragments and
-with callouts forced.
+The second half pins the fallback rule: a patched handler, a third
+interposer and a second hook owner each make the whole view call out,
+a device over SP or SREG keeps the run interpreted, and a bus profiler
+or metrics registry and a recorded MMC waveform keep the fragments,
+whose MMC case calls out for what they observe; every result is
+identical to ``step()``.  A view that calls out forms the regions the
+fragments form, and the fuzzer reaches the same verdicts with
+fragments and with callouts forced.
 """
 
 import random
@@ -33,6 +36,7 @@ from repro.sim import InterruptController, InvalidAccess, PeriodicTimer
 from repro.sim.core import AvrCore
 from repro.sim.errors import SimError
 from repro.sim.machine import CALL_SENTINEL_WORD
+from repro.sim.semantics import IO_ANY
 from repro.soundness.fuzzer import Campaign
 from repro.soundness.oracle import UmpuWriteOracle
 from repro.umpu import HarborLayout, UmpuMachine
@@ -456,31 +460,125 @@ def _patched_on_write(machine):
     unit.on_write = lambda *a: original(*a)
 
 
-def _profiler(machine):
-    machine.bus.profiler = _NullProfiler()
-
-
-def _metrics(machine):
-    machine.attach_metrics()
-
-
 def _oracle(machine):
     machine.bus.add_interposer(UmpuWriteOracle(machine))
 
 
-class _NullProfiler:
-    def charge(self, *args, **kw):
-        pass
+class _CallCounter:
+    """A hook owner with a fragment for every hook event: it counts the
+    calls and returns it sees."""
+
+    fragments = {"call": "{u}.calls += 1", "ret": "{u}.rets += 1",
+                 "ijmp": "@callout"}
+
+    def __init__(self):
+        self.calls = self.rets = 0
+
+    def on_event(self, core, event, **_kw):
+        if event == "call":
+            self.calls += 1
+        elif event == "ret":
+            self.rets += 1
 
 
-@pytest.mark.parametrize("prepare", [_patched_on_write, _profiler, _metrics,
-                                     _oracle],
-                         ids=["patched_on_write", "bus_profiler",
-                              "bus_metrics", "oracle"])
+def _two_hook_owners(machine):
+    machine.counter = _CallCounter()
+    machine.core.call_hooks.append(machine.counter.on_event)
+
+
+@pytest.mark.parametrize("prepare", [_patched_on_write, _oracle,
+                                     _two_hook_owners],
+                         ids=["patched_on_write", "oracle",
+                              "two_hook_owners"])
 def test_fallback_calls_out(prepare):
     got, fast = assert_pair(CLEAN, prepare=prepare)
     assert got is None
     assert fast.core._view[3] is None, "the whole view must call out"
+
+
+class _Mirror:
+    """An I/O device that reads and writes the data byte it covers."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def io_read(self, addr):
+        return self.data[addr]
+
+    def io_write(self, addr, value):
+        self.data[addr] = value
+
+
+@pytest.mark.parametrize("addr", [IoReg.SPL + 0x20, IoReg.SREG + 0x20],
+                         ids=["spl", "sreg"])
+def test_a_device_over_sp_or_sreg_forms_no_region(addr):
+    """A device at a byte a region holds in a local: no region forms,
+    and the interpreted run matches step()."""
+    def prepare(machine):
+        machine.memory.io_devices[addr] = _Mirror(machine.memory.data)
+
+    got, want, state, ref_state, fast, entered = run_pair(CLEAN,
+                                                          prepare=prepare)
+    assert got == want is None
+    assert state == ref_state
+    assert fast.core._view[2] == IO_ANY
+    assert not entered and not fast.core._regions
+
+
+def _region_members(core):
+    return sorted({id(region): sorted(region.entries)
+                   for region in core._regions.values()}.values())
+
+
+def test_a_view_that_calls_out_forms_the_regions_fragments_form():
+    """Every region follows every block: under the write oracle's view,
+    where every access is a callout, the program forms the same four
+    regions as with the units' fragments, and matches step()."""
+    got, fast = assert_pair(CLEAN, prepare=_oracle)
+    assert got is None and fast.core._view[3] is None
+    _got, inline = assert_pair(CLEAN)
+    assert len(_region_members(fast.core)) == 4
+    assert _region_members(fast.core) == _region_members(inline.core)
+
+
+class _Charges:
+    """A bus profiler that records what the units charge it."""
+
+    def __init__(self):
+        self.charges = []
+
+    def charge(self, *args, **kw):
+        self.charges.append((args, kw))
+
+
+def _profiler(machine):
+    machine.bus.profiler = _Charges()
+    return machine.bus.profiler
+
+
+def _metrics(machine):
+    return machine.attach_metrics()
+
+
+@pytest.mark.parametrize("prepare", [_profiler, _metrics],
+                         ids=["bus_profiler", "bus_metrics"])
+def test_bus_observers_keep_the_fragments(prepare):
+    """A bus profiler or metrics registry keeps the view naming the
+    units; the MMC's fragment calls out for each checked store, so that
+    the observer sees what it sees from step()."""
+    fast, ref = build(CLEAN), build(CLEAN)
+    observed, want = prepare(fast), prepare(ref)
+    entered = count_block_entries(fast.core)
+    assert outcome(fast.core.run) == outcome(step_driven_run(ref.core)) \
+        is None
+    assert entered
+    assert fast.core._view[3] is not None, "fragments must be rendered"
+    assert unit_state(fast) == unit_state(ref)
+    if prepare is _metrics:
+        assert observed.to_dict() == want.to_dict()
+    else:
+        assert observed.charges == want.charges
+    assert fast.mmc.checked_stores >= 3 * TRIPS
 
 
 def test_recorded_waveform_calls_out_with_the_same_phases():
@@ -745,3 +843,23 @@ def test_unit_paths_inside_regions_match_step(name):
         assert unit_state(fast) == unit_state(ref)
         entered += bool(count)
     assert entered
+
+
+def test_a_faulting_store_to_sreg_keeps_the_pending_flags():
+    """An untrusted store to SREG's address right after an inc whose
+    flags are pending: the MMC's callout faults, and SREG holds the
+    inc's flags, as under step()."""
+    source = module_program("""
+    ldi r20, 10
+loop:
+    inc r21
+    sts 0x0410, r21
+    dec r20
+    brne loop
+    ldi r16, 0x7F
+    inc r16
+    sts {:#x}, r17
+    ret
+""".format(IoReg.SREG + 0x20))
+    got, _fast = assert_pair(source)
+    assert got[0] == "UntrustedAccessFault"
