@@ -29,11 +29,10 @@ record these figures next to the perfbench throughput pairs.
 With ``--bytecodes`` it prints only, for each of the three workloads,
 the bytecodes executed per op in region functions (an opcode tracer on
 ``<avr block>`` frames, so a deterministic count) and the shares of
-them that went to SREG statements, statements assigning SREG
-(``sreg_``, or ``data[95]`` in a region without the register cache) a
-computed value, continuation lines included, and to SP statements,
-statements assigning ``sp_``, ``spl_`` or ``sph_`` and the tests of an
-``if`` that starts with ``sp_``.  ``benchmarks/BENCH_flags.json`` and
+them that went to SREG statements, statements assigning the SREG local
+``sreg_`` a computed value, continuation lines included, and to SP
+statements, statements assigning ``sp_``, ``spl_`` or ``sph_`` and the
+tests of an ``if`` that starts with ``sp_``.  ``benchmarks/BENCH_flags.json`` and
 ``benchmarks/BENCH_sp.json`` record these figures.
 
 Run from the repository root::
@@ -146,7 +145,7 @@ def block_share(name, seed):
 _STATEMENT_END = ("STORE_", "POP_", "JUMP_", "RETURN_", "RAISE_", "RERAISE")
 
 
-#: the locals holding SP in a region with the register cache
+#: the locals holding SP in a region
 _SP_NAMES = ("sp_", "spl_", "sph_")
 
 
@@ -154,14 +153,11 @@ def _statement_offsets(code):
     """Offsets of the bytecodes of *code*'s SREG statements, and of its
     SP statements."""
     sreg, sp, statement = set(), set(), []
-    instrs = list(dis.get_instructions(code))
-    for n, instr in enumerate(instrs):
+    for instr in dis.get_instructions(code):
         statement.append(instr)
         if not instr.opname.startswith(_STATEMENT_END):
             continue
-        to_sreg = (instr.opname == "STORE_FAST" and instr.argval == "sreg_"
-                   or instr.opname == "STORE_SUBSCR"
-                   and instrs[n - 1].argval == 95)
+        to_sreg = instr.opname == "STORE_FAST" and instr.argval == "sreg_"
         if to_sreg and any(x.opname.startswith("BINARY_")
                            for x in statement):
             sreg.update(x.offset for x in statement)

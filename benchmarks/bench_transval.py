@@ -23,7 +23,7 @@ from repro.analysis.static.transval import validate_translation
 from repro.analysis.tables import render_table
 from repro.asm import assemble
 from repro.asm.assembler import Assembler
-from repro.asm.disassembler import disassemble_flash
+from repro.asm.disassembler import disassemble_span
 from repro.sfi import SfiSystem
 from repro.trace.timeline import BlockHeat
 
@@ -81,8 +81,8 @@ def _hot_fraction():
         if not (module.start <= start < module.end):
             continue    # trusted runtime / kernel block: not JIT input
         if idx not in classes:
-            lines = disassemble_flash(read_word, start // 2,
-                                      (end - start) // 2)
+            lines = disassemble_span(read_word, start // 2,
+                                     (end - start) // 2)
             classes[idx] = classify_lines(lines)[0]
         module_cycles += cell.cycles
         if classes[idx] != CLASS_UNTRANSLATABLE:

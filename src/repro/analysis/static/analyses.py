@@ -364,7 +364,7 @@ class ImageAnalyzer:
         in_states = absint.analyze_cfg(cfg, entry_states=entry_states
                                        or None,
                                        call_models=self.call_models)
-        manifest_sites = self._check_manifest(region, cfg)
+        manifest_sites = self._check_manifest(region)
         # internal branch/jump/skip targets: a ret reached this way must
         # still be preceded by the restore stub on *that* path
         branched_to = set()
@@ -385,7 +385,7 @@ class ImageAnalyzer:
                                          manifest_sites)
                 absint.transfer(state, line, self.call_models)
 
-    def _check_manifest(self, region, cfg):
+    def _check_manifest(self, region):
         """Validate the region's elision manifest (if it carries one)
         against the live flash; returns ``{pc: site}`` of the admitted
         raw-store sites (empty when absent or rejected — rejection emits
@@ -396,7 +396,7 @@ class ImageAnalyzer:
         problems = verify_manifest(
             self.model.read_word, self.model.layout, self.model.symbols,
             manifest, entries=self.model.region_entries(region),
-            proofs=self.region_proofs(region), cfg=cfg)
+            proofs=self.region_proofs(region))
         for message, byte_addr in problems:
             self.diags.emit("HL014", message, byte_addr=byte_addr,
                             region=region.name, domain=region.domain)

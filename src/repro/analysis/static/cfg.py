@@ -27,7 +27,7 @@ from repro.asm.disassembler import (
     CALL_KEYS,
     JUMP_KEYS,
     RET_KEYS,
-    disassemble_flash,
+    disassemble_span,
     static_target,
 )
 
@@ -104,7 +104,7 @@ class RegionCFG:
         seg_lo = start
         for lo, hi in cfg.data_spans + ((end, end),):
             if seg_lo < lo:
-                cfg.lines.extend(disassemble_flash(
+                cfg.lines.extend(disassemble_span(
                     read_word, seg_lo // 2, (lo - seg_lo) // 2))
             seg_lo = max(seg_lo, hi)
         index_of = {}

@@ -378,15 +378,15 @@ def corrupt_manifest(manifest, attack, rng):
 
 
 def verify_manifest(read_word, layout, runtime_symbols, manifest,
-                    entries=(), proofs=None, cfg=None):
+                    entries=(), proofs=None):
     """Re-check a manifest against the live image.
 
     Returns a list of ``(message, byte_addr)`` problems — empty means
     every claim re-proves.  The checksum binds the manifest to the
     exact image; each site is then *re-proved* from scratch (the
     manifest's intervals are evidence for humans, not trusted input).
-    Callers that already ran the prover can pass *proofs*/*cfg* to skip
-    the duplicate fixpoint.
+    Callers that already ran the prover can pass *proofs* to skip the
+    duplicate fixpoint.
     """
     problems = []
     if manifest.schema != MANIFEST_SCHEMA:
@@ -398,10 +398,9 @@ def verify_manifest(read_word, layout, runtime_symbols, manifest,
                  "image): {:#010x} != {:#010x}".format(
                      actual, manifest.checksum), manifest.start)]
     if proofs is None:
-        if cfg is None:
-            cfg = RegionCFG.build(read_word, manifest.start, manifest.end,
-                                  name=manifest.module,
-                                  extra_leaders=sorted(entries))
+        cfg = RegionCFG.build(read_word, manifest.start, manifest.end,
+                              name=manifest.module,
+                              extra_leaders=sorted(entries))
         prover = StoreProver(layout, runtime_symbols, manifest.domain)
         proofs = prover.prove_cfg(cfg, entries=entries)
     for site in manifest.sites:

@@ -13,18 +13,19 @@ diagnostics.
 ``layout``/``machine``/``runtime``/``jump_table``/``modules``), which is
 what the ``harbor-lint`` CLI and the strict load-time gate use.
 
-A model parses the jump table once, on first use.  Region CFGs live in
-a cache the system owns (``ProtectedSystem.cfg_cache``), so a lint after
-a load rebuilds only the CFGs whose inputs changed.  The cache is keyed
-by content (name, span, entry leaders, data spans and the flash words
-the disassembler reads), not invalidated through flash-write listeners:
-a snapshot restore replaces flash without notifying them.
+A model parses the jump table once, on first use, and builds each
+region's CFG once.  Both decode through the disassembler's memoised walk
+(:func:`~repro.asm.disassembler.disassemble_span`), so a lint after a
+load decodes only the words that changed.  That memo is process-wide
+and hears no flash-write listener: it is keyed by content (the span
+and every word the walk reads), so no write, load or snapshot restore
+can leave a stale decode behind.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.isa.encoding import DecodeError, decode_words
+from repro.asm.disassembler import disassemble
 
 from repro.analysis.static.cfg import RegionCFG
 
@@ -75,7 +76,7 @@ class ImageModel:
 
     def __init__(self, read_word, layout, jump_table, runtime_region,
                  modules=(), symbols=None, allowed_io=(), mode="sfi",
-                 isrs=(), cfg_cache=None):
+                 isrs=()):
         self.read_word = read_word
         self.layout = layout
         self.jump_table = jump_table
@@ -87,9 +88,6 @@ class ImageModel:
         #: explicitly registered interrupt handlers (IsrInfo list);
         #: :meth:`isr_handlers` unions these with label discovery
         self.isrs = list(isrs)
-        #: (start, end) -> (content key, RegionCFG), at most one CFG per
-        #: span; a system passes its own dict so CFGs outlive the model
-        self.cfg_cache = {} if cfg_cache is None else cfg_cache
         self._cfgs = {}            # region name -> RegionCFG
         self._jt = None            # parsed jump table (JtEntry list)
         self._jt_targets = None    # its distinct jmp targets, sorted
@@ -121,7 +119,7 @@ class ImageModel:
                     symbols=symbols,
                     allowed_io=system.verifier.allowed_io
                     if policy == "sfi" else (),
-                    mode=policy, cfg_cache=system.cfg_cache)
+                    mode=policy)
         for module in system.modules.values():
             entries = {}
             for export, entry_addr in module.exports.items():
@@ -134,9 +132,6 @@ class ImageModel:
                 policy=policy, entries=entries,
                 manifest=module.manifest))
         model.modules.extend(extra_modules)
-        live = {(region.start, region.end) for region in model.regions}
-        for span in [s for s in model.cfg_cache if s not in live]:
-            del model.cfg_cache[span]
         return model
 
     # ------------------------------------------------------------------
@@ -156,34 +151,14 @@ class ImageModel:
         return None
 
     def cfg_for(self, region):
-        """The :class:`RegionCFG` of *region*: memoised per model, and
-        taken from :attr:`cfg_cache` when everything the build reads is
-        unchanged — including the word at ``end // 2``, which the
-        disassembler reads for a trailing 32-bit form."""
+        """The :class:`RegionCFG` of *region*, built once per model."""
         cfg = self._cfgs.get(region.name)
-        if cfg is not None:
-            return cfg
-        leaders = sorted(region.entries.values())
-        key = (region.name, leaders, tuple(region.data_spans),
-               [self._word_or_none(i)
-                for i in range(region.start // 2, region.end // 2 + 1)])
-        span = (region.start, region.end)
-        cached = self.cfg_cache.get(span)
-        if cached is not None and cached[0] == key:
-            cfg = cached[1]
-        else:
-            cfg = RegionCFG.build(self.read_word, region.start, region.end,
-                                  name=region.name, extra_leaders=leaders,
-                                  data_spans=region.data_spans)
-            self.cfg_cache[span] = (key, cfg)
-        self._cfgs[region.name] = cfg
+        if cfg is None:
+            cfg = self._cfgs[region.name] = RegionCFG.build(
+                self.read_word, region.start, region.end, name=region.name,
+                extra_leaders=sorted(region.entries.values()),
+                data_spans=region.data_spans)
         return cfg
-
-    def _word_or_none(self, word_addr):
-        try:
-            return self.read_word(word_addr)
-        except Exception:
-            return None
 
     def region_entries(self, region):
         """Addresses execution can enter *region* at, sorted: its
@@ -271,9 +246,8 @@ class ImageModel:
 
 def _jmp_target(w0, w1):
     """The byte destination of ``jmp`` words *w0*, *w1*, or None if they
-    decode to something else (or nothing)."""
-    try:
-        instr = decode_words(w0, w1)
-    except DecodeError:
-        return None
-    return instr.operands[0] * 2 if instr.key == "jmp" else None
+    decode to something else (or nothing).  The slot is walked as if at
+    address 0 (a ``jmp`` is absolute), so the memo serves each slot
+    content once, wherever in the table it sits."""
+    instr = disassemble((w0, w1))[0].instr
+    return instr.operands[0] * 2 if instr and instr.key == "jmp" else None

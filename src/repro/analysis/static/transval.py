@@ -49,7 +49,7 @@ from repro.analysis.static.symexec import (
     effects_equal,
     summarize,
 )
-from repro.asm.disassembler import disassemble, disassemble_flash
+from repro.asm.disassembler import disassemble_span
 from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sfi.rewriter import Rewriter
@@ -146,10 +146,11 @@ class TranslationReport(object):
 class _Walker(object):
     """Lockstep source-vs-installed walk consuming the catalog."""
 
-    def __init__(self, src_lines, new_lines, layout, runtime_symbols,
+    def __init__(self, src_lines, new_lines, end, layout, runtime_symbols,
                  entry_addrs, extent):
         self.src_lines = src_lines
         self.new_lines = new_lines
+        self.end = end                    # installed span's end byte
         self.layout = layout
         self.runtime = runtime_symbols
         self.entry_addrs = entry_addrs
@@ -172,10 +173,14 @@ class _Walker(object):
                 "0x{:04x}".format(what, src_addr), src_addr)
         line = self.new_lines[self.index]
         self.index += 1
-        if line.instr is None:
+        if line.instr is None or \
+                line.byte_addr + 2 * len(line.words) > self.end:
             raise _Mismatch(
-                "undecodable installed word 0x{:04x} where {} was "
-                "expected".format(line.words[0], what), line.byte_addr)
+                "undecodable installed word 0x{:04x}{} where {} was "
+                "expected".format(
+                    line.words[0], "" if line.instr is None else
+                    " ({} runs past the module end)".format(line.text),
+                    what), line.byte_addr)
         return line
 
     def _peek(self):
@@ -511,12 +516,11 @@ def validate_translation(program, read_word, start, end, layout,
     name = module or (region or "module")
     report = TranslationReport(name, domain, start, end, engine)
 
-    src_lines = [ln for ln in disassemble(program)]
+    src_lines = disassemble_span(program.word, 0, program.extent()[1] + 1)
     entry_addrs = _find_entry_addrs(program, src_lines, exports, entries)
-    new_lines = disassemble_flash(read_word, start // 2,
-                                  (end - start) // 2)
+    new_lines = disassemble_span(read_word, start // 2, (end - start) // 2)
     lo, hi = program.extent()
-    walker = _Walker(src_lines, new_lines, layout, runtime_symbols,
+    walker = _Walker(src_lines, new_lines, end, layout, runtime_symbols,
                      entry_addrs, (lo * 2, hi * 2 + 1))
     try:
         walker.walk()

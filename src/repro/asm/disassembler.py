@@ -1,9 +1,12 @@
 """Flash image disassembler.
 
-Used by the SFI verifier (which must inspect every reachable
-instruction), by tests, and for debugging.  The disassembler walks a
-word image linearly, decoding 16- and 32-bit instructions, and renders
-a listing with symbolic labels when a symbol table is supplied.
+One linear walk (:func:`disassemble_span`) decodes 16- and 32-bit
+instructions through a word reader, and every static consumer decodes
+through it: the SFI rewriter and verifier, the region CFG builder,
+translation validation, the jump-table parse, fault forensics and
+``harbor-race``.  The walk is memoised on the words it reads, so the
+stages of one admission share a single decode of each span.  A listing
+renders symbolic labels when a symbol table is supplied.
 """
 
 from dataclasses import dataclass
@@ -107,91 +110,111 @@ def format_instr(instr, byte_addr=0, symbols_by_addr=None):
     return spec.mnemonic
 
 
-def disassemble(words, start_word=0, count_words=None, symbols=None):
-    """Disassemble *words* (a sequence or a Program-style dict of words).
+def word_reader(words):
+    """A word-read callable over *words*: a Program (unwritten words read
+    as erased 0xFFFF) or a sequence (indices outside it read as None)."""
+    if hasattr(words, "word"):
+        return words.word
+    size = len(words)
+    return lambda i: words[i] if 0 <= i < size else None
 
-    Returns a list of :class:`Line`.  Undecodable words become ``.dw``
-    lines so the walk never aborts (flash data tables decode this way).
+
+def disassemble(words, start_word=0, count_words=None, symbols=None):
+    """Disassemble *words* (a Program or a sequence of words).
+
+    Returns a tuple of :class:`Line` from :func:`disassemble_span`; a
+    Program's lines are symbolized with its own symbols unless
+    *symbols* is given.  *count_words* defaults to the rest of the
+    sequence or the Program's extent.
     """
     if hasattr(words, "words"):  # Program
         symbols = symbols or getattr(words, "symbols", None)
-        lo, hi = words.extent()
-        image = [words.word(i) for i in range(hi + 1)]
         if count_words is None:
-            count_words = hi + 1 - start_word
-        words = image
+            count_words = words.extent()[1] + 1 - start_word
     elif count_words is None:
         count_words = len(words) - start_word
-
     symbols_by_addr = {}
-    if symbols:
-        for name, addr in symbols.items():
-            symbols_by_addr.setdefault(addr, name)
-
-    lines = []
-    i = start_word
-    end = start_word + count_words
-    while i < end:
-        w0 = words[i]
-        w1 = words[i + 1] if i + 1 < len(words) else None
-        byte_addr = i * 2
-        try:
-            instr = decode_words(w0, w1)
-        except DecodeError:
-            lines.append(Line(byte_addr, (w0,), None,
-                              ".dw 0x{:04x}".format(w0)))
-            i += 1
-            continue
-        used = words[i:i + instr.size_words]
-        text = format_instr(instr, byte_addr, symbols_by_addr)
-        lines.append(Line(byte_addr, tuple(used), instr, text))
-        i += instr.size_words
-    return lines
+    for name, addr in (symbols or {}).items():
+        symbols_by_addr.setdefault(addr, name)
+    return disassemble_span(word_reader(words), start_word, count_words,
+                            symbols_by_addr)
 
 
-def disassemble_flash(read_word, start_word, count_words,
-                      symbols_by_addr=None):
-    """Disassemble a flash window through a word-read callable.
+#: the walk's memo, ``(start word, words read) -> lines``: process-wide,
+#: at most :data:`MEMO_SIZE` entries, the least recently used dropped
+#: first.  It hears no flash listener; its key is the content itself.
+MEMO = {}
+MEMO_SIZE = 256
 
-    The forensics flight recorder uses this to render instruction
-    windows straight off :class:`repro.sim.memory.Memory` without
-    materializing a Program.  *read_word* may raise for out-of-range
-    addresses; the walk stops cleanly at the first unreadable word.
-    Returns a list of :class:`Line` with true byte addresses (so
-    relative-branch targets render correctly).
+
+def disassemble_span(read_word, start_word, count_words,
+                     symbols_by_addr=None):
+    """Disassemble ``count_words`` words from *start_word* through the
+    word-read callable *read_word*: the one linear walk every static
+    consumer decodes through.
+
+    Undecodable words become ``.dw`` lines so the walk never aborts
+    (flash data tables decode this way).  A *read_word* that raises or
+    returns None marks the word unreadable: the walk stops cleanly at
+    the first unreadable instruction word.  The last instruction may
+    be a 32-bit form whose second word lies past the span; the caller
+    decides whether that is legal.
+
+    The decode is memoised in :data:`MEMO`, keyed by the start and every
+    word the walk can read, the one past the span's end included, so
+    equal content at the same address is decoded once per process
+    whatever reader it comes through.  The lines are an immutable
+    tuple.  Branch targets render as labels when *symbols_by_addr*
+    (byte address -> name) knows them.
     """
+    words = []
+    for i in range(start_word, start_word + max(count_words, 0) + 1):
+        try:
+            words.append(read_word(i))
+        except Exception:
+            words.append(None)
+    key = (start_word, tuple(words))
+    lines = MEMO.pop(key, None)
+    if lines is None:
+        lines = _decode_span(*key)
+        if len(MEMO) >= MEMO_SIZE:
+            del MEMO[next(iter(MEMO))]
+    MEMO[key] = lines       # the most recently used entry goes last
+    if not symbols_by_addr:
+        return lines
+    return tuple(
+        line if line.instr is None else
+        Line(line.byte_addr, line.words, line.instr,
+             format_instr(line.instr, line.byte_addr, symbols_by_addr))
+        for line in lines)
+
+
+def _decode_span(start_word, words):
+    """The lines of the span at *start_word* holding *words* (its words
+    plus the one past its end, None where unreadable)."""
     lines = []
-    i = start_word
-    end = start_word + count_words
-    while i < end:
+    i = 0
+    end = len(words) - 1
+    while i < end and words[i] is not None:
+        w0 = words[i]
+        byte_addr = (start_word + i) * 2
         try:
-            w0 = read_word(i)
-        except Exception:
-            break
-        try:
-            w1 = read_word(i + 1)
-        except Exception:
-            w1 = None
-        byte_addr = i * 2
-        try:
-            instr = decode_words(w0, w1)
+            instr = decode_words(w0, words[i + 1])
         except DecodeError:
             lines.append(Line(byte_addr, (w0,), None,
                               ".dw 0x{:04x}".format(w0)))
             i += 1
             continue
-        used = (w0,) if instr.size_words == 1 else (w0, w1)
-        lines.append(Line(byte_addr, used, instr,
-                          format_instr(instr, byte_addr, symbols_by_addr)))
+        lines.append(Line(byte_addr, words[i:i + instr.size_words], instr,
+                          format_instr(instr, byte_addr)))
         i += instr.size_words
-    return lines
+    return tuple(lines)
 
 
 def disassemble_one(read_word, word_addr, symbols_by_addr=None):
     """Disassemble the single instruction at *word_addr*; returns a
     :class:`Line` or None when the word is unreadable."""
-    lines = disassemble_flash(read_word, word_addr, 1,
-                              symbols_by_addr=symbols_by_addr)
+    lines = disassemble_span(read_word, word_addr, 1, symbols_by_addr)
     return lines[0] if lines else None
 
 

@@ -25,7 +25,6 @@ from repro.isa.encoding import (
     DecodedInstr,
     DecodeError,
     EncodeError,
-    decode_at,
     decode_words,
     encode,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "DecodedInstr",
     "DecodeError",
     "EncodeError",
-    "decode_at",
     "decode_words",
     "encode",
 ]

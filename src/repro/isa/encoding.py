@@ -197,17 +197,6 @@ def _extract(spec, pat, word):
     return DecodedInstr(spec, tuple(operands))
 
 
-def decode_at(words, index):
-    """Decode the instruction starting at word *index* of sequence *words*.
-
-    Returns ``(DecodedInstr, size_words)``.
-    """
-    w0 = words[index]
-    w1 = words[index + 1] if index + 1 < len(words) else None
-    instr = decode_words(w0, w1)
-    return instr, instr.size_words
-
-
 def is_32bit_opcode(word0):
     """True if *word0* is the first word of a 32-bit instruction."""
     return bool(_IS_32BIT[word0 & 0xFFFF])

@@ -30,7 +30,7 @@ Every inline store compiles to::
 """
 
 from repro.asm.assembler import Assembler
-from repro.asm.disassembler import disassemble
+from repro.asm.disassembler import disassemble_span, word_reader
 from repro.isa.registers import IoReg
 from repro.sfi.layout import (
     FAULT_MEMMAP,
@@ -121,7 +121,7 @@ def build_core(runtime_symbols, layout=None):
     program = Assembler(symbols=symbols).assemble(_CORE_SRC, "inline_core")
     items = []
     words = []
-    for line in disassemble(program):
+    for line in disassemble_span(program.word, 0, program.extent()[1] + 1):
         if line.instr is None:
             raise RewriteError("check template contains data")
         items.append(_Item(line.instr.key, line.instr.operands))
@@ -228,17 +228,13 @@ class TemplateVerifier(Verifier):
         super()._check_io(line, addr)
 
     def verify(self, flash_words, start, end, manifest=None):
-        if hasattr(flash_words, "word"):
-            hi = end // 2
-            flash_words = [flash_words.word(i) for i in range(hi)]
-        self._words = flash_words
+        self._read_word = word_reader(flash_words)
         self._protected_ranges = []
         report = super().verify(flash_words, start, end, manifest=manifest)
         # skip instructions can leap over one instruction: collect their
         # landing points as implicit control-transfer targets
-        from repro.asm.disassembler import disassemble as dis
-        lines = dis(flash_words, start_word=start // 2,
-                    count_words=(end - start) // 2)
+        lines = disassemble_span(self._read_word, start // 2,
+                                 (end - start) // 2)
         targets = []
         for i, line in enumerate(lines):
             if line.instr is not None and line.instr.spec.kind == "skip" \
@@ -258,7 +254,7 @@ class TemplateVerifier(Verifier):
         first = line.byte_addr // 2 - n
         if first < 0:
             return False
-        actual = tuple(self._words[first:first + n])
+        actual = tuple(self._read_word(i) for i in range(first, first + n))
         return actual == self.core_words
 
     # the base class raises on forbidden keys inside its scan loop; we

@@ -21,7 +21,8 @@ from that layout and its fault codes.
 from repro.core.control_flow import JumpTable
 from repro.core.encoding import TRUSTED_DOMAIN
 from repro.core.faults import ProtectionFault, fault_from_code
-from repro.isa.encoding import DecodeError, decode_words, encode
+from repro.asm.disassembler import disassemble_span
+from repro.isa.encoding import encode
 from repro.sfi.layout import FAULT_NAMES
 from repro.sos.linker import CrossDomainLinker
 
@@ -60,9 +61,6 @@ class ProtectedSystem:
             self.jump_table,
             exception_target=runtime.symbol("hb_fault_r20"))
         self.modules = {}
-        #: region CFGs the whole-image lint reuses across loads
-        #: (:meth:`repro.analysis.static.image.ImageModel.cfg_for`)
-        self.cfg_cache = {}
         self._next_load = layout.jt_end
         self._next_domain = 0
         self._free_domains = []
@@ -153,20 +151,13 @@ class ProtectedSystem:
         start = self._next_load
         delta = start // 2 - lo
         words = dict(program.words)
-        idx = lo
-        while idx <= hi:
-            try:
-                instr = decode_words(
-                    program.word(idx),
-                    program.word(idx + 1) if idx < hi else None)
-            except DecodeError:     # a data word
-                idx += 1
-                continue
-            if instr.key in ("jmp", "call") and \
+        for line in disassemble_span(program.word, lo, hi + 1 - lo):
+            instr = line.instr
+            if instr is not None and instr.key in ("jmp", "call") and \
                     lo <= instr.operands[0] <= hi:
+                idx = line.byte_addr // 2
                 words[idx], words[idx + 1] = encode(
                     instr.key, (instr.operands[0] + delta,))
-            idx += instr.size_words
         self._install(words, delta)
         end = start + (hi - lo + 1) * 2
         self._next_load = (end + 0xFF) & ~0xFF

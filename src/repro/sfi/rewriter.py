@@ -32,7 +32,7 @@ the verifier and the Harbor runtime, and not on the rewriter".
 
 from dataclasses import dataclass, field
 
-from repro.asm.disassembler import disassemble, static_target
+from repro.asm.disassembler import disassemble_span, static_target
 from repro.asm.program import Program
 from repro.isa.encoding import encode
 from repro.isa.registers import IoReg
@@ -138,7 +138,7 @@ class Rewriter:
         proofs live in :mod:`repro.analysis.static.elision` and the
         verifier re-checks them via the :class:`ElisionManifest`.
         """
-        lines = disassemble(module)
+        lines = disassemble_span(module.word, 0, module.extent()[1] + 1)
         entry_addrs = self._find_entries(module, lines, exports, entries)
         self._check_stack_discipline(lines)
         self._elide = frozenset(elide)

@@ -46,7 +46,11 @@ Accepted modules satisfy:
 
 from dataclasses import dataclass, field
 
-from repro.asm.disassembler import disassemble, static_target
+from repro.asm.disassembler import (
+    disassemble_span,
+    static_target,
+    word_reader,
+)
 from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sfi.layout import SfiLayout
@@ -137,7 +141,9 @@ class Verifier:
     def verify(self, flash_words, start, end, manifest=None):
         """Verify the module occupying byte range [start, end).
 
-        *flash_words* is the word image (list or Program).  Returns a
+        *flash_words* is the word image (list or Program).  An
+        instruction running past *end* reads a word the module does not
+        own and is rejected as undecodable.  Returns a
         :class:`VerifyReport`; raises :class:`VerifyError` on rejection.
 
         *manifest* is an optional
@@ -149,16 +155,11 @@ class Verifier:
         the whole-image analyzer's job (it re-runs the prover), keeping
         this scan constant-state as the paper requires.
         """
-        if hasattr(flash_words, "word"):
-            hi = end // 2
-            flash_words = [flash_words.word(i) for i in range(hi)]
+        read_word = word_reader(flash_words)
         self._manifest_sites = {}
         if manifest is not None:
             from repro.analysis.static.elision import image_checksum
-            limit = len(flash_words)
-            actual = image_checksum(
-                lambda i: flash_words[i] if i < limit else 0xFFFF,
-                start, end)
+            actual = image_checksum(read_word, start, end)
             if manifest.start != start or manifest.end != end or \
                     actual != manifest.checksum:
                 self._violation(
@@ -168,8 +169,7 @@ class Verifier:
             else:
                 self._manifest_sites = {site.pc: site
                                         for site in manifest.sites}
-        lines = disassemble(flash_words, start_word=start // 2,
-                            count_words=(end - start) // 2)
+        lines = disassemble_span(read_word, start // 2, (end - start) // 2)
         report = VerifyReport(start=start, end=end)
         self._report = report
         saw_restore_call = False
@@ -186,10 +186,12 @@ class Verifier:
             addr = line.byte_addr
             report.boundaries.add(addr)
             depth_in[addr] = depth
-            if line.instr is None:
+            if line.instr is None or addr + 2 * len(line.words) > end:
                 self._violation(
-                    "HL011", "undecodable word 0x{:04x}"
-                    .format(line.words[0]), addr)
+                    "HL011", "undecodable word 0x{:04x}{}".format(
+                        line.words[0], "" if line.instr is None else
+                        " ({} runs past the module end)".format(line.text)),
+                    addr)
                 prev_key = None
                 skip_addr = None
                 continue

@@ -22,9 +22,9 @@ class Memory:
         #: registers, which live in the I/O window).
         self.io_devices = {}
         #: callables notified with the word address of every flash
-        #: write, or with None when all of flash changed; the core
-        #: registers one to drop stale decode-cache entries, so no flash
-        #: change can leave a stale decode behind.
+        #: write that changes a word, or with None when all of flash
+        #: changed; the core registers one to drop stale decode-cache
+        #: entries, so no flash change can leave a stale decode behind.
         self.flash_listeners = []
 
     # --- data space --------------------------------------------------
@@ -115,9 +115,15 @@ class Memory:
         return self.flash[word_addr]
 
     def write_flash_word(self, word_addr, value):
+        """Write one flash word and notify each listener.  A write of
+        the value already there changes nothing, and no listener hears
+        of it (re-emitting the jump table keeps every decode)."""
         if not 0 <= word_addr < len(self.flash):
             raise InvalidAccess(word_addr * 2)
-        self.flash[word_addr] = value & 0xFFFF
+        value &= 0xFFFF
+        if self.flash[word_addr] == value:
+            return
+        self.flash[word_addr] = value
         for listener in self.flash_listeners:
             listener(word_addr)
 

@@ -33,7 +33,7 @@ import json
 import os
 from collections import deque
 
-from repro.asm.disassembler import disassemble_flash, disassemble_one
+from repro.asm.disassembler import disassemble_one, disassemble_span
 from repro.trace.events import TraceEventKind
 
 #: JSON export schema version (bump on incompatible changes).
@@ -381,8 +381,8 @@ class FlightRecorder:
                 return window, "trace"
         pc_word = self.machine.core.pc
         start = max(0, pc_word - self.window)
-        lines = disassemble_flash(mem.read_flash_word, start,
-                                  self.window + 1, symbols)
+        lines = disassemble_span(mem.read_flash_word, start,
+                                 self.window + 1, symbols)
         window = [{"pc": line.byte_addr, "cycles": None, "text": line.text}
                   for line in lines]
         return window, "static"

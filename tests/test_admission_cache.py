@@ -1,12 +1,13 @@
 """The whole-image lint at admission, made incremental without skipping
 any check.
 
-Each :class:`ImageModel` parses the jump table once, and region CFGs are
-cached on the system across loads, keyed by content.  The differential
-property licenses the cache: after any sequence of loads, unloads, flash
-overwrites and snapshot restores, the cached lint equals a lint run with
-the cache emptied.  The count tests pin the removed quadratic work with
-deterministic call counts, not timings.
+Each :class:`ImageModel` parses the jump table once, and every span is
+decoded through the disassembler's walk, whose memo is process-wide and
+keyed by content.  The differential property licenses the memo: after
+any sequence of loads, unloads, flash overwrites and snapshot restores,
+the cached lint equals a lint run with the memo emptied.  The count
+tests pin the removed quadratic work with deterministic call counts,
+not timings.
 """
 
 from pathlib import Path
@@ -15,10 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.analysis.static.concurrency as concurrency_mod
-import repro.analysis.static.image as image_mod
 import repro.asm.disassembler as disassembler_mod
 from repro.analysis.static import lint_system
-from repro.analysis.static.cfg import RegionCFG
 from repro.asm.assembler import Assembler, default_symbols
 from repro.asm.errors import AsmError
 from repro.isa.encoding import decode_words, encode
@@ -79,15 +78,16 @@ def _lint(system):
 
 
 def _assert_cached_lint_is_fresh(system):
-    """The lint through the system's cache equals the lint with that
-    cache emptied; the cache's contents survive the comparison, so stale
+    """The lint through the decode memo equals the lint with that memo
+    emptied; the memo's contents survive the comparison, so stale
     entries can build up over a whole sequence."""
+    memo = disassembler_mod.MEMO
     cached = _lint(system)
-    kept = dict(system.cfg_cache)
-    system.cfg_cache.clear()
+    kept = dict(memo)
+    memo.clear()
     assert cached == _lint(system)
-    system.cfg_cache.clear()
-    system.cfg_cache.update(kept)
+    memo.clear()
+    memo.update(kept)
 
 
 _STEP = st.one_of(
@@ -137,9 +137,9 @@ def _apply(system, step, snaps, serial):
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(steps=st.lists(_STEP, min_size=1, max_size=6))
-# restoring flash bypasses the flash-write listeners, so this sequence
-# (SOURCES[0] is clean_sensor.s) fails a cache invalidated through them
-# instead of keyed by content
+# the memo is process-wide and hears no flash-write listener, so only
+# its content key tells the restored image from the patched one: this
+# sequence (SOURCES[0] is clean_sensor.s) fails a memo keyed by span
 @example(steps=[("load", 0), ("capture",), ("word", 0, RCALL_SELF),
                 ("restore", 0)])
 def test_cached_lint_equals_a_from_scratch_lint(system_cls, steps):
@@ -153,9 +153,10 @@ def test_cached_lint_equals_a_from_scratch_lint(system_cls, steps):
 
 @pytest.mark.parametrize("system_cls", [SfiSystem, UmpuSystem])
 def test_snapshot_restore_is_seen_by_the_cache(system_cls):
-    """A restore rewrites flash without notifying the flash-write
-    listeners; a cache invalidated through them would keep the CFG of
-    the overwritten module and lint the old image wrongly."""
+    """A restore brings back flash the memo has already decoded in
+    another state.  The memo hears no flash-write listener, so only its
+    content key keeps it from serving the patched module's decode and
+    linting the restored image wrongly."""
     system = system_cls(LAYOUT)
     module = _load(system, CLEAN_SENSOR, "sensor")
     snap = system.snapshot()
@@ -207,32 +208,34 @@ def test_one_lint_decodes_a_tenth_of_the_parent(monkeypatch):
     make fewer than a tenth of that."""
     system = _six_module_node()
     calls = [_count_calls(monkeypatch, module, "decode_words")
-             for module in (image_mod, disassembler_mod, concurrency_mod)]
+             for module in (disassembler_mod, concurrency_mod)]
     lint_system(system)
     assert sum(c[0] for c in calls) < 34_611 // 10
 
 
 def test_six_lints_build_each_region_cfg_once(monkeypatch):
     """Six ``load_module(lint=True)`` calls built 27 region CFGs (the
-    runtime and every admitted module again at each load); the cache
-    cuts that to the 7 distinct regions.  Unloading everything and
-    linting once more leaves only the runtime's entry behind."""
-    builds = []
+    runtime and every admitted module again at each load); the memo
+    walks each of the 7 distinct regions once.  Unloading everything
+    and linting once more walks nothing: the runtime's decode is kept."""
+    disassembler_mod.MEMO.clear()
+    walks = []
+    real = disassembler_mod._decode_span
 
-    class CountingCFG(RegionCFG):
-        @classmethod
-        def build(cls, *args, **kwargs):
-            builds.append(kwargs["name"])
-            return RegionCFG.build(*args, **kwargs)
-    monkeypatch.setattr(image_mod, "RegionCFG", CountingCFG)
+    def counting(start_word, words):
+        walks.append((2 * start_word, 2 * (start_word + len(words) - 1)))
+        return real(start_word, words)
+    monkeypatch.setattr(disassembler_mod, "_decode_span", counting)
     system = _six_module_node()
-    assert sorted(builds) == ["runtime"] + ["sensor{}".format(i)
-                                            for i in range(6)]
+    lo, hi = system.runtime.extent()
+    spans = [(2 * lo, 2 * (hi + 1))] + [(m.start, m.end)
+                                        for m in system.modules.values()]
+    assert [walks.count(span) for span in spans] == [1] * 7
     for name in list(system.modules):
         system.unload_module(name)
+    del walks[:]
     lint_system(system)
-    lo, hi = system.runtime.extent()
-    assert list(system.cfg_cache) == [(2 * lo, 2 * (hi + 1))]
+    assert walks == []
 
 
 def test_admission_repairs_a_corrupted_jump_table_slot():
