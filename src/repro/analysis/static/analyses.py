@@ -296,14 +296,15 @@ class ImageAnalyzer:
 
     def region_proofs(self, region):
         """(Cached) :class:`StoreProver` classification of every store
-        site in an SFI region."""
+        site in an SFI region, rooted at its exports as the admission
+        prover's is."""
         proofs = self._proofs.get(region.name)
         if proofs is None:
             prover = StoreProver(self.model.layout, self.model.symbols,
                                  region.domain)
             proofs = prover.prove_cfg(
                 self.model.cfg_for(region),
-                entries=self.model.region_entries(region))
+                entries=sorted(region.entries.values()))
             self._proofs[region.name] = proofs
         return proofs
 
@@ -395,8 +396,7 @@ class ImageAnalyzer:
             return {}
         problems = verify_manifest(
             self.model.read_word, self.model.layout, self.model.symbols,
-            manifest, entries=self.model.region_entries(region),
-            proofs=self.region_proofs(region))
+            manifest, proofs=self.region_proofs(region))
         for message, byte_addr in problems:
             self.diags.emit("HL014", message, byte_addr=byte_addr,
                             region=region.name, domain=region.domain)

@@ -2,11 +2,14 @@
 
 A :class:`RegionCFG` is built per code region (the runtime, each loaded
 module) by a linear decode — the same walk the on-node verifier does —
-followed by the classic leaders/blocks split.  Unlike the verifier's
-constant-state scan the CFG keeps per-block structure, which is what
-lets the analyses answer *path* questions: can a ``ret`` be reached
-without passing the restore stub, what is the deepest call chain, which
-blocks are unreachable.
+followed by the classic leaders/blocks split.  It is memoised by
+content and frozen, so every stage that asks for the CFG of the same
+span (the prover, the manifest re-proofs, the lint, translation
+validation, the race analysis, ``BlockHeat``) shares one.  Unlike the
+verifier's constant-state scan the CFG keeps per-block structure, which
+is what lets the analyses answer *path* questions: can a ``ret`` be
+reached without passing the restore stub, what is the deepest call
+chain, which blocks are unreachable.
 
 Calls do **not** terminate blocks (they return); each ``call``/``rcall``
 /``icall`` becomes a :class:`CallSite` record attached to the walk, from
@@ -21,38 +24,41 @@ size nor call depth is limited by the host's recursion limit.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.asm.disassembler import (
     BRANCH_KEYS,
     CALL_KEYS,
     JUMP_KEYS,
     RET_KEYS,
-    disassemble_span,
+    memoised,
+    read_words,
     static_target,
+    walk,
 )
 
 SKIP_KINDS = frozenset({"skip"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallSite:
     """One call instruction inside a region."""
 
     byte_addr: int
     key: str            # "call" | "rcall" | "icall"
-    target: int = None  # byte address; None for icall (absint may fill it)
+    target: int = None  # byte address; None for icall
     block: int = None   # start address of the containing block
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasicBlock:
     """A maximal straight-line run of instructions."""
 
     start: int
-    lines: list = field(default_factory=list)
-    succs: list = field(default_factory=list)    # internal block starts
-    exits: list = field(default_factory=list)    # (kind, target) external
-    terminator: str = "fall"  # fall|jump|branch|skip|ret|ijmp|icall-end
+    lines: tuple = ()
+    succs: tuple = ()    # internal block starts
+    exits: tuple = ()    # (kind, target) external
+    terminator: str = "fall"  # fall|jump|branch|skip|ret|ijmp
 
     @property
     def end(self):
@@ -63,170 +69,59 @@ class BasicBlock:
         return iter(self.lines)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class RegionCFG:
-    """CFG of one contiguous code region ``[start, end)``."""
+    """CFG of one contiguous code region ``[start, end)``.
 
-    def __init__(self, name, start, end):
-        self.name = name
-        self.start = start
-        self.end = end
-        self.lines = []
-        self.blocks = {}         # start byte addr -> BasicBlock
-        self.boundaries = set()  # instruction-start byte addresses
-        self.calls = []          # CallSite list (static + indirect)
-        self.indirect_jumps = []  # byte addrs of ijmp
-        self.entries = ()        # the extra leaders inside the region
-        self.undecodable = []    # byte addrs of .dw words
-        self.bad_targets = []    # (target, from_addr) not on a boundary
-        self.data_spans = ()     # (lo, hi) byte ranges excluded as data
+    Built only through :meth:`build`, which memoises it by content, so
+    every stage that asks for the CFG of the same span gets the same
+    object: it is frozen, and its collections are tuples, frozensets
+    and a read-only mapping."""
+
+    name: str
+    start: int
+    end: int
+    lines: tuple            # the walk's lines, data spans left out
+    blocks: MappingProxyType   # start byte addr -> BasicBlock
+    boundaries: frozenset   # instruction-start byte addresses
+    calls: tuple            # CallSite tuple (static + indirect)
+    indirect_jumps: tuple   # byte addrs of ijmp
+    entries: tuple          # the extra leaders inside the region
+    undecodable: tuple      # byte addrs of .dw words
+    bad_targets: tuple      # (target, from_addr) not on a boundary
+    data_spans: tuple       # (lo, hi) byte ranges excluded as data
 
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, read_word, start, end, name="region",
               extra_leaders=(), data_spans=()):
-        """Disassemble ``[start, end)`` through *read_word* and build the
-        CFG.  *extra_leaders* (export/entry byte addresses) force block
+        """The CFG of ``[start, end)`` read through *read_word*.
+        *extra_leaders* (export/entry byte addresses) force block
         starts even when nothing in the region branches there.
 
         *data_spans* are ``(lo, hi)`` byte ranges of known data (jump
         tables, lookup tables, ``.dw`` constants) inside the region:
         they are never disassembled — so their words cannot show up as
         undecodable or dead blocks — and control never falls through
-        across them (code before a span must end in a jump/ret)."""
-        cfg = cls(name, start, end)
+        across them (code before a span must end in a jump/ret).
+
+        The CFG is memoised in the disassembler's
+        :data:`~repro.asm.disassembler.MEMO`, keyed by the span's words
+        (the one past its end included), its bounds, *name*, the
+        leaders inside it and the data spans, so equal input is built
+        once per process whatever reader it comes through."""
         spans = []
         for lo, hi in data_spans:
             lo, hi = max(start, lo & ~1), min(end, (hi + 1) & ~1)
             if lo < hi:
                 spans.append((lo, hi))
-        cfg.data_spans = tuple(sorted(spans))
-        cfg.lines = []
-        seg_lo = start
-        for lo, hi in cfg.data_spans + ((end, end),):
-            if seg_lo < lo:
-                cfg.lines.extend(disassemble_span(
-                    read_word, seg_lo // 2, (lo - seg_lo) // 2))
-            seg_lo = max(seg_lo, hi)
-        index_of = {}
-        for i, line in enumerate(cfg.lines):
-            cfg.boundaries.add(line.byte_addr)
-            index_of[line.byte_addr] = i
-            if line.instr is None:
-                cfg.undecodable.append(line.byte_addr)
-
-        def internal(target):
-            return start <= target < end
-
-        # --- pass 1: leaders -----------------------------------------
-        leaders = {start}
-        for addr in extra_leaders:
-            if internal(addr):
-                leaders.add(addr)
-        cfg.entries = tuple(sorted(leaders - {start}))
-        for i, line in enumerate(cfg.lines):
-            if line.instr is None:
-                continue
-            key = line.instr.key
-            kind = line.instr.spec.kind
-            after = line.byte_addr + 2 * len(line.words)
-            if key in JUMP_KEYS or key in BRANCH_KEYS:
-                target = static_target(line)
-                if internal(target):
-                    if target in cfg.boundaries:
-                        leaders.add(target)
-                    else:
-                        cfg.bad_targets.append((target, line.byte_addr))
-                leaders.add(after)
-            elif key in CALL_KEYS:
-                target = static_target(line)
-                if internal(target):
-                    if target in cfg.boundaries:
-                        leaders.add(target)  # function entry
-                    else:
-                        cfg.bad_targets.append((target, line.byte_addr))
-            elif key in RET_KEYS or key == "ijmp":
-                leaders.add(after)
-            elif kind in SKIP_KINDS:
-                # the skipped-over successor starts a (tiny) block
-                if i + 1 < len(cfg.lines):
-                    nxt = cfg.lines[i + 1]
-                    leaders.add(nxt.byte_addr +
-                                2 * len(nxt.words))
-        leaders = {a for a in leaders if a in cfg.boundaries}
-
-        # --- pass 2: blocks and edges --------------------------------
-        block = None
-        prev_end = None
-        for i, line in enumerate(cfg.lines):
-            # a data span between this line and the previous one breaks
-            # fallthrough: control does not run off code into data
-            gap = prev_end is not None and line.byte_addr != prev_end
-            prev_end = line.byte_addr + 2 * len(line.words)
-            if block is None or line.byte_addr in leaders or gap:
-                if block is not None and not gap:
-                    # fallthrough into the new leader
-                    block.succs.append(line.byte_addr)
-                block = BasicBlock(start=line.byte_addr)
-                cfg.blocks[line.byte_addr] = block
-            block.lines.append(line)
-            if line.instr is None:
-                continue
-            key = line.instr.key
-            kind = line.instr.spec.kind
-            after = line.byte_addr + 2 * len(line.words)
-
-            def close(terminator):
-                block.terminator = terminator
-
-            if key in CALL_KEYS or key == "icall":
-                target = None
-                if key != "icall":
-                    target = static_target(line)
-                cfg.calls.append(CallSite(line.byte_addr, key,
-                                          target=target,
-                                          block=block.start))
-            if key in JUMP_KEYS:
-                target = static_target(line)
-                if internal(target) and target in cfg.boundaries:
-                    block.succs.append(target)
-                elif internal(target):
-                    pass  # already in bad_targets
-                else:
-                    block.exits.append(("jump", target))
-                close("jump")
-                block = None
-            elif key in BRANCH_KEYS:
-                target = static_target(line)
-                if internal(target) and target in cfg.boundaries:
-                    block.succs.append(target)
-                elif not internal(target):
-                    block.exits.append(("branch", target))
-                if after < end and after in cfg.boundaries:
-                    block.succs.append(after)
-                close("branch")
-                block = None
-            elif kind in SKIP_KINDS:
-                if i + 1 < len(cfg.lines):
-                    nxt = cfg.lines[i + 1]
-                    skip_to = nxt.byte_addr + 2 * len(nxt.words)
-                    if skip_to < end and skip_to in cfg.boundaries:
-                        block.succs.append(skip_to)
-                    block.succs.append(nxt.byte_addr)
-                close("skip")
-                block = None
-            elif key in RET_KEYS:
-                close("ret")
-                block = None
-            elif key == "ijmp":
-                cfg.indirect_jumps.append(line.byte_addr)
-                close("ijmp")
-                block = None
-        # de-duplicate successor lists (branch-to-fallthrough etc.)
-        for blk in cfg.blocks.values():
-            seen = set()
-            blk.succs = [s for s in blk.succs
-                         if not (s in seen or seen.add(s))]
-        return cfg
+        spans = tuple(sorted(spans))
+        entries = tuple(sorted({a for a in extra_leaders
+                                if start <= a < end} - {start}))
+        words = read_words(read_word, start // 2, (end - start) // 2)
+        return memoised((name, start, end, entries, spans, words),
+                        lambda: _build(name, start, end, entries, spans,
+                                       words))
 
     # ------------------------------------------------------------------
     def block_of(self, byte_addr):
@@ -276,6 +171,130 @@ class RegionCFG:
                 if succ in preds:
                     preds[succ].append(addr)
         return preds
+
+
+def _build(name, start, end, entries, data_spans, words):
+    """Leaders and blocks of the span at *start* holding *words*, its
+    *data_spans* left undecoded."""
+    lines = []
+    seg_lo = start
+    for lo, hi in data_spans + ((end, end),):
+        if seg_lo < lo:
+            lines.extend(walk(seg_lo // 2, words[(seg_lo - start) // 2:
+                                                 (lo - start) // 2 + 1]))
+        seg_lo = max(seg_lo, hi)
+    boundaries = frozenset(line.byte_addr for line in lines)
+    bad_targets = []
+    calls = []
+    indirect_jumps = []
+
+    def internal(target):
+        return start <= target < end
+
+    # --- pass 1: leaders ---------------------------------------------
+    leaders = {start}.union(entries)
+    for i, line in enumerate(lines):
+        if line.instr is None:
+            continue
+        key = line.instr.key
+        kind = line.instr.spec.kind
+        after = line.byte_addr + 2 * len(line.words)
+        if key in JUMP_KEYS or key in BRANCH_KEYS:
+            target = static_target(line)
+            if internal(target):
+                if target in boundaries:
+                    leaders.add(target)
+                else:
+                    bad_targets.append((target, line.byte_addr))
+            leaders.add(after)
+        elif key in CALL_KEYS:
+            target = static_target(line)
+            if internal(target):
+                if target in boundaries:
+                    leaders.add(target)  # function entry
+                else:
+                    bad_targets.append((target, line.byte_addr))
+        elif key in RET_KEYS or key == "ijmp":
+            leaders.add(after)
+        elif kind in SKIP_KINDS:
+            # the skipped-over successor starts a (tiny) block
+            if i + 1 < len(lines):
+                nxt = lines[i + 1]
+                leaders.add(nxt.byte_addr + 2 * len(nxt.words))
+
+    # --- pass 2: blocks and edges ------------------------------------
+    # block start -> [lines, succs, exits, terminator], frozen below
+    blocks = {}
+    block = None
+    prev_end = None
+    for i, line in enumerate(lines):
+        # a data span between this line and the previous one breaks
+        # fallthrough: control does not run off code into data
+        gap = prev_end is not None and line.byte_addr != prev_end
+        prev_end = line.byte_addr + 2 * len(line.words)
+        if block is None or line.byte_addr in leaders or gap:
+            if block is not None and not gap:
+                # fallthrough into the new leader
+                block[1].append(line.byte_addr)
+            block = blocks[line.byte_addr] = [[], [], [], "fall"]
+        lines_, succs, exits = block[:3]
+        lines_.append(line)
+        if line.instr is None:
+            continue
+        key = line.instr.key
+        kind = line.instr.spec.kind
+        after = line.byte_addr + 2 * len(line.words)
+        if key in CALL_KEYS or key == "icall":
+            calls.append(CallSite(
+                line.byte_addr, key,
+                target=None if key == "icall" else static_target(line),
+                block=lines_[0].byte_addr))
+        if key in JUMP_KEYS:
+            target = static_target(line)
+            if internal(target) and target in boundaries:
+                succs.append(target)
+            elif not internal(target):
+                exits.append(("jump", target))
+            # an internal target off the boundaries is a bad target
+            block[3] = "jump"
+        elif key in BRANCH_KEYS:
+            target = static_target(line)
+            if internal(target) and target in boundaries:
+                succs.append(target)
+            elif not internal(target):
+                exits.append(("branch", target))
+            if after < end and after in boundaries:
+                succs.append(after)
+            block[3] = "branch"
+        elif kind in SKIP_KINDS:
+            if i + 1 < len(lines):
+                nxt = lines[i + 1]
+                skip_to = nxt.byte_addr + 2 * len(nxt.words)
+                if skip_to < end and skip_to in boundaries:
+                    succs.append(skip_to)
+                succs.append(nxt.byte_addr)
+            block[3] = "skip"
+        elif key in RET_KEYS:
+            block[3] = "ret"
+        elif key == "ijmp":
+            indirect_jumps.append(line.byte_addr)
+            block[3] = "ijmp"
+        else:
+            continue
+        block = None
+    return RegionCFG(
+        name=name, start=start, end=end, lines=tuple(lines),
+        # successor lists de-duplicated (branch-to-fallthrough etc.)
+        blocks=MappingProxyType({
+            addr: BasicBlock(addr, tuple(lines_), tuple(dict.fromkeys(
+                succs)), tuple(exits), terminator)
+            for addr, (lines_, succs, exits, terminator)
+            in blocks.items()}),
+        boundaries=boundaries, calls=tuple(calls),
+        indirect_jumps=tuple(indirect_jumps), entries=entries,
+        undecodable=tuple(line.byte_addr for line in lines
+                          if line.instr is None),
+        bad_targets=tuple(bad_targets), data_spans=data_spans)
 
 
 # =====================================================================

@@ -20,8 +20,9 @@ record (schema v1) of every elided site with its interval evidence.
 The verifier and ``harbor-lint`` accept a raw store *only* when the
 manifest covers it **and** re-proving the site on the live image
 succeeds; a stale or forged manifest fails its checksum / re-proof and
-is rejected (rule HL014), so ``strict_lint`` load gates keep their
-guarantee: the image that runs is the image that was proved.
+is rejected (rule HL014), so ``load_module(lint=True)`` gates keep their
+guarantee: the image that runs is the image that was proved.  The
+prover and every re-proof root a module at its exports.
 
 Proof kinds
 -----------
@@ -384,9 +385,11 @@ def verify_manifest(read_word, layout, runtime_symbols, manifest,
     Returns a list of ``(message, byte_addr)`` problems — empty means
     every claim re-proves.  The checksum binds the manifest to the
     exact image; each site is then *re-proved* from scratch (the
-    manifest's intervals are evidence for humans, not trusted input).
-    Callers that already ran the prover can pass *proofs* to skip the
-    duplicate fixpoint.
+    manifest's intervals are evidence for humans, not trusted input),
+    rooted at *entries*: the exports' installed addresses, the roots
+    the elision pass proved the sites from.  Callers that already ran
+    the prover from those roots can pass *proofs* to skip the duplicate
+    fixpoint.
     """
     problems = []
     if manifest.schema != MANIFEST_SCHEMA:

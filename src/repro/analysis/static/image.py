@@ -10,16 +10,22 @@ diagnostics.
 :meth:`ImageModel.from_system` builds the model straight off a live
 :class:`~repro.sfi.system.SfiSystem` or
 :class:`~repro.umpu.system.UmpuSystem` (duck-typed: both expose
-``layout``/``machine``/``runtime``/``jump_table``/``modules``), which is
-what the ``harbor-lint`` CLI and the strict load-time gate use.
+``layout``/``machine``/``runtime``/``jump_table``/``modules``/
+``export_targets``), which is what the ``harbor-lint`` CLI and the
+``load_module(lint=True)`` gate use.
 
-A model parses the jump table once, on first use, and builds each
-region's CFG once.  Both decode through the disassembler's memoised walk
-(:func:`~repro.asm.disassembler.disassemble_span`), so a lint after a
-load decodes only the words that changed.  That memo is process-wide
-and hears no flash-write listener: it is keyed by content (the span
-and every word the walk reads), so no write, load or snapshot restore
-can leave a stale decode behind.
+A module region's entries are its exports' code addresses as the
+system's linker published them (``export_targets``), the roots every
+admission stage proves the module from.  A model parses the jump
+table once, on first use, and asks for each region's CFG once.  Both
+go through the disassembler's memo
+(:data:`~repro.asm.disassembler.MEMO`): the jump table decodes through
+its walk, and :meth:`RegionCFG.build` keeps each CFG there, so a lint
+after a load decodes, and builds the CFG of, only the spans that
+changed.  That memo is process-wide and hears no flash-write
+listener: it is keyed by content (the span and every word the walk
+reads), so no write, load or snapshot restore can leave a stale
+decode or CFG behind.
 """
 
 from bisect import bisect_left
@@ -121,15 +127,10 @@ class ImageModel:
                     if policy == "sfi" else (),
                     mode=policy)
         for module in system.modules.values():
-            entries = {}
-            for export, entry_addr in module.exports.items():
-                target = model.jt_target(entry_addr)
-                if target is not None:
-                    entries[export] = target
             model.modules.append(ModuleRegion(
                 name=module.name, domain=module.domain,
-                start=module.start, end=module.end,
-                policy=policy, entries=entries,
+                start=module.start, end=module.end, policy=policy,
+                entries=system.export_targets(module),
                 manifest=module.manifest))
         model.modules.extend(extra_modules)
         return model
@@ -151,7 +152,9 @@ class ImageModel:
         return None
 
     def cfg_for(self, region):
-        """The :class:`RegionCFG` of *region*, built once per model."""
+        """The :class:`RegionCFG` of *region*, one object per model.
+        The memo would hand out the same one, but its key re-reads the
+        span's words; asked ~30 times per lint, the dict spares that."""
         cfg = self._cfgs.get(region.name)
         if cfg is None:
             cfg = self._cfgs[region.name] = RegionCFG.build(
@@ -198,15 +201,6 @@ class ImageModel:
         return sorted(explicit, key=lambda i: i.line)
 
     # ------------------------------------------------------------------
-    def jt_target(self, entry_addr):
-        """The jmp destination of the jump-table slot at *entry_addr*
-        (byte address), or None if the slot does not decode to a jmp."""
-        try:
-            return _jmp_target(self.read_word(entry_addr // 2),
-                               self.read_word(entry_addr // 2 + 1))
-        except Exception:
-            return None
-
     def jt_entries(self):
         """Every jump-table slot as a :class:`JtEntry`.  The table is
         read from flash once per model, and each distinct slot content

@@ -52,7 +52,7 @@ from repro.analysis.static.symexec import (
 from repro.asm.disassembler import disassemble_span
 from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
-from repro.sfi.rewriter import Rewriter
+from repro.sfi.rewriter import Rewriter, function_entries
 from repro.sfi.runtime_asm import STORE_STUBS
 
 __all__ = [
@@ -493,19 +493,22 @@ class _Walker(object):
 
 
 def validate_translation(program, read_word, start, end, layout,
-                         runtime_symbols, exports=(), entries=(),
-                         manifest=None, export_targets=None,
-                         engine=None, region=None, domain=None,
-                         module=None):
+                         runtime_symbols, exports=(), manifest=None,
+                         export_targets=None, engine=None, region=None,
+                         domain=None, module=None):
     """Validate that flash ``[start, end)`` is the sanctioned
     translation of source *program*.
 
     *read_word* reads absolute flash word indices (the live image or
-    the rewritten Program); *exports*/*entries* are the same
-    function-entry hints the rewriter was given; *manifest* is the
+    the rewritten Program); *exports* are the export names the
+    rewriter was given, from which the function entries are derived
+    exactly as it derives them
+    (:func:`~repro.sfi.rewriter.function_entries`); *manifest* is the
     module's :class:`ElisionManifest` (or None); *export_targets*
     optionally maps export names to the code addresses the linker
-    actually published, cross-checked against the derived map.
+    actually published, cross-checked against the derived map.  The
+    manifest is re-proved rooted at the exports' installed addresses,
+    as the elision prover proved it.
 
     Returns a :class:`TranslationReport`; every problem is an HL017
     finding on ``report.engine`` (pass *engine* to accumulate across
@@ -517,18 +520,18 @@ def validate_translation(program, read_word, start, end, layout,
     report = TranslationReport(name, domain, start, end, engine)
 
     src_lines = disassemble_span(program.word, 0, program.extent()[1] + 1)
-    entry_addrs = _find_entry_addrs(program, src_lines, exports, entries)
+    entry_addrs = function_entries(program, src_lines, exports)
     new_lines = disassemble_span(read_word, start // 2, (end - start) // 2)
     lo, hi = program.extent()
     walker = _Walker(src_lines, new_lines, end, layout, runtime_symbols,
                      entry_addrs, (lo * 2, hi * 2 + 1))
     try:
         walker.walk()
-        _check_manifest(walker, report, read_word, layout,
-                        runtime_symbols, manifest, region, domain)
         if export_targets:
-            _check_exports(walker, program, export_targets, engine,
-                           region, domain)
+            _check_exports(walker, program, export_targets)
+        _check_manifest(walker, read_word, layout, runtime_symbols,
+                        manifest, {walker.new_of.get(program.symbol(e))
+                                   for e in exports} - {None})
     except _Mismatch as exc:
         engine.emit("HL017", exc.message, byte_addr=exc.byte_addr,
                     region=region, domain=domain)
@@ -542,27 +545,8 @@ def validate_translation(program, read_word, start, end, layout,
     return report
 
 
-def _find_entry_addrs(program, src_lines, exports, entries):
-    """Function entries, exactly as the rewriter derives them: exports,
-    declared entries and every internal static call target."""
-    addrs = set()
-    for name in list(exports) + list(entries):
-        addrs.add(program.symbol(name))
-    lo, hi = program.extent()
-    lo *= 2
-    hi = hi * 2 + 1
-    for line in src_lines:
-        if line.instr is None:
-            continue
-        if line.instr.key in ("call", "rcall"):
-            target = static_target(line)
-            if lo <= target <= hi:
-                addrs.add(target)
-    return addrs
-
-
-def _check_manifest(walker, report, read_word, layout, runtime_symbols,
-                    manifest, region, domain):
+def _check_manifest(walker, read_word, layout, runtime_symbols, manifest,
+                    roots):
     elided_pcs = {pc for pc, _old in walker.elided}
     if not elided_pcs and manifest is None:
         return
@@ -583,20 +567,16 @@ def _check_manifest(walker, report, read_word, layout, runtime_symbols,
         raise _Mismatch(
             "raw store at 0x{:04x} is not covered by the elision "
             "manifest".format(uncovered[0]), uncovered[0])
-    entry_pcs = sorted({walker.new_of[e] for e in walker.entry_addrs
-                        if e in walker.new_of})
     problems = verify_manifest(read_word, layout, runtime_symbols,
-                               manifest, entries=entry_pcs)
+                               manifest, entries=sorted(roots))
     if problems:
         message, byte_addr = problems[0]
         raise _Mismatch(message, byte_addr)
 
 
-def _check_exports(walker, program, export_targets, engine, region,
-                   domain):
+def _check_exports(walker, program, export_targets):
     for name, published in export_targets.items():
-        old = program.symbol(name)
-        derived = walker.new_of.get(old)
+        derived = walker.new_of.get(program.symbol(name))
         if derived != published:
             raise _Mismatch(
                 "export {!r} is linked to 0x{:04x} but its translation "

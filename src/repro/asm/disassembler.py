@@ -5,8 +5,9 @@ instructions through a word reader, and every static consumer decodes
 through it: the SFI rewriter and verifier, the region CFG builder,
 translation validation, the jump-table parse, fault forensics and
 ``harbor-race``.  The walk is memoised on the words it reads, so the
-stages of one admission share a single decode of each span.  A listing
-renders symbolic labels when a symbol table is supplied.
+stages of one admission share a single decode of each span; the same
+memo keeps the region CFGs built from it.  A listing renders symbolic
+labels when a symbol table is supplied.
 """
 
 from dataclasses import dataclass
@@ -140,11 +141,46 @@ def disassemble(words, start_word=0, count_words=None, symbols=None):
                             symbols_by_addr)
 
 
-#: the walk's memo, ``(start word, words read) -> lines``: process-wide,
-#: at most :data:`MEMO_SIZE` entries, the least recently used dropped
-#: first.  It hears no flash listener; its key is the content itself.
+#: the static stages' memo, content key -> value: the walk's lines under
+#: ``(start word, words read)`` and the region CFGs of
+#: :mod:`repro.analysis.static.cfg` under their own longer keys.  It is
+#: process-wide, holds at most :data:`MEMO_SIZE` entries, the least
+#: recently used dropped first, and hears no flash listener: its keys
+#: are the content itself.
 MEMO = {}
 MEMO_SIZE = 256
+
+
+def memoised(key, compute):
+    """The value of ``compute()`` for content *key*, computed once while
+    :data:`MEMO` holds it."""
+    value = MEMO.pop(key, None)
+    if value is None:
+        value = compute()
+        if len(MEMO) >= MEMO_SIZE:
+            del MEMO[next(iter(MEMO))]
+    MEMO[key] = value       # the most recently used entry goes last
+    return value
+
+
+def read_words(read_word, start_word, count_words):
+    """The ``count_words`` words from *start_word* plus the one past
+    them, as a tuple, None where *read_word* raises or finds nothing:
+    everything a walk of the span can read."""
+    words = []
+    for i in range(start_word, start_word + max(count_words, 0) + 1):
+        try:
+            words.append(read_word(i))
+        except Exception:
+            words.append(None)
+    return tuple(words)
+
+
+def walk(start_word, words):
+    """The memoised lines of the span at *start_word* holding *words*
+    (:func:`read_words` output)."""
+    return memoised((start_word, words),
+                    lambda: _decode_span(start_word, words))
 
 
 def disassemble_span(read_word, start_word, count_words,
@@ -167,19 +203,7 @@ def disassemble_span(read_word, start_word, count_words,
     tuple.  Branch targets render as labels when *symbols_by_addr*
     (byte address -> name) knows them.
     """
-    words = []
-    for i in range(start_word, start_word + max(count_words, 0) + 1):
-        try:
-            words.append(read_word(i))
-        except Exception:
-            words.append(None)
-    key = (start_word, tuple(words))
-    lines = MEMO.pop(key, None)
-    if lines is None:
-        lines = _decode_span(*key)
-        if len(MEMO) >= MEMO_SIZE:
-            del MEMO[next(iter(MEMO))]
-    MEMO[key] = lines       # the most recently used entry goes last
+    lines = walk(start_word, read_words(read_word, start_word, count_words))
     if not symbols_by_addr:
         return lines
     return tuple(

@@ -865,14 +865,12 @@ def cmd_certify(args):
         else:
             module = system.load_module(program, name, exports=exports,
                                         elide=args.elide)
-            export_targets = {
-                e: system.linker.export_target(module.domain, e)
-                for e in module.exports}
             report = validate_translation(
                 program, system.machine.memory.read_flash_word,
                 module.start, module.end, system.layout,
                 system.runtime.symbols, exports=exports,
-                manifest=module.manifest, export_targets=export_targets,
+                manifest=module.manifest,
+                export_targets=system.export_targets(module),
                 engine=engine, region=name, domain=module.domain,
                 module=name)
             module.certification = report

@@ -113,12 +113,16 @@ class ProtectedSystem:
         syms = dict(self.runtime.symbols)
         syms.update(self.linker.symbols())
         for module in self.modules.values():
-            for export in module.exports:
-                target = self.linker.export_target(module.domain, export)
-                if target is not None:
-                    syms.setdefault(
-                        "{}.{}".format(module.name, export), target)
+            for export, target in self.export_targets(module).items():
+                syms.setdefault("{}.{}".format(module.name, export), target)
         return syms
+
+    def export_targets(self, module):
+        """Export name -> the code byte address the linker published
+        for it: the one record of where *module* can be entered, which
+        every manifest re-proof and the whole-image lint root at."""
+        return {export: self.linker.export_target(module.domain, export)
+                for export in module.exports}
 
     # --- loading --------------------------------------------------------
     def _pick_domain(self):

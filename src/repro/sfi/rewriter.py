@@ -44,6 +44,21 @@ class RewriteError(Exception):
     """The module contains an operation the sandbox cannot express."""
 
 
+def function_entries(program, lines, exports):
+    """Where *program* (walked into *lines*) can be entered: the byte
+    addresses of its *exports* and of every internal static call
+    target.  The rewriter puts a prologue at each; translation
+    validation expects one there."""
+    addrs = {program.symbol(name) for name in exports}
+    lo, hi = program.extent()
+    for line in lines:
+        if line.instr is not None and line.instr.key in ("call", "rcall"):
+            target = static_target(line)
+            if 2 * lo <= target <= 2 * hi + 1:
+                addrs.add(target)
+    return addrs
+
+
 # Operand placeholders resolved at layout time:
 #   ("old", byte_addr)     - a location in the original module; resolves
 #                            to the inserted prologue when the location
@@ -122,15 +137,13 @@ class Rewriter:
         self.runtime = runtime_symbols
 
     # ------------------------------------------------------------------
-    def rewrite(self, module, new_origin, exports=(), entries=(),
-                elide=()):
+    def rewrite(self, module, new_origin, exports=(), elide=()):
         """Rewrite *module* (a Program) to run at *new_origin*.
 
         ``exports`` are names of functions other domains may call (their
-        rewritten addresses are reported for the linker); ``entries``
-        are additional known function-entry labels.  Function entries
-        (prologue insertion points) are the union of exports, entries
-        and every target of an internal call.
+        rewritten addresses are reported for the linker).  Function
+        entries (prologue insertion points) are the exports and every
+        target of an internal call (:func:`function_entries`).
 
         ``elide`` is a set of *original* store byte addresses to emit as
         raw stores instead of check-stub sequences.  The rewriter does
@@ -139,7 +152,7 @@ class Rewriter:
         verifier re-checks them via the :class:`ElisionManifest`.
         """
         lines = disassemble_span(module.word, 0, module.extent()[1] + 1)
-        entry_addrs = self._find_entries(module, lines, exports, entries)
+        entry_addrs = function_entries(module, lines, exports)
         self._check_stack_discipline(lines)
         self._elide = frozenset(elide)
         items = []
@@ -210,23 +223,6 @@ class Rewriter:
                     "branch at 0x{:04x} changes the push depth ({} -> "
                     "{} at 0x{:04x})".format(
                         addr, edge_depth, depth_in.get(target), target))
-
-    def _find_entries(self, module, lines, exports, entries):
-        addrs = set()
-        for name in list(exports) + list(entries):
-            addrs.add(module.symbol(name))
-        lo, hi = module.extent()
-        lo *= 2
-        hi = hi * 2 + 1
-        for line in lines:
-            if line.instr is None:
-                continue
-            key = line.instr.key
-            if key in ("call", "rcall"):
-                target = static_target(line)
-                if lo <= target <= hi:
-                    addrs.add(target)
-        return addrs
 
     # ------------------------------------------------------------------
     def _transform(self, line, stats):

@@ -50,11 +50,8 @@ class SfiSystem(ProtectedSystem):
     policy = "sfi"
     dispatch_stub = "hb_xdom_call"
 
-    def __init__(self, layout=None, allowed_io=(), strict_lint=False):
+    def __init__(self, layout=None, allowed_io=()):
         layout = layout or SfiLayout()
-        #: when set, every load additionally runs the whole-image static
-        #: analyzer and refuses admission on any error-severity finding
-        self.strict_lint = strict_lint
         runtime = build_runtime(layout)
         self.rewriter = Rewriter(runtime.symbols, layout)
         self.verifier = Verifier(runtime.symbols, layout,
@@ -97,29 +94,32 @@ class SfiSystem(ProtectedSystem):
         return span[0] if span else None
 
     # ------------------------------------------------------------------
-    def load_module(self, program, name, exports=(), entries=(),
-                    lint=None, elide=False, certify=False):
+    def load_module(self, program, name, exports=(), lint=False,
+                    elide=False, certify=False):
         """Admit a module: rewrite, verify, link, install.
 
-        *program* is the module's assembled image (unsandboxed).
-        Returns the :class:`LoadedModule`; raises
+        *program* is the module's assembled image (unsandboxed).  The
+        module can be entered at its *exports* only: they and the
+        targets of its internal calls are its function entries, and
+        every proof about it is rooted at the exports.  Returns the
+        :class:`LoadedModule`; raises
         :class:`~repro.sfi.verifier.VerifyError` if the rewritten binary
         does not verify (correctness depends on the verifier, not the
         rewriter).  A rejected load gives its protection domain back.
 
-        *lint* (default: the system's ``strict_lint`` flag) additionally
-        runs the whole-image static analyzer after installation and
-        unloads + rejects the module on any error-severity finding —
-        catching whole-image properties (jump-table sanity, cross-region
-        edges, unbounded safe-stack occupancy) the per-module linear
-        scan cannot see.
+        *lint* additionally runs the whole-image static analyzer after
+        installation and unloads + rejects the module on any
+        error-severity finding — catching whole-image properties
+        (jump-table sanity, cross-region edges, unbounded safe-stack
+        occupancy) the per-module linear scan cannot see.
 
         *elide* runs the proof-directed check-elision pass
         (:mod:`repro.analysis.static.elision`): stores proved to stay
         inside the domain's static data span keep their raw form, and
         the resulting :class:`ElisionManifest` accompanies the image
         through verification (and is re-proved against the installed
-        flash).  With no provable sites this degrades to a normal load.
+        flash, rooted at the exports' linked addresses, HL014).  With
+        no provable sites this degrades to a normal load.
 
         *certify* additionally runs translation validation
         (:mod:`repro.analysis.static.transval`): the installed flash is
@@ -131,22 +131,20 @@ class SfiSystem(ProtectedSystem):
         :class:`VerifyError` on any mismatch.  The report lands on
         ``module.certification``.
 
-        Whatever either gate raises, a rejection or a crash, unloads the
-        module before it propagates.
+        Whatever the manifest re-proof or either gate raises, a
+        rejection or a crash, unloads the module before it propagates.
         """
         domain = self._pick_domain()
         rewritten = self.rewriter.rewrite(program, self._next_load,
-                                          exports=exports, entries=entries)
+                                          exports=exports)
         manifest = None
         if elide:
             rewritten, manifest = self._elide_pass(
-                program, name, domain, exports, entries, rewritten)
+                program, name, domain, exports, rewritten)
         self.verifier.verify(rewritten.program, rewritten.start,
                              rewritten.end, manifest=manifest)
         # the rewritten image is already linked at its load address
         self._install(rewritten.program.words)
-        if manifest is not None:
-            self._check_installed_manifest(rewritten, manifest)
         module = self._admit(
             LoadedModule(name=name, domain=domain, start=rewritten.start,
                          end=rewritten.end, exports={},
@@ -154,18 +152,19 @@ class SfiSystem(ProtectedSystem):
                          verify_report=None, manifest=manifest),
             {export: rewritten.exports[export] for export in exports})
         try:
-            if lint if lint is not None else self.strict_lint:
+            if manifest is not None:
+                self._check_installed_manifest(module)
+            if lint:
                 self._lint_gate(name)
             if certify:
-                self._certify_gate(name, program, exports, entries)
+                self._certify_gate(name, program, exports)
         except BaseException:
             self.unload_module(name)
             raise
         return module
 
     # ------------------------------------------------------------------
-    def _elide_pass(self, program, name, domain, exports, entries,
-                    rewritten):
+    def _elide_pass(self, program, name, domain, exports, rewritten):
         """Prove and elide redundant store checks; returns the final
         (possibly re-rewritten) module and its manifest (or None).
 
@@ -173,7 +172,8 @@ class SfiSystem(ProtectedSystem):
         (stub calls push/pop marshaling registers that raw stores leave
         alone), so rewrite→prove iterates to a fixpoint; a final
         validation round keeps only sites that still prove on the image
-        that will actually be installed.
+        that will actually be installed.  The prover roots at the
+        exports.
         """
         from repro.analysis.static.cfg import RegionCFG
         from repro.analysis.static.elision import (
@@ -185,12 +185,10 @@ class SfiSystem(ProtectedSystem):
 
         def prove(rw):
             read = lambda i: rw.program.words.get(i, 0xFFFF)  # noqa: E731
-            entry_addrs = sorted(set(rw.exports.values()) |
-                                 {rw.addr_map[program.symbol(e)]
-                                  for e in entries})
+            roots = sorted(rw.exports.values())
             cfg = RegionCFG.build(read, rw.start, rw.end, name=name,
-                                  extra_leaders=entry_addrs)
-            return prover.prove_cfg(cfg, entries=entry_addrs)
+                                  extra_leaders=roots)
+            return prover.prove_cfg(cfg, entries=roots)
 
         def provable(rw, proofs):
             sites = set()
@@ -210,7 +208,7 @@ class SfiSystem(ProtectedSystem):
             elide = target
             rewritten = self.rewriter.rewrite(
                 program, rewritten.start, exports=exports,
-                entries=entries, elide=tuple(sorted(elide)))
+                elide=tuple(sorted(elide)))
             proofs = prove(rewritten)
         # keep only elided sites that prove on the final image
         still = {old for old, pc in rewritten.elided_sites.items()
@@ -219,7 +217,7 @@ class SfiSystem(ProtectedSystem):
         if still != set(rewritten.elided_sites):
             rewritten = self.rewriter.rewrite(
                 program, rewritten.start, exports=exports,
-                entries=entries, elide=tuple(sorted(still)))
+                elide=tuple(sorted(still)))
             proofs = prove(rewritten)
             still = {old for old, pc in rewritten.elided_sites.items()
                      if proofs.get(pc) is not None and
@@ -227,20 +225,21 @@ class SfiSystem(ProtectedSystem):
             if still != set(rewritten.elided_sites):
                 # did not stabilize: fall back to the fully checked image
                 return self.rewriter.rewrite(program, rewritten.start,
-                                             exports=exports,
-                                             entries=entries), None
+                                             exports=exports), None
         if not rewritten.elided_sites:
             return rewritten, None
         return rewritten, build_manifest(name, domain, rewritten, proofs)
 
-    def _check_installed_manifest(self, rewritten, manifest):
+    def _check_installed_manifest(self, module):
         """Defense in depth: re-prove the manifest against the flash
-        image that was actually installed, and publish the metrics."""
+        image that was actually installed, rooted at the exports'
+        linked addresses, and publish the metrics."""
         from repro.analysis.static.elision import verify_manifest
+        manifest = module.manifest
         problems = verify_manifest(
             self.machine.memory.read_flash_word, self.layout,
             self.runtime.symbols, manifest,
-            entries=sorted(set(rewritten.exports.values())))
+            entries=sorted(self.export_targets(module).values()))
         if problems:
             message, byte_addr = problems[0]
             raise VerifyError(message, byte_addr=byte_addr, rule="HL014")
@@ -267,20 +266,18 @@ class SfiSystem(ProtectedSystem):
                     name, ", ".join(codes), first.message),
                 byte_addr=first.byte_addr, rule=first.rule.code)
 
-    def _certify_gate(self, name, program, exports, entries):
+    def _certify_gate(self, name, program, exports):
         """Translation validation admission: prove the installed flash
         is a sanctioned translation of the source, publish the
         JIT-readiness gauges, and reject the load on any HL017."""
         from repro.analysis.static.transval import validate_translation
         module = self.modules[name]
-        export_targets = {
-            e: self.linker.export_target(module.domain, e)
-            for e in module.exports}
         report = validate_translation(
             program, self.machine.memory.read_flash_word,
             module.start, module.end, self.layout,
-            self.runtime.symbols, exports=exports, entries=entries,
-            manifest=module.manifest, export_targets=export_targets,
+            self.runtime.symbols, exports=exports,
+            manifest=module.manifest,
+            export_targets=self.export_targets(module),
             region=name, domain=module.domain, module=name)
         module.certification = report
         metrics = getattr(self.machine.core, "metrics", None)

@@ -652,12 +652,9 @@ class Campaign:
                                                  candidate.index))
         forged = corrupt_manifest(module.manifest, candidate.attack, rng)
         read = self.machine.memory.read_flash_word
-        entries = sorted(
-            self.system.linker._by_name[(module.domain, name)].target
-            for name in module.exports)
-        problems = verify_manifest(read, self.layout,
-                                   self.system.runtime.symbols, forged,
-                                   entries=entries)
+        problems = verify_manifest(
+            read, self.layout, self.system.runtime.symbols, forged,
+            entries=sorted(self.system.export_targets(module).values()))
         view = Program(words={w: read(w)
                               for w in range(module.start // 2,
                                              module.end // 2)})

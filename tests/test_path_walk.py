@@ -203,17 +203,17 @@ def _assemble(system, source):
 
 
 def test_strict_lint_admits_a_deep_branch_chain():
-    system = SfiSystem(strict_lint=True)
+    system = SfiSystem()
     system.load_module(_assemble(system, _branch_chain()), "chain",
-                       exports=("f",))
+                       exports=("f",), lint=True)
     assert "chain" in system.modules
 
 
 def test_strict_lint_rejects_a_deep_call_chain_and_unloads_it():
-    system = SfiSystem(strict_lint=True)
+    system = SfiSystem()
     with pytest.raises(VerifyError) as exc:
         system.load_module(_assemble(system, _call_chain()), "chain",
-                           exports=("c0",))
+                           exports=("c0",), lint=True)
     assert exc.value.rule == "HL009"
     assert "chain" not in system.modules
 

@@ -17,9 +17,8 @@ def rw():
     return Rewriter(RUNTIME.symbols, LAYOUT)
 
 
-def rewrite(rw, src, exports=(), entries=(), origin=ORIGIN):
-    return rw.rewrite(assemble(src, "mod"), origin, exports=exports,
-                      entries=entries)
+def rewrite(rw, src, exports=(), origin=ORIGIN):
+    return rw.rewrite(assemble(src, "mod"), origin, exports=exports)
 
 
 def keys_of(result):

@@ -1,14 +1,17 @@
-"""One disassembly walk per image content, shared by every admission
-stage.
+"""One disassembly walk and one CFG per image content, shared by every
+admission stage.
 
 The rewriter, the elision prover, the verifier, the manifest re-proof,
 the lint and translation validation all decode through
 :func:`repro.asm.disassembler.disassemble_span`, whose memo is keyed by
-every word the walk reads.  These tests pin the shared decode with
+every word the walk reads, and ask
+:meth:`repro.analysis.static.cfg.RegionCFG.build` for their CFGs, which
+the same memo keeps.  These tests pin the shared decode and CFGs with
 deterministic call counts, check that the memo key really covers the
-span and the word past its end, and that re-emitting an unchanged jump
-table keeps the core's decodes.  Each test empties the memo first, so
-none passes only because an earlier test filled it.
+span and the word past its end, that what the memo hands out cannot be
+mutated, and that re-emitting an unchanged jump table keeps the core's
+decodes.  Each test empties the memo first, so none passes only because
+an earlier test filled it.
 """
 
 import sys
@@ -17,13 +20,20 @@ import pytest
 
 import repro.asm.disassembler as disassembler_mod
 import repro.isa.encoding as encoding_mod
+from repro.analysis.static import lint_system
+from repro.analysis.static.cfg import RegionCFG
 from repro.analysis.static.transval import validate_translation
 from repro.asm.assembler import Assembler
 from repro.isa.encoding import encode
 from repro.sfi.system import SfiSystem
 from repro.sfi.verifier import VerifyError
 
-from tests.test_admission_cache import CLEAN_SENSOR, RCALL_SELF, _load
+from tests.test_admission_cache import (
+    CLEAN_SENSOR,
+    RCALL_SELF,
+    _load,
+    _six_module_node,
+)
 
 EXPORTS = ("sample", "tally", "report")
 
@@ -67,6 +77,45 @@ def test_the_sixth_clean_sensor_admission_decodes_each_word_once(
     assert calls[0] <= 60
 
 
+def _count_cfgs(monkeypatch):
+    """Count the :class:`RegionCFG` objects constructed: one per build
+    of leaders and blocks, none for a CFG the memo hands out again."""
+    built = [0]
+    real = RegionCFG.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(RegionCFG, "__init__", counting)
+    return built
+
+
+def test_a_lint_after_a_gated_admission_builds_no_cfg(monkeypatch):
+    """The admission's lint gate built every CFG the next lint asks
+    for; each lint used to build them all again."""
+    system = SfiSystem()
+    assert _load(system, CLEAN_SENSOR, "sensor", lint=True,
+                 certify=True) is not None
+    built = _count_cfgs(monkeypatch)
+    lint_system(system)
+    assert built[0] == 0
+
+
+def test_a_second_six_module_set_up_builds_no_cfg(monkeypatch):
+    """A second node admitting the same six modules at the same
+    addresses asks for the same CFGs: each stage used to build its own,
+    27 of them for the lint gates alone."""
+    _six_module_node()
+    built = _count_cfgs(monkeypatch)
+    _six_module_node()
+    assert built[0] == 0
+
+
+def _lint_codes(system):
+    _model, report = lint_system(system)
+    return {d.code for d in report.diagnostics.findings}
+
+
 def _admit_certified():
     system = SfiSystem()
     program = Assembler(symbols=system.kernel_symbols()).assemble(
@@ -95,9 +144,11 @@ def test_a_word_inside_the_span_is_part_of_the_walk_key():
     system, program, module = _admit_certified()
     clean = _outcome(system, program, module)
     assert clean == ([], "accepted")
+    assert "HL008" not in _lint_codes(system)
     system.machine.memory.write_flash_word(module.start // 2, RCALL_SELF)
     findings, verdict = _outcome(system, program, module)
     assert findings and verdict != "accepted"
+    assert "HL008" in _lint_codes(system)
 
 
 def test_the_word_past_the_span_is_part_of_the_walk_key():
@@ -123,6 +174,22 @@ def test_the_walk_hands_out_immutable_lines():
     assert isinstance(lines, tuple) and lines
     with pytest.raises(AttributeError):
         lines[0].instr = None
+    cfg = RegionCFG.build(system.machine.memory.read_flash_word,
+                          module.start, module.end, name="sensor")
+    assert RegionCFG.build(system.machine.memory.read_flash_word,
+                           module.start, module.end, name="sensor") is cfg
+    block = cfg.blocks[module.start]
+    assert isinstance(cfg.lines, tuple) and cfg.lines == lines
+    assert isinstance(block.lines, tuple) and cfg.calls
+    assert isinstance(block.succs, tuple)
+    with pytest.raises(TypeError):
+        cfg.blocks[0] = block
+    with pytest.raises(AttributeError):
+        cfg.lines = ()
+    with pytest.raises(AttributeError):
+        block.succs = ()
+    with pytest.raises(AttributeError):
+        cfg.calls[0].target = 0
 
 
 def test_a_second_admission_keeps_the_decode_of_an_unchanged_slot():

@@ -65,10 +65,11 @@ orphan:                     ; never exported, never called
 """
 
 
-def load(system, name="mod", exports=("fill", "ping")):
+def load(system, name="mod", exports=("fill", "ping"), lint=False):
     src = MODULE.format(**{k: hex(v)
                            for k, v in system.kernel_symbols().items()})
-    return system.load_module(assemble(src, name), name, exports=exports)
+    return system.load_module(assemble(src, name), name, exports=exports,
+                              lint=lint)
 
 
 def place_raw(system, source, name="raw", domain=0, symbols=None):
@@ -470,14 +471,14 @@ def test_safe_stack_high_water_is_monotone_peak():
 # The strict load-time lint gate (satellite)
 # =====================================================================
 def test_strict_lint_gate_admits_clean_modules():
-    system = SfiSystem(strict_lint=True)
-    load(system)
+    system = SfiSystem()
+    load(system, lint=True)
     assert "mod" in system.modules
 
 
 def test_strict_lint_gate_rejects_on_whole_image_errors():
-    system = SfiSystem(strict_lint=True)
-    load(system, "good")
+    system = SfiSystem()
+    load(system, "good", lint=True)
     # corrupt the already-loaded module: overwrite its first word with a
     # raw store.  Loading a *second* module re-lints the whole image.
     raw_store = assemble("    st X, r24\n").words[0]
@@ -485,7 +486,7 @@ def test_strict_lint_gate_rejects_on_whole_image_errors():
     system.machine.memory.write_flash_word(mod.start // 2, raw_store)
     system.machine.core.invalidate_decode_cache()
     with pytest.raises(VerifyError) as exc:
-        load(system, "second")
+        load(system, "second", lint=True)
     # the raw store reports HL001; the orphaned second word of the
     # 2-word instruction it overwrote reports HL011
     assert exc.value.rule in ("HL001", "HL011")
