@@ -296,15 +296,16 @@ class ImageAnalyzer:
 
     def region_proofs(self, region):
         """(Cached) :class:`StoreProver` classification of every store
-        site in an SFI region, rooted at its exports as the admission
-        prover's is."""
+        site in an SFI region, rooted wherever the region can be
+        entered (on an intact image: its exports, as the admission
+        prover's is)."""
         proofs = self._proofs.get(region.name)
         if proofs is None:
             prover = StoreProver(self.model.layout, self.model.symbols,
                                  region.domain)
             proofs = prover.prove_cfg(
                 self.model.cfg_for(region),
-                entries=sorted(region.entries.values()))
+                entries=self.model.region_entries(region))
             self._proofs[region.name] = proofs
         return proofs
 

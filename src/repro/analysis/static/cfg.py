@@ -69,6 +69,17 @@ class BasicBlock:
         return iter(self.lines)
 
 
+@dataclass
+class _OpenBlock:
+    """A block while :func:`_build` fills it, frozen into a
+    :class:`BasicBlock` once the span is walked."""
+
+    lines: list = field(default_factory=list)
+    succs: list = field(default_factory=list)
+    exits: list = field(default_factory=list)
+    terminator: str = "fall"
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class RegionCFG:
     """CFG of one contiguous code region ``[start, end)``.
@@ -223,8 +234,7 @@ def _build(name, start, end, entries, data_spans, words):
                 leaders.add(nxt.byte_addr + 2 * len(nxt.words))
 
     # --- pass 2: blocks and edges ------------------------------------
-    # block start -> [lines, succs, exits, terminator], frozen below
-    blocks = {}
+    blocks = {}    # block start -> _OpenBlock
     block = None
     prev_end = None
     for i, line in enumerate(lines):
@@ -235,10 +245,9 @@ def _build(name, start, end, entries, data_spans, words):
         if block is None or line.byte_addr in leaders or gap:
             if block is not None and not gap:
                 # fallthrough into the new leader
-                block[1].append(line.byte_addr)
-            block = blocks[line.byte_addr] = [[], [], [], "fall"]
-        lines_, succs, exits = block[:3]
-        lines_.append(line)
+                block.succs.append(line.byte_addr)
+            block = blocks[line.byte_addr] = _OpenBlock()
+        block.lines.append(line)
         if line.instr is None:
             continue
         key = line.instr.key
@@ -248,37 +257,37 @@ def _build(name, start, end, entries, data_spans, words):
             calls.append(CallSite(
                 line.byte_addr, key,
                 target=None if key == "icall" else static_target(line),
-                block=lines_[0].byte_addr))
+                block=block.lines[0].byte_addr))
         if key in JUMP_KEYS:
             target = static_target(line)
             if internal(target) and target in boundaries:
-                succs.append(target)
+                block.succs.append(target)
             elif not internal(target):
-                exits.append(("jump", target))
+                block.exits.append(("jump", target))
             # an internal target off the boundaries is a bad target
-            block[3] = "jump"
+            block.terminator = "jump"
         elif key in BRANCH_KEYS:
             target = static_target(line)
             if internal(target) and target in boundaries:
-                succs.append(target)
+                block.succs.append(target)
             elif not internal(target):
-                exits.append(("branch", target))
+                block.exits.append(("branch", target))
             if after < end and after in boundaries:
-                succs.append(after)
-            block[3] = "branch"
+                block.succs.append(after)
+            block.terminator = "branch"
         elif kind in SKIP_KINDS:
             if i + 1 < len(lines):
                 nxt = lines[i + 1]
                 skip_to = nxt.byte_addr + 2 * len(nxt.words)
                 if skip_to < end and skip_to in boundaries:
-                    succs.append(skip_to)
-                succs.append(nxt.byte_addr)
-            block[3] = "skip"
+                    block.succs.append(skip_to)
+                block.succs.append(nxt.byte_addr)
+            block.terminator = "skip"
         elif key in RET_KEYS:
-            block[3] = "ret"
+            block.terminator = "ret"
         elif key == "ijmp":
             indirect_jumps.append(line.byte_addr)
-            block[3] = "ijmp"
+            block.terminator = "ijmp"
         else:
             continue
         block = None
@@ -286,10 +295,9 @@ def _build(name, start, end, entries, data_spans, words):
         name=name, start=start, end=end, lines=tuple(lines),
         # successor lists de-duplicated (branch-to-fallthrough etc.)
         blocks=MappingProxyType({
-            addr: BasicBlock(addr, tuple(lines_), tuple(dict.fromkeys(
-                succs)), tuple(exits), terminator)
-            for addr, (lines_, succs, exits, terminator)
-            in blocks.items()}),
+            addr: BasicBlock(addr, tuple(b.lines), tuple(dict.fromkeys(
+                b.succs)), tuple(b.exits), b.terminator)
+            for addr, b in blocks.items()}),
         boundaries=boundaries, calls=tuple(calls),
         indirect_jumps=tuple(indirect_jumps), entries=entries,
         undecodable=tuple(line.byte_addr for line in lines

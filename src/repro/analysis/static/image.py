@@ -10,15 +10,20 @@ diagnostics.
 :meth:`ImageModel.from_system` builds the model straight off a live
 :class:`~repro.sfi.system.SfiSystem` or
 :class:`~repro.umpu.system.UmpuSystem` (duck-typed: both expose
-``layout``/``machine``/``runtime``/``jump_table``/``modules``/
-``export_targets``), which is what the ``harbor-lint`` CLI and the
-``load_module(lint=True)`` gate use.
+``layout``/``machine``/``runtime``/``jump_table``/``modules``), which
+is what the ``harbor-lint`` CLI and the ``load_module(lint=True)`` gate
+use.
 
-A module region's entries are its exports' code addresses as the
-system's linker published them (``export_targets``), the roots every
-admission stage proves the module from.  A model parses the jump
-table once, on first use, and asks for each region's CFG once.  Both
-go through the disassembler's memo
+A module region's entries are its exports' jump-table slots as they
+decode in flash: the lint checks the live image, so a slot rewritten
+since admission moves the root with it.  :meth:`ImageModel.region_entries`
+is the one answer to where a region can be entered (those entries plus
+every jump-table target inside it); the CFG's leaders, the manifest
+re-proof and every analysis root there.  On an intact image those are
+exactly the exports' linked addresses the admission stages root at, so
+the lint shares their CFGs.  A model parses the jump table once, on
+first use, and asks for each region's CFG once.  Both go through the
+disassembler's memo
 (:data:`~repro.asm.disassembler.MEMO`): the jump table decodes through
 its walk, and :meth:`RegionCFG.build` keeps each CFG there, so a lint
 after a load decodes, and builds the CFG of, only the spans that
@@ -126,12 +131,15 @@ class ImageModel:
                     allowed_io=system.verifier.allowed_io
                     if policy == "sfi" else (),
                     mode=policy)
+        slots = {e.addr: e.target for e in model.jt_entries()}
         for module in system.modules.values():
+            entries = {export: slots[slot]
+                       for export, slot in module.exports.items()
+                       if slots.get(slot) is not None}
             model.modules.append(ModuleRegion(
                 name=module.name, domain=module.domain,
                 start=module.start, end=module.end, policy=policy,
-                entries=system.export_targets(module),
-                manifest=module.manifest))
+                entries=entries, manifest=module.manifest))
         model.modules.extend(extra_modules)
         return model
 
@@ -159,14 +167,15 @@ class ImageModel:
         if cfg is None:
             cfg = self._cfgs[region.name] = RegionCFG.build(
                 self.read_word, region.start, region.end, name=region.name,
-                extra_leaders=sorted(region.entries.values()),
+                extra_leaders=self.region_entries(region),
                 data_spans=region.data_spans)
         return cfg
 
     def region_entries(self, region):
         """Addresses execution can enter *region* at, sorted: its
-        declared entries plus the jump-table targets inside it (the
-        roots of reachability and the analyses' fixpoint seeds)."""
+        declared entries plus the jump-table targets inside it.  The
+        CFG's leaders, the store proofs' roots, reachability and the
+        analyses' fixpoint seeds all take them from here."""
         return sorted(set(region.entries.values()).union(
             self.jt_targets_into(region)))
 

@@ -120,7 +120,7 @@ class ProtectedSystem:
     def export_targets(self, module):
         """Export name -> the code byte address the linker published
         for it: the one record of where *module* can be entered, which
-        every manifest re-proof and the whole-image lint root at."""
+        every admission-time manifest re-proof roots at."""
         return {export: self.linker.export_target(module.domain, export)
                 for export in module.exports}
 

@@ -30,6 +30,7 @@ from repro.sfi.verifier import VerifyError
 
 from tests.test_admission_cache import (
     CLEAN_SENSOR,
+    LAYOUT,
     RCALL_SELF,
     _load,
     _six_module_node,
@@ -114,6 +115,34 @@ def test_a_second_six_module_set_up_builds_no_cfg(monkeypatch):
 def _lint_codes(system):
     _model, report = lint_system(system)
     return {d.code for d in report.diagnostics.findings}
+
+
+#: one raw store the elision prover bounds from ``fill``'s entry
+PINNED_STORE = """
+fill:
+    ldi r26, lo8(0x{base:04x})
+    ldi r27, hi8(0x{base:04x})
+    st X, r24
+    ret
+"""
+
+
+def test_the_lint_roots_a_module_where_its_slot_now_jumps():
+    """The lint reads an export's slot from flash: pointed past the
+    ``ldi`` pair that bounds an elided store, the slot reaches that store
+    with caller-chosen X, so the manifest no longer re-proves."""
+    system = SfiSystem(layout=LAYOUT)
+    base = LAYOUT.static_data_span(0)[0]
+    module = _load(system, PINNED_STORE.format(base=base), "pinned",
+                   elide=True)
+    assert module.domain == 0 and module.manifest.elided_checks == 1
+    assert not {"HL001", "HL013", "HL014"} & _lint_codes(system)
+    store = module.manifest.sites[0].pc
+    slot = module.exports["fill"] // 2
+    for offset, word in enumerate(encode("jmp", (store // 2,))):
+        system.machine.memory.write_flash_word(slot + offset, word)
+    codes = _lint_codes(system)
+    assert {"HL001", "HL014"} <= codes
 
 
 def _admit_certified():
