@@ -611,35 +611,38 @@ class ImageAnalyzer:
     # Jump-table verification
     # ------------------------------------------------------------------
     def _check_jump_table(self):
-        model = self.model
-        for entry in model.jt_entries():
-            if not entry.ok:
-                if entry.words and all(w in _ERASED_WORDS
-                                       for w in entry.words):
-                    continue   # never-linked slot (erased flash)
+        """HL013 for every slot that does not jump into a code region of
+        its own domain (or the trusted runtime).  A slot's verdict
+        depends only on its domain and words, so each distinct pair is
+        judged once; almost every slot holds its page's empty ``jmp``."""
+        verdicts = {}   # (domain, slot words) -> message tail or None
+        for entry in self.model.jt_entries():
+            key = (entry.domain, entry.words)
+            if key not in verdicts:
+                verdicts[key] = self._jt_slot_fault(entry)
+            fault = verdicts[key]
+            if fault is not None:
                 self.diags.emit(
-                    "HL013",
-                    "jump-table slot d{}[{}] does not decode to a jmp"
-                    .format(entry.domain, entry.index),
+                    "HL013", "jump-table slot d{}[{}] {}".format(
+                        entry.domain, entry.index, fault),
                     byte_addr=entry.addr)
-                continue
-            target = entry.target
-            region = model.region_of(target)
-            if region is None:
-                self.diags.emit(
-                    "HL013",
-                    "jump-table slot d{}[{}] targets 0x{:04x} outside "
-                    "every code region".format(entry.domain, entry.index,
-                                               target),
-                    byte_addr=entry.addr)
-            elif region.policy != "trusted" and \
-                    region.domain != entry.domain:
-                self.diags.emit(
-                    "HL013",
-                    "jump-table slot d{}[{}] targets {} owned by domain "
-                    "{}".format(entry.domain, entry.index,
-                                self._name(target), region.domain),
-                    byte_addr=entry.addr)
+
+    def _jt_slot_fault(self, entry):
+        """What is wrong with *entry*'s slot, or None."""
+        if not entry.ok:
+            if entry.words and all(w in _ERASED_WORDS
+                                   for w in entry.words):
+                return None    # never-linked slot (erased flash)
+            return "does not decode to a jmp"
+        target = entry.target
+        region = self.model.region_of(target)
+        if region is None:
+            return "targets 0x{:04x} outside every code region".format(
+                target)
+        if region.policy != "trusted" and region.domain != entry.domain:
+            return "targets {} owned by domain {}".format(
+                self._name(target), region.domain)
+        return None
 
     # ------------------------------------------------------------------
     # Analysis 2: call depth and safe-stack occupancy bounds

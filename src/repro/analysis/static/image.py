@@ -21,22 +21,22 @@ is the one answer to where a region can be entered (those entries plus
 every jump-table target inside it); the CFG's leaders, the manifest
 re-proof and every analysis root there.  On an intact image those are
 exactly the exports' linked addresses the admission stages root at, so
-the lint shares their CFGs.  A model parses the jump table once, on
-first use, and asks for each region's CFG once.  Both go through the
-disassembler's memo
-(:data:`~repro.asm.disassembler.MEMO`): the jump table decodes through
-its walk, and :meth:`RegionCFG.build` keeps each CFG there, so a lint
-after a load decodes, and builds the CFG of, only the spans that
-changed.  That memo is process-wide and hears no flash-write
-listener: it is keyed by content (the span and every word the walk
-reads), so no write, load or snapshot restore can leave a stale
-decode or CFG behind.
+the lint shares their CFGs.  A model reads the jump table once, on
+first use, in one bulk read, and asks for each region's CFG once.  Both
+go through the disassembler's memo
+(:data:`~repro.asm.disassembler.MEMO`): each domain's jump-table page
+is parsed once per page content, and :meth:`RegionCFG.build` keeps each
+CFG there, so a lint after a load parses the one page, and decodes and
+builds the CFG of the spans, that changed.  That memo is process-wide
+and hears no flash-write listener: it is keyed by content (the span and
+every word the walk reads, or the page's words), so no write, load or
+snapshot restore can leave a stale decode, page or CFG behind.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.asm.disassembler import disassemble
+from repro.asm.disassembler import disassemble, memoised, read_words
 
 from repro.analysis.static.cfg import RegionCFG
 
@@ -70,9 +70,10 @@ class ModuleRegion:
     manifest: object = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class JtEntry:
-    """One parsed jump-table slot."""
+    """One parsed jump-table slot, shared by every model whose page
+    holds the same words."""
 
     domain: int
     index: int
@@ -87,8 +88,11 @@ class ImageModel:
 
     def __init__(self, read_word, layout, jump_table, runtime_region,
                  modules=(), symbols=None, allowed_io=(), mode="sfi",
-                 isrs=()):
+                 isrs=(), flash=None):
         self.read_word = read_word
+        #: the live flash word list, when the model reads a live node:
+        #: the jump table is sliced from it rather than read word by word
+        self.flash = flash
         self.layout = layout
         self.jump_table = jump_table
         self.runtime = runtime_region          # ModuleRegion or None
@@ -130,7 +134,7 @@ class ImageModel:
                     symbols=symbols,
                     allowed_io=system.verifier.allowed_io
                     if policy == "sfi" else (),
-                    mode=policy)
+                    mode=policy, flash=machine.memory.flash)
         slots = {e.addr: e.target for e in model.jt_entries()}
         for module in system.modules.values():
             entries = {export: slots[slot]
@@ -212,29 +216,24 @@ class ImageModel:
     # ------------------------------------------------------------------
     def jt_entries(self):
         """Every jump-table slot as a :class:`JtEntry`.  The table is
-        read from flash once per model, and each distinct slot content
-        decoded once (almost every empty slot holds the same jmp)."""
-        if self._jt is not None:
-            return self._jt
-        jt = self.jump_table
-        decoded = {}    # (w0, w1) -> jmp target or None
-        entries = []
-        for domain in range(jt.ndomains):
-            for index in range(jt.entries_per_domain):
-                addr = jt.entry_addr(domain, index)
-                try:
-                    words = (self.read_word(addr // 2),
-                             self.read_word(addr // 2 + 1))
-                except Exception:
-                    entries.append(JtEntry(domain, index, addr, ok=False))
-                    continue
-                if words not in decoded:
-                    decoded[words] = _jmp_target(*words)
-                target = decoded[words]
-                entries.append(JtEntry(domain, index, addr, target=target,
-                                       ok=target is not None, words=words))
-        self._jt = entries
-        return entries
+        read once per model, in one bulk read, and each domain's page is
+        parsed once per page content (a load changes one page)."""
+        if self._jt is None:
+            jt = self.jump_table
+            start, count = jt.base // 2, (jt.end - jt.base) // 2
+            if self.flash is not None:
+                words = tuple(self.flash[start:start + count])
+                words += (None,) * (count - len(words))
+            else:
+                words = read_words(self.read_word, start, count)
+            size = jt.page_bytes // 2
+            self._jt = []
+            for domain in range(jt.ndomains):
+                page = words[domain * size:(domain + 1) * size]
+                self._jt.extend(memoised((_parse_page, jt, domain, page),
+                                         lambda: _parse_page(jt, domain,
+                                                             page)))
+        return self._jt
 
     def jt_targets_into(self, region):
         """Jump-table targets landing inside *region* (the addresses a
@@ -245,6 +244,26 @@ class ImageModel:
         targets = self._jt_targets
         return targets[bisect_left(targets, region.start):
                        bisect_left(targets, region.end)]
+
+
+def _parse_page(jt, domain, words):
+    """The :class:`JtEntry` tuple of *domain*'s jump-table page holding
+    *words* (None where unreadable)."""
+    decoded = {}    # (w0, w1) -> jmp target or None
+    entries = []
+    for index in range(jt.entries_per_domain):
+        addr = jt.entry_addr(domain, index)
+        at = index * jt.entry_bytes // 2
+        slot = words[at:at + 2]
+        if None in slot:
+            entries.append(JtEntry(domain, index, addr, ok=False))
+            continue
+        if slot not in decoded:
+            decoded[slot] = _jmp_target(*slot)
+        target = decoded[slot]
+        entries.append(JtEntry(domain, index, addr, target=target,
+                               ok=target is not None, words=slot))
+    return tuple(entries)
 
 
 def _jmp_target(w0, w1):

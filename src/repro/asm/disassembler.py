@@ -142,8 +142,9 @@ def disassemble(words, start_word=0, count_words=None, symbols=None):
 
 
 #: the static stages' memo, content key -> value: the walk's lines under
-#: ``(start word, words read)`` and the region CFGs of
-#: :mod:`repro.analysis.static.cfg` under their own longer keys.  It is
+#: ``(start word, words read)``, and under their own longer keys the
+#: region CFGs of :mod:`repro.analysis.static.cfg` and the parsed
+#: jump-table pages of :mod:`repro.analysis.static.image`.  It is
 #: process-wide, holds at most :data:`MEMO_SIZE` entries, the least
 #: recently used dropped first, and hears no flash listener: its keys
 #: are the content itself.

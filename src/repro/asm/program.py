@@ -1,6 +1,6 @@
 """Assembled program image: flash words, symbols, relocations, listing."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,12 @@ class Program:
 
     def word(self, word_addr):
         return self.words.get(word_addr, 0xFFFF)
+
+    def copy(self):
+        """A copy whose words, symbols, relocs and listing are its own."""
+        return replace(self, words=dict(self.words),
+                       symbols=dict(self.symbols), relocs=list(self.relocs),
+                       listing=dict(self.listing))
 
     def set_word(self, word_addr, value):
         self.words[word_addr] = value & 0xFFFF

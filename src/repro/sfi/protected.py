@@ -88,7 +88,13 @@ class ProtectedSystem:
         raise NotImplementedError
 
     def _flush_jump_table(self):
-        self.linker.emit(self.machine.memory.write_flash_word)
+        """Bring the jump table in flash to the linker's image: only the
+        words that differ are written, so the listeners hear of the
+        changed page and of any corrupted slot, which this repairs."""
+        memory = self.machine.memory
+        jt = self.jump_table
+        self.linker.emit(memory.write_flash_word,
+                         memory.flash[jt.base // 2:jt.end // 2])
 
     # ------------------------------------------------------------------
     def kernel_symbols(self):

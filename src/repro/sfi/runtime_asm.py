@@ -32,6 +32,8 @@ Register conventions (documented for the rewriter):
   r24:25, r22; r18-r27/r30/r31 caller-saved)
 """
 
+from functools import lru_cache
+
 from repro.asm.assembler import Assembler
 from repro.sfi.layout import (
     FAULT_JT,
@@ -916,10 +918,21 @@ def runtime_source(layout=None):
 
 def build_runtime(layout=None, origin=0):
     """Assemble the runtime at byte address *origin*; returns a Program."""
-    layout = layout or SfiLayout()
-    src = ".org {}\n".format(origin) + runtime_source(layout)
-    asm = Assembler(symbols=layout.symbols())
-    return asm.assemble(src, name="harbor_runtime")
+    return assemble_runtime(runtime_source, "harbor_runtime", layout, origin)
+
+
+def assemble_runtime(source, name, layout=None, origin=0):
+    """The Program of ``source(layout)`` assembled at byte address
+    *origin*.  Each ``(source, layout, origin)`` is assembled once per
+    process; every call gets its own copy, so no caller can change
+    another's runtime."""
+    return _assembled(source, name, layout or SfiLayout(), origin).copy()
+
+
+@lru_cache(maxsize=16)
+def _assembled(source, name, layout, origin):
+    src = ".org {}\n".format(origin) + source(layout)
+    return Assembler(symbols=layout.symbols()).assemble(src, name=name)
 
 
 def runtime_code_bytes(layout=None):

@@ -37,6 +37,8 @@ class CrossDomainLinker:
     exception_target: int = 0  # where empty entries jump (trap routine)
     _exports: dict = field(default_factory=dict)   # (domain,index) -> rec
     _by_name: dict = field(default_factory=dict)   # (domain,name) -> rec
+    #: domain -> (the page's links, its words): the expected table image
+    _pages: dict = field(default_factory=dict)
 
     def export(self, domain, name, target, index=None):
         """Publish *target* as exported function *name* of *domain*.
@@ -75,23 +77,51 @@ class CrossDomainLinker:
             self._by_name.pop((rec.domain, rec.name), None)
 
     # ------------------------------------------------------------------
-    def emit(self, write_word):
-        """Write the full jump-table region via ``write_word(word_addr,
+    def emit(self, write_word, live=()):
+        """Write the jump-table region via ``write_word(word_addr,
         value)``: real entries ``jmp target``, empty entries ``jmp
-        exception_target``.  Every slot is rewritten, so a corrupted one
-        is repaired; each distinct target is encoded once."""
+        exception_target``.  *live* holds the words the region holds
+        now, from its first; a word it already holds is not written, so
+        passing flash writes only what differs and repairs any corrupted
+        slot, in any domain.
+
+        The expected image is kept page by page and a page is rebuilt
+        only when its links changed (a load or unload changes one)."""
         jt = self.jump_table
-        encoded = {}
+        links = {}     # domain -> ((index, target), ...)
+        for (domain, index), rec in sorted(self._exports.items()):
+            links.setdefault(domain, []).append((index, rec.target))
+        base = jt.base // 2
+        page_words = jt.page_bytes // 2
         for domain in range(jt.ndomains):
-            for index in range(jt.entries_per_domain):
-                rec = self._exports.get((domain, index))
-                target = rec.target if rec else self.exception_target
-                if target not in encoded:
-                    encoded[target] = encode("jmp", (target // 2,))
-                w0, w1 = encoded[target]
-                entry = jt.entry_addr(domain, index) // 2
-                write_word(entry, w0)
-                write_word(entry + 1, w1)
+            key = (self.exception_target, tuple(links.get(domain, ())))
+            page = self._pages.get(domain)
+            if page is None or page[0] != key:
+                page = self._pages[domain] = (key, self._page(key))
+            words = page[1]
+            at = domain * page_words
+            if live[at:at + page_words] == words:
+                continue
+            for i, value in enumerate(words, at):
+                if value is not None and (i >= len(live) or live[i] != value):
+                    write_word(base + i, value)
+
+    def _page(self, key):
+        """The words of a page for *key*, ``(exception target, its
+        (index, target) links)``; None marks a word between slots that
+        no entry covers."""
+        jt = self.jump_table
+        exception_target, links = key
+        targets = dict(links)
+        encoded = {}
+        words = [None] * (jt.page_bytes // 2)
+        for index in range(jt.entries_per_domain):
+            target = targets.get(index, exception_target)
+            if target not in encoded:
+                encoded[target] = encode("jmp", (target // 2,))
+            at = index * jt.entry_bytes // 2
+            words[at:at + 2] = encoded[target]
+        return words
 
     def symbols(self):
         """Entry-address symbols (for assembling subscriber modules)."""

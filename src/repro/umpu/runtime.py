@@ -26,7 +26,6 @@ tracker observes).
 
 import re
 
-from repro.asm.assembler import Assembler
 from repro.isa.registers import IoReg
 from repro.sfi.layout import SfiLayout
 from repro.sfi.runtime_asm import (
@@ -35,6 +34,7 @@ from repro.sfi.runtime_asm import (
     _memmap_mark,
     _owner_check,
     _services,
+    assemble_runtime,
 )
 
 
@@ -134,7 +134,5 @@ def umpu_runtime_source(layout=None):
 
 def build_umpu_runtime(layout=None, origin=0):
     """Assemble the UMPU library at *origin*; returns a Program."""
-    layout = layout or SfiLayout()
-    src = ".org {}\n".format(origin) + umpu_runtime_source(layout)
-    return Assembler(symbols=layout.symbols()).assemble(
-        src, name="harbor_umpu_runtime")
+    return assemble_runtime(umpu_runtime_source, "harbor_umpu_runtime",
+                            layout, origin)

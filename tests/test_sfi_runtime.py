@@ -6,6 +6,7 @@ cover the module-side sequences).
 
 import pytest
 
+from repro.asm.assembler import Assembler
 from repro.sfi.layout import (
     FAULT_MEMMAP,
     FAULT_NONE,
@@ -20,6 +21,7 @@ from repro.sfi.runtime_asm import (
     build_runtime,
     runtime_source,
 )
+from repro.umpu.runtime import build_umpu_runtime, umpu_runtime_source
 
 LAYOUT = SfiLayout()
 
@@ -341,3 +343,27 @@ def test_source_regenerates_deterministically():
     p1 = build_runtime()
     p2 = build_runtime()
     assert p1.words == p2.words
+
+
+@pytest.mark.parametrize("build, source", [
+    (build_runtime, runtime_source),
+    (build_umpu_runtime, umpu_runtime_source),
+])
+def test_each_runtime_build_hands_out_its_own_program(build, source):
+    """Both runtimes are assembled once per layout and origin, and every
+    build is a copy nothing another caller does can change."""
+    first = build()
+    words, symbols = dict(first.words), dict(first.symbols)
+    first.words[min(first.words)] ^= 0xFFFF
+    first.symbols["hb_init"] += 2
+    first.relocs.clear()
+    first.listing.clear()
+    second = build()
+    assert second.words == words and second.symbols == symbols
+    assert second.relocs and second.listing
+    layout = SfiLayout(static_data_bytes=256, static_data_domains=2)
+    fresh = Assembler(symbols=layout.symbols()).assemble(
+        ".org 0x100\n" + source(layout), name="runtime")
+    other = build(layout, origin=0x100)
+    assert other.words == fresh.words and other.words != words
+    assert other.symbols == fresh.symbols

@@ -18,15 +18,20 @@ import sys
 
 import pytest
 
+import repro.analysis.static as static_mod
+import repro.analysis.static.image as image_mod
 import repro.asm.disassembler as disassembler_mod
 import repro.isa.encoding as encoding_mod
 from repro.analysis.static import lint_system
 from repro.analysis.static.cfg import RegionCFG
 from repro.analysis.static.transval import validate_translation
 from repro.asm.assembler import Assembler
+from repro.core.encoding import TRUSTED_DOMAIN
 from repro.isa.encoding import encode
+from repro.sim.memory import Memory
 from repro.sfi.system import SfiSystem
 from repro.sfi.verifier import VerifyError
+from repro.umpu.system import UmpuSystem
 
 from tests.test_admission_cache import (
     CLEAN_SENSOR,
@@ -110,6 +115,130 @@ def test_a_second_six_module_set_up_builds_no_cfg(monkeypatch):
     built = _count_cfgs(monkeypatch)
     _six_module_node()
     assert built[0] == 0
+
+
+def test_a_second_six_module_set_up_reuses_runtimes_and_pages(
+        monkeypatch):
+    """A second node admitting the same six modules assembles no
+    runtime, and none of its lints parses a jump-table page seen before
+    or reads more than 1,000 flash words one by one: each node used to
+    assemble its runtime again, and each lint read all 2,048 jump-table
+    words through ``read_flash_word`` (about 3,000 reads per lint)."""
+    parsed = []
+    real_parse = image_mod._parse_page
+
+    def parse(jt, domain, words):
+        parsed.append((domain, words))
+        return real_parse(jt, domain, words)
+    monkeypatch.setattr(image_mod, "_parse_page", parse)
+    _six_module_node()
+    UmpuSystem()
+    seen = set(parsed)
+    del parsed[:]
+
+    assembled = []
+    real_assemble = Assembler.assemble
+
+    def assemble(self, source, name="<asm>"):
+        assembled.append(name)
+        return real_assemble(self, source, name)
+    monkeypatch.setattr(Assembler, "assemble", assemble)
+    reads = [0]
+    real_read = Memory.read_flash_word
+
+    def read(self, word_addr):
+        reads[0] += 1
+        return real_read(self, word_addr)
+    monkeypatch.setattr(Memory, "read_flash_word", read)
+    per_lint = []
+    real_lint = static_mod.lint_system
+
+    def lint(*args, **kwargs):
+        before = reads[0]
+        out = real_lint(*args, **kwargs)
+        per_lint.append(reads[0] - before)
+        return out
+    monkeypatch.setattr(static_mod, "lint_system", lint)
+
+    _six_module_node()
+    UmpuSystem()
+    assert assembled == ["sensor{}".format(i) for i in range(6)]
+    assert len(per_lint) == 6 and max(per_lint) <= 1000
+    assert not seen & set(parsed)
+
+
+def _jt_words(system):
+    jt = system.jump_table
+    return system.machine.memory.flash[jt.base // 2:jt.end // 2]
+
+
+def test_a_load_writes_only_the_jump_table_words_that_differ(monkeypatch):
+    """A module load repairs a jump-table word corrupted in another
+    domain's page and one in the trusted page, and writes, so the flash
+    listeners hear, exactly the words that differ: each flush used to
+    write all 2,048 words of the table."""
+    system = SfiSystem()
+    sensor = _load(system, CLEAN_SENSOR, "sensor")
+    jt = system.jump_table
+    memory = system.machine.memory
+    empty_slot = jt.entry_addr(sensor.domain, len(sensor.exports)) // 2
+    kernel_slot = jt.entry_addr(TRUSTED_DOMAIN, 0) // 2
+    intact = _jt_words(system)
+    memory.write_flash_word(empty_slot, 0x0000)
+    memory.write_flash_word(kernel_slot + 1, 0x1234)
+    corrupted = _jt_words(system)
+
+    written = []
+    real_write = Memory.write_flash_word
+
+    def write(self, word_addr, value):
+        if jt.base // 2 <= word_addr < jt.end // 2:
+            written.append(word_addr)
+        return real_write(self, word_addr, value)
+    monkeypatch.setattr(Memory, "write_flash_word", write)
+    heard = []
+    memory.flash_listeners.append(heard.append)
+    other = _load(system, CLEAN_SENSOR, "other")
+    assert other is not None and other.domain != sensor.domain
+
+    after = _jt_words(system)
+    changed = [jt.base // 2 + i for i, (old, new)
+               in enumerate(zip(corrupted, after)) if old != new]
+    assert written == changed
+    assert [a for a in heard if jt.base // 2 <= a < jt.end // 2] == changed
+    assert {empty_slot, kernel_slot + 1} <= set(changed)
+    outside_other = [i for i in range(len(after))
+                     if not jt.entry_addr(other.domain, 0) // 2
+                     <= jt.base // 2 + i
+                     < jt.entry_addr(other.domain + 1, 0) // 2]
+    assert [after[i] for i in outside_other] == \
+        [intact[i] for i in outside_other]
+
+
+def test_a_slot_overwritten_after_admission_is_found_then_repaired():
+    """A slot pointed at another domain's module after admission is an
+    HL013 finding, one per slot in slot order, until a load rewrites
+    it."""
+    system = SfiSystem()
+    first = _load(system, CLEAN_SENSOR, "first")
+    second = _load(system, CLEAN_SENSOR, "second")
+    jt = system.jump_table
+    memory = system.machine.memory
+    name, target = min(system.export_targets(second).items())
+    slots = [jt.entry_addr(first.domain, i) for i in (1, 0)]
+    for slot in slots:
+        for offset, word in enumerate(encode("jmp", (target // 2,))):
+            memory.write_flash_word(slot // 2 + offset, word)
+    _model, report = lint_system(system)
+    hl013 = [(d.byte_addr, d.message) for d in report.diagnostics.findings
+             if d.code == "HL013"]
+    assert hl013 == [
+        (jt.entry_addr(first.domain, i),
+         "jump-table slot d{}[{}] targets second.{} owned by domain "
+         "{}".format(first.domain, i, name, second.domain))
+        for i in (0, 1)]
+    assert _load(system, CLEAN_SENSOR, "third") is not None
+    assert "HL013" not in _lint_codes(system)
 
 
 def _lint_codes(system):
