@@ -278,8 +278,7 @@ class ImageAnalyzer:
         self.restore_addr = syms.get("hb_restore_ret")
         self.xdom_addr = syms.get("hb_xdom_call")
         self.store_stub_addrs = {
-            syms[name] for name in
-            list(STORE_STUBS.values()) + ["hb_st_sts"] if name in syms}
+            syms[name] for name in STORE_STUBS.values() if name in syms}
         self.save_addr = syms.get("hb_save_ret")
         # runtime entries a module may legitimately target; the UMPU
         # system additionally allows any call into the trusted region

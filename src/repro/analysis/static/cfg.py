@@ -121,6 +121,15 @@ class RegionCFG:
         (the one past its end included), its bounds, *name*, the
         leaders inside it and the data spans, so equal input is built
         once per process whatever reader it comes through."""
+        return cls.of_words(read_words(read_word, start // 2,
+                                       (end - start) // 2),
+                            start, end, name, extra_leaders, data_spans)
+
+    @classmethod
+    def of_words(cls, words, start, end, name="region", extra_leaders=(),
+                 data_spans=()):
+        """:meth:`build` over the span's *words*, already read
+        (:func:`~repro.asm.disassembler.read_words` output)."""
         spans = []
         for lo, hi in data_spans:
             lo, hi = max(start, lo & ~1), min(end, (hi + 1) & ~1)
@@ -129,7 +138,6 @@ class RegionCFG:
         spans = tuple(sorted(spans))
         entries = tuple(sorted({a for a in extra_leaders
                                 if start <= a < end} - {start}))
-        words = read_words(read_word, start // 2, (end - start) // 2)
         return memoised((name, start, end, entries, spans, words),
                         lambda: _build(name, start, end, entries, spans,
                                        words))

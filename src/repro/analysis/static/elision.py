@@ -63,17 +63,14 @@ ELIDED_CHECK_CYCLES = 65
 
 #: The runtime stubs' contract, the one table of it: stub -> the store
 #: template it stands for, its value in r18 and a displacement in r19
-#: (the stub of each pointer mode, and ``hb_st_sts``, which gets its
+#: (each store key's stub of :data:`~repro.sfi.runtime_asm.STORE_STUBS`
+#: stands for that key, but ``hb_st_sts`` for ``st_x``: it gets its
 #: address in X), or None for a stub that stores nothing a module sees.
 #: Every stub preserves every register and SREG except the pointer its
 #: template moves (see the register conventions in
 #: :mod:`repro.sfi.runtime_asm`).
-STUB_KEYS = {"hb_st_sts": "st_x", "hb_save_ret": None,
-             "hb_restore_ret": None}
-for _key in STORE_KEYS - {"sts"}:
-    _modes = SPEC_BY_KEY[_key].modes
-    STUB_KEYS[STORE_STUBS[(_modes["ptr"], _modes["post_inc"],
-                           _modes["pre_dec"], _modes["disp"])]] = _key
+STUB_KEYS = {stub: key for key, stub in STORE_STUBS.items()}
+STUB_KEYS.update(hb_st_sts="st_x", hb_save_ret=None, hb_restore_ret=None)
 
 
 def stub_contracts(runtime_symbols):

@@ -22,7 +22,8 @@ every jump-table target inside it); the CFG's leaders, the manifest
 re-proof and every analysis root there.  On an intact image those are
 exactly the exports' linked addresses the admission stages root at, so
 the lint shares their CFGs.  A model reads the jump table once, on
-first use, in one bulk read, and asks for each region's CFG once.  Both
+first use, and asks for each region's CFG once; a model of a live node
+slices both out of the flash word list in one bulk read each.  Both
 go through the disassembler's memo
 (:data:`~repro.asm.disassembler.MEMO`): each domain's jump-table page
 is parsed once per page content, and :meth:`RegionCFG.build` keeps each
@@ -91,7 +92,8 @@ class ImageModel:
                  isrs=(), flash=None):
         self.read_word = read_word
         #: the live flash word list, when the model reads a live node:
-        #: the jump table is sliced from it rather than read word by word
+        #: the jump table and the regions' words are sliced from it
+        #: rather than read word by word
         self.flash = flash
         self.layout = layout
         self.jump_table = jump_table
@@ -165,15 +167,27 @@ class ImageModel:
 
     def cfg_for(self, region):
         """The :class:`RegionCFG` of *region*, one object per model.
-        The memo would hand out the same one, but its key re-reads the
+        The memo would hand out the same one, but its key takes the
         span's words; asked ~30 times per lint, the dict spares that."""
         cfg = self._cfgs.get(region.name)
         if cfg is None:
-            cfg = self._cfgs[region.name] = RegionCFG.build(
-                self.read_word, region.start, region.end, name=region.name,
+            cfg = self._cfgs[region.name] = RegionCFG.of_words(
+                self._words(region.start // 2,
+                            (region.end - region.start) // 2),
+                region.start, region.end, name=region.name,
                 extra_leaders=self.region_entries(region),
                 data_spans=region.data_spans)
         return cfg
+
+    def _words(self, start_word, count_words):
+        """The span's words plus the one past it, as
+        :func:`~repro.asm.disassembler.read_words` gives them: sliced
+        from the live flash list when the model reads a live node."""
+        if self.flash is None:
+            return read_words(self.read_word, start_word, count_words)
+        count = max(count_words, 0) + 1
+        words = tuple(self.flash[start_word:start_word + count])
+        return words + (None,) * (count - len(words))
 
     def region_entries(self, region):
         """Addresses execution can enter *region* at, sorted: its
@@ -220,12 +234,7 @@ class ImageModel:
         parsed once per page content (a load changes one page)."""
         if self._jt is None:
             jt = self.jump_table
-            start, count = jt.base // 2, (jt.end - jt.base) // 2
-            if self.flash is not None:
-                words = tuple(self.flash[start:start + count])
-                words += (None,) * (count - len(words))
-            else:
-                words = read_words(self.read_word, start, count)
+            words = self._words(jt.base // 2, (jt.end - jt.base) // 2)
             size = jt.page_bytes // 2
             self._jt = []
             for domain in range(jt.ndomains):

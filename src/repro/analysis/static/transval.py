@@ -6,9 +6,11 @@ the source disassembly and the installed disassembly in lockstep,
 admitting exactly the transformations the rewriter is specified to
 perform —
 
-* checked store  <=>  marshalling + check-stub call whose
-  module-visible symbolic effect (:mod:`.symexec`) equals the raw
-  store's,
+* checked store  <=>  the rewriter's own expansion of it
+  (:func:`~repro.sfi.rewriter.checked_store`: marshalling + check-stub
+  call), whose module-visible symbolic effect (:mod:`.symexec`) must
+  equal the raw store's: that proof, not the shared expansion, is the
+  independent check,
 * elided store   <=>  the verbatim store at a site covered by a
   re-verified :class:`~repro.analysis.static.elision.ElisionManifest`,
 * function entry <=>  ``call hb_save_ret`` prologue, preceded by an
@@ -16,6 +18,8 @@ perform —
   (HL015 discipline),
 * ``ret``        <=>  ``call hb_restore_ret`` + ``ret``,
 * cross-domain call <=> the Z-marshalling ``hb_xdom_call`` sequence,
+  written out here rather than shared: no semantic proof backs it, so
+  this restatement is its independent check,
 * branches/jumps <=>  the same (or relaxation-inverted) branch whose
   target resolves to the translation of the source target,
 * everything else <=> copied verbatim.
@@ -52,17 +56,13 @@ from repro.analysis.static.symexec import (
 from repro.asm.disassembler import disassemble_span
 from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
-from repro.sfi.rewriter import Rewriter, function_entries
-from repro.sfi.runtime_asm import STORE_STUBS
+from repro.sfi.rewriter import Rewriter, checked_store, function_entries
 
 __all__ = [
     "TranslationReport",
     "stub_call_models",
     "validate_translation",
 ]
-
-#: instructions with no sanctioned translation
-_FORBIDDEN = frozenset(Rewriter.FORBIDDEN)
 
 TRANSVAL_SCHEMA = 1
 
@@ -248,7 +248,7 @@ class _Walker(object):
         key = instr.key
         old = line.byte_addr
 
-        if key in _FORBIDDEN:
+        if key in Rewriter.FORBIDDEN:
             raise _Mismatch(
                 "source instruction {!r} at 0x{:04x} has no sanctioned "
                 "translation".format(key, old), old)
@@ -324,24 +324,7 @@ class _Walker(object):
             self._map(old, got.byte_addr)
             self.elided.append((got.byte_addr, old))
             return
-        expected = self._expected_store_items(instr, old)
-        seq = []
-        for exp_key, exp_ops in expected:
-            got = self._take(old, "the checked-store sequence")
-            if exp_key == "call":
-                ok = (got.instr.key == "call"
-                      and got.instr.operands[0] * 2
-                      == self._sym(exp_ops[0]))
-            else:
-                ok = (got.instr.key == exp_key
-                      and tuple(got.instr.operands) == exp_ops)
-            if not ok:
-                raise _Mismatch(
-                    "checked store at 0x{:04x}: expected {} {} in the "
-                    "marshalling sequence, found {!r}".format(
-                        old, exp_key, exp_ops, got.instr.key),
-                    got.byte_addr)
-            seq.append(got)
+        seq = self._match_seq(old, checked_store(instr), "checked store")
         self._map(old, seq[0].byte_addr)
         self.store_checks += 1
         # semantic proof: the sequence's module-visible symbolic effect
@@ -360,42 +343,26 @@ class _Walker(object):
                 seq[0].byte_addr)
         self.semantic_proofs += 1
 
-    @staticmethod
-    def _expected_store_items(instr, old):
-        """The rewriter's deterministic emission for one store."""
-        items = []
-        if instr.key == "sts":
-            addr, reg = instr.operands
-            if reg != 18:
-                items += [("push", (18,)), ("mov", (18, reg))]
-            items += [("push", (26,)), ("push", (27,)),
-                      ("ldi", (26, addr & 0xFF)),
-                      ("ldi", (27, (addr >> 8) & 0xFF)),
-                      ("call", ("hb_st_sts",)),
-                      ("pop", (27,)), ("pop", (26,))]
-            if reg != 18:
-                items.append(("pop", (18,)))
-            return items
-        modes = instr.spec.modes
-        ptr = modes["ptr"]
-        displaced = bool(modes.get("disp", False))
-        post_inc = bool(modes.get("post_inc", False))
-        pre_dec = bool(modes.get("pre_dec", False))
-        reg = instr.operands[-1]
-        q = instr.operand("q") if displaced else 0
-        if ptr != "X" and not (post_inc or pre_dec):
-            displaced = True    # plain st Y/Z is the q=0 displaced form
-        stub = STORE_STUBS[(ptr, post_inc, pre_dec, displaced)]
-        if reg != 18:
-            items += [("push", (18,)), ("mov", (18, reg))]
-        if displaced:
-            items += [("push", (19,)), ("ldi", (19, q))]
-        items.append(("call", (stub,)))
-        if displaced:
-            items.append(("pop", (19,)))
-        if reg != 18:
-            items.append(("pop", (18,)))
-        return items
+    def _match_seq(self, old, expected, what):
+        """Take one installed line per ``(key, operands)`` of *expected*,
+        each equal to it (an operand ``("sym", name)`` is the runtime
+        symbol's address); returns the lines."""
+        seq = []
+        for exp_key, exp_ops in expected:
+            got = self._take(old, "the {} sequence".format(what))
+            if got.instr.key != exp_key or any(
+                    2 * op != self._sym(exp[1]) if isinstance(exp, tuple)
+                    else op != exp
+                    for op, exp in zip(got.instr.operands, exp_ops)):
+                raise _Mismatch(
+                    "{} at 0x{:04x}: expected {} {} in its sequence, "
+                    "found {!r}".format(
+                        what, old, exp_key,
+                        tuple(exp[1] if isinstance(exp, tuple) else exp
+                              for exp in exp_ops), got.instr.key),
+                    got.byte_addr)
+            seq.append(got)
+        return seq
 
     # -- calls and branches -------------------------------------------
     def _match_call(self, line):
@@ -403,30 +370,16 @@ class _Walker(object):
         target = static_target(line)
         layout = self.layout
         if layout.jt_base <= target < layout.jt_end:
+            # written out here, not shared with the rewriter: no
+            # semantic proof backs this sequence
             word = target // 2
-            expected = [("push", (30,)), ("push", (31,)),
-                        ("ldi", (30, word & 0xFF)),
-                        ("ldi", (31, (word >> 8) & 0xFF)),
-                        ("call", ("hb_xdom_call",)),
-                        ("pop", (31,)), ("pop", (30,))]
-            first = None
-            for exp_key, exp_ops in expected:
-                got = self._take(old, "the cross-domain call sequence")
-                if exp_key == "call":
-                    ok = (got.instr.key == "call"
-                          and got.instr.operands[0] * 2
-                          == self._sym(exp_ops[0]))
-                else:
-                    ok = (got.instr.key == exp_key
-                          and tuple(got.instr.operands) == exp_ops)
-                if not ok:
-                    raise _Mismatch(
-                        "cross-domain call at 0x{:04x}: expected {} {} "
-                        "in the hb_xdom_call sequence, found "
-                        "{!r}".format(old, exp_key, exp_ops,
-                                      got.instr.key), got.byte_addr)
-                first = first or got
-            self._map(old, first.byte_addr)
+            seq = self._match_seq(old, [
+                ("push", (30,)), ("push", (31,)),
+                ("ldi", (30, word & 0xFF)),
+                ("ldi", (31, (word >> 8) & 0xFF)),
+                ("call", (("sym", "hb_xdom_call"),)),
+                ("pop", (31,)), ("pop", (30,))], "cross-domain call")
+            self._map(old, seq[0].byte_addr)
             return
         lo, hi = self.extent
         if not lo <= target <= hi:

@@ -13,9 +13,12 @@ routines.  This module implements the opposite point:
   no control transfer can land between the template and the store
   (otherwise a branch could skip the check).
 
-The template is not hand-counted: it is assembled from the same source
-fragments as the runtime checker and decoded back into rewriter items,
-so the two rewriters can never drift apart semantically.
+The template is not hand-counted: its decision body is the runtime
+checker's own source fragment
+(:func:`~repro.sfi.runtime_asm.check_core`, the body of ``hb_check_x``),
+assembled with the template's fault exits and decoded back into
+rewriter items, so the inline check and the called one cannot drift
+apart.
 
 Every inline store compiles to::
 
@@ -39,62 +42,20 @@ from repro.sfi.layout import (
     SfiLayout,
 )
 from repro.sfi.rewriter import RewriteError, Rewriter, _Item
+from repro.sfi.runtime_asm import check_core
 from repro.sfi.verifier import Verifier
 
-#: the check core: validates a store to [X] for the current domain.
-#: Saves/restores r20/r21/r30/r31 itself; SREG is saved by the caller
-#: frame around it.  Identical logic to hb_check_x (kept in lockstep by
-#: tests/test_sfi_inline.py::test_template_matches_runtime_checker).
-_CORE_SRC = f"""
-    push r20
-    push r21
-    push r30
-    push r31
-    lds r20, HB_CUR_DOM
-    cpi r20, HB_TRUSTED
-    breq ic_ok
-    lds r30, HB_SB_LO
-    lds r31, HB_SB_HI
-    cp r30, r26
-    cpc r31, r27
-    brlo ic_sb_fault
-    ldi r30, lo8(HB_PROT_BOT)
-    ldi r31, hi8(HB_PROT_BOT)
-    cp r26, r30
-    cpc r27, r31
-    brlo ic_out_fault
-    ldi r30, lo8(HB_PROT_TOP)
-    ldi r31, hi8(HB_PROT_TOP)
-    cp r30, r26
-    cpc r31, r27
-    brlo ic_ok
-    movw r30, r26
-    subi r30, lo8(HB_PROT_BOT)
-    sbci r31, hi8(HB_PROT_BOT)
-    lsr r31
-    ror r30
-    lsr r31
-    ror r30
-    lsr r31
-    ror r30
-    bst r30, 0
-    lsr r31
-    ror r30
-    subi r30, lo8(-HB_MMAP_TABLE)
-    sbci r31, hi8(-HB_MMAP_TABLE)
-    ld r21, Z
-    brtc ic_low
-    swap r21
-ic_low:
-    andi r21, 0x0F
-    lsr r21
-    cp r21, r20
-    brne ic_mm_fault
+#: the check core: the runtime checker's decision body
+#: (:func:`~repro.sfi.runtime_asm.check_core`) with its own fault exits,
+#: absolute jumps into the runtime's fault handler.  It saves and
+#: restores r20/r21/r30/r31 itself; SREG is saved by the caller frame
+#: around it.
+_CORE_SRC = check_core("ic_") + f"""
     rjmp ic_ok
 ic_sb_fault:
     ldi r20, {FAULT_STACK_BOUND}
     jmp HB_FAULT_ENTRY
-ic_out_fault:
+ic_outside:
     ldi r20, {FAULT_OUTSIDE}
     jmp HB_FAULT_ENTRY
 ic_mm_fault:

@@ -35,9 +35,11 @@ from dataclasses import dataclass, field
 from repro.asm.disassembler import disassemble_span, static_target
 from repro.asm.program import Program
 from repro.isa.encoding import encode
+from repro.isa.opcodes import STORE_KEYS
 from repro.isa.registers import IoReg
 from repro.sfi.layout import SfiLayout
 from repro.sfi.runtime_asm import STORE_STUBS
+from repro.sfi.verifier import Verifier
 
 
 class RewriteError(Exception):
@@ -57,6 +59,31 @@ def function_entries(program, lines, exports):
             if 2 * lo <= target <= 2 * hi + 1:
                 addrs.add(target)
     return addrs
+
+
+def checked_store(instr):
+    """The checked expansion of store *instr*, as ``(key, operands)``
+    pairs with the check stub named ``("sym", stub)``: the value
+    marshalled into r18, the address (``sts``) preloaded in X or the
+    displacement (``std``) in r19, the call, and the saved registers
+    restored.  The rewriter emits it; translation validation matches
+    the installed image against it."""
+    reg = instr.operands[-1]
+    if instr.key == "sts":
+        addr = instr.operands[0]
+        loads = ((26, addr & 0xFF), (27, (addr >> 8) & 0xFF))
+    elif instr.spec.modes["disp"]:
+        loads = ((19, instr.operand("q")),)
+    else:
+        loads = ()
+    seq = [("push", (18,)), ("mov", (18, reg))] if reg != 18 else []
+    seq += [("push", (r,)) for r, _value in loads]
+    seq += [("ldi", load) for load in loads]
+    seq.append(("call", (("sym", STORE_STUBS[instr.key]),)))
+    seq += [("pop", (r,)) for r, _value in reversed(loads)]
+    if reg != 18:
+        seq.append(("pop", (18,)))
+    return seq
 
 
 # Operand placeholders resolved at layout time:
@@ -125,8 +152,10 @@ class RewrittenModule:
 class Rewriter:
     """Sandboxes module images against a Harbor runtime."""
 
-    #: instructions that can never appear in a sandboxed module
-    FORBIDDEN = {"break", "ijmp", "reti", "sleep", "wdr"}
+    #: instructions that can never appear in a sandboxed module: what
+    #: the verifier forbids, less the stores and ``icall``, which the
+    #: rewriter rewrites
+    FORBIDDEN = Verifier.FORBIDDEN_KEYS - STORE_KEYS - {"icall"}
 
     _elide = frozenset()
 
@@ -229,7 +258,6 @@ class Rewriter:
         """Map one original instruction to its sandboxed item sequence."""
         instr = line.instr
         key = instr.key
-        spec = instr.spec
         old = line.byte_addr
 
         if key in self.FORBIDDEN:
@@ -242,7 +270,7 @@ class Rewriter:
             raise RewriteError(
                 "module writes a protection register at 0x{:04x}".format(old))
 
-        if spec.kind == "store" or key == "sts":
+        if key in STORE_KEYS:
             stats["stores"] += 1
             if old in self._elide:
                 stats["elided_stores"] += 1
@@ -277,54 +305,9 @@ class Rewriter:
 
     # ------------------------------------------------------------------
     def _rewrite_store(self, instr, old):
-        spec = instr.spec
-        items = []
-
-        def ins(key, *ops):
-            items.append(_Item(key, tuple(ops),
-                               old_addr=old if not items else None,
-                               store_site=old if key == "call" else None))
-
-        if instr.key == "sts":
-            addr, reg = instr.operands
-            if reg != 18:
-                ins("push", 18)
-                ins("mov", 18, reg)
-            ins("push", 26)
-            ins("push", 27)
-            ins("ldi", 26, addr & 0xFF)
-            ins("ldi", 27, (addr >> 8) & 0xFF)
-            ins("call", ("sym", "hb_st_sts"))
-            ins("pop", 27)
-            ins("pop", 26)
-            if reg != 18:
-                ins("pop", 18)
-            return items
-
-        ptr = spec.modes["ptr"]
-        displaced = spec.modes.get("disp", False)
-        post_inc = spec.modes.get("post_inc", False)
-        pre_dec = spec.modes.get("pre_dec", False)
-        reg = instr.operands[-1]
-        q = instr.operand("q") if displaced else 0
-        if ptr == "X" and displaced:
-            raise RewriteError("st X with displacement cannot exist")
-        if ptr != "X" and not (post_inc or pre_dec):
-            displaced = True  # plain st Y/Z is the q=0 displaced form
-        stub = STORE_STUBS[(ptr, post_inc, pre_dec, displaced)]
-
-        if reg != 18:
-            ins("push", 18)
-            ins("mov", 18, reg)
-        if displaced:
-            ins("push", 19)
-            ins("ldi", 19, q)
-        ins("call", ("sym", stub))
-        if displaced:
-            ins("pop", 19)
-        if reg != 18:
-            ins("pop", 18)
-        return items
+        return [_Item(key, ops, old_addr=None if i else old,
+                      store_site=old if key == "call" else None)
+                for i, (key, ops) in enumerate(checked_store(instr))]
 
     def _rewrite_cross_call(self, target, old):
         word = target // 2

@@ -7,7 +7,11 @@ safe-stack save/restore stubs, and the protected dynamic-memory library
 Table 4 comparison.  They live in the trusted domain; "modules invoke
 the run-time checks by calling or jumping into the appropriate routines
 located in the trusted domain" — the checks are deliberately *not*
-inlined to keep module code small.
+inlined to keep module code small.  The decision body of the ownership
+check is one fragment, :func:`check_core`: ``hb_check_x`` wraps it in
+its prologue, ok tail and fault exits, and the inline-check design
+point (:func:`repro.sfi.inline.build_core`) wraps the same fragment in
+its own.
 
 Protection state lives in trusted SRAM globals (see
 :class:`~repro.sfi.layout.SfiLayout`); faults store a code + address and
@@ -24,10 +28,11 @@ Register conventions (documented for the rewriter):
   *except* the architectural pointer side effect of the addressed mode:
   ``hb_st_*_plus`` leaves the pointer pair incremented and
   ``hb_st_*_dec`` leaves it decremented, exactly as the raw instruction
-  would have.  The static analyzer's one stub table
-  (:data:`repro.analysis.static.elision.STUB_KEYS`) encodes this
-  contract as the store template each stub stands for; keep it in sync
-  when touching stub bodies.
+  would have.  :data:`STORE_STUBS` names the stub of each store key;
+  the static analyzer's stub table
+  (:data:`repro.analysis.static.elision.STUB_KEYS`), derived from it,
+  encodes this contract as the store template each stub stands for.
+  Keep both true when touching stub bodies.
 * the allocator entry points follow the avr-gcc ABI (args/result in
   r24:25, r22; r18-r27/r30/r31 caller-saved)
 """
@@ -45,22 +50,24 @@ from repro.sfi.layout import (
     SfiLayout,
 )
 
-#: Store-stub entry points by (pointer, post_inc, pre_dec, displaced).
+#: The check stub of each store key (:data:`repro.isa.opcodes.STORE_KEYS`):
+#: it checks the store its key names and then performs it, pointer side
+#: effect included.  ``hb_st_sts`` gets the address preloaded in X.
 STORE_STUBS = {
-    ("X", False, False, False): "hb_st_x",
-    ("X", True, False, False): "hb_st_x_plus",
-    ("X", False, True, False): "hb_st_x_dec",
-    ("Y", True, False, False): "hb_st_y_plus",
-    ("Y", False, True, False): "hb_st_y_dec",
-    ("Y", False, False, True): "hb_st_y_q",
-    ("Z", True, False, False): "hb_st_z_plus",
-    ("Z", False, True, False): "hb_st_z_dec",
-    ("Z", False, False, True): "hb_st_z_q",
+    "st_x": "hb_st_x",
+    "st_xp": "hb_st_x_plus",
+    "st_mx": "hb_st_x_dec",
+    "st_yp": "hb_st_y_plus",
+    "st_my": "hb_st_y_dec",
+    "std_y": "hb_st_y_q",
+    "st_zp": "hb_st_z_plus",
+    "st_mz": "hb_st_z_dec",
+    "std_z": "hb_st_z_q",
+    "sts": "hb_st_sts",
 }
 
 #: All runtime entry points a rewritten module may call into.
 RUNTIME_ENTRIES = sorted(set(STORE_STUBS.values()) | {
-    "hb_st_sts",
     "hb_xdom_call",
     "hb_save_ret",
     "hb_restore_ret",
@@ -84,47 +91,51 @@ hb_fault_r20:
 """
 
 
-def _checker():
-    """The software memory-map checker (paper Table 3: 65 cycles)."""
+def check_core(p):
+    """The decision body of the ownership check, its labels prefixed
+    *p*: the one source of ``hb_check_x`` and of the inline check
+    template (:func:`repro.sfi.inline.build_core`).
+
+    It saves r20/r21/r30/r31 and validates a store to [X] by the current
+    domain.  An allowed store branches to ``{p}ok`` or falls through
+    past the memory-map ``brne``; a violation branches to
+    ``{p}sb_fault``, ``{p}outside`` or ``{p}mm_fault``.  The includer
+    writes those labels: its ok tail pops the four registers back.
+
+    Rule (golden model: repro.core.checker.WriteChecker):
+
+    * trusted -> ok
+    * X > stack_bound -> stack-bound fault
+    * X in [PROT_BOT, PROT_TOP] -> memory-map ownership check
+    * X > PROT_TOP (own stack window) -> ok
+    * else -> outside-region fault
+    """
     return f"""
-; ---------------------------------------------------------- hb_check_x
-; Validate a store to [X] by the current domain.  Preserves all
-; registers and SREG; falls into hb_fault_r20 on violation.
-;
-; Rule (golden model: repro.core.checker.WriteChecker):
-;   trusted -> ok
-;   X > stack_bound -> stack-bound fault
-;   X in [PROT_BOT, PROT_TOP] -> memory-map ownership check
-;   X > PROT_TOP (own stack window) -> ok
-;   else -> outside-region fault
-hb_check_x:
-    push r0
-    in r0, SREG
     push r20
     push r21
     push r30
     push r31
     lds r20, HB_CUR_DOM
     cpi r20, HB_TRUSTED
-    breq hbc_ok
+    breq {p}ok
     ; stack bound: fault if SB < X
     lds r30, HB_SB_LO
     lds r31, HB_SB_HI
     cp r30, r26
     cpc r31, r27
-    brlo hbc_sb_fault
+    brlo {p}sb_fault
     ; below protected region?
     ldi r30, lo8(HB_PROT_BOT)
     ldi r31, hi8(HB_PROT_BOT)
     cp r26, r30
     cpc r27, r31
-    brlo hbc_outside
+    brlo {p}outside
     ; above protected region (own stack window)?
     ldi r30, lo8(HB_PROT_TOP)
     ldi r31, hi8(HB_PROT_TOP)
     cp r30, r26
     cpc r31, r27
-    brlo hbc_ok
+    brlo {p}ok
     ; --- memory map lookup (Figure: Addr Translate) ---
     movw r30, r26
     subi r30, lo8(HB_PROT_BOT)
@@ -141,13 +152,25 @@ hb_check_x:
     subi r30, lo8(-HB_MMAP_TABLE)
     sbci r31, hi8(-HB_MMAP_TABLE)
     ld r21, Z                  ; permission byte
-    brtc hbc_low_nibble
+    brtc {p}low_nibble
     swap r21
-hbc_low_nibble:
+{p}low_nibble:
     andi r21, 0x0F
     lsr r21                    ; owner = code >> 1
     cp r21, r20
-    brne hbc_mm_fault
+    brne {p}mm_fault"""
+
+
+def _checker():
+    """The software memory-map checker (paper Table 3: 65 cycles)."""
+    return f"""
+; ---------------------------------------------------------- hb_check_x
+; Validate a store to [X] by the current domain (rule: check_core).
+; Preserves all registers and SREG; falls into hb_fault_r20 on
+; violation.
+hb_check_x:
+    push r0
+    in r0, SREG{check_core("hbc_")}
 hbc_ok:
     pop r31
     pop r30

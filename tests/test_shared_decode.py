@@ -167,6 +167,32 @@ def test_a_second_six_module_set_up_reuses_runtimes_and_pages(
     assert not seen & set(parsed)
 
 
+def test_the_six_module_lints_read_no_flash_word_one_by_one(
+        monkeypatch):
+    """The six lint gates of the six-module node made 706, 759, 812,
+    865, 918 and 971 ``read_flash_word`` calls, all of them reading
+    region words for the CFG memo's key; the model now slices those
+    out of the flash word list, as it does the jump table."""
+    reads = [0]
+    real_read = Memory.read_flash_word
+
+    def read(self, word_addr):
+        reads[0] += 1
+        return real_read(self, word_addr)
+    monkeypatch.setattr(Memory, "read_flash_word", read)
+    per_lint = []
+    real_lint = static_mod.lint_system
+
+    def lint(*args, **kwargs):
+        before = reads[0]
+        out = real_lint(*args, **kwargs)
+        per_lint.append(reads[0] - before)
+        return out
+    monkeypatch.setattr(static_mod, "lint_system", lint)
+    _six_module_node()
+    assert per_lint == [0] * 6
+
+
 def _jt_words(system):
     jt = system.jump_table
     return system.machine.memory.flash[jt.base // 2:jt.end // 2]

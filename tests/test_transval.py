@@ -18,6 +18,7 @@ from repro.analysis.static.transval import (
 )
 from repro.asm.assembler import Assembler, default_symbols
 from repro.sfi.layout import SfiLayout
+from repro.sfi.runtime_asm import STORE_STUBS
 from repro.sfi.system import SfiSystem
 from repro.sfi.verifier import VerifyError
 
@@ -138,6 +139,24 @@ def test_certify_gate_rolls_back_on_mismatch(monkeypatch):
         system.load_module(program, "mod", exports=exports, certify=True)
     assert exc_info.value.rule == "HL017"
     assert "mod" not in system.modules   # load rolled back
+
+
+def test_a_wrong_shared_store_expansion_fails_certification(monkeypatch):
+    """The rewriter and translation validation share one checked-store
+    expansion, so a wrong one matches syntactically: an ``st X+`` sent
+    to ``hb_st_x`` (no pointer bump) passes the linear verifier, and
+    only the semantic proof rejects it."""
+    monkeypatch.setitem(STORE_STUBS, "st_xp", "hb_st_x")
+    source = "f:\n    movw r26, r24\n    st X+, r22\n    ret\n"
+    system = SfiSystem()
+    program = Assembler(symbols=system.kernel_symbols()).assemble(
+        source, name="bump")
+    assert system.load_module(program, "plain", exports=("f",))
+    with pytest.raises(VerifyError) as exc_info:
+        system.load_module(program, "mod", exports=("f",), certify=True)
+    assert exc_info.value.rule == "HL017"
+    assert "not semantically equivalent" in str(exc_info.value)
+    assert "mod" not in system.modules
 
 
 @pytest.mark.parametrize("attack", MANIFEST_ATTACKS)
