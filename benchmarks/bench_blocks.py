@@ -20,7 +20,11 @@ the rest; a region moves on from a block whose unit transactions took
 their common case, and leaves only after one that called out.  For
 ``node_umpu`` the script also prints the unit handler entries per op:
 calls of ``DataBus.write``, ``DataBus.read`` and the core's call hooks,
-counted with a profile hook (a deterministic count).  Last it prints the wall time of the first
+and next to them the device calls per op from region code: calls of an
+I/O device's ``io_read`` or ``io_write`` on a region's call path, which
+leaves the region, and the device reads a region makes in place, all
+counted with a profile hook (deterministic counts).  Last it prints the
+wall time of the first
 ``node_sfi`` and ``node_umpu`` set-up in a fresh process, where every
 region is compiled from scratch (the best of ``--cold`` processes).
 ``benchmarks/BENCH_blocks.json`` and ``benchmarks/BENCH_umpu.json``
@@ -210,9 +214,13 @@ def region_bytecodes(name, seed):
 
 
 def unit_entries(seed):
-    """Unit handler entries per op over one node_umpu pass after its
-    set-up: calls of ``DataBus.write``, ``DataBus.read`` and the
-    functions of the core's call hooks."""
+    """Per op over one node_umpu pass after its set-up: unit handler
+    entries (calls of ``DataBus.write``, ``DataBus.read`` and the
+    functions of the core's call hooks), device calls from region code
+    (calls of an I/O device's ``io_read`` or ``io_write`` on a region
+    function's call path, where its ``o_`` is 2: the path that writes
+    the locals back, publishes and leaves the region) and device reads
+    a region function makes in place."""
     import workloads
     from repro.sim.bus import DataBus
     w = workloads.make("node_umpu", seed)
@@ -221,11 +229,20 @@ def unit_entries(seed):
     codes = {DataBus.write.__code__, DataBus.read.__code__}
     codes.update(getattr(hook, "__func__", hook).__code__
                  for hook in w.core.call_hooks)
-    entries = [0]
+    devices = {getattr(type(device), name).__code__
+               for device in w.core.memory.io_devices.values()
+               for name in ("io_read", "io_write")}
+    counts = [0, 0, 0]
 
     def profile(frame, event, _arg):
-        if event == "call" and frame.f_code in codes:
-            entries[0] += 1
+        if event == "call":
+            code = frame.f_code
+            if code in codes:
+                counts[0] += 1
+            elif code in devices \
+                    and frame.f_back.f_code.co_filename == "<avr block>":
+                counts[1 if frame.f_back.f_locals.get("o_") == 2 else 2] \
+                    += 1
     sys.setprofile(profile)
     try:
         for i in range(w.pass_len):
@@ -233,7 +250,7 @@ def unit_entries(seed):
                 raise RuntimeError("node_umpu: {}".format(w.failures))
     finally:
         sys.setprofile(None)
-    return entries[0] / w.pass_len
+    return tuple(count / w.pass_len for count in counts)
 
 
 def cold_setup(name, seed):
@@ -284,9 +301,13 @@ def main(argv=None):
               "entries per op, {:.2f} instructions per entry, {:.1%} of "
               "moves inside a region".format(name, share, entries, mean,
                                              kept))
-    entries = unit_entries(args.seed)
+    entries, device_calls, in_place = unit_entries(args.seed)
     result["node_umpu_unit_entries_per_op"] = round(entries, 2)
-    print("node_umpu  {:.2f} unit handler entries per op".format(entries))
+    result["node_umpu_region_device_calls_per_op"] = round(device_calls, 2)
+    result["node_umpu_device_reads_in_place_per_op"] = round(in_place, 2)
+    print("node_umpu  {:.2f} unit handler entries per op, {:.2f} device "
+          "calls per op from region code ({:.2f} reads in place)".format(
+              entries, device_calls, in_place))
     for name in ("node_sfi", "node_umpu"):
         runs = [float(subprocess.check_output(
             [sys.executable, os.path.abspath(__file__), "--cold-once", name,

@@ -19,7 +19,13 @@ class Memory:
         self.flash = [0xFFFF] * geometry.flash_words
         #: data-space address -> device; devices observe/override the raw
         #: byte at that address (used for the UMPU configuration
-        #: registers, which live in the I/O window).
+        #: registers, which live in the I/O window).  A device's
+        #: ``io_read(addr)`` returns the byte, raises nothing, changes
+        #: nothing the core or another unit sees and reads none of the
+        #: core's state: a compiled region calls it in place, with the
+        #: registers, SREG and SP in its locals and PC and cycles not yet
+        #: published.  ``io_write(addr, value)`` may act (raise a fault,
+        #: raise an interrupt line).
         self.io_devices = {}
         #: callables notified with the word address of every flash
         #: write that changes a word, or with None when all of flash

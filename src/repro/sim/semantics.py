@@ -69,9 +69,13 @@ of Python a block renders in place of the callout, the way it renders
 fragment's placeholders are ``{u}`` (the unit, bound once at region
 entry), ``{data_end}``, and the transaction: ``{addr}`` and ``{value}``
 of a write, ``{addr}`` and the variable ``{var}`` of a read, the
-keyword arguments of a hook (``{target}``, ``{ret}``).  It adds the
+keyword arguments of a hook (``{target}``, ``{ret}``) and, in a hook's
+fragment, ``{sp}``: SP as the hook sees it.  It adds the
 stall cycles of its common case to ``x_``, names its temporaries
-``f*_``, and ends each path with one of two pseudo-ops on a line of
+``f*_``, and may call its unit in place where the call reads and writes
+no byte a region holds in a local (the MMC's ``owner()``, the domain
+tracker's ``cross_call()``): such a call needs no write-back, publish or
+reload.  It ends each path with one of two pseudo-ops on a line of
 their own:
 
 ``@direct``
@@ -1115,8 +1119,9 @@ class _BlockWriter:
     fragment ``@callout`` where no unit renders one (:meth:`fragment`):
     its stalls add to the block's charge and the block ends after its
     instruction.  Other accesses read or write ``data`` directly; under
-    a view with I/O devices they look up ``io_devices`` first.  Only
-    the path that calls out or reaches a device sets ``o_``
+    a view with I/O devices they look up ``io_devices`` first, and read
+    a device in place or write it through a device call.  Only the path
+    that calls out or makes a device call sets ``o_``
     (:meth:`calling`), and the block leaves the region after that
     instruction only then: a fragment's common case moves on like any
     other block.  Before a
@@ -1363,7 +1368,7 @@ class _BlockWriter:
         if not self.io or constant >= _LOCALS_END:
             return setup + check + [line]
         # a constant address in the I/O space, where no local is
-        return setup + self.lookup(at, [line], device)
+        return setup + self.lookup(at, [line], device, write)
 
     def low(self, at, write, line, device):
         """The branch of a direct access at a run-time address *at* below
@@ -1374,14 +1379,17 @@ class _BlockWriter:
             alias += self.reload()
             if self.pending:
                 alias += self.finish()
-        return self.lookup(at, alias, device) if self.io else alias
+        return self.lookup(at, alias, device, write) if self.io else alias
 
-    def lookup(self, at, lines, device):
-        """*lines*, or the call of the device mapped at *at*."""
+    def lookup(self, at, lines, device, write):
+        """*lines*, or *device*, the access of the device mapped at *at*:
+        a read in place (``io_read`` changes nothing, see
+        :attr:`~repro.sim.memory.Memory.io_devices`), a write on the path
+        of a call (:meth:`calling`)."""
         self.devices = True
         return (["d_ = io_.get({})".format(at), "if d_ is None:"]
                 + _indent(lines) + ["else:"]
-                + _indent(self.calling([device])))
+                + _indent(self.calling([device]) if write else [device]))
 
     def reload(self):
         """Lines reloading the locals after a store or call that may have
@@ -1527,12 +1535,15 @@ class _BlockWriter:
             return self.fragment(None, "@callout", {}, None,
                                  _callout("@hook", rest))
         event, *kwargs = rest.split(", ")
-        names = dict(kwarg.split("=", 1) for kwarg in kwargs)
+        names = dict((kwarg.split("=", 1) for kwarg in kwargs), sp="sp_")
         lines = []
         for index, fragments in self.hook_units:
+            source = fragments[event.strip('"')]
+            if "{sp}" in source:
+                self.local(_ADDRS["SPL"], False)
+                self.local(_ADDRS["SPH"], False)
             call = ["x_ += u{}_.on_event(core, {}) or 0".format(index, rest)]
-            lines += self.fragment(index, fragments[event.strip('"')], names,
-                                   None, call)
+            lines += self.fragment(index, source, names, None, call)
         return lines
 
     def exit(self, target, cycles, count, leave=False):

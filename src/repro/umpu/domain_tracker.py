@@ -29,9 +29,17 @@ the current ``(jt_base, ndomains)`` and rebuilds it only when the
 trusted runtime reprograms either; its ``classify`` is the one place a
 cross-domain target is validated.
 
-Compiled regions render the ordinary call and return inline
-(:attr:`DomainTracker.fragments`) and call out to :meth:`on_event`
-for the rest.
+The frame layout, the domain and bound switch and the counters are
+written once, in :meth:`DomainTracker._open_frame` and
+:meth:`DomainTracker._close_frame`; cross-domain calls, returns and
+interrupt entries all go through them.  Compiled regions render the
+ordinary call and return inline (:attr:`DomainTracker.fragments`) and
+open and close cross-domain frames in place through
+:meth:`DomainTracker.cross_call` and :meth:`DomainTracker.cross_ret`,
+which decline, changing nothing, whatever :meth:`on_event` must see: a
+fault, a frame below 0x60, an attached metrics registry.  The region
+calls out to :meth:`on_event` for those, a jump-table rebuild and every
+``ijmp``.
 """
 
 from repro.core.control_flow import JumpTable
@@ -54,27 +62,39 @@ class DomainTracker:
     #: the common case compiled regions render (repro.sim.semantics): a
     #: call, with the cached jump table still current, to a target
     #: outside the table and inside the domain's code region counts one
-    #: more nested call; a return that closes no cross-domain frame
+    #: more nested call; one into the table opens the frame through
+    #: :meth:`cross_call`.  A return that closes no cross-domain frame
     #: counts one fewer, or is ignored with no frame open or the unit
-    #: disabled.  A cross-domain transfer, a jump-table rebuild, a
-    #: confinement fault and every ``ijmp`` call out to on_event.
+    #: disabled; one that closes a frame goes through
+    #: :meth:`cross_ret`.  Where either returns None (a fault, a frame
+    #: the region may not write, an attached metrics registry), a
+    #: jump-table rebuild, a confinement fault and every ``ijmp`` call
+    #: out to on_event.
     fragments = {
         "call": """
 fr_ = {u}.regs
 if fr_.enabled:
     fj_ = {u}._jt
     ft_ = {target} * 2
-    fd_ = fr_.cur_domain
-    fc_ = {u}.code_regions.get(fd_)
+    fs_ = None
     if (fj_ is None or fj_.base != fr_.jt_base
-            or fj_.ndomains != fr_.ndomains or fj_.base <= ft_ < fj_.end
-            or fd_ != """ + str(TRUSTED_DOMAIN) + """
-            and not (fc_ and fc_[0] <= ft_ < fc_[1])):
+            or fj_.ndomains != fr_.ndomains):
+        pass
+    elif fj_.base <= ft_ < fj_.end:
+        fs_ = {u}.cross_call(core, ft_, {sp})
+    else:
+        fd_ = fr_.cur_domain
+        fc_ = {u}.code_regions.get(fd_)
+        if (fd_ == """ + str(TRUSTED_DOMAIN) + """
+                or fc_ and fc_[0] <= ft_ < fc_[1]):
+            fs_ = 0
+            fk_ = {u}.call_depths
+            if fk_:
+                fk_[-1] += 1
+    if fs_ is None:
         @callout
     else:
-        fk_ = {u}.call_depths
-        if fk_:
-            fk_[-1] += 1
+        x_ += fs_
 """,
         "ret": """
 fk_ = {u}.call_depths
@@ -82,7 +102,11 @@ if fk_ and {u}.regs.enabled:
     if fk_[-1] > 0:
         fk_[-1] -= 1
     else:
-        @callout
+        fs_ = {u}.cross_ret(core)
+        if fs_ is None:
+            @callout
+        else:
+            x_ += fs_
 """,
         "ijmp": "@callout",
     }
@@ -127,7 +151,7 @@ if fk_ and {u}.regs.enabled:
     def _switched(self, core, old_domain, via, stall):
         """A cross-domain transition happened: trace the switch and
         attribute the frame-sequencing stall to the *old* domain (its
-        state is what the safe stack is moving)."""
+        state is what the safe stack is moving).  Returns *stall*."""
         trace = core.trace
         if trace is not None:
             trace.emit(core.cycles, TraceEventKind.DOMAIN_SWITCH,
@@ -143,6 +167,7 @@ if fk_ and {u}.regs.enabled:
             metrics.histogram("cross_domain_depth",
                               buckets=DEPTH_BUCKETS).observe(
                                   len(self.call_depths))
+        return stall
 
     def _on_call(self, core, target_byte):
         regs = self.regs
@@ -156,7 +181,8 @@ if fk_ and {u}.regs.enabled:
         if jt.contains(target_byte):
             # validates alignment and the domain range
             callee, _index = jt.classify(target_byte)
-            return self._open_frame(core, callee, "call", core.sp)
+            return self._switched(core, self._open_frame(callee, core.sp),
+                                  "call", CROSS_DOMAIN_CALL_CYCLES)
         # ordinary call: confined to the current domain's code
         self._confine(target_byte, "call")
         if self.call_depths:
@@ -169,18 +195,8 @@ if fk_ and {u}.regs.enabled:
         if self.call_depths[-1] > 0:
             self.call_depths[-1] -= 1
             return 0
-        # closes the innermost cross-domain frame; the core already
-        # popped the return address, the rest of the frame follows
-        self.call_depths.pop()
-        sb_hi = self.unit.pop_byte()
-        sb_lo = self.unit.pop_byte()
-        prev_domain = self.unit.pop_byte()
-        callee = self.regs.cur_domain
-        self.regs.stack_bound = (sb_hi << 8) | sb_lo
-        self.regs.cur_domain = prev_domain
-        self.cross_returns += 1
-        self._switched(core, callee, "ret", CROSS_DOMAIN_RET_CYCLES)
-        return CROSS_DOMAIN_RET_CYCLES
+        return self._switched(core, self._close_frame(), "ret",
+                              CROSS_DOMAIN_RET_CYCLES)
 
     def _on_irq(self, core):
         """Interrupt entry: handlers are kernel code, so the hardware
@@ -188,24 +204,81 @@ if fk_ and {u}.regs.enabled:
         frame on the safe stack, closed by the reti's return).  The
         handler borrows the interrupted stack; trusted code is
         unchecked, so the bound stays as-is for the frame's pop."""
-        return self._open_frame(core, TRUSTED_DOMAIN, "irq",
-                                self.regs.stack_bound)
+        return self._switched(
+            core, self._open_frame(TRUSTED_DOMAIN, self.regs.stack_bound),
+            "irq", CROSS_DOMAIN_CALL_CYCLES)
 
-    def _open_frame(self, core, callee, via, stack_bound):
+    # ------------------------------------------------------------------
+    def cross_call(self, core, target_byte, sp):
+        """A compiled region's cross-domain call to *target_byte*, inside
+        the cached jump table, which is current, with SP at *sp*: open
+        the frame as :meth:`on_event` does and return its stall cycles.
+        None, with nothing changed, where ``on_event`` must act: a
+        target ``classify`` rejects, a metrics registry to report to
+        (a region runs with no trace sink or profiler), or a frame that
+        would not land whole at 0x60 or above (below, it may alias a
+        byte the region holds in a local), below SP and in the data
+        space."""
+        ptr = self.regs.safe_stack_ptr
+        if (core.metrics is not None or ptr < 0x60 or ptr + 2 >= sp
+                or ptr + 2 > self.unit.memory.geometry.data_end):
+            return None
+        try:
+            callee, _index = self._jt.classify(target_byte)
+        except JumpTableFault:
+            return None
+        self._open_frame(callee, sp, sp)
+        return CROSS_DOMAIN_CALL_CYCLES
+
+    def cross_ret(self, core):
+        """A compiled region's return that closes the innermost frame:
+        close it as :meth:`on_event` does and return its stall cycles.
+        None, with nothing changed, where ``on_event`` must act: a
+        metrics registry to report to, or a frame that does not lie
+        whole at or above both the unit's floor and 0x60, and in the
+        data space."""
+        ptr = self.regs.safe_stack_ptr
+        unit = self.unit
+        if (core.metrics is not None or ptr - 3 < 0x60
+                or ptr - 3 < (unit.floor or 0)
+                or ptr - 1 > unit.memory.geometry.data_end):
+            return None
+        self._close_frame()
+        return CROSS_DOMAIN_RET_CYCLES
+
+    def _open_frame(self, callee, stack_bound, sp=None):
         """Push [domain][sb_lo][sb_hi] (the redirected return address
-        completes the frame), then activate *callee*, *stack_bound*."""
+        completes the frame) against SP *sp* (the data space's when
+        None), then activate *callee* with *stack_bound*.  Returns the
+        caller."""
         regs = self.regs
         caller = regs.cur_domain
+        bound = regs.stack_bound
         push = self.unit.push_byte
-        push(caller)
-        push(regs.stack_bound & 0xFF)
-        push(regs.stack_bound >> 8)
+        push(caller, sp)
+        push(bound & 0xFF, sp)
+        push(bound >> 8, sp)
         self.call_depths.append(0)
         regs.cur_domain = callee
         regs.stack_bound = stack_bound
         self.cross_calls += 1
-        self._switched(core, caller, via, CROSS_DOMAIN_CALL_CYCLES)
-        return CROSS_DOMAIN_CALL_CYCLES
+        return caller
+
+    def _close_frame(self):
+        """Pop the innermost frame (the core already popped its return
+        address) and restore the caller's domain and stack bound.
+        Returns the callee."""
+        self.call_depths.pop()
+        pop = self.unit.pop_byte
+        sb_hi = pop()
+        sb_lo = pop()
+        caller = pop()
+        regs = self.regs
+        callee = regs.cur_domain
+        regs.stack_bound = (sb_hi << 8) | sb_lo
+        regs.cur_domain = caller
+        self.cross_returns += 1
+        return callee
 
     def _on_ijmp(self, target_byte):
         self._confine(target_byte, "ijmp")

@@ -92,13 +92,16 @@ else:
         self.floor = None
 
     # ------------------------------------------------------------------
-    def push_byte(self, value):
-        """Sequence one byte onto the safe stack (also used by the
-        domain tracker to push its part of the cross-domain frame)."""
+    def push_byte(self, value, sp=None):
+        """Sequence one byte onto the safe stack below SP *sp* (the data
+        space's when None: a compiled region holds SP in a local and
+        passes it).  The domain tracker pushes its part of the
+        cross-domain frame through here too."""
         regs = self.regs
         ptr = regs.safe_stack_ptr
-        data = self.memory.data
-        sp = data[_SP] | (data[_SP + 1] << 8)
+        if sp is None:
+            data = self.memory.data
+            sp = data[_SP] | (data[_SP + 1] << 8)
         if ptr >= sp:
             raise SafeStackOverflow(ptr, sp)
         self.memory.write_data(ptr, value)

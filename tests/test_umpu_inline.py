@@ -2,8 +2,9 @@
 
 Under a view whose bus units and call hook all supply fragments, a
 region renders the common case of each unit inline (an MMC-checked
-store, a redirected return address, an ordinary call or return) and
-calls out to the unit's handler for everything else.  The first half
+store, a redirected return address, an ordinary call or return, a
+cross-domain call or return through the tracker's ``cross_call`` and
+``cross_ret``) and calls out to the unit's handler for everything else.  The first half
 runs random UMPU programs on the fast loop and on a loop of ``step()``
 calls and asserts that they end identically: PC, cycles, retired
 instructions, the data space, the UMPU registers, every unit counter
@@ -19,13 +20,14 @@ The second half pins the fallback rule: a patched handler, a third
 interposer and a second hook owner each make the whole view call out,
 a device over SP or SREG keeps the run interpreted, and a bus profiler
 or metrics registry and a recorded MMC waveform keep the fragments,
-whose MMC case calls out for what they observe; every result is
-identical to ``step()``.  A view that calls out forms the regions the
-fragments form, and the fuzzer reaches the same verdicts with
-fragments and with callouts forced.
+whose MMC and tracker cases call out for what they observe; every
+result is identical to ``step()``.  A view that calls out forms the
+regions the fragments form, and the fuzzer reaches the same verdicts
+with fragments and with callouts forced.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -431,10 +433,10 @@ m1:
 def test_clean_program_runs_its_units_inline():
     """With nothing attached the view names the three units, and once
     the loop runs compiled no store, push or return address reaches the
-    bus: the MMC, the safe-stack unit and the tracker's ordinary calls
-    run inline, and only the cross-domain frames call out (the tracker
-    sequences them onto the safe stack itself)."""
-    trips, patched = [], []
+    bus and no call or return reaches ``DomainTracker.on_event``: the
+    MMC, the safe-stack unit and the tracker, its cross-domain frames
+    included, run inline."""
+    trips, events, patched = [], [], []
 
     def prepare(machine):
         if not patched:  # the fast machine only
@@ -443,7 +445,20 @@ def test_clean_program_runs_its_units_inline():
             bus.write = lambda *a: trips.append(data[20]) or original(*a)
             patched.append(machine)
 
-    got, fast = assert_pair(CLEAN, prepare=prepare)
+    # a profile hook on the handler's code object: an instance override
+    # would change the view
+    code = DomainTracker.on_event.__code__
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is code \
+                and frame.f_locals["self"] is patched[0].tracker:
+            events.append(patched[0].memory.data[20])
+
+    sys.setprofile(profile)
+    try:
+        got, fast = assert_pair(CLEAN, prepare=prepare)
+    finally:
+        sys.setprofile(None)
     assert got is None
     view = fast.core._view
     assert view[3] == ((type(fast.safe_stack_unit), type(fast.mmc)),
@@ -452,6 +467,7 @@ def test_clean_program_runs_its_units_inline():
     assert fast.tracker.cross_calls == 2 * TRIPS
     # the first trip runs interpreted, every later one compiled
     assert trips and set(trips) == {TRIPS}
+    assert events and set(events) == {TRIPS}
 
 
 def _patched_on_write(machine):
@@ -863,3 +879,122 @@ loop:
 """.format(IoReg.SREG + 0x20))
     got, _fast = assert_pair(source)
     assert got[0] == "UntrustedAccessFault"
+
+
+#: domain 0's loop reads the UMPU registers with ``in`` (with inc's
+#: flags pending), around a cross-domain call into domain 1, which
+#: reads them deeper in the safe stack
+REGISTER_READS = module_program("""
+    ldi r20, 14
+reads:
+    inc r21
+    in r16, {ssp_l:#x}
+read_ssp_l:
+    in r17, {ssp_h:#x}
+read_ssp_h:
+    in r18, {cur:#x}
+read_cur:
+    brne stored
+    inc r22
+stored:
+    ldi r26, 0x30
+    ldi r27, 0x04
+    st X+, r16
+    st X+, r17
+    st X+, r18
+    call {jt1:#x}
+    dec r20
+    brne reads
+    ret
+""".format(ssp_l=SSP_L, ssp_h=SSP_H, cur=IoReg.CUR_DOMAIN, jt1=JT1),
+    m1="""
+    in r16, {ssp_l:#x}
+    in r17, {cur:#x}
+    ldi r30, 0x10
+    ldi r31, 0x05
+    st Z+, r16
+    st Z+, r17
+    ret
+""".format(ssp_l=SSP_L, cur=IoReg.CUR_DOMAIN))
+
+
+def test_register_reads_stay_inside_the_region():
+    """An untrusted domain's reads of ``safe_stack_ptr`` and
+    ``cur_domain`` call ``io_read`` in place: the run matches step(),
+    and no region is entered at the word after a read, as one is when
+    a read leaves its region."""
+    got, want, state, ref_state, fast, entered = run_pair(REGISTER_READS)
+    assert got == want is None
+    assert state == ref_state
+    assert entered, "compiled regions must be entered"
+    assert fast.core._view[3] is not None, "fragments must be rendered"
+    data = fast.memory.data
+    # each domain reads itself; domain 1 reads the pointer past the
+    # frame and return address of domain 0's call
+    assert (data[0x0432], data[0x0511]) == (0, 1)
+    assert (data[0x0510] - data[0x0430]) & 0xFF == 5
+    reads = {fast.program.symbol(label) // 2
+             for label in ("read_ssp_l", "read_ssp_h", "read_cur")}
+    assert reads.isdisjoint(entered)
+
+
+def _floor_under_the_third_frame(machine):
+    """The floor three bytes under the safe stack pointer: the kernel
+    below lowers the pointer one byte a trip, so the frame of its
+    fourth call lies partly under the floor."""
+    machine.safe_stack_unit.floor = machine.regs.safe_stack_ptr - 3
+
+
+#: name -> (kernel, prepare, the fault): frames that do not fit where a
+#: compiled region would write or read them
+FRAME_FAULTS = {
+    # on the fifth trip the safe stack pointer sits two bytes below SP:
+    # the frame's third byte would land on SP
+    "overflow": ("""
+    ldi r20, 6
+trips:
+    cpi r20, 2
+    brne called
+    in r16, 0x3d
+    in r17, 0x3e
+    subi r16, 2
+    sbci r17, 0
+    out {ssp_l:#x}, r16
+    out {ssp_h:#x}, r17
+called:
+    call {jt0:#x}
+    dec r20
+    brne trips
+    ret
+""", None, "SafeStackOverflow"),
+    # the pointer one byte lower every trip: on the fourth the return
+    # address pops and the frame's last byte lies under the floor
+    "underflow": ("""
+    ldi r20, 6
+trips:
+    in r16, {ssp_l:#x}
+    in r17, {ssp_h:#x}
+    subi r16, 1
+    sbci r17, 0
+    out {ssp_l:#x}, r16
+    out {ssp_h:#x}, r17
+    call {jt0:#x}
+    dec r20
+    brne trips
+    ret
+""", _floor_under_the_third_frame, "SafeStackUnderflow"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_FAULTS))
+def test_frames_past_the_safe_stack_call_out(name):
+    """A cross-domain call whose frame would reach SP, and a return
+    whose frame lies partly under the floor, both on a trip that runs
+    compiled: the tracker's callout faults as under step()."""
+    kernel, prepare, fault = FRAME_FAULTS[name]
+    source = module_program("    sts 0x0410, r20\n    ret\n",
+                            kernel=kernel.format(ssp_l=SSP_L, ssp_h=SSP_H,
+                                                 jt0=JT0))
+    got, fast = assert_pair(source, prepare=prepare)
+    assert got[0] == fault
+    assert fast.core._view[3] is not None, "fragments must be rendered"
