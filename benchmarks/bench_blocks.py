@@ -12,7 +12,11 @@ pass of the workload after its set-up:
   its ``if cycles >= s_:`` check after assigning the next block's start
   to ``p_`` passes, and leaves through the ``break`` under it when not;
   both lines are counted with a line tracer, so this pass runs slower
-  than untraced.
+  than untraced;
+* the regions compiled over the set-up and the pass, and the bytes of
+  source rendered for them, counted by wrapping ``compile`` in
+  :mod:`repro.sim.semantics` (the compile cost of the units' fragments
+  shows here).
 
 ``node_umpu``'s blocks render the common case of the MMC, the
 safe-stack unit and the domain tracker inline and call out to them for
@@ -109,9 +113,26 @@ def _count_moves(moves):
 
 
 def block_share(name, seed):
-    """For one pass: the share of retired instructions run inside
-    regions, region entries per op, retired instructions per entry, and
-    the share of block-to-block moves that stayed inside a region."""
+    """For the set-up and one pass: the share of retired instructions
+    run inside regions, region entries per op, retired instructions per
+    entry, the share of block-to-block moves that stayed inside a
+    region, and the regions compiled and the bytes of their rendered
+    source (``compile`` wrapped in :mod:`repro.sim.semantics`)."""
+    from repro.sim import semantics
+    sources = []
+
+    def compiling(source, filename, mode):
+        if filename == "<avr block>":
+            sources.append(len(source))
+        return compile(source, filename, mode)
+    semantics.compile = compiling
+    try:
+        return _block_share(name, seed) + (len(sources), sum(sources))
+    finally:
+        del semantics.compile
+
+
+def _block_share(name, seed):
     import workloads
     w = workloads.make(name, seed)
     for _ in w.setup_steps():
@@ -290,17 +311,22 @@ def main(argv=None):
         print(json.dumps(result))
         return 0
     result = {"seed": args.seed, "block_share": {}, "entries_per_op": {},
-              "instructions_per_entry": {}, "moves_inside": {}}
+              "instructions_per_entry": {}, "moves_inside": {},
+              "regions": {}, "region_source_bytes": {}}
     for name in WORKLOADS:
-        share, entries, mean, kept = block_share(name, args.seed)
+        share, entries, mean, kept, regions, size = block_share(name,
+                                                                args.seed)
         result["block_share"][name] = round(share, 4)
         result["entries_per_op"][name] = round(entries, 2)
         result["instructions_per_entry"][name] = round(mean, 2)
         result["moves_inside"][name] = round(kept, 4)
+        result["regions"][name] = regions
+        result["region_source_bytes"][name] = size
         print("{:10s} {:6.1%} of retired instructions in regions, {:.2f} "
               "entries per op, {:.2f} instructions per entry, {:.1%} of "
-              "moves inside a region".format(name, share, entries, mean,
-                                             kept))
+              "moves inside a region; {} regions, {:.0f} kB of region "
+              "source".format(name, share, entries, mean, kept, regions,
+                              size / 1000))
     entries, device_calls, in_place = unit_entries(args.seed)
     result["node_umpu_unit_entries_per_op"] = round(entries, 2)
     result["node_umpu_region_device_calls_per_op"] = round(device_calls, 2)

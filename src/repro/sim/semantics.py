@@ -65,27 +65,46 @@ A unit on the bus or the call path may supply *fragments*: the common
 case of each kind it claims (a bus unit, keyed by :class:`AccessKind`)
 or of each of :data:`HOOK_EVENTS` (the owner of a call hook), as lines
 of Python a block renders in place of the callout, the way it renders
-``@store`` (``docs/performance.md``, "Protection-unit fragments").  A
-fragment's placeholders are ``{u}`` (the unit, bound once at region
-entry), ``{data_end}``, and the transaction: ``{addr}`` and ``{value}``
-of a write, ``{addr}`` and the variable ``{var}`` of a read, the
-keyword arguments of a hook (``{target}``, ``{ret}``) and, in a hook's
-fragment, ``{sp}``: SP as the hook sees it.  It adds the
-stall cycles of its common case to ``x_``, names its temporaries
-``f*_``, and may call its unit in place where the call reads and writes
-no byte a region holds in a local (the MMC's ``owner()``, the domain
-tracker's ``cross_call()``): such a call needs no write-back, publish or
-reload.  It ends each path with one of two pseudo-ops on a line of
-their own:
+``@store`` (``docs/performance.md``, "Protection-unit fragments").  Its
+placeholders are ``{u}`` (the unit, bound once at region entry),
+``{data_end}``, ``{sp}`` (SP as the unit sees it) and the transaction:
+``{addr}`` and ``{value}`` of a write, ``{addr}`` and the variable
+``{var}`` of a read, a hook's keyword arguments (``{target}``,
+``{ret}``).  It adds its stall cycles to ``x_``, names its temporaries
+``f*_``, may call its unit where the call touches no byte a region
+holds in a local (the MMC's ``translate()``), and ends each path in
+``@direct`` (the access as though no unit acted, with the I/O-device
+lookup under a view with devices) or ``@callout`` (publish
+``pc``/``cycles``/``instret`` and run the transaction through the bus,
+or the hook through ``on_event``, whose handler raises the fault or
+does the work).
 
-``@direct``
-    the access as though no unit acted: the direct read or write of
-    ``data`` (with the I/O-device lookup under a view with devices).
-``@callout``
-    every other case: publish ``pc``/``cycles``/``instret`` and run the
-    transaction through the bus, or the hook through the unit's
-    ``on_event``, so that the unit's own handler raises the fault or
-    does the work.
+The UMPU units write one *rule template* per claimed kind or hook event
+instead, which :func:`render_unit` renders twice, as the fragment and
+as the handler (``on_write``, ``on_read``, ``on_event``; there
+``{sp}`` reads the data space's SP on the bus, ``core.sp`` on the call
+path), so each unit rule is written once.  A rule adds four pseudo-ops:
+
+``@fault why [data], exception``
+    a protection fault: the handler runs the unit's ``report`` template
+    and raises.  A fragment calls out for the suite that ends in one (or
+    in a ``raise``): its lines are the handler's way to the fault, say
+    the bytes of a frame that land before it overflows.
+``@observe observer, call``
+    a trace event, profiler charge, metrics emission or MMC waveform
+    phase: the handler makes the call on the bus's or core's ``trace``,
+    ``profiler`` or ``metrics``, or the unit's ``waveform``, when one is
+    attached; a fragment calls out when it is (tested once per path,
+    and not at all for one a region never runs with).
+``@inline_if condition`` / ``@callout``
+    a fragment calls out unless the condition holds, or here; the
+    handler goes on.
+
+A rule's paths end in a fault, ``@direct`` (the handler returns the
+pass-through verdict) or its last line (the write made, the read
+``{var}`` answered, a hook's stalls).  It tests everything that may
+call out before it changes anything but a cache, and nothing may follow
+a statement that may call out or access directly (checked).
 
 What a template does is read off its text as well: the registers each
 key writes (:func:`registers_written`), which the abstract interpreter
@@ -95,11 +114,13 @@ bit on its own, which compiled regions build their lazy flags on.
 """
 
 import re
+import sys
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
 
 from repro.isa.opcodes import SPEC_BY_KEY, STORE_KEYS
 from repro.isa.registers import IoReg
+from repro.sim.bus import ReadAction, WriteAction
 from repro.sim.errors import InvalidAccess
 from repro.sim.events import AccessKind
 from repro.trace.events import TraceEventKind
@@ -362,17 +383,22 @@ for _key in sorted(STORE_KEYS - {"sts"}):
 _CONTROL = ("@goto ", "@goto_if ", "@skip_if ")
 
 
-def _lines(key):
-    """The template's logical lines: a line whose parentheses are still
+def _joined(text):
+    """The logical lines of *text*: a line whose parentheses are still
     open takes the next one."""
     lines = []
-    for line in TEMPLATES[key].split("\n"):
+    for line in text.split("\n"):
         if not line.strip():
             continue
         if lines and lines[-1].count("(") > lines[-1].count(")"):
             lines[-1] += " " + line.strip()
         else:
             lines.append(line)
+    return lines
+
+
+def _lines(key):
+    lines = _joined(TEMPLATES[key])
     for line in lines[:-1]:
         if line.startswith(_CONTROL):
             raise AssertionError(
@@ -1499,7 +1525,10 @@ class _BlockWriter:
         head = [] if self.stalls else ["x_ = 0"]
         self.stalls = True
         slow = self.calling(callout)
-        source = source.format(u="u{}_".format(index),
+        if "{sp}" in source:
+            self.local(_ADDRS["SPL"], False)
+            self.local(_ADDRS["SPH"], False)
+        source = source.format(u="u{}_".format(index), sp="sp_",
                                data_end=self.data_end, **names)
         lines = []
         for line in source.split("\n"):
@@ -1535,13 +1564,10 @@ class _BlockWriter:
             return self.fragment(None, "@callout", {}, None,
                                  _callout("@hook", rest))
         event, *kwargs = rest.split(", ")
-        names = dict((kwarg.split("=", 1) for kwarg in kwargs), sp="sp_")
+        names = dict(kwarg.split("=", 1) for kwarg in kwargs)
         lines = []
         for index, fragments in self.hook_units:
             source = fragments[event.strip('"')]
-            if "{sp}" in source:
-                self.local(_ADDRS["SPL"], False)
-                self.local(_ADDRS["SPH"], False)
             call = ["x_ += u{}_.on_event(core, {}) or 0".format(index, rest)]
             lines += self.fragment(index, source, names, None, call)
         return lines
@@ -1858,3 +1884,241 @@ def compile_region(flash, members, data_end, view):
     for start in order:
         _AT.setdefault((start, data_end, view), []).append(key)
     return region
+
+
+# ----------------------------------------------------------------------
+# unit rules: each rendered as a unit's fragment and as its handler
+# ----------------------------------------------------------------------
+_CONTINUED = ("elif ", "else:", "except")
+#: a bus unit's and a hook owner's handler placeholders, who holds an
+#: observer in a handler and in a region (the unit holds its waveform),
+#: and the observers a region never runs with: a core with a trace sink
+#: or profiler runs ``step()``, a bus trace sink makes every access a
+#: bare callout
+_SIDES = {
+    "bus": (dict(u="self", addr="addr", value="value", var="v_",
+                 data_end="(len(data) - 1)", sp="(" + _SP + ")"),
+            "bus", "core.bus", frozenset(("trace",))),
+    "hook": (dict(u="self", target='kw["target"]', ret='kw["ret"]',
+                  data_end="(len(data) - 1)", sp="core.sp"),
+             "core", "core", frozenset(("trace", "profiler")))}
+#: a bus unit's write and read handler: its arguments, and its verdicts
+#: at ``@direct`` and at a rule's end, with ``x_`` stall cycles
+_BUS_HANDLERS = {
+    "on_write": ("self, bus, addr, value, kind",
+                 "WriteAction(extra_cycles=x_) if x_ else None",
+                 "WriteAction(handled=True, extra_cycles=x_)"),
+    "on_read": ("self, bus, addr, kind",
+                "ReadAction(extra_cycles=x_) if x_ else None",
+                "ReadAction(value=v_, extra_cycles=x_)")}
+
+
+def _tree(text):
+    """*text*'s logical lines as a suite of ``[line, suite]`` nodes,
+    comments dropped."""
+    root = []
+    suites = [(-1, root)]
+    for line in _joined(text):
+        code = line.strip()
+        if code.startswith("#"):
+            continue
+        depth = len(line) - len(code)
+        while depth <= suites[-1][0]:
+            suites.pop()
+        node = [code, []]
+        suites[-1][1].append(node)
+        suites.append((depth, node[1]))
+    return root
+
+
+def _text(suite, depth=0):
+    lines = []
+    for code, body in suite:
+        lines.append("    " * depth + code)
+        if code.endswith(":"):
+            lines += _text(body or [["pass", []]], depth + 1)
+    return lines
+
+
+def _statements(suite):
+    """*suite*'s compound statements: a node and the ``elif``, ``else``
+    and ``except`` nodes after it."""
+    statements = []
+    for node in suite:
+        if statements and node[0].startswith(_CONTINUED):
+            statements[-1].append(node)
+        else:
+            statements.append([node])
+    return statements
+
+
+def _count(suite, leaf):
+    return sum((code == leaf) + _count(body, leaf) for code, body in suite)
+
+
+def _region_suite(suite, holder, seen):
+    """A rule *suite*'s region rendering: a suite whose paths all fault
+    is one ``@callout``, a ``@callout`` ends its suite, an
+    ``@inline_if`` and an ``@observe`` of an observer not in *seen*
+    call out on their test, with the rest of the suite under its
+    ``else``.  An ``else`` holding one ``if`` becomes ``elif``, and
+    neighbouring branches that only call out become one."""
+    if suite and suite[-1][0].startswith(("@fault ", "raise ")):
+        return [["@callout", []]]
+    out = []
+    for index, (code, body) in enumerate(suite):
+        op, _, rest = code.partition(" ")
+        name = rest.split(",", 1)[0]
+        if op == "@callout":
+            return out + [["@callout", []]]
+        if op == "@fault":
+            raise AssertionError("a @fault must end its suite: " + code)
+        if op == "@inline_if" or op == "@observe" and name not in seen:
+            seen |= {name}
+            test = "not ({})".format(rest) if op == "@inline_if" else \
+                "{}.{} is not None".format(
+                    "{u}" if name == "waveform" else holder, name)
+            return out + _chained(
+                [["if " + test + ":", [["@callout", []]]],
+                 ["else:", _region_suite(suite[index + 1:], holder, seen)]])
+        if op != "@observe":
+            out.append([code, _region_suite(body, holder, seen)])
+    return _chained(out)
+
+
+def _chained(suite):
+    flat = []
+    for code, body in suite:
+        if code == "else:" and body and body[0][0].startswith("if ") \
+                and len(_statements(body)) == 1:
+            flat += [["elif " + body[0][0][3:], body[0][1]]] + body[1:]
+        else:
+            flat.append([code, body])
+    out = []
+    for code, body in flat:
+        if code.startswith("elif ") and body == [["@callout", []]] \
+                and out[-1][1] == body:
+            # a conditional expression binds looser than ``or``
+            head, test = out[-1][0][:-1].split(" ", 1)
+            out[-1][0] = "{} {} or {}:".format(head, *(
+                "({})".format(t) if " if " in t else t
+                for t in (test, code[5:-1])))
+        else:
+            out.append([code, body])
+    return out
+
+
+def _fragment(template, holder, seen, name):
+    """A rule *template*'s fragment, where the ``@callout`` and
+    ``@direct`` leaves it would render more than once set ``fx_``
+    instead and run once after it.  Raises where a statement follows
+    one that may call out or access directly."""
+    suite = _region_suite(_tree(template), holder, seen)
+
+    def check(suite):
+        for statement in _statements(suite)[:-1]:
+            if _count(statement, "@callout") or _count(statement, "@direct"):
+                raise AssertionError(name + ": a rule goes on after a leaf")
+        for _code, body in suite:
+            check(body)
+    check(suite)
+    flags = {}
+    for leaf in ("@callout", "@direct"):
+        if _count(suite, leaf) > 1:
+            flags[leaf] = str(len(flags) + 1)
+    lines = ["fx_ = 0"] if flags else []
+    for line in _text(suite):
+        code = line.lstrip(" ")
+        lines.append(line.replace(code, "fx_ = " + flags[code])
+                     if code in flags else line)
+    for n, (leaf, flag) in enumerate(flags.items()):
+        lines += ["{} fx_ == {}:".format("elif" if n else "if", flag),
+                  "    " + leaf]
+    return "\n".join(lines)
+
+
+def _handler_suite(suite, holder, direct, report):
+    """A rule *suite*'s handler rendering: an ``@observe`` reports when
+    its observer is attached, a ``@fault`` runs *report* and raises,
+    ``@direct`` returns *direct*, and ``@inline_if`` and ``@callout``
+    are nothing."""
+    lines = []
+    for code, body in suite:
+        op, _, rest = code.partition(" ")
+        if op == "@observe":
+            name, call = rest.split(", ", 1)
+            held = ("self." if name == "waveform" else holder + ".") + name
+            lines += ["if {} is not None:".format(held),
+                      "    {}.{}".format(held, call)]
+        elif op == "@fault":
+            why, fault = rest.split(", ", 1)
+            lines += report(*why.split(" ", 1)) + ["raise " + fault]
+        elif op == "@direct":
+            lines.append("return " + direct)
+        elif op not in ("@inline_if", "@callout"):
+            lines.append(code)
+            if code.endswith(":"):
+                lines += _indent(_handler_suite(body, holder, direct, report)
+                                 or ["pass"])
+    return lines
+
+
+def render_unit(cls):
+    """Class decorator: set the unit *cls*'s ``fragments`` and handlers
+    from its rules ``cls.templates``, one per :class:`AccessKind` a bus
+    unit claims (rendered into ``on_write``/``on_read``) or per call-hook
+    event (into ``on_event``).  A ``@fault why [data], exception`` runs
+    ``cls.report``, if any, with ``{why}`` quoted and ``{data}`` (say
+    ``owner=x``) after a comma.  Handlers see the unit module's names."""
+    side = "bus" if all(isinstance(key, AccessKind)
+                        for key in cls.templates) else "hook"
+    names, holder, region_holder, unseen = _SIDES[side]
+    cls.fragments = {key: _fragment(template, region_holder, unseen,
+                                    cls.__name__)
+                     for key, template in cls.templates.items()}
+
+    def report(why, data=None):
+        return _handler_suite(_tree(getattr(cls, "report", "").format(
+            why=repr(why), data=", " + data if data else "", **names)),
+            holder, None, None)
+
+    def branch(test, template, direct=None, done=None):
+        lines = _handler_suite(_tree(template.format(**names)), holder,
+                               direct, report)
+        head = ["data = self.memory.data"] * any("data" in line
+                                                 for line in lines)
+        if done is not None:
+            head.append("x_ = 0")
+            lines.append("return " + done)
+        return [test + ":"] + _indent(head + lines)
+
+    functions = {}
+    if side == "hook":
+        body = ["x_ = 0"]
+        for event, template in cls.templates.items():
+            body += branch("{} event == {!r}".format(
+                "elif" if len(body) > 1 else "if", event), template)
+        functions["on_event"] = ("self, core, event, **kw",
+                                 body + ["return x_"])
+    rules = {}
+    for kind, template in cls.templates.items() if side == "bus" else ():
+        function = "on_write" if kind.is_write else "on_read"
+        rules.setdefault((function, template), []).append(kind.name)
+    for (function, template), kinds in rules.items():
+        args, direct, done = _BUS_HANDLERS[function]
+        body = functions.setdefault(function, (args, ["return None"]))[1]
+        body[-1:] = branch("if " + " or ".join(sorted(
+            "kind is AccessKind." + kind for kind in kinds)),
+            template, direct, done) + ["return None"]
+    namespace = dict(vars(sys.modules[cls.__module__]),
+                     WriteAction=WriteAction, ReadAction=ReadAction)
+    for function, (args, body) in functions.items():
+        source = "def {}({}):\n".format(function, args) + "\n".join(
+            _indent(body))
+        exec(compile(source, "<{} rules>".format(cls.__name__), "exec"),
+             namespace)
+        handler = namespace.pop(function)
+        handler.__qualname__ = cls.__qualname__ + "." + function
+        handler.__module__ = cls.__module__
+        setattr(cls, function, handler)
+    return cls

@@ -21,60 +21,79 @@ Overflow: the safe stack grows up toward the run-time stack; the unit
 raises :class:`SafeStackOverflow` when ``safe_stack_ptr`` would collide
 with SP.
 
-A callout reads decoded register attributes and SP's two data-space
-bytes, and returns a preallocated verdict.  Compiled regions render
-the common case of each kind inline instead (:attr:`SafeStackUnit.
-fragments`) and call out for the rest.
+Each direction is written once, as a rule template
+(:attr:`SafeStackUnit.templates`), which :func:`repro.sim.semantics.
+render_unit` renders into the fragment compiled regions run inline and
+into :meth:`SafeStackUnit.on_write` / :meth:`SafeStackUnit.on_read`.
 """
 
-from repro.core.faults import SafeStackOverflow, SafeStackUnderflow
-from repro.isa.registers import IoReg
-from repro.sim.bus import BusInterposer, ReadAction, WriteAction
+from types import SimpleNamespace
+
+# the names the rules use
+from repro.core.faults import SafeStackOverflow, SafeStackUnderflow  # noqa: F401
+from repro.sim.bus import BusInterposer
+from repro.sim.errors import InvalidAccess  # noqa: F401
 from repro.sim.events import AccessKind
-from repro.trace.events import TraceEventKind
+from repro.sim.semantics import render_unit
+from repro.trace.events import TraceEventKind  # noqa: F401
 
-#: preallocated verdicts (the bus only reads their fields): one serves
-#: every redirected push, one per byte value every redirected pop
-_HANDLED_VERDICT = WriteAction(handled=True, extra_cycles=0)
-_POP_VERDICTS = tuple(ReadAction(value=v) for v in range(256))
-#: data-space address of SPL (SPH follows)
-_SP = IoReg.SPL + 0x20
+#: the bus a unit's own byte operations report to: none
+_UNOBSERVED = SimpleNamespace(trace=None)
 
 
+@render_unit
 class SafeStackUnit(BusInterposer):
     """Redirects return-address pushes/pops to the safe stack region."""
 
     name = "safe_stack"
     kinds = frozenset((AccessKind.RET_PUSH, AccessKind.RET_POP))
-    #: the common case compiled regions render (repro.sim.semantics):
-    #: an enabled unit whose push stays below SP (a return-address push
-    #: goes to SP) and whose pop stays at or above the floor, inside the
-    #: data space past the I/O space (0x60 on), where a region may hold
-    #: no byte in a local.  An overflow, an underflow, a pointer below
-    #: 0x60 or a disabled unit calls out to on_write/on_read.
-    fragments = {
+    #: the redirect rule of each direction: an enabled unit pushes at
+    #: ``safe_stack_ptr`` below SP (a return-address push goes to SP),
+    #: or pops above it at or above the floor, inside the data space,
+    #: and handles the transaction; a disabled one leaves it to the
+    #: run-time stack.  A region calls out for a disabled unit and where
+    #: the pointer lies below 0x60 (a region may hold that byte in a
+    #: local).
+    templates = {
         AccessKind.RET_PUSH: """
 fr_ = {u}.regs
 fp_ = fr_.safe_stack_ptr
-if fr_.enabled and 0x60 <= fp_ < {addr} and fp_ <= {data_end}:
+fq_ = {sp}
+if not fr_.enabled:
+    # a region leaves a disabled unit's transaction to the bus
+    @callout
+    @direct
+elif fp_ >= fq_:
+    @fault overflow, SafeStackOverflow(fp_, fq_)
+elif fp_ > {data_end}:
+    raise InvalidAccess(fp_)
+else:
+    @inline_if 0x60 <= fp_
+    @observe trace, emit(bus._now(), TraceEventKind.SAFE_STACK_REDIRECT, domain=fr_.cur_domain, addr={addr}, target=fp_, write=True)
+    # the write happens in the slot the CPU already spends: no stall
     data[fp_] = {value}
     fp_ += 1
     fr_.safe_stack_ptr = fp_
     {u}.redirected_pushes += 1
     if fp_ > {u}.high_water:
         {u}.high_water = fp_
-else:
-    @callout
 """,
         AccessKind.RET_POP: """
 fr_ = {u}.regs
 fp_ = fr_.safe_stack_ptr - 1
-if fr_.enabled and 0x60 <= fp_ <= {data_end} and ({u}.floor or 0) <= fp_:
+if not fr_.enabled:
+    @callout
+    @direct
+elif fp_ < ({u}.floor or 0):
+    @fault underflow, SafeStackUnderflow()
+elif fp_ > {data_end}:
+    raise InvalidAccess(fp_)
+else:
+    @inline_if 0x60 <= fp_
+    @observe trace, emit(bus._now(), TraceEventKind.SAFE_STACK_REDIRECT, domain=fr_.cur_domain, addr={addr}, target=fp_, write=False)
     {var} = data[fp_]
     fr_.safe_stack_ptr = fp_
     {u}.redirected_pops += 1
-else:
-    @callout
 """,
     }
 
@@ -92,58 +111,13 @@ else:
         self.floor = None
 
     # ------------------------------------------------------------------
-    def push_byte(self, value, sp=None):
-        """Sequence one byte onto the safe stack below SP *sp* (the data
-        space's when None: a compiled region holds SP in a local and
-        passes it).  The domain tracker pushes its part of the
-        cross-domain frame through here too."""
-        regs = self.regs
-        ptr = regs.safe_stack_ptr
-        if sp is None:
-            data = self.memory.data
-            sp = data[_SP] | (data[_SP + 1] << 8)
-        if ptr >= sp:
-            raise SafeStackOverflow(ptr, sp)
-        self.memory.write_data(ptr, value)
-        regs.safe_stack_ptr = ptr = ptr + 1
-        if ptr > self.high_water:
-            self.high_water = ptr
+    def push_byte(self, value):
+        """Push one byte onto the safe stack below SP as a redirected
+        return-address push does (and counted as one)."""
+        self.on_write(_UNOBSERVED, None, value, AccessKind.RET_PUSH)
 
     def pop_byte(self):
-        """Sequence one byte off the safe stack.  A faulting pop leaves
+        """Pop one byte off the safe stack as a redirected return-address
+        pop does (and counted as one).  A faulting pop leaves
         ``safe_stack_ptr`` where it was, as a faulting push does."""
-        ptr = self.regs.safe_stack_ptr - 1
-        if ptr < 0 or (self.floor is not None and ptr < self.floor):
-            raise SafeStackUnderflow()
-        value = self.memory.read_data(ptr)
-        self.regs.safe_stack_ptr = ptr
-        return value
-
-    # ------------------------------------------------------------------
-    def on_write(self, bus, addr, value, kind):
-        if kind is not AccessKind.RET_PUSH or not self.regs.enabled:
-            return None
-        self.push_byte(value)
-        self.redirected_pushes += 1
-        if bus.trace is not None:
-            bus.trace.emit(bus._now(),
-                           TraceEventKind.SAFE_STACK_REDIRECT,
-                           domain=self.regs.cur_domain, addr=addr,
-                           target=self.regs.safe_stack_ptr - 1,
-                           write=True)
-        # handled: the run-time stack never sees the byte; zero extra
-        # cycles (the write happens in the slot the CPU already spends)
-        return _HANDLED_VERDICT
-
-    def on_read(self, bus, addr, kind):
-        if kind is not AccessKind.RET_POP or not self.regs.enabled:
-            return None
-        value = self.pop_byte()
-        self.redirected_pops += 1
-        if bus.trace is not None:
-            bus.trace.emit(bus._now(),
-                           TraceEventKind.SAFE_STACK_REDIRECT,
-                           domain=self.regs.cur_domain, addr=addr,
-                           target=self.regs.safe_stack_ptr,
-                           write=False)
-        return _POP_VERDICTS[value]
+        return self.on_read(_UNOBSERVED, None, AccessKind.RET_POP).value

@@ -12,14 +12,16 @@ never take.  The UMPU fuzz corpus runs twice: with its write oracle on
 the bus, whose view makes every access a callout, and without it, whose
 regions render the units' fragments.  ``node_umpu`` runs a second time
 with a metrics registry attached, under which the MMC's fragment calls
-out for every checked store.
+out for every checked store and the domain tracker's for every
+cross-domain frame.
 
 It wraps each region function that ``AvrCore._compile_block`` installs.
 On every entry the wrapper captures the machine's state (data space,
 ``pc``, ``cycles``, ``instret``, ``halted`` and the machine's extra
 state: UMPU registers, the domain tracker, the safe-stack unit, the
 MMC's counters and the pending interrupt lines), runs the region and
-captures the state it leaves, exception included.  Then it restores the
+captures the state it leaves, exception included (with a metrics
+registry attached, its ``to_dict()`` too).  Then it restores the
 state from before, drives ``step()`` to the region's ``instret`` (one
 more step when the region raised, which must raise the same exception)
 and compares the two states.  Flash is left out of the capture because
@@ -80,22 +82,41 @@ class Mismatch(AssertionError):
 
 def _state(machine):
     core = machine.core
+    metrics = core.metrics
     return (bytes(machine.memory.data), core.pc, core.cycles, core.instret,
-            core.halted, machine._snapshot_extra())
+            core.halted, machine._snapshot_extra(),
+            None if metrics is None else metrics.to_dict())
+
+
+def _load(registry, doc):
+    """Refill *registry* with the metrics of its ``to_dict()`` *doc*."""
+    registry.reset()
+    for kind in ("counter", "gauge"):
+        for entry in doc[kind + "s"]:
+            getattr(registry, kind)(entry["name"], **entry["labels"]) \
+                .value = entry["value"]
+    for entry in doc["histograms"]:
+        histogram = registry.histogram(entry["name"], entry["buckets"],
+                                       **entry["labels"])
+        histogram.counts = list(entry["counts"])
+        histogram.count, histogram.sum, histogram.max = \
+            entry["count"], entry["sum"], entry["max"]
 
 
 def _restore(machine, state):
     """Put *state* back (``_restore_extra`` refills the pending-line set
     in place, which the run loop holds on to)."""
-    data, pc, cycles, instret, halted, extra = state
+    data, pc, cycles, instret, halted, extra, metrics = state
     machine.memory.data[:] = data
     core = machine.core
     core.pc, core.cycles, core.instret, core.halted = \
         pc, cycles, instret, halted
     machine._restore_extra(extra)
+    if metrics is not None:
+        _load(core.metrics, metrics)
 
 
-_FIELDS = ("data", "pc", "cycles", "instret", "halted", "extra")
+_FIELDS = ("data", "pc", "cycles", "instret", "halted", "extra", "metrics")
 
 
 def _diff(region, stepped):
